@@ -3,8 +3,9 @@
 Computes minimal approximation factors for envy-based and share-based
 fairness criteria (EF, EF1, EFX, MMS, PMMS) under additive and submodular
 cost oracles, runs the constructive two-agent allocation procedures, and
-reproduces extremal instance families and prices of fairness by brute-force
-search. All arithmetic is exact.
+reproduces extremal instance families and prices of fairness by an exact
+search over all allocations that prunes subtrees unable to beat the best
+allocation found so far. All arithmetic is exact.
 """
 
 from .allocate import (

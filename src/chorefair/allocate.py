@@ -13,10 +13,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .criteria import Criterion, min_alpha
+from .criteria import Criterion, context_for, min_alpha
 from .errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
 from .mms import mms_value
-from .model import Additive, Allocation, Instance, normalize, rational_str
+from .model import Allocation, Instance, normalize, rational_str, set_of
+from .search import cheapest_accepted
 
 __all__ = [
     "AllocatorOutcome",
@@ -55,7 +56,10 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
 
     Additive costs decompose per chore, so each chore goes to an agent with
     minimal cost for it (ties to the lowest agent index). Other cost
-    functions are handled by guarded full enumeration.
+    functions are handled by the guarded exact search of
+    ``search.cheapest_accepted``, which prunes subtrees that cannot beat the
+    cheapest allocation found so far; of several optima it returns the
+    first in lexicographic order of the assignment vector.
     """
     if inst.is_additive():
         trace: list[dict] = []
@@ -79,23 +83,10 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
         raise SizeGuardError(
             f"general optimum needs enumerating {count} allocations (guard {GENERAL_OPT_GUARD})"
         )
-    from .criteria import context_for
-
-    ctx = context_for(inst)
-    best_cost: Fraction | None = None
-    best_assignment: tuple[int, ...] | None = None
-    for assignment in itertools.product(range(inst.n), repeat=inst.m):
-        masks = [0] * inst.n
-        for chore, agent in enumerate(assignment):
-            masks[agent] |= 1 << chore
-        cost = Fraction(0)
-        for agent in range(inst.n):
-            cost += ctx.bundle_cost(agent, masks[agent])
-        if best_cost is None or cost < best_cost:
-            best_cost = cost
-            best_assignment = assignment
-    alloc = Allocation.from_assignment(best_assignment or (), inst.n)
-    trace = [{"op": "enumerate", "candidates": count}, {"op": "select", "assignment": list(best_assignment or ())}]
+    _, _, masks = cheapest_accepted(inst, context_for(inst), lambda masks: True)
+    assert masks is not None
+    alloc = Allocation(tuple(set_of(mask) for mask in masks))
+    trace = [{"op": "enumerate", "candidates": count}, {"op": "select", "assignment": list(alloc.assignment(inst.m))}]
     return _outcome(inst, alloc, trace)
 
 

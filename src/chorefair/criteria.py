@@ -251,14 +251,20 @@ def fairness_report(
     return FairnessReport(alphas=alphas, witnesses=witnesses, mms_values=mms_used)
 
 
-def satisfies(inst: Instance, alloc: Allocation, crit: Criterion, alpha) -> bool:
+def parse_alpha(alpha) -> ExtendedRational:
+    """A fairness level: an exact rational >= 1, or ``INFINITY``."""
     if isinstance(alpha, float):
         if alpha != INFINITY:
             raise ArgumentError(f"alpha must be an exact rational or infinity, got {alpha!r}")
-    else:
-        alpha = parse_rational(alpha)
-        if alpha < 1:
-            raise ArgumentError(f"alpha must be >= 1, got {alpha}")
+        return alpha
+    alpha = parse_rational(alpha)
+    if alpha < 1:
+        raise ArgumentError(f"alpha must be >= 1, got {alpha}")
+    return alpha
+
+
+def satisfies(inst: Instance, alloc: Allocation, crit: Criterion, alpha) -> bool:
+    alpha = parse_alpha(alpha)
     return min_alpha(inst, alloc, crit) <= alpha
 
 

@@ -125,6 +125,10 @@ class CostFunction:
     def value(self, chores: frozenset[int]) -> Fraction:
         raise NotImplementedError
 
+    def denominator(self) -> int:
+        """A positive integer d such that d * c(S) is an integer for every S."""
+        raise NotImplementedError
+
     def ground_size(self) -> int | None:
         """Number of chores this function intrinsically knows about, if any."""
         return None
@@ -162,6 +166,9 @@ class Additive(CostFunction):
             total += self.values[e]
         return total
 
+    def denominator(self) -> int:
+        return _common_denominator(self.values)
+
     def ground_size(self) -> int | None:
         return len(self.values)
 
@@ -186,6 +193,9 @@ class CappedAdditive(CostFunction):
             total += self.values[e]
         return min(total, self.cap)
 
+    def denominator(self) -> int:
+        return _common_denominator(self.values + (self.cap,))
+
     def ground_size(self) -> int | None:
         return len(self.values)
 
@@ -202,6 +212,9 @@ class CappedCardinality(CostFunction):
 
     def value(self, chores: frozenset[int]) -> Fraction:
         return Fraction(min(len(chores), self.cap))
+
+    def denominator(self) -> int:
+        return 1
 
 
 @dataclass(frozen=True)
@@ -239,6 +252,9 @@ class RowCoverage(CostFunction):
                 total += w
         return total
 
+    def denominator(self) -> int:
+        return _common_denominator(self.weights)
+
     def ground_size(self) -> int | None:
         return sum(len(r) for r in self.rows)
 
@@ -257,7 +273,12 @@ class TableCost(CostFunction):
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(parse_rational(v) for v in self.values))
-        if len(self.values) != 1 << self.m:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
+            raise ValidationError(f"table m must be an integer >= 0, got {self.m!r}")
+        size = len(self.values)
+        # Compares bit lengths rather than computing 1 << m, which for a huge
+        # m from JSON would build a huge integer.
+        if size & (size - 1) or size.bit_length() != self.m + 1:
             raise ValidationError(
                 f"table must have 2^{self.m} entries, got {len(self.values)}"
             )
@@ -278,6 +299,9 @@ class TableCost(CostFunction):
 
     def value(self, chores: frozenset[int]) -> Fraction:
         return self.values[mask_of(chores)]
+
+    def denominator(self) -> int:
+        return _common_denominator(self.values)
 
     def ground_size(self) -> int | None:
         return self.m
@@ -346,10 +370,12 @@ def mask_evaluator(fn: CostFunction, m: int) -> Callable[[int], Fraction]:
     raise UnsupportedVariantError(f"unknown cost-function variant {type(fn).__name__}")
 
 
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
 def _integer_values(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = 1
-    for v in values:
-        den = math.lcm(den, v.denominator)
+    den = _common_denominator(values)
     return [int(v * den) for v in values], den
 
 
@@ -439,9 +465,9 @@ class Instance:
     normalized: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or self.n < 1:
+        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
             raise ValidationError(f"agent count must be >= 1, got {self.n!r}")
-        if not isinstance(self.m, int) or self.m < 0:
+        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValidationError(f"chore count must be >= 0, got {self.m!r}")
         object.__setattr__(self, "costs", tuple(self.costs))
         if len(self.costs) != self.n:
@@ -484,13 +510,13 @@ class Allocation:
     def __post_init__(self) -> None:
         bundles = tuple(_as_chore_set(b) for b in self.bundles)
         object.__setattr__(self, "bundles", bundles)
-        total = 0
-        union = 0
-        for b in bundles:
-            total += len(b)
-            union |= mask_of(b)
-        if union.bit_count() != total:
+        # Sets, not bitmasks: a huge chore index must not build a huge mask
+        # before check_partition has compared it with m.
+        union = frozenset().union(*bundles)
+        if len(union) != sum(len(b) for b in bundles):
             raise ValidationError("bundles overlap")
+        if union and min(union) < 0:
+            raise BoundsError(f"chore index {min(union)} out of range")
 
     @classmethod
     def from_assignment(cls, assignment: Sequence[int], n: int) -> "Allocation":
@@ -516,16 +542,13 @@ def check_partition(inst: Instance, alloc: Allocation) -> None:
         raise ValidationError(
             f"allocation has {len(alloc.bundles)} bundles, instance has {inst.n} agents"
         )
-    union = 0
-    for b in alloc.bundles:
-        union |= mask_of(b)
-    expected = (1 << inst.m) - 1
-    if union != expected:
-        missing = set_of(expected & ~union)
-        extra = set_of(union & ~expected)
-        if extra:
-            raise ValidationError(f"allocation uses unknown chores {sorted(extra)}")
-        raise ValidationError(f"allocation misses chores {sorted(missing)}")
+    union = frozenset().union(*alloc.bundles)
+    extra = sorted(e for e in union if e >= inst.m)
+    if extra:
+        raise ValidationError(f"allocation uses unknown chores {extra}")
+    if len(union) != inst.m:
+        missing = sorted(frozenset(range(inst.m)) - union)
+        raise ValidationError(f"allocation misses chores {missing}")
 
 
 def normalize(inst: Instance) -> Instance:
@@ -640,7 +663,9 @@ def allocation_from_json(obj: dict) -> Allocation:
     if not isinstance(obj, dict) or "bundles" not in obj:
         raise ParseError("allocation must be an object with a 'bundles' field")
     bundles = obj["bundles"]
-    if not isinstance(bundles, list):
+    if not isinstance(bundles, list) or not all(
+        isinstance(b, list) and all(isinstance(e, int) for e in b) for b in bundles
+    ):
         raise ParseError("'bundles' must be a list of chore-index lists")
     return Allocation(tuple(frozenset(b) for b in bundles))
 

@@ -1,13 +1,15 @@
-"""Brute-force search oracles and proposition-verification suites.
+"""Exhaustive search oracles and proposition-verification suites.
 
-Everything here enumerates: all allocations of an instance, the cheapest
-allocation meeting a fairness level, per-instance prices of fairness, and
-sweeps that re-derive the catalog families' exact expectations.
+Everything here is exact over all n^m allocations of an instance: their
+enumeration, the cheapest allocation meeting a fairness level (a pruned
+depth-first search), per-instance prices of fairness, and sweeps that
+re-derive the catalog families' exact expectations.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .criteria import Criterion, context_for, implied_guarantee, min_alpha
+from .criteria import Criterion, InstanceContext, context_for, implied_guarantee, min_alpha, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
 from .families import FAMILY_IDS, FamilyBundle, make_family, valid_params
 from .mms import mms_value
@@ -30,8 +32,8 @@ from .model import (
     Instance,
     RowCoverage,
     instance_digest,
-    parse_rational,
     rational_str,
+    set_of,
 )
 
 __all__ = [
@@ -94,44 +96,119 @@ def enumerate_allocations(m: int, n: int) -> Iterator[Allocation]:
     count = n**m
     if count > ENUMERATION_GUARD:
         raise SizeGuardError(f"{count} allocations exceed the enumeration guard {ENUMERATION_GUARD}")
+    for masks in _scan_masks(n, m):
+        yield Allocation(tuple(set_of(mask) for mask in masks))
+
+
+def _scan_masks(n: int, m: int) -> Iterator[tuple[int, ...]]:
+    """Bundle masks of all n^m allocations, unpruned, in lexicographic order."""
     for assignment in itertools.product(range(n), repeat=m):
-        yield Allocation.from_assignment(assignment, n)
-
-
-def _scan_masks(inst: Instance) -> Iterator[tuple[int, ...]]:
-    for assignment in itertools.product(range(inst.n), repeat=inst.m):
-        masks = [0] * inst.n
+        masks = [0] * n
         for chore, agent in enumerate(assignment):
             masks[agent] |= 1 << chore
         yield tuple(masks)
 
 
+def cheapest_accepted(
+    inst: Instance, ctx: InstanceContext, accept: Callable[[list[int]], bool]
+) -> tuple[Fraction, Fraction | None, tuple[int, ...] | None]:
+    """Exact depth-first search for the cheapest allocation ``accept`` admits.
+
+    Returns (optimal social cost, cheapest accepted cost or None, its bundle
+    masks or None). Chore d is assigned at depth d and agents are tried in
+    index order, so leaves come in lexicographic order of the assignment
+    vector, and of several cheapest accepted allocations the first in that
+    order is returned. ``accept`` is asked only about leaves strictly
+    cheaper than the incumbent, and must not keep the mask list it is given.
+
+    Costs are integers over the lcm of the agents' denominators. When every
+    cost is monotone, a subtree is pruned once its lower bound reaches the
+    accepted incumbent: the partial cost, plus, for additive instances, each
+    remaining chore's cheapest cost. Pruned leaves cost at least the
+    incumbent, which is at least the optimum seen so far, so neither output
+    changes. Non-monotone costs get the full scan.
+    """
+    n, m = inst.n, inst.m
+    scale = math.lcm(*(fn.denominator() for fn in inst.costs))
+    prune = all(fn.monotone_by_construction for fn in inst.costs)
+    additive = inst.is_additive()
+    # floor[d]: a lower bound on what chores d.. add to any completion.
+    floor = [0] * (m + 1)
+    if additive:
+        unit = [[v.numerator * (scale // v.denominator) for v in fn.values] for fn in inst.costs]
+        for d in range(m - 1, -1, -1):
+            floor[d] = floor[d + 1] + min(row[d] for row in unit)
+    else:
+        memo: list[dict[int, int]] = [{} for _ in range(n)]
+    masks = [0] * n
+    costs = [0] * n
+    owner = [-1] * m  # agent holding chore d; -1 before its first agent
+    saved = [0] * m  # that agent's cost before it took chore d
+    total = 0
+    opt: int | None = None
+    best: int | None = None
+    best_masks: tuple[int, ...] | None = None
+    d = 0
+    while d >= 0:
+        if d == m:
+            if opt is None or total < opt:
+                opt = total
+            if (best is None or total < best) and accept(masks):
+                best = total
+                best_masks = tuple(masks)
+            d -= 1
+            continue
+        a = owner[d]
+        bit = 1 << d
+        if a >= 0:  # undo the previous agent's hold on chore d
+            masks[a] ^= bit
+            total += saved[d] - costs[a]
+            costs[a] = saved[d]
+        a += 1
+        if a == n:
+            owner[d] = -1
+            d -= 1
+            continue
+        owner[d] = a
+        saved[d] = old = costs[a]
+        mask = masks[a] = masks[a] | bit
+        if additive:
+            new = old + unit[a][d]
+        else:
+            new = memo[a].get(mask)
+            if new is None:
+                value = ctx.bundle_cost(a, mask)
+                new = memo[a][mask] = value.numerator * (scale // value.denominator)
+        costs[a] = new
+        total += new - old
+        if prune and best is not None and total + floor[d + 1] >= best:
+            continue
+        d += 1
+    assert opt is not None
+    return (
+        Fraction(opt, scale),
+        None if best is None else Fraction(best, scale),
+        best_masks,
+    )
+
+
 def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchReport:
-    """Cheapest allocation whose minimal alpha for ``criterion`` is <= alpha."""
-    if not isinstance(alpha, float):
-        alpha = parse_rational(alpha)
-        if alpha < 1:
-            raise ArgumentError(f"alpha must be >= 1, got {alpha}")
+    """Cheapest allocation whose minimal alpha for ``criterion`` is <= alpha.
+
+    ``alpha`` is an exact rational >= 1 or ``INFINITY``. The search is exact
+    over all n^m allocations and prunes subtrees that cannot beat the
+    cheapest fair allocation found so far (``cheapest_accepted``). Among the
+    cheapest fair allocations the witness is the first in lexicographic
+    order of the assignment vector.
+    """
+    alpha = parse_alpha(alpha)
     count = inst.n**inst.m
     if count > ENUMERATION_GUARD:
         raise SizeGuardError(f"{count} allocations exceed the enumeration guard {ENUMERATION_GUARD}")
     ctx = context_for(inst)
-    opt_cost: Fraction | None = None
-    best_fair: Fraction | None = None
-    best_masks: tuple[int, ...] | None = None
-    for masks in _scan_masks(inst):
-        cost = Fraction(0)
-        for agent in range(inst.n):
-            cost += ctx.bundle_cost(agent, masks[agent])
-        if opt_cost is None or cost < opt_cost:
-            opt_cost = cost
-        if best_fair is not None and cost >= best_fair:
-            continue  # cannot improve the fair optimum; skip the alpha check
-        value, _, _ = ctx.min_alpha_masks(masks, criterion)
-        if value <= alpha:
-            best_fair = cost
-            best_masks = masks
-    assert opt_cost is not None
+    opt_cost, best_fair, best_masks = cheapest_accepted(
+        inst, ctx, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha
+    )
     fair_exists = best_fair is not None
     price: ExtendedRational | None = None
     if fair_exists:
@@ -142,8 +219,6 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
             price = Fraction(1) if best_fair == 0 else INFINITY
     witness = None
     if best_masks is not None:
-        from .model import set_of
-
         witness = Allocation(tuple(set_of(mask) for mask in best_masks))
     return SearchReport(
         instance_digest=instance_digest(inst),
@@ -334,9 +409,22 @@ def _connection_task(args: tuple) -> list[PropositionReport]:
     return _check_family_connections(make_family(family_id, **params))
 
 
+def _worker_count(raw: str | None, task_count: int) -> int:
+    """Worker processes for ``CHOREFAIR_THREADS=raw``: at most one per CPU and per task."""
+    if not raw:
+        return 1
+    try:
+        threads = int(raw)
+    except ValueError:
+        raise ArgumentError(f"CHOREFAIR_THREADS must be a positive integer, got {raw!r}") from None
+    if threads < 1:
+        raise ArgumentError(f"CHOREFAIR_THREADS must be a positive integer, got {raw!r}")
+    return max(1, min(threads, os.cpu_count() or 1, task_count))
+
+
 def _parallel_tasks(worker: Callable, tasks: list) -> list:
-    threads = int(os.environ.get("CHOREFAIR_THREADS", "1") or "1")
-    if threads > 1 and len(tasks) > 1:
+    threads = _worker_count(os.environ.get("CHOREFAIR_THREADS"), len(tasks))
+    if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, tasks))
     return [worker(task) for task in tasks]

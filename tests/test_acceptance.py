@@ -131,7 +131,7 @@ def test_criterion_5_pmms_implies_efx():
         m = 4 + trial % 4
         inst = random_instance(n, m, "additive", seed=SEED + trial)
         ctx = context_for(inst)
-        for masks in _scan_masks(inst):
+        for masks in _scan_masks(inst.n, inst.m):
             pmms, _, _ = ctx.min_alpha_masks(masks, Criterion.PMMS)
             if pmms == 1:
                 checked_allocations += 1

@@ -62,6 +62,49 @@ def test_eval_partition_violation_exits_2(tmp_path, instance_file, capsys):
     assert "validation-error" in capsys.readouterr().err
 
 
+def _assert_tagged_input_error(capsys, tag):
+    err = capsys.readouterr().err
+    assert err.startswith(f"{tag}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize(
+    "bundles,tag",
+    [
+        ([[0, 4, 6, -1], [1, 3, 5], [2]], "bounds-error"),
+        ([5, [1]], "parse-error"),
+        ([[0, 4, 6], [1, 3, 5], [[2]]], "parse-error"),
+        ([[0, 4, 6], [1, 3, 5], [2, 2**62]], "validation-error"),
+    ],
+    ids=["negative-index", "non-list-bundle", "non-int-index", "huge-index"],
+)
+def test_eval_malformed_allocation_exits_2(tmp_path, instance_file, capsys, bundles, tag):
+    alloc = _write(tmp_path, "bad.json", {"bundles": bundles})
+    assert main(["eval", "--instance", instance_file, "--allocation", alloc]) == 2
+    _assert_tagged_input_error(capsys, tag)
+
+
+def test_eval_boolean_agent_count_exits_2(tmp_path, capsys):
+    inst = _write(tmp_path, "bool.json", {"n": True, "m": 1, "agents": [{"cost": {"type": "additive", "values": ["1"]}}]})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0]]})
+    assert main(["eval", "--instance", inst, "--allocation", alloc]) == 2
+    _assert_tagged_input_error(capsys, "validation-error")
+
+
+@pytest.mark.parametrize("m", [-1, 2**62, "3"])
+def test_eval_malformed_table_size_exits_2(tmp_path, capsys, m):
+    table = {"type": "table", "m": m, "values": ["0", "1"]}
+    inst = _write(tmp_path, "table.json", {"n": 1, "m": 1, "agents": [{"cost": table}]})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0]]})
+    assert main(["eval", "--instance", inst, "--allocation", alloc]) == 2
+    _assert_tagged_input_error(capsys, "validation-error")
+
+
+def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("CHOREFAIR_THREADS", "x")
+    assert main(["verify", "--suite", "connections", "--n-max", "2", "--out", str(tmp_path / "r.csv")]) == 2
+    _assert_tagged_input_error(capsys, "argument-error")
+
+
 def test_parse_error_has_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 1,\n  "m": }')

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,17 +12,24 @@ import pytest
 from chorefair import (
     INFINITY,
     Additive,
+    Allocation,
+    CappedAdditive,
+    CappedCardinality,
     Criterion,
     Instance,
+    RowCoverage,
+    TableCost,
     best_fair_allocation,
+    check_monotone,
     enumerate_allocations,
     make_family,
     min_alpha,
+    optimal_allocation,
     price_of_fairness,
     random_instance,
 )
-from chorefair.errors import NoFairAllocationError, SizeGuardError
-from chorefair.search import random_allocation, reports_to_csv_rows, verify_lemmas
+from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
+from chorefair.search import _worker_count, random_allocation, reports_to_csv_rows, verify_lemmas
 
 
 def test_enumeration_counts():
@@ -78,7 +88,7 @@ def test_pmms_allocations_are_efx_allocations():
     for trial in range(25):
         inst = random_instance(3, 6, "additive", seed=trial + 40)
         ctx = context_for(inst)
-        for masks in _scan_masks(inst):
+        for masks in _scan_masks(inst.n, inst.m):
             pmms, _, _ = ctx.min_alpha_masks(masks, Criterion.PMMS)
             if pmms == 1:
                 efx, _, _ = ctx.min_alpha_masks(masks, Criterion.EFX)
@@ -148,3 +158,119 @@ def test_lemma_sweep_small():
         "observed",
         "status",
     }
+
+
+# ---------------------------------------------------------------------------
+# The pruned search kernel against a plain enumeration
+# ---------------------------------------------------------------------------
+
+
+def _small_rational(rng: random.Random) -> Fraction:
+    # Few distinct values, so that many allocations tie on cost.
+    return Fraction(rng.randint(0, 3), rng.randint(1, 3))
+
+
+def _variant_cost(rng: random.Random, kind: str, m: int):
+    if kind == "additive":
+        return Additive(tuple(_small_rational(rng) for _ in range(m)))
+    if kind == "capped_additive":
+        # A cap over 5 adds a denominator that no value has.
+        return CappedAdditive(tuple(_small_rational(rng) for _ in range(m)), Fraction(rng.randint(2, 9), 5))
+    if kind == "capped_cardinality":
+        return CappedCardinality(rng.randint(1, m))
+    if kind == "row_coverage":
+        groups: dict[int, list[int]] = {}
+        for chore in range(m):
+            groups.setdefault(rng.randrange(3), []).append(chore)
+        return RowCoverage(tuple(tuple(g) for g in groups.values()), tuple(_small_rational(rng) for _ in groups))
+    # A table cost with arbitrary entries is, in general, not monotone.
+    return TableCost(m, (Fraction(0),) + tuple(_small_rational(rng) for _ in range(1, 1 << m)))
+
+
+_KINDS = ("additive", "capped_additive", "capped_cardinality", "row_coverage", "table", "mixed")
+
+
+def _kernel_cases(kinds=_KINDS):
+    for kind in kinds:
+        for n, m in ((2, 7), (3, 6), (4, 5)):
+            rng = random.Random(f"kernel-{kind}-{n}-{m}")
+            agent_kinds = [rng.choice(_KINDS[:-1]) if kind == "mixed" else kind for _ in range(n)]
+            inst = Instance(n=n, m=m, costs=tuple(_variant_cost(rng, k, m) for k in agent_kinds))
+            yield pytest.param(kind, inst, id=f"{kind}-n{n}-m{m}")
+
+
+def _leaves(inst):
+    """Every allocation with its social cost, in itertools.product order."""
+    out = []
+    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+        alloc = Allocation.from_assignment(assignment, inst.n)
+        out.append((alloc, sum((inst.cost(i, b) for i, b in enumerate(alloc.bundles)), Fraction(0))))
+    return out
+
+
+def _reference_search(leaves, accept):
+    """Unpruned scan: (opt, cheapest accepted cost, first such allocation)."""
+    opt = best = witness = None
+    for alloc, cost in leaves:
+        if opt is None or cost < opt:
+            opt = cost
+        if (best is None or cost < best) and accept(alloc):
+            best, witness = cost, alloc
+    return opt, best, witness
+
+
+@pytest.mark.parametrize("kind,inst", list(_kernel_cases()))
+def test_best_fair_allocation_matches_unpruned_reference(kind, inst):
+    if kind == "table":  # the unpruned path must really see non-monotone costs
+        assert not all(check_monotone(fn, inst.m) for fn in inst.costs)
+    leaves = _leaves(inst)
+    for crit in Criterion:
+        for alpha in (Fraction(1), Fraction(3, 2), Fraction(2), INFINITY):
+            opt, best, witness = _reference_search(leaves, lambda alloc: min_alpha(inst, alloc, crit) <= alpha)
+            report = best_fair_allocation(inst, crit, alpha)
+            assert report.opt_cost == opt
+            assert report.fair_exists == (best is not None)
+            assert report.best_fair_cost == best
+            assert report.witness == witness, (crit, alpha)
+
+
+@pytest.mark.parametrize("kind,inst", list(_kernel_cases(_KINDS[1:])))
+def test_general_optimal_allocation_matches_unpruned_reference(kind, inst):
+    opt, _, witness = _reference_search(_leaves(inst), lambda alloc: True)
+    outcome = optimal_allocation(inst)
+    assert outcome.social_cost == opt
+    assert outcome.allocation == witness
+
+
+def test_witness_is_first_cheapest_fair_allocation_in_lexicographic_order():
+    # Identical unit costs: every allocation costs 3, and the envy-free ones
+    # give each agent one chore. The witness is the first of those six in
+    # lexicographic order of the assignment vector, (0, 1, 2).
+    inst = Instance(n=3, m=3, costs=(Additive((1, 1, 1)),) * 3)
+    report = best_fair_allocation(inst, Criterion.EF, 1)
+    assert report.witness.assignment(3) == (0, 1, 2)
+    # Under min(|S|, 1) the optima put all chores on one agent; the first is
+    # (0, 0, 0). The cheapest EF allocations still split one chore each.
+    inst = Instance(n=3, m=3, costs=(CappedCardinality(1),) * 3)
+    assert optimal_allocation(inst).allocation.assignment(3) == (0, 0, 0)
+    assert best_fair_allocation(inst, Criterion.EF, 1).witness.assignment(3) == (0, 1, 2)
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.5, 1.0, Fraction(1, 2), "1/2", 0])
+def test_best_fair_allocation_rejects_inexact_or_small_alpha(alpha):
+    inst = random_instance(2, 3, "additive", seed=1)
+    with pytest.raises(ArgumentError):
+        best_fair_allocation(inst, Criterion.EF1, alpha)
+
+
+def test_worker_count_is_parsed_and_clamped():
+    cpus = os.cpu_count() or 1
+    assert _worker_count(None, 10) == 1
+    assert _worker_count("", 10) == 1
+    assert _worker_count("1", 10) == 1
+    assert _worker_count("4", 1) == 1
+    assert _worker_count("1000000", 1000000) == cpus
+    assert _worker_count("1000000", 2) == min(2, cpus)
+    for bad in ("x", "1.5", "0", "-3"):
+        with pytest.raises(ArgumentError):
+            _worker_count(bad, 10)
