@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .criteria import Criterion, context_for, min_alpha
+from .criteria import Criterion, min_alpha
 from .errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
 from .mms import mms_value
 from .model import Allocation, Instance, normalize, rational_str, set_of
@@ -83,7 +83,7 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
         raise SizeGuardError(
             f"general optimum needs enumerating {count} allocations (guard {GENERAL_OPT_GUARD})"
         )
-    _, _, masks = cheapest_accepted(inst, context_for(inst), lambda masks: True)
+    _, _, masks = cheapest_accepted(inst, lambda masks: True)
     assert masks is not None
     alloc = Allocation(tuple(set_of(mask) for mask in masks))
     trace = [{"op": "enumerate", "candidates": count}, {"op": "select", "assignment": list(alloc.assignment(inst.m))}]

@@ -21,11 +21,10 @@ from .allocate import (
     round_robin,
 )
 from .criteria import DEFAULT_CRITERIA, Criterion, fairness_report
-from .errors import ChoreFairError, InternalError
+from .errors import ArgumentError, ChoreFairError, InternalError
 from .families import family_params, family_to_json, make_family
-from .mms import mms_share_additive_fast, mms_value
+from .mms import mms_share, mms_value
 from .model import (
-    Additive,
     allocation_from_json,
     allocation_to_json,
     instance_from_json,
@@ -81,14 +80,8 @@ def _cmd_eval(args) -> int:
 def _cmd_mms(args) -> int:
     inst = _load_instance(args.instance)
     chores = frozenset(_parse_int_list(args.chores)) if args.chores is not None else None
-    if args.enumerate:
-        from .mms import mms_share
-
-        result = mms_share(inst, args.agent, args.k, chores)
-    elif isinstance(inst.costs[args.agent], Additive):
-        result = mms_share_additive_fast(inst, args.agent, args.k, chores)
-    else:
-        result = mms_value(inst, args.agent, args.k, chores)
+    solve = mms_share if args.enumerate else mms_value
+    result = solve(inst, args.agent, args.k, chores)
     print(
         json.dumps(
             {"value": rational_str(result.value), "witness": [sorted(b) for b in result.witness]},
@@ -158,6 +151,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.count < 1:
+        raise ArgumentError(f"--count must be at least 1, got {args.count}")
     epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(1, 100)
     n_values = tuple(range(2, args.n_max + 1))
     rows = []

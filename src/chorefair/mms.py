@@ -6,9 +6,16 @@ Three routes, all exact:
                          strings; works for any cost oracle, guarded sizes.
 * ``mms_share_additive_fast`` -- branch-and-bound over integer subset sums
                          for additive costs; handles much larger sets.
-* ``mms_value``       -- dispatcher used by the criteria layer; picks an
-                         exact closed form or reduction per cost variant and
-                         falls back to enumeration for table costs.
+* ``mms_value``       -- dispatcher used by the criteria layer; reduces a
+                         capped sum over groups to a min-max partition of
+                         the group weights and falls back to enumeration for
+                         every other cost.
+
+All routes work on integers over the cost's ``denominator()``. A cost
+variant reaches them through ``CostFunction.int_eval`` and ``int_table``
+(enumeration and two-way splits) and ``sum_groups`` (the grouped route), so
+a new variant needs nothing in this module: it takes the grouped route if
+its ``sum_groups`` returns groups, and enumeration otherwise.
 
 The dispatcher and the fast path are cross-checked against the enumeration
 route in the test suite on every variant.
@@ -22,18 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import ArgumentError, BoundsError, SizeGuardError, UnsupportedVariantError
-from .model import (
-    Additive,
-    CappedAdditive,
-    CappedCardinality,
-    CostFunction,
-    Instance,
-    RowCoverage,
-    TableCost,
-    mask_evaluator,
-    mask_of,
-    set_of,
-)
+from .model import Additive, CostFunction, Instance, set_of
 
 __all__ = ["MmsResult", "mms_share", "mms_share_additive_fast", "pairwise_mms", "mms_value"]
 
@@ -92,18 +88,17 @@ def mms_share(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
             f"partition enumeration limited to {ENUM_MAX_CHORES} chores and "
             f"{ENUM_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
         )
-    fn = inst.costs[agent]
-    value, blocks = _enumerate_partitions(fn, inst.m, elems, k)
+    value, blocks = _enumerate_partitions(inst.costs[agent], elems, k)
     return MmsResult(value=value, witness=_pad(blocks, k))
 
 
 def _enumerate_partitions(
-    fn: CostFunction, m: int, elems: tuple[int, ...], k: int
+    fn: CostFunction, elems: tuple[int, ...], k: int
 ) -> tuple[Fraction, list[frozenset[int]]]:
-    ev = mask_evaluator(fn, m)
-    memo: dict[int, Fraction] = {0: Fraction(0)}
+    ev = fn.int_eval
+    memo: dict[int, int] = {0: 0}
 
-    def block_cost(mask: int) -> Fraction:
+    def block_cost(mask: int) -> int:
         c = memo.get(mask)
         if c is None:
             c = ev(mask)
@@ -112,14 +107,14 @@ def _enumerate_partitions(
 
     prune = fn.monotone_by_construction
     t = len(elems)
-    best_val: Fraction | None = None
+    best_val: int | None = None
     best_blocks: list[int] = []
     blocks = [0] * k
 
     def dfs(idx: int, used: int) -> None:
         nonlocal best_val, best_blocks
         if idx == t:
-            val = Fraction(0)
+            val = 0
             for b in range(used):
                 c = block_cost(blocks[b])
                 if c > val:
@@ -143,7 +138,7 @@ def _enumerate_partitions(
     dfs(0, 0)
     if best_val is None:
         return Fraction(0), []
-    return best_val, [set_of(mask) for mask in best_blocks]
+    return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
 
 
 # ---------------------------------------------------------------------------
@@ -257,21 +252,29 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     return best_val, tuple(best_assign)
 
 
-def _additive_min_max(
-    values: Sequence[Fraction], elems: Sequence[int], k: int
+def _grouped_min_max(
+    groups: Sequence[tuple[frozenset[int], int]], cap: int | None, den: int, k: int
 ) -> tuple[Fraction, list[frozenset[int]]]:
-    den = 1
-    for e in elems:
-        den = math.lcm(den, values[e].denominator)
-    weighted = sorted(
-        ((int(values[e] * den), e) for e in elems), key=lambda p: (-p[0], p[1])
-    )
-    items = [w for w, _ in weighted]
-    best, assign = _min_max_partition(items, k)
-    blocks: list[set[int]] = [set() for _ in range(k)]
-    for (_, chore), b in zip(weighted, assign):
-        blocks[b].add(chore)
-    return Fraction(best, den), [frozenset(b) for b in blocks]
+    """Exact MMS of a capped sum over groups (``CostFunction.sum_groups``).
+
+    Concentrating a group in one block never raises the max, so the optimum
+    keeps groups whole: a min-max partition of the group weights into at
+    most k blocks, of which no more than one per group is ever used. Every
+    partition's max block sum is >= the uncapped optimum, so the capped
+    optimum is exactly min(cap, uncapped optimum) and any uncapped witness
+    attains it. Weights are divided by their gcd with ``den``, which puts
+    them over the lcm of the denominators of the weights in play and keeps
+    the search's lower bound, a ceiling of total / k, as tight as it gets.
+    """
+    g = math.gcd(den, *(w for _, w in groups))
+    order = sorted(groups, key=lambda group: (-group[1], min(group[0])))
+    items = [w // g for _, w in order]
+    blocks = [frozenset()] * min(k, len(items))
+    best, assign = _min_max_partition(items, len(blocks))
+    for (members, _), b in zip(order, assign):
+        blocks[b] |= members
+    best *= g
+    return Fraction(best if cap is None else min(best, cap), den), blocks
 
 
 def mms_share_additive_fast(
@@ -292,7 +295,7 @@ def mms_share_additive_fast(
             f"additive search limited to {ADDITIVE_MAX_CHORES} chores and "
             f"{ADDITIVE_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
         )
-    value, blocks = _additive_min_max(fn.values, elems, k)
+    value, blocks = _grouped_min_max(*fn.sum_groups(elems), fn.denominator(), k)
     return MmsResult(value=value, witness=_pad(blocks, k))
 
 
@@ -301,69 +304,13 @@ def mms_share_additive_fast(
 # ---------------------------------------------------------------------------
 
 
-def _subset_table(fn: CostFunction, m: int, elems: Sequence[int]) -> tuple[list[int], int]:
-    """Integer cost table indexed by local submask over ``elems``."""
-    t = len(elems)
-    size = 1 << t
-    if isinstance(fn, (Additive, CappedAdditive)):
-        vals = [fn.values[e] for e in elems]
-        caps: list[Fraction] = [fn.cap] if isinstance(fn, CappedAdditive) else []
-        den = 1
-        for v in list(vals) + caps:
-            den = math.lcm(den, v.denominator)
-        nums = [int(v * den) for v in vals]
-        table = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            table[s] = table[s ^ low] + nums[low.bit_length() - 1]
-        if caps:
-            cap_num = int(caps[0] * den)
-            table = [min(x, cap_num) for x in table]
-        return table, den
-    if isinstance(fn, CappedCardinality):
-        return [min(s.bit_count(), fn.cap) for s in range(size)], 1
-    if isinstance(fn, RowCoverage):
-        den = 1
-        for w in fn.weights:
-            den = math.lcm(den, w.denominator)
-        local_index = {e: i for i, e in enumerate(elems)}
-        groups = []
-        for row, w in zip(fn.rows, fn.weights):
-            gmask = 0
-            for e in row:
-                if e in local_index:
-                    gmask |= 1 << local_index[e]
-            if gmask:
-                groups.append((gmask, int(w * den)))
-        table = [0] * size
-        for s in range(size):
-            total = 0
-            for gmask, w in groups:
-                if s & gmask:
-                    total += w
-            table[s] = total
-        return table, den
-    if isinstance(fn, TableCost):
-        den = 1
-        for v in fn.values:
-            den = math.lcm(den, v.denominator)
-        gmask = [0] * size
-        table = [0] * size
-        for s in range(1, size):
-            low = s & -s
-            gmask[s] = gmask[s ^ low] | (1 << elems[low.bit_length() - 1])
-            table[s] = int(fn.values[gmask[s]] * den)
-        return table, den
-    raise UnsupportedVariantError(f"unknown cost-function variant {type(fn).__name__}")
-
-
 def _two_partition_scan(
-    fn: CostFunction, m: int, elems: tuple[int, ...]
+    fn: CostFunction, elems: tuple[int, ...]
 ) -> tuple[Fraction, list[frozenset[int]]]:
     t = len(elems)
     if t == 0:
         return Fraction(0), [frozenset(), frozenset()]
-    table, den = _subset_table(fn, m, elems)
+    table = fn.int_table(elems)
     full = (1 << t) - 1
     best = None
     best_mask = 1
@@ -377,7 +324,7 @@ def _two_partition_scan(
             best_mask = s
     side_a = frozenset(elems[i] for i in range(t) if best_mask >> i & 1)
     side_b = frozenset(elems) - side_a
-    return Fraction(best, den), [side_a, side_b]
+    return Fraction(best, fn.denominator()), [side_a, side_b]
 
 
 def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int]) -> MmsResult:
@@ -394,7 +341,7 @@ def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int])
         raise SizeGuardError(
             f"pairwise enumeration limited to {PAIRWISE_MAX_CHORES} chores, got {len(elems)}"
         )
-    value, blocks = _two_partition_scan(inst.costs[agent], inst.m, elems)
+    value, blocks = _two_partition_scan(inst.costs[agent], elems)
     return MmsResult(value=value, witness=tuple(blocks))
 
 
@@ -404,13 +351,13 @@ def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int])
 
 
 def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None = None) -> MmsResult:
-    """Exact MMS via the cheapest route available for the agent's variant.
+    """Exact MMS via the cheapest route available for the agent's cost.
 
-    Additive costs use branch-and-bound; capped variants commute the cap with
-    the min-max; coverage costs reduce to an additive min-max over group
-    weights (concentrating a group in one block never raises the max, so the
-    optimum assigns each group to a single block). Table costs fall back to
-    guarded enumeration.
+    Additive costs use the guarded branch-and-bound; other capped sums over
+    groups (capped-additive, capped-cardinality and coverage costs) use the
+    same min-max partition of group weights without its guards. Costs
+    without that form, such as tables, fall back to the two-way split scan
+    for k=2 and to guarded enumeration otherwise.
     """
     inst.check_agent(agent)
     _check_k(k)
@@ -418,56 +365,18 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     fn = inst.costs[agent]
     if not elems:
         return MmsResult(value=Fraction(0), witness=_pad([], k))
-
     if isinstance(fn, Additive):
         return mms_share_additive_fast(inst, agent, k, elems)
-
-    if isinstance(fn, CappedAdditive):
-        value, blocks = _additive_min_max(fn.values, elems, k)
-        # Every partition's max block sum is >= the uncapped optimum, so the
-        # capped optimum is exactly min(cap, uncapped optimum) and any
-        # uncapped witness attains it.
-        return MmsResult(value=min(value, fn.cap), witness=_pad(blocks, k))
-
-    if isinstance(fn, CappedCardinality):
-        t = len(elems)
-        blocks = [frozenset(elems[j::k]) for j in range(k)]
-        value = Fraction(min(fn.cap, -(-t // k)))
+    grouped = fn.sum_groups(elems)
+    if grouped is not None:
+        value, blocks = _grouped_min_max(*grouped, fn.denominator(), k)
+        return MmsResult(value=value, witness=_pad(blocks, k))
+    if k == 2 and len(elems) <= PAIRWISE_MAX_CHORES:
+        value, blocks = _two_partition_scan(fn, elems)
         return MmsResult(value=value, witness=tuple(blocks))
-
-    if isinstance(fn, RowCoverage):
-        hit_groups = []
-        elem_set = set(elems)
-        for row, w in zip(fn.rows, fn.weights):
-            members = frozenset(row) & elem_set
-            if members:
-                hit_groups.append((members, w))
-        den = 1
-        for _, w in hit_groups:
-            den = math.lcm(den, w.denominator)
-        order = sorted(
-            range(len(hit_groups)),
-            key=lambda g: (-int(hit_groups[g][1] * den), min(hit_groups[g][0])),
-        )
-        items = [int(hit_groups[g][1] * den) for g in order]
-        best, assign = _min_max_partition(items, k)
-        blocks_sets: list[set[int]] = [set() for _ in range(k)]
-        for g, b in zip(order, assign):
-            blocks_sets[b] |= hit_groups[g][0]
-        return MmsResult(
-            value=Fraction(best, den),
-            witness=tuple(frozenset(b) for b in blocks_sets),
-        )
-
-    if isinstance(fn, TableCost):
-        if k == 2 and len(elems) <= PAIRWISE_MAX_CHORES:
-            value, blocks = _two_partition_scan(fn, inst.m, elems)
-            return MmsResult(value=value, witness=tuple(blocks))
-        if len(elems) <= ENUM_MAX_CHORES and k <= ENUM_MAX_BLOCKS:
-            value, blocks = _enumerate_partitions(fn, inst.m, elems, k)
-            return MmsResult(value=value, witness=_pad(blocks, k))
-        raise SizeGuardError(
-            f"table costs support only enumeration; {len(elems)} chores with k={k} exceed the guards"
-        )
-
-    raise UnsupportedVariantError(f"unknown cost-function variant {type(fn).__name__}")
+    if len(elems) <= ENUM_MAX_CHORES and k <= ENUM_MAX_BLOCKS:
+        value, blocks = _enumerate_partitions(fn, elems, k)
+        return MmsResult(value=value, witness=_pad(blocks, k))
+    raise SizeGuardError(
+        f"table costs support only enumeration; {len(elems)} chores with k={k} exceed the guards"
+    )

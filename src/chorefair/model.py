@@ -2,7 +2,15 @@
 
 All arithmetic is exact (``fractions.Fraction``); floats never enter the core.
 Chore sets are plain ``frozenset[int]`` over ``range(m)``; hot paths elsewhere
-use integer bitmasks, which this module's evaluator factory supports.
+use integer bitmasks.
+
+Each cost variant is one ``CostFunction`` class, the only place that knows
+its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
+(its ``denominator()``), implements ``int_eval``, ``to_json`` and the
+``from_json`` classmethod, and is added to ``_VARIANTS``; it overrides
+``int_table``, ``scaled``, ``sum_groups`` and ``ground_size`` where the
+defaults do not fit. ``value()``, ``mask_evaluator``, ``scale_cost``, the
+JSON schema and the structure checks derive from those methods.
 """
 
 from __future__ import annotations
@@ -117,16 +125,56 @@ def set_of(mask: int) -> frozenset[int]:
 
 
 class CostFunction:
-    """A monotone set-cost oracle over chores ``0 .. m-1`` (where bound)."""
+    """A monotone set-cost oracle over chores ``0 .. m-1`` (where bound).
+
+    What a variant subclass must provide is listed in the module docstring.
+    """
 
     #: False only for table functions, whose entries are arbitrary.
     monotone_by_construction = True
 
-    def value(self, chores: frozenset[int]) -> Fraction:
-        raise NotImplementedError
-
     def denominator(self) -> int:
         """A positive integer d such that d * c(S) is an integer for every S."""
+        return self._den
+
+    def int_eval(self, mask: int) -> int:
+        """d * c(S) for the chore set S encoded by ``mask``, d = ``denominator()``."""
+        raise NotImplementedError
+
+    def int_table(self, elems: Sequence[int]) -> list[int]:
+        """``int_eval`` of every subset of ``elems``, indexed by local submask."""
+        size = 1 << len(elems)
+        masks = [0] * size
+        table = [0] * size
+        for s in range(1, size):
+            low = s & -s
+            masks[s] = mask = masks[s ^ low] | 1 << elems[low.bit_length() - 1]
+            table[s] = self.int_eval(mask)
+        return table
+
+    def value(self, chores: Iterable[int]) -> Fraction:
+        return Fraction(self.int_eval(mask_of(chores)), self.denominator())
+
+    def scaled(self, factor: Fraction) -> "CostFunction":
+        """factor * c as a cost of the same variant, for a rational factor > 0."""
+        raise UnsupportedVariantError(f"{type(self).__name__} costs cannot be rescaled")
+
+    def sum_groups(self, elems: Sequence[int]) -> tuple[list[tuple[frozenset[int], int]], int | None] | None:
+        """c on subsets of ``elems`` as a capped sum over groups, if it is one.
+
+        Returns (groups, cap), where the groups (chores, weight) partition
+        ``elems`` and c(S) = min(cap, sum of the weights of the groups that S
+        meets); weights and cap are over ``denominator()``, and cap is None
+        when there is none. Returns None for a cost without that form.
+        """
+        return None
+
+    def to_json(self) -> dict:
+        raise NotImplementedError
+
+    @classmethod
+    def from_json(cls, obj: dict, m: int) -> "CostFunction":
+        """Build the variant from its JSON object; ``m`` is the instance's chore count."""
         raise NotImplementedError
 
     def ground_size(self) -> int | None:
@@ -141,7 +189,13 @@ class CostFunction:
             )
 
     def full_set_value(self, m: int) -> Fraction:
-        return self.value(frozenset(range(m)))
+        return self.value(range(m))
+
+
+def _set(obj: CostFunction, **attrs) -> None:
+    """Assign attributes of a frozen dataclass from its ``__post_init__``."""
+    for name, value in attrs.items():
+        object.__setattr__(obj, name, value)
 
 
 def _check_nonnegative(values: Sequence[Fraction], what: str) -> None:
@@ -150,27 +204,82 @@ def _check_nonnegative(values: Sequence[Fraction], what: str) -> None:
             raise ValidationError(f"{what} must be >= 0, got {v}")
 
 
+def _rationals(values: Iterable) -> tuple[Fraction, ...]:
+    return tuple(parse_rational(v) for v in values)
+
+
+def _common_denominator(values: Iterable[Fraction]) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _numerators(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
+    """Each value times ``den``, a multiple of every value's denominator."""
+    return tuple(v.numerator * (den // v.denominator) for v in values)
+
+
+def _bit_sum(nums: Sequence[int], mask: int) -> int:
+    total = 0
+    while mask:
+        low = mask & -mask
+        total += nums[low.bit_length() - 1]
+        mask ^= low
+    return total
+
+
+def _sum_table(nums: Sequence[int]) -> list[int]:
+    """Subset sums of ``nums``, indexed by submask."""
+    table = [0] * (1 << len(nums))
+    for s in range(1, len(table)):
+        low = s & -s
+        table[s] = table[s ^ low] + nums[low.bit_length() - 1]
+    return table
+
+
+def _singletons(nums: Sequence[int], elems: Sequence[int]) -> list[tuple[frozenset[int], int]]:
+    return [(frozenset((e,)), nums[e]) for e in elems]
+
+
+def _json_list(obj: dict, key: str) -> list:
+    value = obj[key]
+    if not isinstance(value, list):
+        raise ParseError(f"cost field {key!r} must be a JSON list, got {type(value).__name__}")
+    return value
+
+
 @dataclass(frozen=True)
 class Additive(CostFunction):
     """c(S) = sum of per-chore values."""
 
     values: tuple[Fraction, ...]
+    kind = "additive"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(parse_rational(v) for v in self.values))
-        _check_nonnegative(self.values, "additive values")
+        values = _rationals(self.values)
+        _check_nonnegative(values, "additive values")
+        den = _common_denominator(values)
+        _set(self, values=values, _den=den, _nums=_numerators(values, den))
 
-    def value(self, chores: frozenset[int]) -> Fraction:
-        total = Fraction(0)
-        for e in chores:
-            total += self.values[e]
-        return total
+    def int_eval(self, mask: int) -> int:
+        return _bit_sum(self._nums, mask)
 
-    def denominator(self) -> int:
-        return _common_denominator(self.values)
+    def int_table(self, elems: Sequence[int]) -> list[int]:
+        return _sum_table([self._nums[e] for e in elems])
+
+    def scaled(self, factor: Fraction) -> "Additive":
+        return Additive(tuple(v * factor for v in self.values))
+
+    def sum_groups(self, elems: Sequence[int]):
+        return _singletons(self._nums, elems), None
 
     def ground_size(self) -> int | None:
         return len(self.values)
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "values": [rational_str(v) for v in self.values]}
+
+    @classmethod
+    def from_json(cls, obj: dict, m: int) -> "Additive":
+        return cls(tuple(_json_list(obj, "values")))
 
 
 @dataclass(frozen=True)
@@ -179,25 +288,43 @@ class CappedAdditive(CostFunction):
 
     values: tuple[Fraction, ...]
     cap: Fraction
+    kind = "capped_additive"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(parse_rational(v) for v in self.values))
-        object.__setattr__(self, "cap", parse_rational(self.cap))
-        _check_nonnegative(self.values, "capped-additive values")
-        if self.cap <= 0:
-            raise ValidationError(f"cap must be > 0, got {self.cap}")
+        values, cap = _rationals(self.values), parse_rational(self.cap)
+        _check_nonnegative(values, "capped-additive values")
+        if cap <= 0:
+            raise ValidationError(f"cap must be > 0, got {cap}")
+        den = _common_denominator(values + (cap,))
+        nums = _numerators(values + (cap,), den)
+        _set(self, values=values, cap=cap, _den=den, _nums=nums[:-1], _cap=nums[-1])
 
-    def value(self, chores: frozenset[int]) -> Fraction:
-        total = Fraction(0)
-        for e in chores:
-            total += self.values[e]
-        return min(total, self.cap)
+    def int_eval(self, mask: int) -> int:
+        return min(_bit_sum(self._nums, mask), self._cap)
 
-    def denominator(self) -> int:
-        return _common_denominator(self.values + (self.cap,))
+    def int_table(self, elems: Sequence[int]) -> list[int]:
+        cap = self._cap
+        return [min(x, cap) for x in _sum_table([self._nums[e] for e in elems])]
+
+    def scaled(self, factor: Fraction) -> "CappedAdditive":
+        return CappedAdditive(tuple(v * factor for v in self.values), self.cap * factor)
+
+    def sum_groups(self, elems: Sequence[int]):
+        return _singletons(self._nums, elems), self._cap
 
     def ground_size(self) -> int | None:
         return len(self.values)
+
+    def to_json(self) -> dict:
+        return {
+            "type": self.kind,
+            "values": [rational_str(v) for v in self.values],
+            "cap": rational_str(self.cap),
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict, m: int) -> "CappedAdditive":
+        return cls(tuple(_json_list(obj, "values")), obj["cap"])
 
 
 @dataclass(frozen=True)
@@ -205,16 +332,33 @@ class CappedCardinality(CostFunction):
     """c(S) = min(|S|, cap)."""
 
     cap: int
+    kind = "capped_cardinality"
+    _den = 1
 
     def __post_init__(self) -> None:
         if not isinstance(self.cap, int) or isinstance(self.cap, bool) or self.cap < 1:
             raise ValidationError(f"cap must be a positive integer, got {self.cap!r}")
 
-    def value(self, chores: frozenset[int]) -> Fraction:
-        return Fraction(min(len(chores), self.cap))
+    def int_eval(self, mask: int) -> int:
+        return min(mask.bit_count(), self.cap)
 
-    def denominator(self) -> int:
-        return 1
+    def scaled(self, factor: Fraction) -> CostFunction:
+        # min(|S|, cap) has a unit coefficient on |S|; a scaled copy leaves
+        # the variant family.
+        raise UnsupportedVariantError("capped-cardinality costs cannot be rescaled")
+
+    def sum_groups(self, elems: Sequence[int]):
+        return [(frozenset((e,)), 1) for e in elems], self.cap
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "cap": self.cap}
+
+    @classmethod
+    def from_json(cls, obj: dict, m: int) -> "CappedCardinality":
+        cap = obj["cap"]
+        if not isinstance(cap, int):
+            raise ParseError("capped_cardinality cap must be an integer")
+        return cls(cap)
 
 
 @dataclass(frozen=True)
@@ -227,36 +371,58 @@ class RowCoverage(CostFunction):
 
     rows: tuple[tuple[int, ...], ...]
     weights: tuple[Fraction, ...]
+    kind = "row_coverage"
 
     def __post_init__(self) -> None:
-        rows = tuple(tuple(sorted(set(r))) for r in self.rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "weights", tuple(parse_rational(w) for w in self.weights))
-        if len(self.rows) != len(self.weights):
+        rows = tuple(tuple(sorted(_as_chore_set(r))) for r in self.rows)
+        weights = _rationals(self.weights)
+        if len(rows) != len(weights):
             raise ValidationError("rows and weights must have equal length")
-        _check_nonnegative(self.weights, "coverage weights")
+        _check_nonnegative(weights, "coverage weights")
         seen: set[int] = set()
         for row in rows:
             for e in row:
                 if e in seen:
                     raise ValidationError(f"chore {e} appears in two coverage groups")
                 seen.add(e)
-        m = len(seen)
-        if seen != set(range(m)):
+        if seen != set(range(len(seen))):
             raise ValidationError("coverage groups must partition 0..m-1")
+        den = _common_denominator(weights)
+        nums = _numerators(weights, den)
+        groups = tuple(zip(map(mask_of, rows), nums))
+        _set(self, rows=rows, weights=weights, _den=den, _nums=nums, _groups=groups)
 
-    def value(self, chores: frozenset[int]) -> Fraction:
-        total = Fraction(0)
-        for row, w in zip(self.rows, self.weights):
-            if any(e in chores for e in row):
+    def int_eval(self, mask: int) -> int:
+        total = 0
+        for gmask, w in self._groups:
+            if mask & gmask:
                 total += w
         return total
 
-    def denominator(self) -> int:
-        return _common_denominator(self.weights)
+    def scaled(self, factor: Fraction) -> "RowCoverage":
+        return RowCoverage(self.rows, tuple(w * factor for w in self.weights))
+
+    def sum_groups(self, elems: Sequence[int]):
+        chosen = frozenset(elems)
+        hit = ((chosen.intersection(row), w) for row, w in zip(self.rows, self._nums))
+        return [(members, w) for members, w in hit if members], None
 
     def ground_size(self) -> int | None:
         return sum(len(r) for r in self.rows)
+
+    def to_json(self) -> dict:
+        return {
+            "type": self.kind,
+            "rows": [list(r) for r in self.rows],
+            "weights": [rational_str(w) for w in self.weights],
+        }
+
+    @classmethod
+    def from_json(cls, obj: dict, m: int) -> "RowCoverage":
+        rows = _json_list(obj, "rows")
+        if not all(isinstance(r, list) for r in rows):
+            raise ParseError("cost field 'rows' must be a list of JSON lists")
+        return cls(tuple(map(tuple, rows)), tuple(_json_list(obj, "weights")))
 
 
 @dataclass(frozen=True)
@@ -268,23 +434,26 @@ class TableCost(CostFunction):
 
     m: int
     values: tuple[Fraction, ...]
+    kind = "table"
 
     monotone_by_construction = False
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "values", tuple(parse_rational(v) for v in self.values))
+        values = _rationals(self.values)
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValidationError(f"table m must be an integer >= 0, got {self.m!r}")
-        size = len(self.values)
+        size = len(values)
         # Compares bit lengths rather than computing 1 << m, which for a huge
         # m from JSON would build a huge integer.
         if size & (size - 1) or size.bit_length() != self.m + 1:
             raise ValidationError(
-                f"table must have 2^{self.m} entries, got {len(self.values)}"
+                f"table must have 2^{self.m} entries, got {size}"
             )
-        if self.values[0] != 0:
+        if values[0] != 0:
             raise ValidationError("table cost of the empty set must be 0")
-        _check_nonnegative(self.values, "table values")
+        _check_nonnegative(values, "table values")
+        den = _common_denominator(values)
+        _set(self, values=values, _den=den, _nums=_numerators(values, den))
 
     @classmethod
     def from_subsets(cls, m: int, table: Mapping[frozenset[int], int | str | Fraction]) -> "TableCost":
@@ -297,14 +466,27 @@ class TableCost(CostFunction):
             raise ValidationError(f"table is missing {missing} subset entries")
         return cls(m=m, values=tuple(values))
 
-    def value(self, chores: frozenset[int]) -> Fraction:
-        return self.values[mask_of(chores)]
+    def int_eval(self, mask: int) -> int:
+        return self._nums[mask]
 
-    def denominator(self) -> int:
-        return _common_denominator(self.values)
+    def scaled(self, factor: Fraction) -> CostFunction:
+        raise UnsupportedVariantError("table costs are excluded from normalization")
 
     def ground_size(self) -> int | None:
         return self.m
+
+    def to_json(self) -> dict:
+        return {"type": self.kind, "m": self.m, "values": [rational_str(v) for v in self.values]}
+
+    @classmethod
+    def from_json(cls, obj: dict, m: int) -> "TableCost":
+        return cls(m=obj.get("m", m), values=tuple(_json_list(obj, "values")))
+
+
+#: The variant class of each JSON cost ``type``.
+_VARIANTS: dict[str, type[CostFunction]] = {
+    cls.kind: cls for cls in (Additive, CappedAdditive, CappedCardinality, RowCoverage, TableCost)
+}
 
 
 def cost(fn: CostFunction, chores: Iterable[int]) -> Fraction:
@@ -322,61 +504,9 @@ def cost(fn: CostFunction, chores: Iterable[int]) -> Fraction:
 
 
 def mask_evaluator(fn: CostFunction, m: int) -> Callable[[int], Fraction]:
-    """Build a fast bitmask -> Fraction evaluator for one cost function."""
-    if isinstance(fn, Additive):
-        nums, den = _integer_values(fn.values)
-
-        def eval_additive(mask: int) -> Fraction:
-            total = 0
-            while mask:
-                low = mask & -mask
-                total += nums[low.bit_length() - 1]
-                mask ^= low
-            return Fraction(total, den)
-
-        return eval_additive
-    if isinstance(fn, CappedAdditive):
-        nums, den = _integer_values(tuple(fn.values) + (fn.cap,))
-        cap_num = nums[-1]
-        nums = nums[:-1]
-
-        def eval_capped(mask: int) -> Fraction:
-            total = 0
-            while mask:
-                low = mask & -mask
-                total += nums[low.bit_length() - 1]
-                mask ^= low
-            return Fraction(min(total, cap_num), den)
-
-        return eval_capped
-    if isinstance(fn, CappedCardinality):
-        cap = fn.cap
-        return lambda mask: Fraction(min(mask.bit_count(), cap))
-    if isinstance(fn, RowCoverage):
-        wnums, den = _integer_values(fn.weights)
-        groups = [(mask_of(row), w) for row, w in zip(fn.rows, wnums)]
-
-        def eval_coverage(mask: int) -> Fraction:
-            total = 0
-            for gmask, w in groups:
-                if mask & gmask:
-                    total += w
-            return Fraction(total, den)
-
-        return eval_coverage
-    if isinstance(fn, TableCost):
-        table = fn.values
-        return lambda mask: table[mask]
-    raise UnsupportedVariantError(f"unknown cost-function variant {type(fn).__name__}")
-
-
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _integer_values(values: Sequence[Fraction]) -> tuple[list[int], int]:
-    den = _common_denominator(values)
-    return [int(v * den) for v in values], den
+    """A bitmask -> Fraction evaluator for one cost function over m chores."""
+    ev, den = fn.int_eval, fn.denominator()
+    return lambda mask: Fraction(ev(mask), den)
 
 
 def scale_cost(fn: CostFunction, factor: Fraction) -> CostFunction:
@@ -386,17 +516,7 @@ def scale_cost(fn: CostFunction, factor: Fraction) -> CostFunction:
         raise ValidationError(f"scale factor must be > 0, got {factor}")
     if factor == 1:
         return fn
-    if isinstance(fn, Additive):
-        return Additive(tuple(v * factor for v in fn.values))
-    if isinstance(fn, CappedAdditive):
-        return CappedAdditive(tuple(v * factor for v in fn.values), fn.cap * factor)
-    if isinstance(fn, RowCoverage):
-        return RowCoverage(fn.rows, tuple(w * factor for w in fn.weights))
-    if isinstance(fn, CappedCardinality):
-        # min(|S|, cap) has a unit coefficient on |S|; a scaled copy leaves
-        # the variant family.
-        raise UnsupportedVariantError("capped-cardinality costs cannot be rescaled")
-    raise UnsupportedVariantError(f"{type(fn).__name__} costs cannot be rescaled")
+    return fn.scaled(factor)
 
 
 def check_monotone(fn: CostFunction, m: int) -> bool:
@@ -404,8 +524,7 @@ def check_monotone(fn: CostFunction, m: int) -> bool:
     if m > MONOTONE_CHECK_MAX:
         raise SizeGuardError(f"monotonicity check limited to m <= {MONOTONE_CHECK_MAX}, got {m}")
     fn.validate_for(m)
-    ev = mask_evaluator(fn, m)
-    table = [ev(mask) for mask in range(1 << m)]
+    table = fn.int_table(range(m))
     for mask in range(1 << m):
         base = table[mask]
         for e in range(m):
@@ -427,8 +546,7 @@ def check_submodular(fn: CostFunction, m: int) -> bool:
     if m > SUBMODULAR_CHECK_MAX:
         raise SizeGuardError(f"submodularity check limited to m <= {SUBMODULAR_CHECK_MAX}, got {m}")
     fn.validate_for(m)
-    ev = mask_evaluator(fn, m)
-    table = [ev(mask) for mask in range(1 << m)]
+    table = fn.int_table(range(m))
     for mask in range(1 << m):
         for e in range(m):
             ebit = 1 << e
@@ -563,11 +681,6 @@ def normalize(inst: Instance) -> Instance:
         total = fn.full_set_value(inst.m)
         if total == 0:
             raise NormalizationError(f"agent {agent} has zero cost on the full chore set")
-        if total == 1:
-            new_costs.append(fn)
-            continue
-        if isinstance(fn, TableCost):
-            raise UnsupportedVariantError("table costs are excluded from normalization")
         new_costs.append(scale_cost(fn, Fraction(1) / total))
     return Instance(n=inst.n, m=inst.m, costs=tuple(new_costs))
 
@@ -577,62 +690,24 @@ def normalize(inst: Instance) -> Instance:
 # ---------------------------------------------------------------------------
 
 
-def _cost_to_json(fn: CostFunction) -> dict:
-    if isinstance(fn, Additive):
-        return {"type": "additive", "values": [rational_str(v) for v in fn.values]}
-    if isinstance(fn, CappedAdditive):
-        return {
-            "type": "capped_additive",
-            "values": [rational_str(v) for v in fn.values],
-            "cap": rational_str(fn.cap),
-        }
-    if isinstance(fn, CappedCardinality):
-        return {"type": "capped_cardinality", "cap": fn.cap}
-    if isinstance(fn, RowCoverage):
-        return {
-            "type": "row_coverage",
-            "rows": [list(r) for r in fn.rows],
-            "weights": [rational_str(w) for w in fn.weights],
-        }
-    if isinstance(fn, TableCost):
-        return {"type": "table", "m": fn.m, "values": [rational_str(v) for v in fn.values]}
-    raise UnsupportedVariantError(f"cannot serialize {type(fn).__name__}")
-
-
 def _cost_from_json(obj: dict, m: int) -> CostFunction:
     if not isinstance(obj, dict) or "type" not in obj:
         raise ParseError("cost must be an object with a 'type' field")
     kind = obj["type"]
+    variant = _VARIANTS.get(kind) if isinstance(kind, str) else None
+    if variant is None:
+        raise ParseError(f"unknown cost type {kind!r}")
     try:
-        if kind == "additive":
-            return Additive(tuple(parse_rational(v) for v in obj["values"]))
-        if kind == "capped_additive":
-            return CappedAdditive(
-                tuple(parse_rational(v) for v in obj["values"]),
-                parse_rational(obj["cap"]),
-            )
-        if kind == "capped_cardinality":
-            cap = obj["cap"]
-            if not isinstance(cap, int):
-                raise ParseError("capped_cardinality cap must be an integer")
-            return CappedCardinality(cap)
-        if kind == "row_coverage":
-            return RowCoverage(
-                tuple(tuple(r) for r in obj["rows"]),
-                tuple(parse_rational(w) for w in obj["weights"]),
-            )
-        if kind == "table":
-            return TableCost(m=obj.get("m", m), values=tuple(parse_rational(v) for v in obj["values"]))
+        return variant.from_json(obj, m)
     except KeyError as exc:
         raise ParseError(f"cost object missing field {exc}") from exc
-    raise ParseError(f"unknown cost type {kind!r}")
 
 
 def instance_to_json(inst: Instance) -> dict:
     return {
         "n": inst.n,
         "m": inst.m,
-        "agents": [{"cost": _cost_to_json(fn)} for fn in inst.costs],
+        "agents": [{"cost": fn.to_json()} for fn in inst.costs],
     }
 
 

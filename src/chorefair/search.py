@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .criteria import Criterion, InstanceContext, context_for, implied_guarantee, min_alpha, parse_alpha
+from .criteria import Criterion, context_for, implied_guarantee, min_alpha, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
 from .families import FAMILY_IDS, FamilyBundle, make_family, valid_params
 from .mms import mms_value
@@ -110,7 +110,7 @@ def _scan_masks(n: int, m: int) -> Iterator[tuple[int, ...]]:
 
 
 def cheapest_accepted(
-    inst: Instance, ctx: InstanceContext, accept: Callable[[list[int]], bool]
+    inst: Instance, accept: Callable[[list[int]], bool]
 ) -> tuple[Fraction, Fraction | None, tuple[int, ...] | None]:
     """Exact depth-first search for the cheapest allocation ``accept`` admits.
 
@@ -121,7 +121,8 @@ def cheapest_accepted(
     order is returned. ``accept`` is asked only about leaves strictly
     cheaper than the incumbent, and must not keep the mask list it is given.
 
-    Costs are integers over the lcm of the agents' denominators. When every
+    Costs are each agent's ``int_eval`` scaled to the lcm of the agents'
+    denominators, so the search compares integers only. When every
     cost is monotone, a subtree is pruned once its lower bound reaches the
     accepted incumbent: the partial cost, plus, for additive instances, each
     remaining chore's cheapest cost. Pruned leaves cost at least the
@@ -130,12 +131,13 @@ def cheapest_accepted(
     """
     n, m = inst.n, inst.m
     scale = math.lcm(*(fn.denominator() for fn in inst.costs))
+    factor = [scale // fn.denominator() for fn in inst.costs]
     prune = all(fn.monotone_by_construction for fn in inst.costs)
     additive = inst.is_additive()
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)
     if additive:
-        unit = [[v.numerator * (scale // v.denominator) for v in fn.values] for fn in inst.costs]
+        unit = [[fn.int_eval(1 << d) * f for d in range(m)] for fn, f in zip(inst.costs, factor)]
         for d in range(m - 1, -1, -1):
             floor[d] = floor[d + 1] + min(row[d] for row in unit)
     else:
@@ -177,8 +179,7 @@ def cheapest_accepted(
         else:
             new = memo[a].get(mask)
             if new is None:
-                value = ctx.bundle_cost(a, mask)
-                new = memo[a][mask] = value.numerator * (scale // value.denominator)
+                new = memo[a][mask] = inst.costs[a].int_eval(mask) * factor[a]
         costs[a] = new
         total += new - old
         if prune and best is not None and total + floor[d + 1] >= best:
@@ -207,7 +208,7 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
         raise SizeGuardError(f"{count} allocations exceed the enumeration guard {ENUMERATION_GUARD}")
     ctx = context_for(inst)
     opt_cost, best_fair, best_masks = cheapest_accepted(
-        inst, ctx, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha
+        inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha
     )
     fair_exists = best_fair is not None
     price: ExtendedRational | None = None

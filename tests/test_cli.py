@@ -210,3 +210,43 @@ def test_byte_stable_output(tmp_path, instance_file, capsys):
     first = capsys.readouterr().out
     main(["eval", "--instance", instance_file, "--allocation", alloc])
     assert capsys.readouterr().out == first
+
+
+def test_mms_agent_out_of_range_exits_2(tmp_path, capsys):
+    inst = _write(tmp_path, "two.json", {"n": 2, "m": 2, "agents": [
+        {"cost": {"type": "additive", "values": ["1", "2"]}},
+        {"cost": {"type": "additive", "values": ["2", "1"]}},
+    ]})
+    assert main(["mms", "--instance", inst, "--agent", "5", "--k", "2"]) == 2
+    _assert_tagged_input_error(capsys, "bounds-error")
+
+
+@pytest.mark.parametrize("suite,count", [("lemmas", "-5"), ("prices", "0")])
+def test_verify_count_below_one_exits_2(tmp_path, capsys, suite, count):
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", suite, "--seed", "1", "--count", count, "--out", str(out)]) == 2
+    _assert_tagged_input_error(capsys, "argument-error")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        {"type": "additive", "values": "123"},
+        {"type": "additive", "values": 5},
+        {"type": "capped_additive", "values": {"0": "1", "1": "1", "2": "1"}, "cap": "2"},
+        {"type": "row_coverage", "rows": 5, "weights": ["1"]},
+        {"type": "row_coverage", "rows": [[0, 1], 2], "weights": ["1", "1"]},
+        {"type": "row_coverage", "rows": [[0, 1, 2]], "weights": "1"},
+        {"type": "table", "m": 3, "values": "01234567"},
+        {"type": ["additive"], "values": ["1", "1", "1"]},
+    ],
+    ids=[
+        "values-string", "values-int", "values-object", "rows-int", "row-int",
+        "weights-string", "table-values-string", "type-list",
+    ],
+)
+def test_non_list_cost_fields_exit_2(tmp_path, capsys, cost):
+    inst = _write(tmp_path, "bad.json", {"n": 1, "m": 3, "agents": [{"cost": cost}]})
+    assert main(["mms", "--instance", inst, "--agent", "0", "--k", "1"]) == 2
+    _assert_tagged_input_error(capsys, "parse-error")

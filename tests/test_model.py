@@ -249,13 +249,14 @@ def test_instance_json_roundtrip(ref_instance):
 
 def test_instance_json_all_variants_roundtrip():
     inst = Instance(
-        n=4,
+        n=5,
         m=4,
         costs=(
             Additive((Fraction(1, 3), 0, 1, 2)),
             CappedAdditive((1, 1, 1, 1), Fraction(5, 2)),
             CappedCardinality(3),
             RowCoverage(((0, 2), (1, 3)), (Fraction(1, 2), Fraction(1, 2))),
+            TableCost(m=4, values=tuple(Fraction(mask.bit_count(), 3) for mask in range(16))),
         ),
     )
     assert instance_from_json(instance_to_json(inst)) == inst
