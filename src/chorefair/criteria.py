@@ -74,31 +74,29 @@ class FairnessReport:
         return {c.value: rational_str(a) for c, a in self.alphas.items()}
 
 
-def _needed_alpha(left: Fraction, right: Fraction) -> ExtendedRational:
-    if left <= right:
-        return Fraction(1)
-    if right == 0:
-        return INFINITY
-    return left / right
+_ONE = Fraction(1)
 
 
 class InstanceContext:
     """Caches bundle costs and MMS values across many allocations of one instance.
 
     The exhaustive search layer reuses one context for a whole enumeration,
-    which is where the memoization pays off.
+    which is where the memoization pays off. Every memo holds agent i's
+    values as integers over its own ``denominator()`` d_i: d_i * c_i(S) from
+    ``mask_evaluator``, and d_i times an MMS share, which is c_i of a block.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
         self._eval = [mask_evaluator(fn, inst.m) for fn in inst.costs]
-        self._bundle: list[dict[int, Fraction]] = [dict() for _ in range(inst.n)]
-        self._pair: list[dict[int, Fraction]] = [dict() for _ in range(inst.n)]
+        self._den = [fn.denominator() for fn in inst.costs]
+        self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
+        self._pair: list[dict[int, int]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]
-        self._whole: dict[int, Fraction] = {}
-        self._singles: list[tuple[Fraction, ...] | None] = [None] * inst.n
+        self._whole: dict[int, int] = {}
+        self._singles: list[tuple[int, ...] | None] = [None] * inst.n
 
-    def bundle_cost(self, agent: int, mask: int) -> Fraction:
+    def bundle_cost(self, agent: int, mask: int) -> int:
         memo = self._bundle[agent]
         c = memo.get(mask)
         if c is None:
@@ -106,7 +104,7 @@ class InstanceContext:
             memo[mask] = c
         return c
 
-    def single_costs(self, agent: int) -> tuple[Fraction, ...]:
+    def single_costs(self, agent: int) -> tuple[int, ...]:
         singles = self._singles[agent]
         if singles is None:
             ev = self._eval[agent]
@@ -114,19 +112,19 @@ class InstanceContext:
             self._singles[agent] = singles
         return singles
 
-    def whole_set_mms(self, agent: int) -> Fraction:
+    def whole_set_mms(self, agent: int) -> int:
         value = self._whole.get(agent)
         if value is None:
-            value = mms_value(self.inst, agent, self.inst.n).value
-            self._whole[agent] = value
+            share = mms_value(self.inst, agent, self.inst.n).value
+            value = self._whole[agent] = share.numerator * self._den[agent] // share.denominator
         return value
 
-    def pairwise_mms(self, agent: int, union_mask: int) -> Fraction:
+    def pairwise_mms(self, agent: int, union_mask: int) -> int:
         memo = self._pair[agent]
         value = memo.get(union_mask)
         if value is None:
-            value = mms_value(self.inst, agent, 2, set_of(union_mask)).value
-            memo[union_mask] = value
+            share = mms_value(self.inst, agent, 2, set_of(union_mask)).value
+            value = memo[union_mask] = share.numerator * self._den[agent] // share.denominator
         return value
 
     def removal_stats(self, agent: int, mask: int) -> tuple:
@@ -167,16 +165,22 @@ class InstanceContext:
     # -- minimal alpha -----------------------------------------------------
 
     def min_alpha_masks(self, masks: Sequence[int], crit: Criterion):
-        """Returns (alpha, witness dict or None, mms values used)."""
+        """Returns (alpha, witness dict or None, mms values used).
+
+        Each ratio left/right pairs two integers of one agent. The maximum is
+        kept as (num, den), den 0 meaning infinity, and a ratio replaces it
+        only when strictly larger, so the first witness is kept.
+        """
         n = self.inst.n
-        best: ExtendedRational = Fraction(1)
+        best_num, best_den = 1, 1
         witness: dict | None = None
         mms_used: dict = {}
 
-        def consider(value: ExtendedRational, agent: int, against: int | None, chore: int | None):
-            nonlocal best, witness
-            if value > best:
-                best = value
+        def consider(left: int, right: int, agent: int, against: int | None, chore: int | None):
+            nonlocal best_num, best_den, witness
+            # left <= right counts as 1, left > right == 0 as infinity
+            if left > right and best_den and (right == 0 or left * best_den > best_num * right):
+                best_num, best_den = (left, right) if right else (1, 0)
                 witness = {"agent": agent, "against": against, "chore": chore}
 
         for i in range(n):
@@ -185,19 +189,19 @@ class InstanceContext:
                 continue  # contributes 1 to every criterion
             if crit is Criterion.MMS:
                 share = self.whole_set_mms(i)
-                mms_used[i] = share
-                consider(_needed_alpha(own, share), i, None, None)
+                mms_used[i] = Fraction(share, self._den[i])
+                consider(own, share, i, None, None)
                 continue
             if crit is Criterion.PMMS:
                 for j in range(n):
                     if j == i:
                         continue
                     share = self.pairwise_mms(i, masks[i] | masks[j])
-                    mms_used[(i, j)] = share
-                    consider(_needed_alpha(own, share), i, j, None)
+                    mms_used[(i, j)] = Fraction(share, self._den[i])
+                    consider(own, share, i, j, None)
                 continue
             if crit is Criterion.EF:
-                left: Fraction | None = own
+                left: int | None = own
                 chore: int | None = None
             elif crit is Criterion.EF1:
                 left, chore, _, _ = self.removal_stats(i, masks[i])
@@ -212,8 +216,10 @@ class InstanceContext:
             for j in range(n):
                 if j == i:
                     continue
-                consider(_needed_alpha(left, self.bundle_cost(i, masks[j])), i, j, chore)
-        return best, witness, mms_used
+                consider(left, self.bundle_cost(i, masks[j]), i, j, chore)
+        if best_den == 0:
+            return INFINITY, witness, mms_used
+        return (_ONE if best_num == best_den else Fraction(best_num, best_den)), witness, mms_used
 
 
 @functools.lru_cache(maxsize=64)

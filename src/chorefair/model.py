@@ -503,10 +503,10 @@ def cost(fn: CostFunction, chores: Iterable[int]) -> Fraction:
     return fn.value(s)
 
 
-def mask_evaluator(fn: CostFunction, m: int) -> Callable[[int], Fraction]:
-    """A bitmask -> Fraction evaluator for one cost function over m chores."""
-    ev, den = fn.int_eval, fn.denominator()
-    return lambda mask: Fraction(ev(mask), den)
+def mask_evaluator(fn: CostFunction, m: int) -> Callable[[int], int]:
+    """A bitmask -> d * c(S) evaluator (an int, d = ``fn.denominator()``) for
+    one cost function over m chores; the criteria kernel gets its evaluators here."""
+    return fn.int_eval
 
 
 def scale_cost(fn: CostFunction, factor: Fraction) -> CostFunction:

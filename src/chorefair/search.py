@@ -13,7 +13,7 @@ import math
 import os
 import random
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -54,7 +54,7 @@ ENUMERATION_GUARD = 2_000_000
 
 @dataclass(frozen=True)
 class SearchReport:
-    instance_digest: str
+    instance: Instance = field(repr=False)
     criterion: Criterion
     alpha: ExtendedRational
     fair_exists: bool
@@ -62,6 +62,11 @@ class SearchReport:
     opt_cost: Fraction
     price: ExtendedRational | None
     witness: Allocation | None
+
+    @property
+    def instance_digest(self) -> str:
+        """The instance's 12-hex digest, hashed only when it is read."""
+        return instance_digest(self.instance)
 
 
 @dataclass(frozen=True)
@@ -222,7 +227,7 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     if best_masks is not None:
         witness = Allocation(tuple(set_of(mask) for mask in best_masks))
     return SearchReport(
-        instance_digest=instance_digest(inst),
+        instance=inst,
         criterion=criterion,
         alpha=alpha,
         fair_exists=fair_exists,
@@ -345,6 +350,27 @@ def _connection_param_grid(
     return out
 
 
+def _grid_tasks(kind, family_ids, n_values, alphas, epsilon, p_values) -> list[tuple[str, dict]]:
+    """(family id, params) of every valid grid entry of the families of ``kind``.
+
+    An epsilon that leaves one of them with no valid entry, where the
+    reference epsilon 1/100 leaves it some, would drop its rows silently, so
+    it raises ``ArgumentError`` naming those families.
+    """
+    tasks, dropped = [], []
+    for family_id in family_ids:
+        grid = _connection_param_grid(family_id, n_values, alphas, epsilon, p_values)
+        probe = grid or _connection_param_grid(family_id, n_values, alphas, Fraction(1, 100), p_values)
+        if not probe or make_family(family_id, **probe[0]).kind != kind:
+            continue
+        if not grid:
+            dropped.append(family_id)
+        tasks += [(family_id, params) for params in grid]
+    if dropped:
+        raise ArgumentError(f"epsilon {epsilon} leaves no valid parameters for {', '.join(dropped)}")
+    return tasks
+
+
 def _params_str(params: dict) -> str:
     if not params:
         return ""
@@ -440,14 +466,7 @@ def verify_connections(
 ) -> list[PropositionReport]:
     """Re-measure every connection family's exact alphas on its grid."""
     ids = list(family_ids) if family_ids is not None else list(FAMILY_IDS)
-    tasks = []
-    for family_id in ids:
-        probe = None
-        for params in _connection_param_grid(family_id, n_values, alphas, epsilon, p_values):
-            probe = make_family(family_id, **params) if probe is None else probe
-            if probe.kind != "connection":
-                break
-            tasks.append((family_id, params))
+    tasks = _grid_tasks("connection", ids, n_values, alphas, epsilon, p_values)
     rows: list[PropositionReport] = []
     for chunk in _parallel_tasks(_connection_task, tasks):
         rows.extend(chunk)
@@ -537,13 +556,7 @@ def verify_prices(
 ) -> list[PropositionReport]:
     """Exact per-family price checks plus two-agent price-bound sweeps."""
     ids = list(family_ids) if family_ids is not None else list(FAMILY_IDS)
-    tasks = []
-    for family_id in ids:
-        for params in _connection_param_grid(family_id, n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P):
-            bundle = make_family(family_id, **params)
-            if bundle.kind != "price":
-                break
-            tasks.append((family_id, params))
+    tasks = _grid_tasks("price", ids, n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P)
     rows: list[PropositionReport] = []
     for chunk in _parallel_tasks(_price_task, tasks):
         rows.extend(chunk)

@@ -8,6 +8,7 @@ import json
 import pytest
 
 from chorefair.cli import main
+from chorefair.model import instance_digest, instance_from_json
 
 INSTANCE_JSON = {
     "n": 3,
@@ -171,6 +172,16 @@ def test_search_subcommand(tmp_path, instance_file, capsys):
     assert payload["price"] == "1"
 
 
+def test_search_output_and_digest_are_unchanged(instance_file, capsys):
+    # The digest is hashed lazily; the whole output line stays as pinned here.
+    assert main(["search", "--instance", instance_file, "--criterion", "EF1", "--alpha", "1"]) == 0
+    assert capsys.readouterr().out == (
+        '{"instance_digest":"e8dd94a58485","criterion":"EF1","alpha":"1","fair_exists":true,'
+        '"opt_cost":"9","best_fair_cost":"9","price":"1","witness":{"bundles":[[2,3,6],[1,5],[0,4]]}}\n'
+    )
+    assert instance_digest(instance_from_json(INSTANCE_JSON)) == "e8dd94a58485"
+
+
 def test_family_unknown_id_exits_2(capsys):
     assert main(["family", "--id", "BOGUS"]) == 2
     assert "argument-error" in capsys.readouterr().err
@@ -250,3 +261,16 @@ def test_non_list_cost_fields_exit_2(tmp_path, capsys, cost):
     inst = _write(tmp_path, "bad.json", {"n": 1, "m": 3, "agents": [{"cost": cost}]})
     assert main(["mms", "--instance", inst, "--agent", "0", "--k", "1"]) == 2
     _assert_tagged_input_error(capsys, "parse-error")
+
+
+@pytest.mark.parametrize("suite,family", [("prices", "POF_EF1_N2"), ("connections", "PMMS_NOT_EF1")])
+@pytest.mark.parametrize("epsilon", ["0", "-1/2", "5"])
+def test_verify_epsilon_outside_a_family_range_exits_2(tmp_path, capsys, suite, family, epsilon):
+    # Every grid entry of the family is invalid at this epsilon, so its rows
+    # would silently vanish from the report.
+    out = tmp_path / "r.csv"
+    argv = ["verify", "--suite", suite, "--seed", "1", "--count", "2", f"--epsilon={epsilon}", "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("argument-error: ") and err.count("\n") == 1 and family in err, err
+    assert not out.exists()

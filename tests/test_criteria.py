@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -11,9 +12,12 @@ from chorefair import (
     INFINITY,
     Additive,
     Allocation,
+    CappedAdditive,
     CappedCardinality,
     Criterion,
     Instance,
+    RowCoverage,
+    TableCost,
     fairness_report,
     implied_guarantee,
     min_alpha,
@@ -21,7 +25,8 @@ from chorefair import (
     satisfies,
 )
 from chorefair.errors import ArgumentError, NotInTableError, ValidationError
-from chorefair.model import scale_cost
+from chorefair.mms import mms_value
+from chorefair.model import check_monotone, scale_cost
 from chorefair.search import random_allocation
 
 
@@ -165,6 +170,162 @@ def test_relabeling_invariance():
         permuted_alloc = Allocation(permuted_bundles)
         for crit in Criterion:
             assert min_alpha(inst, alloc, crit) == min_alpha(permuted, permuted_alloc, crit)
+
+
+# -- the integer kernel against the definitions in Fractions ------------------
+
+
+def _reference_min_alpha(inst, bundles, crit, share_memo):
+    """(alpha, witness, mms values) from the definitions, in ``Fraction``s.
+
+    Candidates are scanned agent by agent, then against the other agents in
+    index order, and a candidate replaces the maximum only when strictly
+    larger. Removals go through the chores in increasing order, and the
+    first best one is kept.
+    """
+    n = inst.n
+    best, witness, used = Fraction(1), None, {}
+
+    def cost(i, chores):
+        return inst.costs[i].value(chores)
+
+    def share(i, k, chores):
+        key = (i, k, chores)
+        if key not in share_memo:
+            share_memo[key] = mms_value(inst, i, k, chores).value
+        return share_memo[key]
+
+    for i in range(n):
+        own = cost(i, bundles[i])
+        if own == 0:
+            continue
+        others = [j for j in range(n) if j != i]
+        candidates = []  # (left, right, against, chore)
+        if crit is Criterion.MMS:
+            used[i] = share(i, n, frozenset(range(inst.m)))
+            candidates.append((own, used[i], None, None))
+        elif crit is Criterion.PMMS:
+            for j in others:
+                used[(i, j)] = share(i, 2, bundles[i] | bundles[j])
+                candidates.append((own, used[(i, j)], j, None))
+        else:
+            removals = [(cost(i, bundles[i] - {e}), e) for e in sorted(bundles[i])]
+            if crit is Criterion.EF:
+                left, chore = own, None
+            elif crit is Criterion.EF1:
+                left, chore = min(removals, key=lambda r: r[0])
+            elif crit is Criterion.EFX:
+                positive = [r for r in removals if cost(i, {r[1]}) > 0]
+                if not positive:
+                    continue
+                left, chore = max(positive, key=lambda r: r[0])
+            else:
+                left, chore = max(removals, key=lambda r: r[0])
+            candidates += [(left, cost(i, bundles[j]), j, chore) for j in others]
+        for left, right, j, chore in candidates:
+            if left <= right:
+                ratio = Fraction(1)
+            elif right == 0:
+                ratio = INFINITY
+            else:
+                ratio = left / right
+            if ratio > best:
+                best, witness = ratio, {"agent": i, "against": j, "chore": chore}
+    return best, witness, used
+
+
+def _small_rational(rng):
+    # Few distinct values, so that zeros and ties are common; the
+    # denominators 1-3 differ between agents.
+    return Fraction(rng.randint(0, 3), rng.randint(1, 3))
+
+
+def _variant_cost(rng, kind, m):
+    if kind == "additive":
+        return Additive(tuple(_small_rational(rng) for _ in range(m)))
+    if kind == "capped_additive":
+        return CappedAdditive(tuple(_small_rational(rng) for _ in range(m)), Fraction(rng.randint(2, 9), 5))
+    if kind == "capped_cardinality":
+        return CappedCardinality(rng.randint(1, m))
+    if kind == "row_coverage":
+        groups: dict[int, list[int]] = {}
+        for chore in range(m):
+            groups.setdefault(rng.randrange(3), []).append(chore)
+        return RowCoverage(tuple(tuple(g) for g in groups.values()), tuple(_small_rational(rng) for _ in groups))
+    return TableCost(m, (Fraction(0),) + tuple(_small_rational(rng) for _ in range(1, 1 << m)))
+
+
+_KINDS = ("additive", "capped_additive", "capped_cardinality", "row_coverage", "table", "mixed")
+
+
+def _kernel_cases():
+    for kind in _KINDS:
+        for n, m in ((2, 6), (3, 5), (4, 4)):
+            rng = random.Random(f"criteria-kernel-{kind}-{n}-{m}")
+            agent_kinds = [rng.choice(_KINDS[:-1]) if kind == "mixed" else kind for _ in range(n)]
+            inst = Instance(n=n, m=m, costs=tuple(_variant_cost(rng, k, m) for k in agent_kinds))
+            yield pytest.param(kind, inst, id=f"{kind}-n{n}-m{m}")
+
+
+@pytest.mark.parametrize("kind,inst", list(_kernel_cases()))
+def test_kernel_matches_fraction_reference(kind, inst):
+    if kind == "table":  # the kernel must really see non-monotone costs
+        assert not all(check_monotone(fn, inst.m) for fn in inst.costs)
+    share_memo: dict = {}
+    for assignment in itertools.product(range(inst.n), repeat=inst.m):
+        alloc = Allocation.from_assignment(assignment, inst.n)
+        report = fairness_report(inst, alloc, list(Criterion))
+        for crit in Criterion:
+            alpha, witness, used = _reference_min_alpha(inst, alloc.bundles, crit, share_memo)
+            assert report.alphas[crit] == alpha, (crit, assignment)
+            assert report.witnesses[crit] == witness, (crit, assignment)
+            assert report.mms_values[crit] == used, (crit, assignment)
+
+
+def test_kernel_skips_zero_cost_bundles():
+    # Agent 0's bundle costs 0 to it: it contributes 1 and asks for no share.
+    inst = Instance(n=2, m=3, costs=(Additive((0, 0, 5)), Additive((1, 1, 1))))
+    alloc = Allocation((frozenset({0, 1}), frozenset({2})))
+    report = fairness_report(inst, alloc, list(Criterion))
+    for crit in Criterion:
+        assert report.alphas[crit] == 1
+        assert report.witnesses[crit] is None
+    assert report.mms_values[Criterion.MMS] == {1: 2}
+    assert report.mms_values[Criterion.PMMS] == {(1, 0): 2}
+
+
+def test_kernel_keeps_the_first_infinite_witness():
+    inst = Instance(n=3, m=2, costs=(Additive((1, 1)),) * 3)
+    alloc = Allocation((frozenset({0}), frozenset({1}), frozenset()))
+    report = fairness_report(inst, alloc, (Criterion.EF,))
+    assert report.alphas[Criterion.EF] == INFINITY
+    assert report.witnesses[Criterion.EF] == {"agent": 0, "against": 2, "chore": None}
+
+
+def test_kernel_efx_without_a_positive_chore_is_vacuous():
+    # c({0}) = c({1}) = 0 < c({0, 1}) = 1: no chore has a positive cost alone.
+    table = TableCost.from_subsets(2, {frozenset(): 0, frozenset({0}): 0, frozenset({1}): 0, frozenset({0, 1}): 1})
+    inst = Instance(n=2, m=2, costs=(table, table))
+    alloc = Allocation((frozenset({0, 1}), frozenset()))
+    report = fairness_report(inst, alloc, (Criterion.EF, Criterion.EFX, Criterion.EFX_STRONG))
+    assert report.alphas[Criterion.EF] == INFINITY
+    assert report.alphas[Criterion.EFX] == 1 and report.witnesses[Criterion.EFX] is None
+    assert report.alphas[Criterion.EFX_STRONG] == 1
+
+
+def test_kernel_keeps_the_first_of_equal_ratios():
+    # Agent 0 needs 2/1 against agent 1; agent 1 needs 4/3 over 2/3, the same
+    # ratio as 4/2 over its own denominator 3. Agent 0 against 1 comes first.
+    inst = Instance(n=2, m=2, costs=(Additive((2, 1)), Additive((Fraction(2, 3), Fraction(4, 3)))))
+    alloc = Allocation((frozenset({0}), frozenset({1})))
+    report = fairness_report(inst, alloc, (Criterion.EF,))
+    assert report.alphas[Criterion.EF] == 2
+    assert report.witnesses[Criterion.EF] == {"agent": 0, "against": 1, "chore": None}
+    # Within one agent, the first of two equal envies wins as well.
+    inst = Instance(n=3, m=4, costs=(Additive((1, 1, 1, 1)),) * 3)
+    alloc = Allocation((frozenset({0, 1}), frozenset({2}), frozenset({3})))
+    report = fairness_report(inst, alloc, (Criterion.EF,))
+    assert report.witnesses[Criterion.EF] == {"agent": 0, "against": 1, "chore": None}
 
 
 # -- guarantee table ---------------------------------------------------------

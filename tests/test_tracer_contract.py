@@ -1,0 +1,45 @@
+"""The benchmark tracer (``perfbench/tracer.py``) still sees every traced layer.
+
+The tracer wraps public entry points from the outside: the evaluators that
+``model.mask_evaluator`` hands out, ``InstanceContext.min_alpha_masks`` with
+exactly three arguments, and ``search.best_fair_allocation``. A refactor that
+goes round one of them leaves its per-layer metrics at zero; this test finds
+that in a fresh interpreter, where no context has been built before the
+tracer is installed. It only reads ``perfbench/``.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+_SCRIPT = """
+import json
+from tracer import Tracer
+
+tracer = Tracer()
+tracer.install()
+from chorefair import Allocation, Criterion, best_fair_allocation, fairness_report, random_instance
+
+inst = random_instance(3, 5, "additive", seed=1)
+best_fair_allocation(inst, Criterion.EF1, 1)
+fairness_report(random_instance(3, 5, "submodular", seed=2),
+                Allocation.from_assignment([0, 1, 2, 0, 1], 3), list(Criterion))
+print(json.dumps(tracer.metrics()))
+"""
+
+
+def test_tracer_counts_every_traced_layer():
+    path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
+    out = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, check=True, text=True)
+    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    names = ["model.eval.calls", "search.best_fair.calls", "search.alpha_checks"]
+    names += [f"criteria.{c}.calls" for c in ("EF", "EF1", "EFX", "EFX_STRONG", "MMS", "PMMS")]
+    for name in names:
+        assert metrics.get(name, 0) > 0, (name, metrics)
