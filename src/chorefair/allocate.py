@@ -29,7 +29,6 @@ __all__ = [
     "pmms32_two_agent",
 ]
 
-GENERAL_OPT_GUARD = 2_000_000
 BEST_ORDER_MAX_AGENTS = 8
 
 
@@ -78,15 +77,13 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
         alloc = Allocation.from_assignment(assignment, inst.n)
         return _outcome(inst, alloc, trace)
 
-    count = inst.n ** inst.m
-    if count > GENERAL_OPT_GUARD:
-        raise SizeGuardError(
-            f"general optimum needs enumerating {count} allocations (guard {GENERAL_OPT_GUARD})"
-        )
     _, _, masks = cheapest_accepted(inst, lambda masks: True)
     assert masks is not None
     alloc = Allocation(tuple(set_of(mask) for mask in masks))
-    trace = [{"op": "enumerate", "candidates": count}, {"op": "select", "assignment": list(alloc.assignment(inst.m))}]
+    trace = [
+        {"op": "enumerate", "candidates": inst.n**inst.m},
+        {"op": "select", "assignment": list(alloc.assignment(inst.m))},
+    ]
     return _outcome(inst, alloc, trace)
 
 

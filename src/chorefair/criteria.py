@@ -8,7 +8,6 @@ against a zero right side contributes infinity.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -222,14 +221,13 @@ class InstanceContext:
         return (_ONE if best_num == best_den else Fraction(best_num, best_den)), witness, mms_used
 
 
-@functools.lru_cache(maxsize=64)
-def _context_for(inst: Instance) -> InstanceContext:
-    return InstanceContext(inst)
-
-
 def context_for(inst: Instance) -> InstanceContext:
-    """Shared memoizing context for an instance (used by the search layer)."""
-    return _context_for(inst)
+    """A fresh memoizing context for one query on ``inst``.
+
+    Each ``min_alpha``, ``fairness_report`` and ``best_fair_allocation`` call
+    owns its context, so no memo outlives the query or keeps its instance alive.
+    """
+    return InstanceContext(inst)
 
 
 def min_alpha(inst: Instance, alloc: Allocation, crit: Criterion) -> ExtendedRational:

@@ -6,10 +6,19 @@ Connection families pin minimal alphas for several criteria at once; price
 families pin the optimal social cost, the cheapest fair cost, and their
 ratio. Every expectation is exact at the given parameters and is re-derived
 by the search layer in tests.
+
+Adding a family takes one builder decorated with ``@_family(id, setting,
+kind)``. Its parameter names are read from its signature (``n``, ``m`` and
+``p`` are integers, ``alpha`` and ``epsilon`` exact rationals), and
+``make_family`` converts them before the call. The builder checks its own
+constraints with ``_require`` and returns the remaining ``FamilyBundle``
+fields: the instance, the reference allocation and the expectations.
+Registration order is the order of ``FAMILY_IDS``.
 """
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,6 +37,8 @@ from .model import (
     Instance,
     RowCoverage,
     TableCost,
+    allocation_to_json,
+    instance_to_json,
     parse_rational,
     rational_str,
 )
@@ -66,14 +77,43 @@ class FamilyBundle:
         return dict(self.expected_alphas)
 
 
-def _fr(x) -> Fraction:
-    return parse_rational(x)
-
-
 def _int_param(name: str, value) -> int:
     if not isinstance(value, int) or isinstance(value, bool):
         raise ArgumentError(f"parameter {name} must be an integer, got {value!r}")
     return value
+
+
+#: How ``make_family`` converts each parameter name a builder may take.
+_CONVERT: dict[str, Callable[[str, object], object]] = {
+    "n": _int_param,
+    "m": _int_param,
+    "p": _int_param,
+    "alpha": lambda _, value: parse_rational(value),
+    "epsilon": lambda _, value: parse_rational(value),
+}
+
+
+@dataclass(frozen=True)
+class _Family:
+    build: Callable[..., dict]
+    params: tuple[str, ...]
+    setting: str
+    kind: str
+
+
+_FAMILIES: dict[str, _Family] = {}
+
+
+def _family(family_id: str, setting: str, kind: str) -> Callable:
+    """Register the decorated builder as catalog family ``family_id``."""
+
+    def register(build: Callable[..., dict]) -> Callable[..., dict]:
+        params = tuple(inspect.signature(build).parameters)
+        assert set(params) <= set(_CONVERT), (family_id, params)
+        _FAMILIES[family_id] = _Family(build, params, setting, kind)
+        return build
+
+    return register
 
 
 def _identical_additive(n: int, values: list[Fraction]) -> tuple[CostFunction, ...]:
@@ -108,65 +148,50 @@ def _require(cond: bool, constraint: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _ef_mms_tight(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("EF_MMS_TIGHT", "additive", "connection")
+def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(a >= 1, "alpha >= 1")
+    _require(alpha >= 1, "alpha >= 1")
     m = n * n
-    values = [a] * n + [Fraction(1)] * (m - n)
+    values = [alpha] * n + [Fraction(1)] * (m - n)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([n] * n)))
-    share = n - 1 + a
-    return FamilyBundle(
-        family_id="EF_MMS_TIGHT",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    share = n - 1 + alpha
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF, a),
-        expected_alphas=((Criterion.EF, a), (Criterion.MMS, n * a / share)),
+        source=(Criterion.EF, alpha),
+        expected_alphas=((Criterion.EF, alpha), (Criterion.MMS, n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
 
 
-def _ef_pmms_tight(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("EF_PMMS_TIGHT", "additive", "connection")
+def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(a >= 1, "alpha >= 1")
+    _require(alpha >= 1, "alpha >= 1")
     m = 2 * n
-    values = [a, a] + [Fraction(1)] * (m - 2)
+    values = [alpha, alpha] + [Fraction(1)] * (m - 2)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([2] * n)))
-    return FamilyBundle(
-        family_id="EF_PMMS_TIGHT",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF, a),
-        expected_alphas=((Criterion.EF, a), (Criterion.PMMS, 2 * a / (1 + a))),
-        expected_values=(("pair_share_agent0", 1 + a),),
+        source=(Criterion.EF, alpha),
+        expected_alphas=((Criterion.EF, alpha), (Criterion.PMMS, 2 * alpha / (1 + alpha))),
+        expected_values=(("pair_share_agent0", 1 + alpha),),
     )
 
 
-def _ef1_not_efx(n: int, p: int) -> FamilyBundle:
-    n = _int_param("n", n)
-    p = _int_param("p", p)
+@_family("EF1_NOT_EFX", "additive", "connection")
+def _ef1_not_efx(n: int, p: int) -> dict:
     _require(n >= 2, "n >= 2")
     _require(p >= 2, "p >= 2")
     m = 2 * n
     values = [Fraction(p)] + [Fraction(1)] * (m - 1)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([2] * n)))
-    return FamilyBundle(
-        family_id="EF1_NOT_EFX",
-        params=(("n", n), ("p", p)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.EF1, Fraction(1)),
@@ -174,31 +199,26 @@ def _ef1_not_efx(n: int, p: int) -> FamilyBundle:
     )
 
 
-def _ef1_mms_tight(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("EF1_MMS_TIGHT", "additive", "connection")
+def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(a >= 1, "alpha >= 1")
+    _require(alpha >= 1, "alpha >= 1")
     m = n * n - n + 1
-    values = [a + n - 1] + [a] * (n - 1) + [Fraction(1)] * ((n - 1) ** 2)
+    values = [alpha + n - 1] + [alpha] * (n - 1) + [Fraction(1)] * ((n - 1) ** 2)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([n] + [n - 1] * (n - 1))))
-    share = a + n - 1
-    return FamilyBundle(
-        family_id="EF1_MMS_TIGHT",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    share = alpha + n - 1
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF1, a),
-        expected_alphas=((Criterion.EF1, a), (Criterion.MMS, (n * a + n - 1) / share)),
+        source=(Criterion.EF1, alpha),
+        expected_alphas=((Criterion.EF1, alpha), (Criterion.MMS, (n * alpha + n - 1) / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
 
 
-def _efx_mms_lb_a(n: int) -> FamilyBundle:
-    n = _int_param("n", n)
+@_family("EFX_MMS_LB_A", "additive", "connection")
+def _efx_mms_lb_a(n: int) -> dict:
     _require(n >= 2, "n >= 2")
     m = 2 * n
     values = [Fraction(t // 2 + 1) for t in range(m)]
@@ -206,11 +226,7 @@ def _efx_mms_lb_a(n: int) -> FamilyBundle:
     bundles = [frozenset({2 * n - 2, 2 * n - 1})]
     bundles += [frozenset({i - 2, 2 * n - i - 1}) for i in range(2, n + 1)]
     alloc = Allocation(tuple(bundles))
-    return FamilyBundle(
-        family_id="EFX_MMS_LB_A",
-        params=(("n", n),),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.EFX, Fraction(1)),
@@ -219,115 +235,92 @@ def _efx_mms_lb_a(n: int) -> FamilyBundle:
     )
 
 
-def _efx_mms_lb_b(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("EFX_MMS_LB_B", "additive", "connection")
+def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(a >= 1, "alpha >= 1")
+    _require(alpha >= 1, "alpha >= 1")
     m = 2 * n * n - 2 * n
     bundles = [frozenset(range(n)), frozenset(range(n, 3 * n - 2))]
     start = 3 * n - 2
     for _ in range(n - 2):
         bundles.append(frozenset(range(start, start + 2 * n - 1)))
         start += 2 * n - 1
-    agent0 = Additive(tuple([2 * a] * n + [Fraction(1)] * (m - n)))
+    agent0 = Additive(tuple([2 * alpha] * n + [Fraction(1)] * (m - n)))
     costs = [agent0] + _indicator_costs(bundles[1:], m)
     inst = Instance(n=n, m=m, costs=tuple(costs))
     alloc = Allocation(tuple(bundles))
-    share = 2 * a + 2 * n - 3
-    return FamilyBundle(
-        family_id="EFX_MMS_LB_B",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    share = 2 * alpha + 2 * n - 3
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EFX, a),
-        expected_alphas=((Criterion.EFX, a), (Criterion.MMS, 2 * n * a / share)),
+        source=(Criterion.EFX, alpha),
+        expected_alphas=((Criterion.EFX, alpha), (Criterion.MMS, 2 * n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
 
 
-def _efx_pmms_tight(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("EFX_PMMS_TIGHT", "additive", "connection")
+def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(a >= 1, "alpha >= 1")
+    _require(alpha >= 1, "alpha >= 1")
     m = 2 * n
-    values = [2 * a, 2 * a] + [Fraction(1)] * (m - 2)
+    values = [2 * alpha, 2 * alpha] + [Fraction(1)] * (m - 2)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([2] * n)))
-    return FamilyBundle(
-        family_id="EFX_PMMS_TIGHT",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EFX, a),
-        expected_alphas=((Criterion.EFX, a), (Criterion.PMMS, 4 * a / (2 * a + 1))),
-        expected_values=(("pair_share_agent0", 2 * a + 1),),
+        source=(Criterion.EFX, alpha),
+        expected_alphas=((Criterion.EFX, alpha), (Criterion.PMMS, 4 * alpha / (2 * alpha + 1))),
+        expected_values=(("pair_share_agent0", 2 * alpha + 1),),
     )
 
 
-def _ef1_pmms_tight(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("EF1_PMMS_TIGHT", "additive", "connection")
+def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(a >= 1, "alpha >= 1")
+    _require(alpha >= 1, "alpha >= 1")
     m = n + 1
-    values = [a + 1, a] + [Fraction(1)] * (n - 1)
+    values = [alpha + 1, alpha] + [Fraction(1)] * (n - 1)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
     alloc = Allocation(tuple(bundles))
-    return FamilyBundle(
-        family_id="EF1_PMMS_TIGHT",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF1, a),
-        expected_alphas=((Criterion.EF1, a), (Criterion.PMMS, (2 * a + 1) / (a + 1))),
-        expected_values=(("pair_share_agent0", a + 1),),
+        source=(Criterion.EF1, alpha),
+        expected_alphas=((Criterion.EF1, alpha), (Criterion.PMMS, (2 * alpha + 1) / (alpha + 1))),
+        expected_values=(("pair_share_agent0", alpha + 1),),
     )
 
 
-def _pmms_not_ef1(n: int, alpha, epsilon) -> FamilyBundle:
-    n = _int_param("n", n)
-    a, eps = _fr(alpha), _fr(epsilon)
+@_family("PMMS_NOT_EF1", "additive", "connection")
+def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
-    _require(1 < a < 2, "1 < alpha < 2")
-    _require(eps > 0, "epsilon > 0")
-    big = Fraction(1) / (a - 1)
-    _require(big >= 1 + eps, "1/(alpha-1) >= 1 + epsilon")
+    _require(1 < alpha < 2, "1 < alpha < 2")
+    _require(epsilon > 0, "epsilon > 0")
+    big = Fraction(1) / (alpha - 1)
+    _require(big >= 1 + epsilon, "1/(alpha-1) >= 1 + epsilon")
     m = n + 1
-    values = [big, Fraction(1)] + [eps] * (n - 1)
+    values = [big, Fraction(1)] + [epsilon] * (n - 1)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
     alloc = Allocation(tuple(bundles))
-    return FamilyBundle(
-        family_id="PMMS_NOT_EF1",
-        params=(("n", n), ("alpha", a), ("epsilon", eps)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, a),
-        expected_alphas=((Criterion.PMMS, a), (Criterion.EF1, 1 / eps)),
+        source=(Criterion.PMMS, alpha),
+        expected_alphas=((Criterion.PMMS, alpha), (Criterion.EF1, 1 / epsilon)),
         expected_values=(("pair_share_agent0", big),),
     )
 
 
-def _pmms_mms_n3_tight() -> FamilyBundle:
+@_family("PMMS_MMS_N3_TIGHT", "additive", "connection")
+def _pmms_mms_n3_tight() -> dict:
     values = [Fraction(2)] * 3 + [Fraction(1)] * 3
     inst = Instance(n=3, m=6, costs=_identical_additive(3, values))
     alloc = Allocation((frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})))
-    return FamilyBundle(
-        family_id="PMMS_MMS_N3_TIGHT",
-        params=(),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.PMMS, Fraction(1)),
@@ -336,8 +329,8 @@ def _pmms_mms_n3_tight() -> FamilyBundle:
     )
 
 
-def _pmms_mms_lb(n: int) -> FamilyBundle:
-    n = _int_param("n", n)
+@_family("PMMS_MMS_LB", "additive", "connection")
+def _pmms_mms_lb(n: int) -> dict:
     _require(n >= 3 and n % 2 == 1, "n odd and >= 3")
     m = 2 * n
     big = Fraction(n + 1, 2)
@@ -348,11 +341,7 @@ def _pmms_mms_lb(n: int) -> FamilyBundle:
     costs = [agent0] + _indicator_costs(bundles[1:], m)
     inst = Instance(n=n, m=m, costs=tuple(costs))
     alloc = Allocation(tuple(bundles))
-    return FamilyBundle(
-        family_id="PMMS_MMS_LB",
-        params=(("n", n),),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.PMMS, Fraction(1)),
@@ -364,25 +353,20 @@ def _pmms_mms_lb(n: int) -> FamilyBundle:
     )
 
 
-def _apmms_mms_lb(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("APMMS_MMS_LB", "additive", "connection")
+def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
-    _require(1 < a < Fraction(3, 2), "1 < alpha < 3/2")
+    _require(1 < alpha < Fraction(3, 2), "1 < alpha < 3/2")
     m = n * n
-    values = [a] * n + [2 - a] * (m - n)
+    values = [alpha] * n + [2 - alpha] * (m - n)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([n] * n)))
-    share = a + (n - 1) * (2 - a)
-    return FamilyBundle(
-        family_id="APMMS_MMS_LB",
-        params=(("n", n), ("alpha", a)),
-        setting="additive",
-        kind="connection",
+    share = alpha + (n - 1) * (2 - alpha)
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, a),
-        expected_alphas=((Criterion.PMMS, a), (Criterion.MMS, n * a / share)),
+        source=(Criterion.PMMS, alpha),
+        expected_alphas=((Criterion.PMMS, alpha), (Criterion.MMS, n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share), ("pair_share_agent0", Fraction(n))),
     )
 
@@ -398,17 +382,12 @@ def _mms_not_pmms_instance(n: int, p: int) -> tuple[Instance, Allocation]:
     return Instance(n=n, m=m, costs=tuple(costs)), Allocation(tuple(bundles))
 
 
-def _mms_not_pmms(n: int, p: int) -> FamilyBundle:
-    n = _int_param("n", n)
-    p = _int_param("p", p)
+@_family("MMS_NOT_PMMS", "additive", "connection")
+def _mms_not_pmms(n: int, p: int) -> dict:
     _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
     _require(p >= 1, "p >= 1")
     inst, alloc = _mms_not_pmms_instance(n, p)
-    return FamilyBundle(
-        family_id="MMS_NOT_PMMS",
-        params=(("n", n), ("p", p)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.MMS, Fraction(1)),
@@ -420,17 +399,12 @@ def _mms_not_pmms(n: int, p: int) -> FamilyBundle:
     )
 
 
-def _mms_not_ef1(n: int, p: int) -> FamilyBundle:
-    n = _int_param("n", n)
-    p = _int_param("p", p)
+@_family("MMS_NOT_EF1", "additive", "connection")
+def _mms_not_ef1(n: int, p: int) -> dict:
     _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
     _require(p >= 1, "p >= 1")
     inst, alloc = _mms_not_pmms_instance(n, p)
-    return FamilyBundle(
-        family_id="MMS_NOT_EF1",
-        params=(("n", n), ("p", p)),
-        setting="additive",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.MMS, Fraction(1)),
@@ -444,8 +418,8 @@ def _mms_not_ef1(n: int, p: int) -> FamilyBundle:
 # ---------------------------------------------------------------------------
 
 
-def _sub_ef_coverage(n: int) -> FamilyBundle:
-    n = _int_param("n", n)
+@_family("SUB_EF_COVERAGE", "submodular", "connection")
+def _sub_ef_coverage(n: int) -> dict:
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
     m = n * n
     rows = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(n))
@@ -453,11 +427,7 @@ def _sub_ef_coverage(n: int) -> FamilyBundle:
     inst = Instance(n=n, m=m, costs=tuple(fn for _ in range(n)))
     columns = [frozenset(range(j, m, n)) for j in range(n)]
     alloc = Allocation(tuple(columns))
-    return FamilyBundle(
-        family_id="SUB_EF_COVERAGE",
-        params=(("n", n),),
-        setting="submodular",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.EF, Fraction(1)),
@@ -470,15 +440,12 @@ def _sub_ef_coverage(n: int) -> FamilyBundle:
     )
 
 
-def _sub_pmms_capped() -> FamilyBundle:
+@_family("SUB_PMMS_CAPPED", "submodular", "connection")
+def _sub_pmms_capped() -> dict:
     fn = CappedCardinality(cap=2)
     inst = Instance(n=2, m=3, costs=(fn, fn))
     alloc = Allocation((frozenset({0, 1, 2}), frozenset()))
-    return FamilyBundle(
-        family_id="SUB_PMMS_CAPPED",
-        params=(),
-        setting="submodular",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         source=(Criterion.PMMS, Fraction(1)),
@@ -492,14 +459,13 @@ def _sub_pmms_capped() -> FamilyBundle:
     )
 
 
-def _sub_pmms_mms_tight(n: int, alpha) -> FamilyBundle:
-    n = _int_param("n", n)
-    a = _fr(alpha)
+@_family("SUB_PMMS_MMS_TIGHT", "submodular", "connection")
+def _sub_pmms_mms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
-    _require(1 <= a < 2, "1 <= alpha < 2")
+    _require(1 <= alpha < 2, "1 <= alpha < 2")
     cols = n + 1
     m = n * cols
-    half = a * n / 2
+    half = alpha * n / 2
     floor_part = math.floor(half)
     delta = half - floor_part
 
@@ -518,15 +484,11 @@ def _sub_pmms_mms_tight(n: int, alpha) -> FamilyBundle:
     costs = [agent0] + _indicator_costs(bundles[1:], m)
     inst = Instance(n=n, m=m, costs=tuple(costs))
     alloc = Allocation(tuple(bundles))
-    return FamilyBundle(
-        family_id="SUB_PMMS_MMS_TIGHT",
-        params=(("n", n), ("alpha", a)),
-        setting="submodular",
-        kind="connection",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, a),
-        expected_alphas=((Criterion.PMMS, a), (Criterion.MMS, half)),
+        source=(Criterion.PMMS, alpha),
+        expected_alphas=((Criterion.PMMS, alpha), (Criterion.MMS, half)),
         expected_values=(("whole_set_share_agent0", Fraction(1)),),
     )
 
@@ -536,20 +498,16 @@ def _sub_pmms_mms_tight(n: int, alpha) -> FamilyBundle:
 # ---------------------------------------------------------------------------
 
 
-def _pof_ef1_n2(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 12), "0 < epsilon < 1/12")
+@_family("POF_EF1_N2", "additive", "price")
+def _pof_ef1_n2(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 12), "0 < epsilon < 1/12")
     c1 = Additive((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
-    c2 = Additive((Fraction(1, 3) - 2 * eps, Fraction(1, 3) + eps, Fraction(1, 3) + eps))
+    c2 = Additive((Fraction(1, 3) - 2 * epsilon, Fraction(1, 3) + epsilon, Fraction(1, 3) + epsilon))
     inst = Instance(n=2, m=3, costs=(c1, c2))
     alloc = Allocation((frozenset({0, 1}), frozenset({2})))
-    opt = Fraction(2, 3) + 2 * eps
-    fair = Fraction(5, 6) + eps
-    return FamilyBundle(
-        family_id="POF_EF1_N2",
-        params=(("epsilon", eps),),
-        setting="additive",
-        kind="price",
+    opt = Fraction(2, 3) + 2 * epsilon
+    fair = Fraction(5, 6) + epsilon
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -557,20 +515,16 @@ def _pof_ef1_n2(epsilon) -> FamilyBundle:
     )
 
 
-def _pof_pmms32_n2(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 10), "0 < epsilon < 1/10")
-    c1 = Additive((Fraction(3, 8), Fraction(3, 8) + eps, Fraction(1, 8) - eps, Fraction(1, 8)))
+@_family("POF_PMMS32_N2", "additive", "price")
+def _pof_pmms32_n2(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 10), "0 < epsilon < 1/10")
+    c1 = Additive((Fraction(3, 8), Fraction(3, 8) + epsilon, Fraction(1, 8) - epsilon, Fraction(1, 8)))
     c2 = Additive((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
     inst = Instance(n=2, m=4, costs=(c1, c2))
     alloc = Allocation((frozenset({0}), frozenset({1, 2, 3})))
-    opt = Fraction(3, 4) + eps
+    opt = Fraction(3, 4) + epsilon
     fair = Fraction(7, 8)
-    return FamilyBundle(
-        family_id="POF_PMMS32_N2",
-        params=(("epsilon", eps),),
-        setting="additive",
-        kind="price",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -578,24 +532,20 @@ def _pof_pmms32_n2(epsilon) -> FamilyBundle:
     )
 
 
-def _pof_pmms_n2(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 8), "0 < epsilon < 1/8")
-    c1 = Additive((Fraction(1, 2), Fraction(1, 2) - eps, eps))
-    c2 = Additive((Fraction(1, 2), eps, Fraction(1, 2) - eps))
+@_family("POF_PMMS_N2", "additive", "price")
+def _pof_pmms_n2(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
+    c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
+    c2 = Additive((Fraction(1, 2), epsilon, Fraction(1, 2) - epsilon))
     inst = Instance(n=2, m=3, costs=(c1, c2))
     alloc = Allocation((frozenset({0}), frozenset({1, 2})))
-    opt = Fraction(1, 2) + 2 * eps
+    opt = Fraction(1, 2) + 2 * epsilon
     one = Fraction(1)
     checks = tuple(
         PriceCheck(crit, Fraction(1), one, one / opt)
         for crit in (Criterion.PMMS, Criterion.MMS, Criterion.EFX)
     )
-    return FamilyBundle(
-        family_id="POF_PMMS_N2",
-        params=(("epsilon", eps),),
-        setting="additive",
-        kind="price",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -603,19 +553,17 @@ def _pof_pmms_n2(epsilon) -> FamilyBundle:
     )
 
 
-def _pof_n3_unbounded(n: int, m: int, epsilon) -> FamilyBundle:
-    n = _int_param("n", n)
-    m = _int_param("m", m)
-    eps = _fr(epsilon)
+@_family("POF_N3_UNBOUNDED", "additive", "price")
+def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
     _require(n >= 3, "n >= 3")
     _require(m >= 5, "m >= 5")
     # The bound keeps the cheapest fair allocation fair even against the
     # empty bundles that appear for n >= 4.
-    _require(0 < eps < Fraction(1, 3 * m), "0 < epsilon < 1/(3m)")
+    _require(0 < epsilon < Fraction(1, 3 * m), "0 < epsilon < 1/(3m)")
     inv_m = Fraction(1, m)
-    c1 = [Fraction(1) - 4 * eps] + [Fraction(0)] * (m - 5) + [eps] * 4
+    c1 = [Fraction(1) - 4 * epsilon] + [Fraction(0)] * (m - 5) + [epsilon] * 4
     c2 = [1 - 4 * inv_m] + [Fraction(0)] * (m - 5) + [inv_m] * 4
-    c3 = [eps] + [inv_m] * (m - 2) + [inv_m - eps]
+    c3 = [epsilon] + [inv_m] * (m - 2) + [inv_m - epsilon]
     costs: list[CostFunction] = [Additive(tuple(c1)), Additive(tuple(c2)), Additive(tuple(c3))]
     for _ in range(n - 3):
         costs.append(Additive(tuple([inv_m] * m)))
@@ -623,13 +571,9 @@ def _pof_n3_unbounded(n: int, m: int, epsilon) -> FamilyBundle:
     bundles = [frozenset(range(m - 4, m - 1)), frozenset(range(1, m - 4)), frozenset({0, m - 1})]
     bundles += [frozenset() for _ in range(n - 3)]
     alloc = Allocation(tuple(bundles))
-    opt = 5 * eps
-    fair = inv_m + 3 * eps
-    return FamilyBundle(
-        family_id="POF_N3_UNBOUNDED",
-        params=(("n", n), ("m", m), ("epsilon", eps)),
-        setting="additive",
-        kind="price",
+    opt = 5 * epsilon
+    fair = inv_m + 3 * epsilon
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -637,27 +581,22 @@ def _pof_n3_unbounded(n: int, m: int, epsilon) -> FamilyBundle:
     )
 
 
-def _pof_mms_lb(n: int, epsilon) -> FamilyBundle:
-    n = _int_param("n", n)
-    eps = _fr(epsilon)
+@_family("POF_MMS_LB", "additive", "price")
+def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
     _require(n >= 3, "n >= 3")
-    _require(0 < eps < Fraction(1, 2 * n), "0 < epsilon < 1/(2n)")
+    _require(0 < epsilon < Fraction(1, 2 * n), "0 < epsilon < 1/(2n)")
     m = n + 1
     inv_n = Fraction(1, n)
-    c1 = [inv_n, eps, inv_n - eps] + [inv_n] * (m - 3)
+    c1 = [inv_n, epsilon, inv_n - epsilon] + [inv_n] * (m - 3)
     rest = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (m - 2)
     costs = [Additive(tuple(c1))] + [Additive(tuple(rest))] * (n - 1)
     inst = Instance(n=n, m=m, costs=tuple(costs))
     bundles = [frozenset({1}), frozenset({0, 2}) | frozenset(range(3, m))]
     bundles += [frozenset() for _ in range(n - 2)]
     alloc = Allocation(tuple(bundles))
-    opt = inv_n + eps
-    fair = Fraction(1, 2) + eps
-    return FamilyBundle(
-        family_id="POF_MMS_LB",
-        params=(("n", n), ("epsilon", eps)),
-        setting="additive",
-        kind="price",
+    opt = inv_n + epsilon
+    fair = Fraction(1, 2) + epsilon
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -665,27 +604,23 @@ def _pof_mms_lb(n: int, epsilon) -> FamilyBundle:
     )
 
 
-def _pof_2mms_lb(n: int, epsilon) -> FamilyBundle:
-    n = _int_param("n", n)
-    eps = _fr(epsilon)
+@_family("POF_2MMS_LB", "additive", "price")
+def _pof_2mms_lb(n: int, epsilon: Fraction) -> dict:
     _require(n >= 3, "n >= 3")
-    _require(0 < eps < Fraction(1, 4 * n), "0 < epsilon < 1/(4n)")
+    _require(0 < epsilon < Fraction(1, 4 * n), "0 < epsilon < 1/(4n)")
     m = n + 3
     inv_n = Fraction(1, n)
-    c1 = [inv_n - eps, inv_n - eps, 3 * eps, eps, eps, inv_n - 3 * eps] + [inv_n] * (m - 6)
+    c1 = [inv_n - epsilon, inv_n - epsilon, 3 * epsilon, epsilon, epsilon, inv_n - 3 * epsilon]
+    c1 += [inv_n] * (m - 6)
     rest = [Fraction(1, 3)] * 3 + [Fraction(0)] * (m - 3)
     costs = [Additive(tuple(c1))] + [Additive(tuple(rest))] * (n - 1)
     inst = Instance(n=n, m=m, costs=tuple(costs))
     bundles = [frozenset({1, 2}), frozenset({0}) | frozenset(range(3, m))]
     bundles += [frozenset() for _ in range(n - 2)]
     alloc = Allocation(tuple(bundles))
-    opt = 2 * inv_n + eps
-    fair = Fraction(1, 3) + inv_n + 2 * eps
-    return FamilyBundle(
-        family_id="POF_2MMS_LB",
-        params=(("n", n), ("epsilon", eps)),
-        setting="additive",
-        kind="price",
+    opt = 2 * inv_n + epsilon
+    fair = Fraction(1, 3) + inv_n + 2 * epsilon
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -693,20 +628,16 @@ def _pof_2mms_lb(n: int, epsilon) -> FamilyBundle:
     )
 
 
-def _sub_pof_efx(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 8), "0 < epsilon < 1/8")
-    c1 = Additive((Fraction(1, 2), Fraction(1, 2) - eps, eps))
-    c2 = CappedAdditive((1 - eps, 3 * eps, 1 - 2 * eps), Fraction(1))
+@_family("SUB_POF_EFX", "submodular", "price")
+def _sub_pof_efx(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
+    c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
+    c2 = CappedAdditive((1 - epsilon, 3 * epsilon, 1 - 2 * epsilon), Fraction(1))
     inst = Instance(n=2, m=3, costs=(c1, c2))
     alloc = Allocation((frozenset({1, 2}), frozenset({0})))
-    opt = Fraction(1, 2) + 4 * eps
-    fair = Fraction(3, 2) - eps
-    return FamilyBundle(
-        family_id="SUB_POF_EFX",
-        params=(("epsilon", eps),),
-        setting="submodular",
-        kind="price",
+    opt = Fraction(1, 2) + 4 * epsilon
+    fair = Fraction(3, 2) - epsilon
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -714,20 +645,16 @@ def _sub_pof_efx(epsilon) -> FamilyBundle:
     )
 
 
-def _sub_pof_ef1(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 12), "0 < epsilon < 1/12")
-    c1 = Additive((Fraction(1, 3) + eps, Fraction(1, 3), Fraction(1, 3) - eps))
-    c2 = CappedAdditive((1 - eps, 1 - eps, eps), Fraction(1))
+@_family("SUB_POF_EF1", "submodular", "price")
+def _sub_pof_ef1(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 12), "0 < epsilon < 1/12")
+    c1 = Additive((Fraction(1, 3) + epsilon, Fraction(1, 3), Fraction(1, 3) - epsilon))
+    c2 = CappedAdditive((1 - epsilon, 1 - epsilon, epsilon), Fraction(1))
     inst = Instance(n=2, m=3, costs=(c1, c2))
     alloc = Allocation((frozenset({1}), frozenset({0, 2})))
-    opt = Fraction(2, 3) + 2 * eps
+    opt = Fraction(2, 3) + 2 * epsilon
     fair = Fraction(4, 3)
-    return FamilyBundle(
-        family_id="SUB_POF_EF1",
-        params=(("epsilon", eps),),
-        setting="submodular",
-        kind="price",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -735,35 +662,31 @@ def _sub_pof_ef1(epsilon) -> FamilyBundle:
     )
 
 
-def _sub_pof_pmms(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 22), "0 < epsilon < 1/22")
-    c1 = Additive((Fraction(1, 2), Fraction(1, 2) - eps, eps))
+@_family("SUB_POF_PMMS", "submodular", "price")
+def _sub_pof_pmms(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 22), "0 < epsilon < 1/22")
+    c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = TableCost.from_subsets(
         3,
         {
             frozenset(): Fraction(0),
-            frozenset({0}): 1 - 2 * eps,
-            frozenset({1}): 10 * eps,
-            frozenset({2}): 1 - 3 * eps,
+            frozenset({0}): 1 - 2 * epsilon,
+            frozenset({1}): 10 * epsilon,
+            frozenset({2}): 1 - 3 * epsilon,
             frozenset({0, 1}): Fraction(1),
             frozenset({0, 2}): Fraction(1),
-            frozenset({1, 2}): 1 - eps,
+            frozenset({1, 2}): 1 - epsilon,
             frozenset({0, 1, 2}): Fraction(1),
         },
     )
     inst = Instance(n=2, m=3, costs=(c1, c2))
     alloc = Allocation((frozenset({1, 2}), frozenset({0})))
-    opt = Fraction(1, 2) + 11 * eps
-    fair = Fraction(3, 2) - 2 * eps
+    opt = Fraction(1, 2) + 11 * epsilon
+    fair = Fraction(3, 2) - 2 * epsilon
     checks = tuple(
         PriceCheck(crit, Fraction(1), fair, fair / opt) for crit in (Criterion.PMMS, Criterion.MMS)
     )
-    return FamilyBundle(
-        family_id="SUB_POF_PMMS",
-        params=(("epsilon", eps),),
-        setting="submodular",
-        kind="price",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -771,20 +694,16 @@ def _sub_pof_pmms(epsilon) -> FamilyBundle:
     )
 
 
-def _sub_pof_pmms32(epsilon) -> FamilyBundle:
-    eps = _fr(epsilon)
-    _require(0 < eps < Fraction(1, 16), "0 < epsilon < 1/16")
-    c1 = Additive((Fraction(3, 8), Fraction(3, 8) + eps, Fraction(1, 8) - eps, Fraction(1, 8)))
-    c2 = CappedAdditive((1 - eps, 1 - eps, eps, eps), Fraction(1))
+@_family("SUB_POF_PMMS32", "submodular", "price")
+def _sub_pof_pmms32(epsilon: Fraction) -> dict:
+    _require(0 < epsilon < Fraction(1, 16), "0 < epsilon < 1/16")
+    c1 = Additive((Fraction(3, 8), Fraction(3, 8) + epsilon, Fraction(1, 8) - epsilon, Fraction(1, 8)))
+    c2 = CappedAdditive((1 - epsilon, 1 - epsilon, epsilon, epsilon), Fraction(1))
     inst = Instance(n=2, m=4, costs=(c1, c2))
     alloc = Allocation((frozenset(), frozenset({0, 1, 2, 3})))
-    opt = Fraction(3, 4) + 3 * eps
+    opt = Fraction(3, 4) + 3 * epsilon
     fair = Fraction(1)
-    return FamilyBundle(
-        family_id="SUB_POF_PMMS32",
-        params=(("epsilon", eps),),
-        setting="submodular",
-        kind="price",
+    return dict(
         instance=inst,
         reference_allocation=alloc,
         opt_cost=opt,
@@ -792,57 +711,35 @@ def _sub_pof_pmms32(epsilon) -> FamilyBundle:
     )
 
 
-_BUILDERS: dict[str, tuple[Callable[..., FamilyBundle], tuple[str, ...]]] = {
-    "EF_MMS_TIGHT": (_ef_mms_tight, ("n", "alpha")),
-    "EF_PMMS_TIGHT": (_ef_pmms_tight, ("n", "alpha")),
-    "EF1_NOT_EFX": (_ef1_not_efx, ("n", "p")),
-    "EF1_MMS_TIGHT": (_ef1_mms_tight, ("n", "alpha")),
-    "EFX_MMS_LB_A": (_efx_mms_lb_a, ("n",)),
-    "EFX_MMS_LB_B": (_efx_mms_lb_b, ("n", "alpha")),
-    "EFX_PMMS_TIGHT": (_efx_pmms_tight, ("n", "alpha")),
-    "EF1_PMMS_TIGHT": (_ef1_pmms_tight, ("n", "alpha")),
-    "PMMS_NOT_EF1": (_pmms_not_ef1, ("n", "alpha", "epsilon")),
-    "PMMS_MMS_N3_TIGHT": (_pmms_mms_n3_tight, ()),
-    "PMMS_MMS_LB": (_pmms_mms_lb, ("n",)),
-    "APMMS_MMS_LB": (_apmms_mms_lb, ("n", "alpha")),
-    "MMS_NOT_PMMS": (_mms_not_pmms, ("n", "p")),
-    "MMS_NOT_EF1": (_mms_not_ef1, ("n", "p")),
-    "SUB_EF_COVERAGE": (_sub_ef_coverage, ("n",)),
-    "SUB_PMMS_CAPPED": (_sub_pmms_capped, ()),
-    "SUB_PMMS_MMS_TIGHT": (_sub_pmms_mms_tight, ("n", "alpha")),
-    "POF_EF1_N2": (_pof_ef1_n2, ("epsilon",)),
-    "POF_PMMS32_N2": (_pof_pmms32_n2, ("epsilon",)),
-    "POF_PMMS_N2": (_pof_pmms_n2, ("epsilon",)),
-    "POF_N3_UNBOUNDED": (_pof_n3_unbounded, ("n", "m", "epsilon")),
-    "POF_MMS_LB": (_pof_mms_lb, ("n", "epsilon")),
-    "POF_2MMS_LB": (_pof_2mms_lb, ("n", "epsilon")),
-    "SUB_POF_EFX": (_sub_pof_efx, ("epsilon",)),
-    "SUB_POF_EF1": (_sub_pof_ef1, ("epsilon",)),
-    "SUB_POF_PMMS": (_sub_pof_pmms, ("epsilon",)),
-    "SUB_POF_PMMS32": (_sub_pof_pmms32, ("epsilon",)),
-}
-
-FAMILY_IDS = tuple(_BUILDERS)
+FAMILY_IDS = tuple(_FAMILIES)
 
 
 def make_family(family_id: str, **params) -> FamilyBundle:
     """Instantiate a catalog family; invalid parameters raise with the constraint."""
-    if family_id not in _BUILDERS:
+    if family_id not in _FAMILIES:
         raise ArgumentError(f"unknown family {family_id!r}; known ids: {', '.join(FAMILY_IDS)}")
-    builder, names = _BUILDERS[family_id]
+    family = _FAMILIES[family_id]
+    names = family.params
     unknown = set(params) - set(names)
     if unknown:
         raise ArgumentError(f"family {family_id} takes parameters {names}, not {sorted(unknown)}")
     missing = [name for name in names if name not in params]
     if missing:
         raise ArgumentError(f"family {family_id} requires parameters {missing}")
-    return builder(**{name: params[name] for name in names})
+    values = {name: _CONVERT[name](name, params[name]) for name in names}
+    return FamilyBundle(
+        family_id=family_id,
+        params=tuple(values.items()),
+        setting=family.setting,
+        kind=family.kind,
+        **family.build(**values),
+    )
 
 
 def family_params(family_id: str) -> tuple[str, ...]:
-    if family_id not in _BUILDERS:
+    if family_id not in _FAMILIES:
         raise ArgumentError(f"unknown family {family_id!r}")
-    return _BUILDERS[family_id][1]
+    return _FAMILIES[family_id].params
 
 
 def valid_params(family_id: str, **params) -> bool:
@@ -854,25 +751,20 @@ def valid_params(family_id: str, **params) -> bool:
 
 
 def family_to_json(bundle: FamilyBundle) -> dict:
-    from .model import allocation_to_json, instance_to_json
-
-    def ext(v: ExtendedRational) -> str:
-        return rational_str(v)
-
     expected: dict[str, object] = {}
     if bundle.source is not None:
         expected["source_criterion"] = bundle.source[0].value
-        expected["source_alpha"] = ext(bundle.source[1])
+        expected["source_alpha"] = rational_str(bundle.source[1])
     for crit, value in bundle.expected_alphas:
-        expected[f"min_alpha_{crit.value}"] = ext(value)
+        expected[f"min_alpha_{crit.value}"] = rational_str(value)
     for name, value in bundle.expected_values:
-        expected[name] = ext(value)
+        expected[name] = rational_str(value)
     if bundle.opt_cost is not None:
-        expected["opt_cost"] = ext(bundle.opt_cost)
+        expected["opt_cost"] = rational_str(bundle.opt_cost)
     for check in bundle.price_checks:
         tag = f"{check.criterion.value}@{check.alpha}"
-        expected[f"fair_cost[{tag}]"] = ext(check.fair_cost)
-        expected[f"price[{tag}]"] = ext(check.price)
+        expected[f"fair_cost[{tag}]"] = rational_str(check.fair_cost)
+        expected[f"price[{tag}]"] = rational_str(check.price)
     return {
         "family_id": bundle.family_id,
         "params": {k: (v if isinstance(v, int) else rational_str(v)) for k, v in bundle.params},

@@ -68,6 +68,8 @@ ExtendedRational = Union[Fraction, float]
 
 MONOTONE_CHECK_MAX = 20
 SUBMODULAR_CHECK_MAX = 16
+#: Chore count guard: only a capped-cardinality cost leaves m unbounded by its data.
+MAX_CHORES = 100_000
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -96,11 +98,11 @@ def rational_str(value: ExtendedRational) -> str:
 
 
 def _as_chore_set(chores: Iterable[int]) -> frozenset[int]:
-    s = frozenset(chores)
-    for e in s:
+    chores = tuple(chores)  # checked before hashing: a nested list is unhashable
+    for e in chores:
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValidationError(f"chore index must be an int, got {e!r}")
-    return s
+    return frozenset(chores)
 
 
 def mask_of(chores: Iterable[int]) -> int:
@@ -587,6 +589,8 @@ class Instance:
             raise ValidationError(f"agent count must be >= 1, got {self.n!r}")
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValidationError(f"chore count must be >= 0, got {self.m!r}")
+        if self.m > MAX_CHORES:
+            raise SizeGuardError(f"chore count {self.m} exceeds the guard {MAX_CHORES}")
         object.__setattr__(self, "costs", tuple(self.costs))
         if len(self.costs) != self.n:
             raise ValidationError(

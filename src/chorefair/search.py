@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .criteria import Criterion, context_for, implied_guarantee, min_alpha, parse_alpha
+from .criteria import Criterion, context_for, fairness_report, implied_guarantee, min_alpha, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
-from .families import FAMILY_IDS, FamilyBundle, make_family, valid_params
+from .families import FAMILY_IDS, FamilyBundle, family_params, make_family, valid_params
 from .mms import mms_value
 from .model import (
     INFINITY,
@@ -96,11 +96,16 @@ def _report(prop_id, expected, observed, ok, n=None, alpha=None, epsilon=None) -
     )
 
 
-def enumerate_allocations(m: int, n: int) -> Iterator[Allocation]:
-    """All n^m assignments, in lexicographic order of the assignment vector."""
+def _check_allocation_count(n: int, m: int) -> None:
+    """Raise ``SizeGuardError`` when the n^m allocations exceed ``ENUMERATION_GUARD``."""
     count = n**m
     if count > ENUMERATION_GUARD:
         raise SizeGuardError(f"{count} allocations exceed the enumeration guard {ENUMERATION_GUARD}")
+
+
+def enumerate_allocations(m: int, n: int) -> Iterator[Allocation]:
+    """All n^m assignments, in lexicographic order of the assignment vector."""
+    _check_allocation_count(n, m)
     for masks in _scan_masks(n, m):
         yield Allocation(tuple(set_of(mask) for mask in masks))
 
@@ -132,9 +137,11 @@ def cheapest_accepted(
     accepted incumbent: the partial cost, plus, for additive instances, each
     remaining chore's cheapest cost. Pruned leaves cost at least the
     incumbent, which is at least the optimum seen so far, so neither output
-    changes. Non-monotone costs get the full scan.
+    changes. Non-monotone costs get the full scan. More than
+    ``ENUMERATION_GUARD`` allocations raise ``SizeGuardError`` before any work.
     """
     n, m = inst.n, inst.m
+    _check_allocation_count(n, m)
     scale = math.lcm(*(fn.denominator() for fn in inst.costs))
     factor = [scale // fn.denominator() for fn in inst.costs]
     prune = all(fn.monotone_by_construction for fn in inst.costs)
@@ -208,9 +215,6 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     order of the assignment vector.
     """
     alpha = parse_alpha(alpha)
-    count = inst.n**inst.m
-    if count > ENUMERATION_GUARD:
-        raise SizeGuardError(f"{count} allocations exceed the enumeration guard {ENUMERATION_GUARD}")
     ctx = context_for(inst)
     opt_cost, best_fair, best_masks = cheapest_accepted(
         inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha
@@ -325,25 +329,10 @@ def _connection_param_grid(
     epsilon: Fraction,
     p_values: Sequence[int],
 ) -> list[dict]:
-    from .families import family_params
-
     names = family_params(family_id)
-    pools: list[list] = []
-    for name in names:
-        if name == "n":
-            pools.append(list(n_values))
-        elif name == "alpha":
-            pools.append(list(alphas))
-        elif name == "epsilon":
-            pools.append([epsilon])
-        elif name == "p":
-            pools.append(list(p_values))
-        elif name == "m":
-            pools.append([6])
-        else:  # pragma: no cover - no other parameter names exist
-            raise ArgumentError(f"unknown parameter {name}")
+    pools = {"n": n_values, "alpha": alphas, "epsilon": (epsilon,), "p": p_values, "m": (6,)}
     out = []
-    for combo in itertools.product(*pools):
+    for combo in itertools.product(*(pools[name] for name in names)):
         params = dict(zip(names, combo))
         if valid_params(family_id, **params):
             out.append(params)
@@ -385,8 +374,9 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
     epsilon = params.get("epsilon")
     label = bundle.family_id + _params_str(params)
     src_crit, src_alpha = bundle.source  # connection families always set it
+    report = fairness_report(bundle.instance, bundle.reference_allocation, bundle.alphas_dict)
     for crit, expected in bundle.expected_alphas:
-        measured = min_alpha(bundle.instance, bundle.reference_allocation, crit)
+        measured = report.alphas[crit]
         rows.append(
             _report(
                 f"{label}:min_alpha[{crit.value}]",
@@ -479,19 +469,18 @@ def _check_family_price(bundle: FamilyBundle) -> list[PropositionReport]:
     n = bundle.instance.n
     epsilon = params.get("epsilon")
     label = bundle.family_id + _params_str(params)
-    first = best_fair_allocation(bundle.instance, bundle.price_checks[0].criterion, bundle.price_checks[0].alpha)
+    reports = [best_fair_allocation(bundle.instance, c.criterion, c.alpha) for c in bundle.price_checks]
     rows.append(
         _report(
             f"{label}:opt_cost",
             rational_str(bundle.opt_cost),
-            rational_str(first.opt_cost),
-            first.opt_cost == bundle.opt_cost,
+            rational_str(reports[0].opt_cost),
+            reports[0].opt_cost == bundle.opt_cost,
             n=n,
             epsilon=epsilon,
         )
     )
-    for check in bundle.price_checks:
-        report = best_fair_allocation(bundle.instance, check.criterion, check.alpha)
+    for check, report in zip(bundle.price_checks, reports):
         tag = f"{check.criterion.value}@{check.alpha}"
         ok = report.fair_exists and report.best_fair_cost == check.fair_cost
         rows.append(

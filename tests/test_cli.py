@@ -274,3 +274,24 @@ def test_verify_epsilon_outside_a_family_range_exits_2(tmp_path, capsys, suite, 
     err = capsys.readouterr().err
     assert err.startswith("argument-error: ") and err.count("\n") == 1 and family in err, err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["eval", "mms"])
+def test_nested_coverage_row_exits_2(tmp_path, capsys, command):
+    cost = {"type": "row_coverage", "rows": [[[0]]], "weights": ["1"]}
+    inst = _write(tmp_path, "nested.json", {"n": 1, "m": 1, "agents": [{"cost": cost}]})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0]]})
+    argv = {"eval": ["--allocation", alloc], "mms": ["--agent", "0", "--k", "1"]}[command]
+    assert main([command, "--instance", inst, *argv]) == 2
+    _assert_tagged_input_error(capsys, "validation-error")
+
+
+@pytest.mark.parametrize("command", ["eval", "mms"])
+def test_huge_capped_cardinality_chore_count_exits_2(tmp_path, capsys, command):
+    # Only a capped-cardinality cost leaves m unbounded by its JSON data.
+    cost = {"type": "capped_cardinality", "cap": 2}
+    inst = _write(tmp_path, "huge.json", {"n": 2, "m": 2**62, "agents": [{"cost": cost}, {"cost": cost}]})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0], [1]]})
+    argv = {"eval": ["--allocation", alloc], "mms": ["--agent", "0", "--k", "2"]}[command]
+    assert main([command, "--instance", inst, *argv]) == 2
+    _assert_tagged_input_error(capsys, "size-guard-exceeded")

@@ -1,0 +1,95 @@
+"""Byte-for-byte catalog: ``FAMILY_IDS`` and ``chorefair family`` on every family.
+
+``tests/golden/family_catalog.txt`` holds the ``FAMILY_IDS`` tuple (order
+included) as its first line, then one ``chorefair family`` output line per
+family at the first valid entry of the ``verify`` grid. Those lines pin each
+family's id, ``params`` (names, order and values), ``setting``, ``kind``,
+instance, reference allocation and expectations. Regenerate only for a
+deliberate, documented output change, from the repository root:
+
+    PYTHONPATH=src python3 tests/test_family_catalog.py > tests/golden/family_catalog.txt
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import itertools
+import json
+import sys
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from chorefair.cli import main
+from chorefair.errors import ChoreFairError
+from chorefair.families import FAMILY_IDS, family_params, make_family, valid_params
+from chorefair.model import rational_str
+
+GOLDEN = Path(__file__).resolve().parent / "golden" / "family_catalog.txt"
+
+# The grid of ``chorefair verify`` at its defaults (--n-max 5, --epsilon 1/100).
+GRID = {
+    "n": (2, 3, 4, 5),
+    "m": (6,),
+    "p": (3, 10, 50),
+    "alpha": (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)),
+    "epsilon": (Fraction(1, 100),),
+}
+
+
+def _first_grid_entry(family_id: str) -> dict:
+    names = family_params(family_id)
+    for combo in itertools.product(*(GRID[name] for name in names)):
+        params = dict(zip(names, combo))
+        if valid_params(family_id, **params):
+            return params
+    raise AssertionError(f"{family_id} has no valid grid entry")
+
+
+def catalog_text() -> str:
+    lines = [json.dumps(list(FAMILY_IDS))]
+    for family_id in FAMILY_IDS:
+        argv = ["family", "--id", family_id]
+        for name, value in _first_grid_entry(family_id).items():
+            argv += [f"--{name}", str(value) if isinstance(value, int) else rational_str(value)]
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(argv) == 0
+        lines.append(out.getvalue().rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+def test_family_catalog_is_unchanged():
+    assert catalog_text() == GOLDEN.read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize(
+    "family_id, params, message",
+    [
+        ("NOPE", {}, "unknown family 'NOPE'; known ids: EF_MMS_TIGHT, EF_PMMS_TIGHT, EF1_NOT_EFX,"),
+        ("EF_MMS_TIGHT", {"n": 3}, "family EF_MMS_TIGHT requires parameters ['alpha']"),
+        ("POF_N3_UNBOUNDED", {}, "family POF_N3_UNBOUNDED requires parameters ['n', 'm', 'epsilon']"),
+        ("PMMS_MMS_N3_TIGHT", {"n": 3}, "family PMMS_MMS_N3_TIGHT takes parameters (), not ['n']"),
+        (
+            "EF_MMS_TIGHT",
+            {"n": 3, "alpha": 1, "q": 2, "b": 1},
+            "family EF_MMS_TIGHT takes parameters ('n', 'alpha'), not ['b', 'q']",
+        ),
+        ("EF_MMS_TIGHT", {"n": "3", "alpha": 1}, "parameter n must be an integer, got '3'"),
+        ("POF_N3_UNBOUNDED", {"n": 3, "m": True, "epsilon": 1}, "parameter m must be an integer, got True"),
+        ("EF1_NOT_EFX", {"n": 3, "p": 2.0}, "parameter p must be an integer, got 2.0"),
+        ("EF_MMS_TIGHT", {"n": 3, "alpha": "x"}, "not a rational: 'x'"),
+        ("PMMS_NOT_EF1", {"n": 3, "alpha": 1.5, "epsilon": 1}, "not a rational: 1.5 (floats are rejected)"),
+        ("PMMS_NOT_EF1", {"n": 1, "alpha": 2, "epsilon": 1}, "family parameters violate: n >= 2"),
+    ],
+)
+def test_parameter_errors_keep_their_messages(family_id, params, message):
+    with pytest.raises(ChoreFairError) as info:
+        make_family(family_id, **params)
+    assert message in str(info.value)
+
+
+if __name__ == "__main__":
+    sys.stdout.write(catalog_text())

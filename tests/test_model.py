@@ -282,3 +282,16 @@ def test_normalized_flag_is_derived():
     assert inst.normalized
     inst2 = Instance(n=1, m=2, costs=(Additive((1, 1)),))
     assert not inst2.normalized
+
+
+def test_nested_coverage_row_is_a_validation_error():
+    with pytest.raises(ValidationError, match="chore index must be an int"):
+        RowCoverage(rows=(([0],),), weights=(Fraction(1),))
+
+
+def test_chore_count_guard():
+    from chorefair.model import MAX_CHORES
+
+    assert Instance(n=1, m=MAX_CHORES, costs=(CappedCardinality(2),)).m == MAX_CHORES
+    with pytest.raises(SizeGuardError, match="chore count"):
+        Instance(n=1, m=MAX_CHORES + 1, costs=(CappedCardinality(2),))

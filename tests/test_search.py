@@ -274,3 +274,57 @@ def test_worker_count_is_parsed_and_clamped():
     for bad in ("x", "1.5", "0", "-3"):
         with pytest.raises(ArgumentError):
             _worker_count(bad, 10)
+
+
+def test_queries_keep_no_reference_to_their_instance():
+    import gc
+    import weakref
+
+    inst = random_instance(3, 5, "additive", seed=3)
+    alloc = random_allocation(3, 5, seed=3)
+    assert min_alpha(inst, alloc, Criterion.MMS) >= 1
+    assert best_fair_allocation(inst, Criterion.EF1, 1).fair_exists
+    ref = weakref.ref(inst)
+    del inst
+    gc.collect()
+    assert ref() is None
+
+
+def test_every_allocation_scan_shares_one_guard():
+    from chorefair.search import ENUMERATION_GUARD
+
+    n, m = 2, ENUMERATION_GUARD.bit_length()  # 2^m > ENUMERATION_GUARD
+    inst = Instance(n=n, m=m, costs=(CappedCardinality(3),) * n)
+    for run in (
+        lambda: next(enumerate_allocations(m, n)),
+        lambda: best_fair_allocation(inst, Criterion.EF1, 1),
+        lambda: optimal_allocation(inst),
+    ):
+        with pytest.raises(SizeGuardError, match=f"enumeration guard {ENUMERATION_GUARD}"):
+            run()
+
+
+def test_family_checks_run_each_query_once(monkeypatch):
+    import chorefair.search as search
+
+    calls = {"best_fair": 0, "report": 0, "min_alpha": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(search, "best_fair_allocation", counted("best_fair", search.best_fair_allocation))
+    monkeypatch.setattr(search, "fairness_report", counted("report", search.fairness_report))
+    monkeypatch.setattr(search, "min_alpha", counted("min_alpha", search.min_alpha))
+    price = make_family("POF_PMMS_N2", epsilon=Fraction(1, 100))
+    rows = search._check_family_price(price)
+    assert calls["best_fair"] == len(price.price_checks) == 3
+    assert all(row.passed for row in rows)
+    calls.update(report=0, min_alpha=0)
+    connection = make_family("SUB_PMMS_CAPPED")
+    rows = search._check_family_connections(connection)
+    assert (calls["report"], calls["min_alpha"]) == (1, 0)
+    assert all(row.passed for row in rows)
