@@ -3,7 +3,9 @@
 All allocators return an ``AllocatorOutcome`` carrying the allocation, its
 exact social cost, and an ordered trace of the decisions taken. The two
 two-agent procedures assert their fairness and price postconditions at
-runtime; a violation would be an internal bug, not a user error.
+runtime; a violation would be an internal bug, not a user error. Each builds
+one criteria-kernel context per call and checks its output on it, against the
+optimum it already holds.
 """
 
 from __future__ import annotations
@@ -11,9 +13,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterable, Sequence
 
-from .criteria import Criterion, min_alpha
+from .criteria import Criterion, InstanceContext, context_for
 from .errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
 from .mms import mms_value
 from .model import Allocation, Instance, normalize, rational_str, set_of
@@ -166,6 +168,32 @@ def _require_two_agent(inst: Instance, normalize_input: bool, what: str) -> Inst
     return inst
 
 
+def _split(m: int, agent: int, bundle: Iterable[int]) -> Allocation:
+    """``bundle`` to ``agent``, every other chore to the other agent."""
+    own = frozenset(bundle)
+    rest = frozenset(range(m)) - own
+    return Allocation((own, rest) if agent == 0 else (rest, own))
+
+
+def _checked(
+    ctx: InstanceContext,
+    alloc: Allocation,
+    trace: list[dict],
+    crit: Criterion,
+    alpha: Fraction,
+    opt: Fraction,
+    price: Fraction,
+) -> AllocatorOutcome:
+    """The outcome of ``alloc``, asserted alpha-``crit`` and within ``price`` of ``opt``."""
+    outcome = _outcome(ctx.inst, alloc, trace)
+    found, _, _ = ctx.min_alpha_masks(alloc.masks(), crit)
+    if found > alpha:
+        raise InternalError(f"output is {rational_str(found)}-{crit.value}, not {alpha}-{crit.value}")
+    if outcome.social_cost > price * opt:
+        raise InternalError(f"price bound violated: SC={outcome.social_cost} vs OPT={opt}")
+    return outcome
+
+
 def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> AllocatorOutcome:
     """Two-agent EF1 allocation with social cost at most 5/4 of the optimum.
 
@@ -175,7 +203,9 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
     the suffix heavier for agent 2.
     """
     inst = _require_two_agent(inst, normalize_input, "the two-agent EF1 algorithm")
+    ctx = context_for(inst)
     c = [inst.costs[0].values, inst.costs[1].values]
+    opt = sum(map(min, c[0], c[1]), Fraction(0))
 
     cheap_1 = [e for e in range(inst.m) if c[0][e] < c[1][e]]
     cheap_2 = [e for e in range(inst.m) if c[0][e] > c[1][e]]
@@ -187,10 +217,10 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
     # chores last, ties by chore index.
     def sort_key(e: int):
         if c1[e] == 0:
-            return (0, Fraction(0), e)
+            return (0, 0, e)
         if c2[e] == 0:
-            return (2, Fraction(0), e)
-        return (1, Fraction(c1[e], 1) / c2[e], e)
+            return (2, 0, e)
+        return (1, c1[e] / c2[e], e)
 
     ordered = sorted(range(inst.m), key=sort_key)
     trace: list[dict] = [
@@ -206,51 +236,30 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
     if s >= inst.m and inst.m > 0:
         raise InternalError("split index reached m on a normalized instance")
 
-    def finish(bundle_lo: set[int], trace: list[dict]) -> AllocatorOutcome:
-        bundles = [frozenset(), frozenset()]
-        bundles[lo] = frozenset(bundle_lo)
-        bundles[hi] = frozenset(range(inst.m)) - bundles[lo]
-        alloc = Allocation(tuple(bundles))
-        outcome = _outcome(inst, alloc, trace)
-        if min_alpha(inst, alloc, Criterion.EF1) != 1:
-            raise InternalError("algorithm output is not EF1")
-        opt = optimal_allocation(inst).social_cost
-        if 4 * outcome.social_cost > 5 * opt:
-            raise InternalError(
-                f"price bound violated: SC={outcome.social_cost} vs OPT={opt}"
-            )
-        return outcome
-
     if s == 0:
         trace.append({"op": "branch", "case": "round_robin"})
         rr = round_robin(inst, (lo, hi))
-        outcome = finish(set(rr.allocation.bundles[lo]), trace + list(rr.trace))
-        return outcome
-
-    prefix = set(ordered[:s])
-    candidate = [frozenset(), frozenset()]
-    candidate[lo] = frozenset(prefix)
-    candidate[hi] = frozenset(range(inst.m)) - candidate[lo]
-    if min_alpha(inst, Allocation(tuple(candidate)), Criterion.EF1) == 1:
-        trace.append({"op": "branch", "case": "optimal_split_is_ef1"})
-        return finish(prefix, trace)
-
-    # Largest f >= s keeping the suffix R(f+2) strictly heavier for agent 2
-    # than the prefix L(f); the proof guarantees it exists here.
-    f = None
-    suffix_cost = Fraction(0)  # c2 of ordered[f+1:]
-    prefix_cost = sum((c2[e] for e in ordered[: inst.m - 1]), Fraction(0))
-    for cand in range(inst.m - 2, s - 1, -1):
-        suffix_cost += c2[ordered[cand + 1]]
-        prefix_cost -= c2[ordered[cand]]
-        if suffix_cost > prefix_cost:
-            f = cand
-            break
-    if f is None:
-        raise InternalError("shift index is undefined although the optimal split is not EF1")
-    trace.append({"op": "index", "name": "f", "value": f})
-    trace.append({"op": "branch", "case": "shifted_split"})
-    return finish(set(ordered[: f + 1]), trace)
+        alloc, trace = rr.allocation, trace + list(rr.trace)
+    else:
+        alloc = _split(inst.m, lo, ordered[:s])
+        if ctx.min_alpha_masks(alloc.masks(), Criterion.EF1)[0] == 1:
+            trace.append({"op": "branch", "case": "optimal_split_is_ef1"})
+        else:
+            # Largest f >= s keeping the suffix R(f+2) strictly heavier for
+            # agent 2 than the prefix L(f); the proof guarantees it exists here.
+            suffix_cost = Fraction(0)  # c2 of ordered[f+1:]
+            prefix_cost = sum((c2[e] for e in ordered[: inst.m - 1]), Fraction(0))
+            for f in range(inst.m - 2, s - 1, -1):
+                suffix_cost += c2[ordered[f + 1]]
+                prefix_cost -= c2[ordered[f]]
+                if suffix_cost > prefix_cost:
+                    break
+            else:
+                raise InternalError("shift index is undefined although the optimal split is not EF1")
+            trace.append({"op": "index", "name": "f", "value": f})
+            trace.append({"op": "branch", "case": "shifted_split"})
+            alloc = _split(inst.m, lo, ordered[: f + 1])
+    return _checked(ctx, alloc, trace, Criterion.EF1, Fraction(1), opt, Fraction(5, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -266,13 +275,14 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     cost-ratio order following a three-case repair.
     """
     inst = _require_two_agent(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
-    opt_outcome = optimal_allocation(inst)
-    opt_cost = opt_outcome.social_cost
-    bundles = list(opt_outcome.allocation.bundles)
+    ctx = context_for(inst)
+    optimum = optimal_allocation(inst)
+    opt = optimum.social_cost
+    bundles = optimum.allocation.bundles
     shares = [mms_value(inst, i, 2).value for i in range(2)]
     threshold = [Fraction(3, 2) * shares[i] for i in range(2)]
     trace: list[dict] = [
-        {"op": "optimal", "assignment": list(opt_outcome.allocation.assignment(inst.m))},
+        {"op": "optimal", "assignment": list(optimum.allocation.assignment(inst.m))},
         {"op": "half_split_shares", "values": [rational_str(v) for v in shares]},
     ]
 
@@ -282,64 +292,44 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     if len(violators) > 1:
         raise InternalError("both agents violate 3/2-PMMS in an optimal allocation")
 
-    def finish(alloc: Allocation, trace: list[dict]) -> AllocatorOutcome:
-        outcome = _outcome(inst, alloc, trace)
-        if min_alpha(inst, alloc, Criterion.PMMS) > Fraction(3, 2):
-            raise InternalError("constructor output is not 3/2-PMMS")
-        if 6 * outcome.social_cost > 7 * opt_cost:
-            raise InternalError(
-                f"price bound violated: SC={outcome.social_cost} vs OPT={opt_cost}"
-            )
-        return outcome
-
     if not violators:
         trace.append({"op": "case", "label": "optimal_already_fair"})
-        return finish(opt_outcome.allocation, trace)
+        return _checked(ctx, optimum.allocation, trace, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
 
     v = violators[0]
-    o = 1 - v
-    cv, co = inst.costs[v].values, inst.costs[o].values
+    cv, co = inst.costs[v].values, inst.costs[1 - v].values
 
     # Descending cv/co over the violator's bundle; chores free for the other
     # agent come first, chores free for the violator last.
     def sort_key(e: int):
         if co[e] == 0 and cv[e] > 0:
-            return (-2, Fraction(0), e)
+            return (-2, 0, e)
         if cv[e] == 0:
-            return (0, Fraction(0), e)
-        return (-1, -Fraction(cv[e], 1) / co[e], e)
+            return (0, 0, e)
+        return (-1, -cv[e] / co[e], e)
 
     ordered = sorted(bundles[v], key=sort_key)
     own_total = inst.cost(v, bundles[v])
-    removed = Fraction(0)
-    s = None
-    for idx, e in enumerate(ordered, start=1):
-        removed += cv[e]
-        if own_total - removed <= threshold[v]:
-            s = idx
+    prefix_cost = Fraction(0)  # cv of ordered[:s]
+    for s, e_s in enumerate(ordered, start=1):
+        prefix_cost += cv[e_s]
+        if own_total - prefix_cost <= threshold[v]:
             break
-    if s is None:
+    else:
         raise InternalError("prefix index undefined for a 3/2-PMMS violator")
-    prefix = ordered[:s]
-    prefix_cost = sum((cv[e] for e in prefix), Fraction(0))
-    e_s = ordered[s - 1]
     trace.append({"op": "index", "name": "s", "value": s, "violator": v})
 
     if prefix_cost <= own_total / 2:
         trace.append({"op": "case", "label": "move_prefix"})
-        new_v = frozenset(bundles[v]) - frozenset(prefix)
+        new_v = bundles[v] - frozenset(ordered[:s])
     elif co[e_s] - cv[e_s] <= Fraction(1, 8):
         # In an optimal allocation the violator is weakly cheaper on each of
         # its own chores, so this difference is nonnegative.
         if co[e_s] < cv[e_s]:
             raise InternalError("optimal bundle holds a chore the other agent values less")
         trace.append({"op": "case", "label": "move_boundary_chore"})
-        new_v = frozenset(bundles[v]) - {e_s}
+        new_v = bundles[v] - {e_s}
     else:
         trace.append({"op": "case", "label": "isolate_boundary_chore"})
-        new_v = frozenset({e_s})
-
-    result = [frozenset(), frozenset()]
-    result[v] = new_v
-    result[o] = frozenset(range(inst.m)) - new_v
-    return finish(Allocation(tuple(result)), trace)
+        new_v = {e_s}
+    return _checked(ctx, _split(inst.m, v, new_v), trace, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))

@@ -269,10 +269,11 @@ def _grouped_min_max(
     g = math.gcd(den, *(w for _, w in groups))
     order = sorted(groups, key=lambda group: (-group[1], min(group[0])))
     items = [w // g for _, w in order]
-    blocks = [frozenset()] * min(k, len(items))
-    best, assign = _min_max_partition(items, len(blocks))
+    parts: list[list[frozenset[int]]] = [[] for _ in range(min(k, len(items)))]
+    best, assign = _min_max_partition(items, len(parts))
     for (members, _), b in zip(order, assign):
-        blocks[b] |= members
+        parts[b].append(members)
+    blocks = [frozenset().union(*part) for part in parts]
     best *= g
     return Fraction(best if cap is None else min(best, cap), den), blocks
 

@@ -87,7 +87,8 @@ def parse_rational(value: int | str | Fraction) -> Fraction:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
-    raise ParseError(f"not a rational: {value!r} (floats are rejected)")
+    hint = " (floats are rejected)" if isinstance(value, float) else ""
+    raise ParseError(f"not a rational: {value!r}{hint}")
 
 
 def rational_str(value: ExtendedRational) -> str:

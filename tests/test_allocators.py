@@ -221,6 +221,31 @@ def test_pmms32_sweep():
         assert 6 * outcome.social_cost <= 7 * opt
 
 
+def test_two_agent_procedures_build_one_context_and_no_second_optimum(monkeypatch):
+    import chorefair.allocate as allocate
+    import chorefair.criteria as criteria
+
+    calls = {"optimal": 0, "context": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    contexts = counted("context", criteria.context_for)
+    monkeypatch.setattr(criteria, "context_for", contexts)
+    monkeypatch.setattr(allocate, "context_for", contexts, raising=False)
+    monkeypatch.setattr(allocate, "optimal_allocation", counted("optimal", allocate.optimal_allocation))
+    inst = make_family("POF_EF1_N2", epsilon=Fraction(1, 100)).instance
+    alg1_two_agent_ef1(inst)
+    assert calls == {"optimal": 0, "context": 1}
+    calls.update(optimal=0, context=0)
+    pmms32_two_agent(inst)
+    assert calls == {"optimal": 1, "context": 1}
+
+
 def test_social_cost_matches_outcomes(ref_instance, alloc_b):
     assert social_cost(ref_instance, alloc_b) == 7 + 3 + 10
 

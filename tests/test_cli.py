@@ -100,6 +100,23 @@ def test_eval_malformed_table_size_exits_2(tmp_path, capsys, m):
     _assert_tagged_input_error(capsys, "validation-error")
 
 
+@pytest.mark.parametrize(
+    "value,message",
+    [
+        ([1], "parse-error: not a rational: [1]\n"),
+        (None, "parse-error: not a rational: None\n"),
+        ({}, "parse-error: not a rational: {}\n"),
+        (0.5, "parse-error: not a rational: 0.5 (floats are rejected)\n"),
+    ],
+    ids=["list", "null", "object", "float"],
+)
+def test_eval_non_rational_cost_names_floats_only_for_floats(tmp_path, capsys, value, message):
+    inst = _write(tmp_path, "v.json", {"n": 1, "m": 1, "agents": [{"cost": {"type": "additive", "values": [value]}}]})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0]]})
+    assert main(["eval", "--instance", inst, "--allocation", alloc]) == 2
+    assert capsys.readouterr().err == message
+
+
 def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("CHOREFAIR_THREADS", "x")
     assert main(["verify", "--suite", "connections", "--n-max", "2", "--out", str(tmp_path / "r.csv")]) == 2

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from chorefair import (
 )
 from chorefair.errors import ArgumentError, SizeGuardError, UnsupportedVariantError
 from chorefair.mms import _min_max_partition, _waterfill
+from chorefair.model import MAX_CHORES
 
 
 def test_reference_shares(ref_instance):
@@ -87,6 +89,19 @@ def test_pairwise_reference_values(ref_instance):
 def test_pairwise_capped_cardinality():
     inst = Instance(n=1, m=3, costs=(CappedCardinality(2),))
     assert pairwise_mms(inst, 0, {0, 1}, {2}).value == 2
+
+
+def test_grouped_capped_cardinality_at_the_chore_guard():
+    # One witness block per group used to be grown by one frozenset union per
+    # group, which took tens of seconds at this size.
+    m = MAX_CHORES
+    inst = Instance(n=2, m=m, costs=(CappedCardinality(m), CappedCardinality(3)))
+    start = time.perf_counter()
+    results = [mms_value(inst, agent, 2) for agent in range(2)]
+    assert time.perf_counter() - start < 5
+    assert [r.value for r in results] == [m // 2, 3]
+    for result in results:
+        assert result.witness == (frozenset(range(0, m, 2)), frozenset(range(1, m, 2)))
 
 
 def test_pairwise_rejects_overlap(ref_instance):

@@ -5,7 +5,10 @@ The tracer wraps public entry points from the outside: the evaluators that
 exactly three arguments, and ``search.best_fair_allocation``. A refactor that
 goes round one of them leaves its per-layer metrics at zero; this test finds
 that in a fresh interpreter, where no context has been built before the
-tracer is installed. It only reads ``perfbench/``.
+tracer is installed. The two-agent allocators must reach the MMS layer on both
+routes the ``allocators`` benchmark workload requires: the additive route for
+the half-split shares and the pairwise route for the PMMS postcondition. It
+only reads ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -24,12 +27,17 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
-from chorefair import Allocation, Criterion, best_fair_allocation, fairness_report, random_instance
+from chorefair import (Allocation, Criterion, alg1_two_agent_ef1, best_fair_allocation, fairness_report,
+                       pmms32_two_agent, random_instance)
 
 inst = random_instance(3, 5, "additive", seed=1)
 best_fair_allocation(inst, Criterion.EF1, 1)
 fairness_report(random_instance(3, 5, "submodular", seed=2),
                 Allocation.from_assignment([0, 1, 2, 0, 1], 3), list(Criterion))
+print(json.dumps(tracer.metrics()))
+two = random_instance(2, 6, "additive", seed=3)
+alg1_two_agent_ef1(two)
+pmms32_two_agent(two)
 print(json.dumps(tracer.metrics()))
 """
 
@@ -38,8 +46,11 @@ def test_tracer_counts_every_traced_layer():
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, check=True, text=True)
-    metrics = json.loads(out.stdout.strip().splitlines()[-1])
+    before, metrics = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
     names = ["model.eval.calls", "search.best_fair.calls", "search.alpha_checks"]
     names += [f"criteria.{c}.calls" for c in ("EF", "EF1", "EFX", "EFX_STRONG", "MMS", "PMMS")]
     for name in names:
-        assert metrics.get(name, 0) > 0, (name, metrics)
+        assert before.get(name, 0) > 0, (name, before)
+    # the allocator calls alone add to each of these
+    for name in ("mms.additive.calls", "mms.pairwise.calls", "criteria.context.builds"):
+        assert metrics.get(name, 0) > before.get(name, 0), (name, before, metrics)
