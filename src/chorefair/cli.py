@@ -21,7 +21,7 @@ from .allocate import (
     round_robin,
 )
 from .criteria import DEFAULT_CRITERIA, Criterion, fairness_report
-from .errors import ArgumentError, ChoreFairError, InternalError
+from .errors import ArgumentError, ChoreFairError, InternalError, SizeGuardError
 from .families import family_params, family_to_json, make_family
 from .mms import mms_share, mms_value
 from .model import (
@@ -33,6 +33,7 @@ from .model import (
 )
 from .search import (
     CSV_COLUMNS,
+    VERIFY_MAX_N,
     best_fair_allocation,
     reports_to_csv_rows,
     verify_connections,
@@ -139,7 +140,10 @@ def _cmd_family(args) -> int:
     params: dict = {}
     for name, raw in (("n", args.n), ("m", args.m), ("p", args.p)):
         if raw is not None:
-            params[name] = raw
+            try:
+                params[name] = int(raw)
+            except ValueError:
+                raise ArgumentError(f"--{name} must be an integer, got {raw!r}") from None
     for name, raw in (("alpha", args.alpha), ("epsilon", args.epsilon)):
         if raw is not None:
             params[name] = parse_rational(raw)
@@ -153,6 +157,10 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     if args.count < 1:
         raise ArgumentError(f"--count must be at least 1, got {args.count}")
+    if args.n_max < 2:
+        raise ArgumentError(f"--n-max must be at least 2, got {args.n_max}")
+    if args.n_max > VERIFY_MAX_N:
+        raise SizeGuardError(f"--n-max {args.n_max} exceeds the guard {VERIFY_MAX_N}")
     epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(1, 100)
     n_values = tuple(range(2, args.n_max + 1))
     rows = []
@@ -222,9 +230,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_family = sub.add_parser("family", help="emit a catalog instance family")
     p_family.add_argument("--id", required=True)
-    p_family.add_argument("--n", type=int)
-    p_family.add_argument("--m", type=int)
-    p_family.add_argument("--p", type=int)
+    p_family.add_argument("--n")
+    p_family.add_argument("--m")
+    p_family.add_argument("--p")
     p_family.add_argument("--alpha")
     p_family.add_argument("--epsilon")
     p_family.set_defaults(func=_cmd_family)

@@ -74,6 +74,8 @@ class FairnessReport:
 
 
 _ONE = Fraction(1)
+#: Where each removal criterion's (left cost, chore) pair sits in ``InstanceContext.removals``.
+_REMOVAL_SLOT = {Criterion.EF1: 0, Criterion.EFX: 2, Criterion.EFX_STRONG: 4}
 
 
 class InstanceContext:
@@ -93,7 +95,6 @@ class InstanceContext:
         self._pair: list[dict[int, int]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]
         self._whole: dict[int, int] = {}
-        self._singles: list[tuple[int, ...] | None] = [None] * inst.n
 
     def bundle_cost(self, agent: int, mask: int) -> int:
         memo = self._bundle[agent]
@@ -102,14 +103,6 @@ class InstanceContext:
             c = self._eval[agent](mask)
             memo[mask] = c
         return c
-
-    def single_costs(self, agent: int) -> tuple[int, ...]:
-        singles = self._singles[agent]
-        if singles is None:
-            ev = self._eval[agent]
-            singles = tuple(ev(1 << e) for e in range(self.inst.m))
-            self._singles[agent] = singles
-        return singles
 
     def whole_set_mms(self, agent: int) -> int:
         value = self._whole.get(agent)
@@ -126,40 +119,31 @@ class InstanceContext:
             value = memo[union_mask] = share.numerator * self._den[agent] // share.denominator
         return value
 
-    def removal_stats(self, agent: int, mask: int) -> tuple:
-        """(best removal cost, its chore, worst positive removal cost, its chore)."""
+    def removals(self, agent: int, mask: int) -> tuple:
+        """One scan of the costs of ``mask`` less each of its chores.
+
+        Returns (best, its chore, worst over positive-cost chores, its chore,
+        worst, its chore). Chores are scanned in ascending order and replace
+        a value only when strictly better, so on ties the first chore stays.
+        """
         memo = self._removal[agent]
         hit = memo.get(mask)
-        if hit is not None:
-            return hit
-        singles = self.single_costs(agent)
-        best = best_chore = worst = worst_chore = None
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            e = low.bit_length() - 1
-            left = self.bundle_cost(agent, mask ^ low)
-            if best is None or left < best:
-                best, best_chore = left, e
-            if singles[e] > 0 and (worst is None or left > worst):
-                worst, worst_chore = left, e
-        out = (best, best_chore, worst, worst_chore)
-        memo[mask] = out
-        return out
-
-    def worst_any_removal(self, agent: int, mask: int) -> tuple:
-        """Worst removal over all chores, zero-cost ones included."""
-        worst = worst_chore = None
-        rest = mask
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            e = low.bit_length() - 1
-            left = self.bundle_cost(agent, mask ^ low)
-            if worst is None or left > worst:
-                worst, worst_chore = left, e
-        return worst, worst_chore
+        if hit is None:
+            best = best_chore = worst_pos = worst_pos_chore = worst = worst_chore = None
+            rest = mask
+            while rest:
+                low = rest & -rest
+                rest ^= low
+                e = low.bit_length() - 1
+                left = self.bundle_cost(agent, mask ^ low)
+                if best is None or left < best:
+                    best, best_chore = left, e
+                if worst is None or left > worst:
+                    worst, worst_chore = left, e
+                if self.bundle_cost(agent, low) > 0 and (worst_pos is None or left > worst_pos):
+                    worst_pos, worst_pos_chore = left, e
+            hit = memo[mask] = (best, best_chore, worst_pos, worst_pos_chore, worst, worst_chore)
+        return hit
 
     # -- minimal alpha -----------------------------------------------------
 
@@ -202,14 +186,11 @@ class InstanceContext:
             if crit is Criterion.EF:
                 left: int | None = own
                 chore: int | None = None
-            elif crit is Criterion.EF1:
-                left, chore, _, _ = self.removal_stats(i, masks[i])
-            elif crit is Criterion.EFX:
-                _, _, left, chore = self.removal_stats(i, masks[i])
+            elif crit in _REMOVAL_SLOT:
+                slot = _REMOVAL_SLOT[crit]
+                left, chore = self.removals(i, masks[i])[slot : slot + 2]
                 if left is None:
-                    continue  # no positive-cost chore to remove: vacuous
-            elif crit is Criterion.EFX_STRONG:
-                left, chore = self.worst_any_removal(i, masks[i])
+                    continue  # EFX with no positive-cost chore to remove: vacuous
             else:
                 raise ArgumentError(f"unknown criterion {crit!r}")
             for j in range(n):

@@ -10,9 +10,11 @@ by the search layer in tests.
 Adding a family takes one builder decorated with ``@_family(id, setting,
 kind)``. Its parameter names are read from its signature (``n``, ``m`` and
 ``p`` are integers, ``alpha`` and ``epsilon`` exact rationals), and
-``make_family`` converts them before the call. The builder checks its own
-constraints with ``_require`` and returns the remaining ``FamilyBundle``
-fields: the instance, the reference allocation and the expectations.
+``make_family`` converts them before the call. A builder whose size depends
+on its parameters checks its agent and chore counts with ``_sized`` before
+it builds any list. It checks its own constraints with ``_require`` and
+returns the remaining ``FamilyBundle`` fields: the instance, the reference
+allocation and the expectations.
 Registration order is the order of ``FAMILY_IDS``.
 """
 
@@ -25,9 +27,10 @@ from fractions import Fraction
 from typing import Callable
 
 from .criteria import Criterion
-from .errors import ArgumentError
+from .errors import ArgumentError, SizeGuardError
 from .model import (
     INFINITY,
+    MAX_CHORES,
     Additive,
     Allocation,
     CappedAdditive,
@@ -138,6 +141,17 @@ def _blocks(sizes: list[int]) -> list[frozenset[int]]:
     return bundles
 
 
+def _sized(n: int, m: int) -> int:
+    """``m``, once ``n`` agents and ``m`` chores are both within ``MAX_CHORES``.
+
+    Builders call it before any per-agent or per-chore list exists.
+    """
+    for what, count in (("agent", n), ("chore", m)):
+        if count > MAX_CHORES:
+            raise SizeGuardError(f"family {what} count {count} exceeds the guard {MAX_CHORES}")
+    return m
+
+
 def _require(cond: bool, constraint: str) -> None:
     if not cond:
         raise ArgumentError(f"family parameters violate: {constraint}")
@@ -150,9 +164,9 @@ def _require(cond: bool, constraint: str) -> None:
 
 @_family("EF_MMS_TIGHT", "additive", "connection")
 def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, n * n)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
-    m = n * n
     values = [alpha] * n + [Fraction(1)] * (m - n)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([n] * n)))
@@ -168,9 +182,9 @@ def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("EF_PMMS_TIGHT", "additive", "connection")
 def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, 2 * n)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
-    m = 2 * n
     values = [alpha, alpha] + [Fraction(1)] * (m - 2)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([2] * n)))
@@ -185,9 +199,9 @@ def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("EF1_NOT_EFX", "additive", "connection")
 def _ef1_not_efx(n: int, p: int) -> dict:
+    m = _sized(n, 2 * n)
     _require(n >= 2, "n >= 2")
     _require(p >= 2, "p >= 2")
-    m = 2 * n
     values = [Fraction(p)] + [Fraction(1)] * (m - 1)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([2] * n)))
@@ -201,9 +215,9 @@ def _ef1_not_efx(n: int, p: int) -> dict:
 
 @_family("EF1_MMS_TIGHT", "additive", "connection")
 def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, n * n - n + 1)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
-    m = n * n - n + 1
     values = [alpha + n - 1] + [alpha] * (n - 1) + [Fraction(1)] * ((n - 1) ** 2)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([n] + [n - 1] * (n - 1))))
@@ -219,8 +233,8 @@ def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("EFX_MMS_LB_A", "additive", "connection")
 def _efx_mms_lb_a(n: int) -> dict:
+    m = _sized(n, 2 * n)
     _require(n >= 2, "n >= 2")
-    m = 2 * n
     values = [Fraction(t // 2 + 1) for t in range(m)]
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({2 * n - 2, 2 * n - 1})]
@@ -237,9 +251,9 @@ def _efx_mms_lb_a(n: int) -> dict:
 
 @_family("EFX_MMS_LB_B", "additive", "connection")
 def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, 2 * n * n - 2 * n)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
-    m = 2 * n * n - 2 * n
     bundles = [frozenset(range(n)), frozenset(range(n, 3 * n - 2))]
     start = 3 * n - 2
     for _ in range(n - 2):
@@ -261,9 +275,9 @@ def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
 
 @_family("EFX_PMMS_TIGHT", "additive", "connection")
 def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, 2 * n)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
-    m = 2 * n
     values = [2 * alpha, 2 * alpha] + [Fraction(1)] * (m - 2)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([2] * n)))
@@ -278,9 +292,9 @@ def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("EF1_PMMS_TIGHT", "additive", "connection")
 def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, n + 1)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
-    m = n + 1
     values = [alpha + 1, alpha] + [Fraction(1)] * (n - 1)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
@@ -296,12 +310,12 @@ def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("PMMS_NOT_EF1", "additive", "connection")
 def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
+    m = _sized(n, n + 1)
     _require(n >= 2, "n >= 2")
     _require(1 < alpha < 2, "1 < alpha < 2")
     _require(epsilon > 0, "epsilon > 0")
     big = Fraction(1) / (alpha - 1)
     _require(big >= 1 + epsilon, "1/(alpha-1) >= 1 + epsilon")
-    m = n + 1
     values = [big, Fraction(1)] + [epsilon] * (n - 1)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
@@ -331,8 +345,8 @@ def _pmms_mms_n3_tight() -> dict:
 
 @_family("PMMS_MMS_LB", "additive", "connection")
 def _pmms_mms_lb(n: int) -> dict:
+    m = _sized(n, 2 * n)
     _require(n >= 3 and n % 2 == 1, "n odd and >= 3")
-    m = 2 * n
     big = Fraction(n + 1, 2)
     bundles = [frozenset({0, 1})]
     bundles += [frozenset({j}) for j in range(2, n)]
@@ -355,9 +369,9 @@ def _pmms_mms_lb(n: int) -> dict:
 
 @_family("APMMS_MMS_LB", "additive", "connection")
 def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
+    m = _sized(n, n * n)
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
     _require(1 < alpha < Fraction(3, 2), "1 < alpha < 3/2")
-    m = n * n
     values = [alpha] * n + [2 - alpha] * (m - n)
     inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     alloc = Allocation(tuple(_blocks([n] * n)))
@@ -372,7 +386,7 @@ def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
 
 
 def _mms_not_pmms_instance(n: int, p: int) -> tuple[Instance, Allocation]:
-    m = p + 2 * n - 1
+    m = _sized(n, p + 2 * n - 1)
     bundles = [frozenset(range(p + 1))]
     bundles += [frozenset({p + i - 1}) for i in range(2, n - 1)]
     bundles.append(frozenset({n + p - 2, n + p - 1}))
@@ -420,8 +434,8 @@ def _mms_not_ef1(n: int, p: int) -> dict:
 
 @_family("SUB_EF_COVERAGE", "submodular", "connection")
 def _sub_ef_coverage(n: int) -> dict:
+    m = _sized(n, n * n)
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
-    m = n * n
     rows = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(n))
     fn = RowCoverage(rows=rows, weights=tuple(Fraction(1) for _ in range(n)))
     inst = Instance(n=n, m=m, costs=tuple(fn for _ in range(n)))
@@ -461,10 +475,10 @@ def _sub_pmms_capped() -> dict:
 
 @_family("SUB_PMMS_MMS_TIGHT", "submodular", "connection")
 def _sub_pmms_mms_tight(n: int, alpha: Fraction) -> dict:
+    cols = n + 1
+    m = _sized(n, n * cols)
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
     _require(1 <= alpha < 2, "1 <= alpha < 2")
-    cols = n + 1
-    m = n * cols
     half = alpha * n / 2
     floor_part = math.floor(half)
     delta = half - floor_part
@@ -555,6 +569,7 @@ def _pof_pmms_n2(epsilon: Fraction) -> dict:
 
 @_family("POF_N3_UNBOUNDED", "additive", "price")
 def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
+    _sized(n, m)
     _require(n >= 3, "n >= 3")
     _require(m >= 5, "m >= 5")
     # The bound keeps the cheapest fair allocation fair even against the
@@ -583,9 +598,9 @@ def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
 
 @_family("POF_MMS_LB", "additive", "price")
 def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
+    m = _sized(n, n + 1)
     _require(n >= 3, "n >= 3")
     _require(0 < epsilon < Fraction(1, 2 * n), "0 < epsilon < 1/(2n)")
-    m = n + 1
     inv_n = Fraction(1, n)
     c1 = [inv_n, epsilon, inv_n - epsilon] + [inv_n] * (m - 3)
     rest = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (m - 2)
@@ -606,9 +621,9 @@ def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
 
 @_family("POF_2MMS_LB", "additive", "price")
 def _pof_2mms_lb(n: int, epsilon: Fraction) -> dict:
+    m = _sized(n, n + 3)
     _require(n >= 3, "n >= 3")
     _require(0 < epsilon < Fraction(1, 4 * n), "0 < epsilon < 1/(4n)")
-    m = n + 3
     inv_n = Fraction(1, n)
     c1 = [inv_n - epsilon, inv_n - epsilon, 3 * epsilon, epsilon, epsilon, inv_n - 3 * epsilon]
     c1 += [inv_n] * (m - 6)

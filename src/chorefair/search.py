@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import itertools
 import math
-import os
 import random
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .criteria import Criterion, context_for, fairness_report, implied_guarantee, min_alpha, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
-from .families import FAMILY_IDS, FamilyBundle, family_params, make_family, valid_params
+from .families import FAMILY_IDS, FamilyBundle, family_params, make_family
 from .mms import mms_value
 from .model import (
     INFINITY,
@@ -50,6 +48,8 @@ __all__ = [
 ]
 
 ENUMERATION_GUARD = 2_000_000
+#: Largest ``verify --n-max``: the connections suite meets a size guard at 7 agents.
+VERIFY_MAX_N = 6
 
 
 @dataclass(frozen=True)
@@ -322,42 +322,51 @@ CONNECTION_GRID_ALPHAS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(
 CONNECTION_GRID_P = (3, 10, 50)
 
 
-def _connection_param_grid(
+_REFERENCE_EPSILON = Fraction(1, 100)
+
+
+def _family_grid(
     family_id: str,
     n_values: Sequence[int],
     alphas: Sequence[Fraction],
     epsilon: Fraction,
     p_values: Sequence[int],
-) -> list[dict]:
+) -> Iterator[FamilyBundle]:
+    """The family's bundle at every valid combination of the grid's values."""
     names = family_params(family_id)
     pools = {"n": n_values, "alpha": alphas, "epsilon": (epsilon,), "p": p_values, "m": (6,)}
-    out = []
     for combo in itertools.product(*(pools[name] for name in names)):
-        params = dict(zip(names, combo))
-        if valid_params(family_id, **params):
-            out.append(params)
-    return out
-
-
-def _grid_tasks(kind, family_ids, n_values, alphas, epsilon, p_values) -> list[tuple[str, dict]]:
-    """(family id, params) of every valid grid entry of the families of ``kind``.
-
-    An epsilon that leaves one of them with no valid entry, where the
-    reference epsilon 1/100 leaves it some, would drop its rows silently, so
-    it raises ``ArgumentError`` naming those families.
-    """
-    tasks, dropped = [], []
-    for family_id in family_ids:
-        grid = _connection_param_grid(family_id, n_values, alphas, epsilon, p_values)
-        probe = grid or _connection_param_grid(family_id, n_values, alphas, Fraction(1, 100), p_values)
-        if not probe or make_family(family_id, **probe[0]).kind != kind:
+        try:
+            yield make_family(family_id, **dict(zip(names, combo)))
+        except ArgumentError:
             continue
-        if not grid:
-            dropped.append(family_id)
-        tasks += [(family_id, params) for params in grid]
+
+
+def _grid_bundles(kind, family_ids, n_values, alphas, epsilon, p_values) -> list[FamilyBundle]:
+    """Every valid grid bundle of the families of ``kind``, each built once.
+
+    ``family_ids`` None means every family. A family is skipped at its first
+    bundle of the other kind. An epsilon that leaves one of ``kind`` with no
+    valid entry, where the reference epsilon 1/100 leaves it some, would drop
+    its rows silently, so it raises ``ArgumentError`` naming those families.
+    """
+    bundles, dropped = [], []
+    for family_id in FAMILY_IDS if family_ids is None else family_ids:
+        grid = _family_grid(family_id, n_values, alphas, epsilon, p_values)
+        first = next(grid, None)
+        if first is None:
+            # Only an epsilon other than the reference can empty a grid the reference fills.
+            if epsilon != _REFERENCE_EPSILON and "epsilon" in family_params(family_id):
+                probe = next(_family_grid(family_id, n_values, alphas, _REFERENCE_EPSILON, p_values), None)
+                if probe is not None and probe.kind == kind:
+                    dropped.append(family_id)
+            continue
+        if first.kind == kind:
+            bundles.append(first)
+            bundles.extend(grid)
     if dropped:
         raise ArgumentError(f"epsilon {epsilon} leaves no valid parameters for {', '.join(dropped)}")
-    return tasks
+    return bundles
 
 
 def _params_str(params: dict) -> str:
@@ -421,32 +430,6 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
     return rows
 
 
-def _connection_task(args: tuple) -> list[PropositionReport]:
-    family_id, params = args
-    return _check_family_connections(make_family(family_id, **params))
-
-
-def _worker_count(raw: str | None, task_count: int) -> int:
-    """Worker processes for ``CHOREFAIR_THREADS=raw``: at most one per CPU and per task."""
-    if not raw:
-        return 1
-    try:
-        threads = int(raw)
-    except ValueError:
-        raise ArgumentError(f"CHOREFAIR_THREADS must be a positive integer, got {raw!r}") from None
-    if threads < 1:
-        raise ArgumentError(f"CHOREFAIR_THREADS must be a positive integer, got {raw!r}")
-    return max(1, min(threads, os.cpu_count() or 1, task_count))
-
-
-def _parallel_tasks(worker: Callable, tasks: list) -> list:
-    threads = _worker_count(os.environ.get("CHOREFAIR_THREADS"), len(tasks))
-    if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
-
-
 def verify_connections(
     family_ids: Iterable[str] | None = None,
     n_values: Sequence[int] = (2, 3, 4, 5),
@@ -455,12 +438,8 @@ def verify_connections(
     p_values: Sequence[int] = CONNECTION_GRID_P,
 ) -> list[PropositionReport]:
     """Re-measure every connection family's exact alphas on its grid."""
-    ids = list(family_ids) if family_ids is not None else list(FAMILY_IDS)
-    tasks = _grid_tasks("connection", ids, n_values, alphas, epsilon, p_values)
-    rows: list[PropositionReport] = []
-    for chunk in _parallel_tasks(_connection_task, tasks):
-        rows.extend(chunk)
-    return _canonical(rows)
+    bundles = _grid_bundles("connection", family_ids, n_values, alphas, epsilon, p_values)
+    return _canonical([row for bundle in bundles for row in _check_family_connections(bundle)])
 
 
 def _check_family_price(bundle: FamilyBundle) -> list[PropositionReport]:
@@ -520,11 +499,6 @@ def _check_family_price(bundle: FamilyBundle) -> list[PropositionReport]:
     return rows
 
 
-def _price_task(args: tuple) -> list[PropositionReport]:
-    family_id, params = args
-    return _check_family_price(make_family(family_id, **params))
-
-
 _PRICE_SWEEP_BOUNDS = (
     ("price-EF1<=5/4", Criterion.EF1, Fraction(1), Fraction(5, 4)),
     ("price-3/2-PMMS<=7/6", Criterion.PMMS, Fraction(3, 2), Fraction(7, 6)),
@@ -544,11 +518,8 @@ def verify_prices(
     seed: int = 0,
 ) -> list[PropositionReport]:
     """Exact per-family price checks plus two-agent price-bound sweeps."""
-    ids = list(family_ids) if family_ids is not None else list(FAMILY_IDS)
-    tasks = _grid_tasks("price", ids, n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P)
-    rows: list[PropositionReport] = []
-    for chunk in _parallel_tasks(_price_task, tasks):
-        rows.extend(chunk)
+    bundles = _grid_bundles("price", family_ids, n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P)
+    rows = [row for bundle in bundles for row in _check_family_price(bundle)]
 
     for name, crit, level, bound in _PRICE_SWEEP_BOUNDS:
         worst: ExtendedRational = Fraction(1)

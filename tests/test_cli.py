@@ -117,12 +117,6 @@ def test_eval_non_rational_cost_names_floats_only_for_floats(tmp_path, capsys, v
     assert capsys.readouterr().err == message
 
 
-def test_non_integer_thread_count_exits_2(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("CHOREFAIR_THREADS", "x")
-    assert main(["verify", "--suite", "connections", "--n-max", "2", "--out", str(tmp_path / "r.csv")]) == 2
-    _assert_tagged_input_error(capsys, "argument-error")
-
-
 def test_parse_error_has_location(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"n": 1,\n  "m": }')
@@ -255,6 +249,49 @@ def test_verify_count_below_one_exits_2(tmp_path, capsys, suite, count):
     assert main(["verify", "--suite", suite, "--seed", "1", "--count", count, "--out", str(out)]) == 2
     _assert_tagged_input_error(capsys, "argument-error")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "n_max,tag",
+    [
+        ("0", "argument-error"),
+        ("1", "argument-error"),
+        ("-3", "argument-error"),
+        ("7", "size-guard-exceeded"),
+        ("40", "size-guard-exceeded"),
+    ],
+)
+def test_verify_n_max_out_of_range_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, n_max, tag):
+    import chorefair.cli as cli
+
+    started = []
+
+    def suite(*args, **kwargs):
+        started.append(kwargs)
+        return []
+
+    for name in ("verify_connections", "verify_prices", "verify_lemmas"):
+        monkeypatch.setattr(cli, name, suite)
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", "all", "--seed", "1", f"--n-max={n_max}", "--out", str(out)]) == 2
+    _assert_tagged_input_error(capsys, tag)
+    assert started == [] and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "argv,tag",
+    [
+        (["--id", "EF_MMS_TIGHT", "--n", "10000000000", "--alpha", "1"], "size-guard-exceeded"),
+        (["--id", "MMS_NOT_PMMS", "--n", "4", "--p", "1000000000"], "size-guard-exceeded"),
+        (["--id", "MMS_NOT_PMMS", "--n", "4", "--p", "300000"], "size-guard-exceeded"),
+        (["--id", "POF_N3_UNBOUNDED", "--n", "3", "--m", "10000000000", "--epsilon", "1/100"], "size-guard-exceeded"),
+        (["--id", "POF_N3_UNBOUNDED", "--n", "3", "--m", "x", "--epsilon", "1/100"], "argument-error"),
+    ],
+    ids=["n", "p", "p-just-over", "m", "m-not-an-integer"],
+)
+def test_family_size_errors_exit_2_at_once(capsys, argv, tag):
+    assert main(["family", *argv]) == 2
+    _assert_tagged_input_error(capsys, tag)
 
 
 @pytest.mark.parametrize(

@@ -1,9 +1,11 @@
-"""CLI input contract under mutated JSON: exit 0, or exit 2 with one tagged line.
+"""CLI input contract under malformed input: exit 0, or exit 2 with one tagged line.
 
 Valid instance and allocation documents for every cost variant are mutated
 (dropped keys, swapped types, nested lists, negative, huge and boolean
-numbers) and fed to ``chorefair eval`` and ``chorefair mms``. Malformed input
-must never surface as exit 1 with a raw Python exception.
+numbers) and fed to ``chorefair eval`` and ``chorefair mms``; ``chorefair
+family`` gets small, negative, boolean, non-numeric and huge parameter
+values for every catalog family. Malformed input must never surface as exit 1
+with a raw Python exception.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from chorefair.cli import main
+from chorefair.families import FAMILY_IDS, family_params
 
 VALID_COSTS = {
     "additive": {"type": "additive", "values": ["1", "2", "0"]},
@@ -126,3 +129,27 @@ def test_mutated_json_exits_0_or_2_with_one_tagged_line(docs, mms_args):
         ):
             code, err = _run(argv)
             _check_contract(code, err, argv)
+
+
+# Family parameter values: small, negative, boolean, non-numeric and huge;
+# None leaves the option out. Each family gets only the options it takes.
+SIZES = st.sampled_from(
+    [None, "-3", "0", "1", "2", "3", "3", "4", "4", "5", "6", "True", "false", "x", "1.5", "", "1/2",
+     "10000000000", str(10**20), str(-(10**10)), str(2**62)]
+)
+RATIONALS = st.sampled_from(
+    [None, "-1", "0", "1", "1", "5/4", "5/4", "3/2", "2", "1/100", "1/100", "1/1000", "-1/2", "1/0", "True",
+     "x", "0.5", "1e3", "", str(10**20), f"1/{10**20}"]
+)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.sampled_from(FAMILY_IDS),
+    st.fixed_dictionaries({"n": SIZES, "m": SIZES, "p": SIZES, "alpha": RATIONALS, "epsilon": RATIONALS}),
+)
+def test_family_parameters_exit_0_or_2_with_one_tagged_line(family_id, params):
+    argv = ["family", "--id", family_id]
+    argv += [f"--{name}={params[name]}" for name in family_params(family_id) if params[name] is not None]
+    code, err = _run(argv)
+    _check_contract(code, err, argv)

@@ -15,9 +15,10 @@ from chorefair import (
     min_alpha,
     mms_value,
 )
-from chorefair.errors import ArgumentError
+from chorefair.errors import ArgumentError, SizeGuardError
 from chorefair.families import FAMILY_IDS, family_params, family_to_json, valid_params
-from chorefair.search import _connection_param_grid
+from chorefair.model import MAX_CHORES
+from chorefair.search import _family_grid
 
 SMALL_GRID = dict(
     n_values=(2, 3, 4),
@@ -29,8 +30,7 @@ SMALL_GRID = dict(
 
 def _small_bundles():
     for family_id in FAMILY_IDS:
-        for params in _connection_param_grid(family_id, **SMALL_GRID):
-            yield make_family(family_id, **params)
+        yield from _family_grid(family_id, **SMALL_GRID)
 
 
 def test_every_family_has_a_valid_small_parameterization():
@@ -153,3 +153,20 @@ def test_specific_spot_values():
 
     b = make_family("SUB_PMMS_MMS_TIGHT", n=4, alpha=Fraction(3, 2))
     assert dict(b.expected_alphas)[Criterion.MMS] == 3
+
+
+_HUGE = dict(n=10**10, m=10**10, p=10**20, alpha=Fraction(5, 4), epsilon=Fraction(1, 10**30))
+
+
+@pytest.mark.parametrize("family_id", [f for f in FAMILY_IDS if "n" in family_params(f)])
+def test_family_sizes_are_guarded_before_any_list_is_built(family_id):
+    names = family_params(family_id)
+    with pytest.raises(SizeGuardError, match=f"exceeds the guard {MAX_CHORES}"):
+        make_family(family_id, **{name: _HUGE[name] for name in names})
+    if {"m", "p"} & set(names):
+        params = {name: _HUGE[name] for name in names} | {"n": 4}
+        if family_id == "EF1_NOT_EFX":  # p is a cost value here, not a size
+            assert make_family(family_id, **params).instance.m == 8
+        else:
+            with pytest.raises(SizeGuardError):
+                make_family(family_id, **params)

@@ -5,7 +5,10 @@ from __future__ import annotations
 import itertools
 import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -29,7 +32,13 @@ from chorefair import (
     random_instance,
 )
 from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
-from chorefair.search import _worker_count, random_allocation, reports_to_csv_rows, verify_lemmas
+from chorefair.search import (
+    VERIFY_MAX_N,
+    random_allocation,
+    reports_to_csv_rows,
+    verify_connections,
+    verify_lemmas,
+)
 
 
 def test_enumeration_counts():
@@ -263,19 +272,6 @@ def test_best_fair_allocation_rejects_inexact_or_small_alpha(alpha):
         best_fair_allocation(inst, Criterion.EF1, alpha)
 
 
-def test_worker_count_is_parsed_and_clamped():
-    cpus = os.cpu_count() or 1
-    assert _worker_count(None, 10) == 1
-    assert _worker_count("", 10) == 1
-    assert _worker_count("1", 10) == 1
-    assert _worker_count("4", 1) == 1
-    assert _worker_count("1000000", 1000000) == cpus
-    assert _worker_count("1000000", 2) == min(2, cpus)
-    for bad in ("x", "1.5", "0", "-3"):
-        with pytest.raises(ArgumentError):
-            _worker_count(bad, 10)
-
-
 def test_queries_keep_no_reference_to_their_instance():
     import gc
     import weakref
@@ -328,3 +324,37 @@ def test_family_checks_run_each_query_once(monkeypatch):
     rows = search._check_family_connections(connection)
     assert (calls["report"], calls["min_alpha"]) == (1, 0)
     assert all(row.passed for row in rows)
+
+
+def test_verify_grids_build_each_entry_once(monkeypatch):
+    import chorefair.families as families
+    import chorefair.search as search
+
+    built = []
+    make = families.make_family
+
+    def recorded(family_id, **params):
+        built.append((family_id, tuple(params.items())))
+        return make(family_id, **params)
+
+    monkeypatch.setattr(families, "make_family", recorded)
+    monkeypatch.setattr(search, "make_family", recorded)
+    for run in (search.verify_connections, lambda: search.verify_prices(sweep_count=1)):
+        built.clear()
+        assert all(row.passed for row in run())
+        assert built and len(built) == len(set(built))
+
+
+def test_verify_max_n_is_the_largest_n_the_connections_suite_runs_at():
+    rows = verify_connections(n_values=(VERIFY_MAX_N,))
+    assert rows and all(row.passed for row in rows)
+    with pytest.raises(SizeGuardError):
+        verify_connections(n_values=(VERIFY_MAX_N + 1,))
+
+
+def test_import_loads_no_process_pool():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")])))
+    script = "import sys, chorefair; print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, check=True, text=True)
+    assert out.stdout == "[]\n"
