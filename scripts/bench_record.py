@@ -1,0 +1,112 @@
+"""Record benchmark runs of one or more checkouts in a BENCH_*.json file.
+
+    python3 scripts/bench_record.py --out BENCH_<n>.json --runs 10 parent=../old change=.
+
+Each LABEL=CHECKOUT names a checkout of this repository. For every workload
+the script runs ``python3 perfbench/run.py --workload W --seed 7`` in each
+checkout, ``--runs`` times, alternating between the checkouts run by run so
+that a slow spell of the host hits all of them alike; run i of one label and
+run i of another form a pair. Under each label it writes, per workload, every
+run's value of each end-to-end metric in run order, their median and
+quartiles, the summed ``failed`` and ``attempted`` op counts, and whether every
+run was correct; with the checkout's git revision (``-dirty`` when tracked
+files differ from it), ``nproc`` and the Python version. The output file is
+written from scratch.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+
+WORKLOADS = ("prices", "audit", "allocators")
+SEED = 7
+
+
+def git_rev(checkout: str) -> str:
+    def git(*args: str) -> str:
+        return subprocess.run(["git", *args], cwd=checkout, capture_output=True, text=True, check=True).stdout
+
+    rev = git("rev-parse", "--short", "HEAD").strip()
+    return rev + "-dirty" if git("status", "--porcelain", "--untracked-files=no").strip() else rev
+
+
+def run_once(checkout: str, workload: str) -> dict:
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(SEED)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    lines = proc.stdout.strip().splitlines()
+    if proc.returncode != 0 or not lines:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: {proc.stderr.strip()[-2000:]}")
+    return json.loads(lines[-1])
+
+
+def summarize(results: list[dict]) -> dict:
+    names = results[0]["metrics"]
+    metrics = {}
+    for name in names:
+        values = [r["metrics"][name]["value"] for r in results]
+        q1, _, q3 = statistics.quantiles(values, n=4)
+        metrics[name] = {
+            "unit": names[name]["unit"],
+            "median": statistics.median(values),
+            "q1": q1,
+            "q3": q3,
+            "runs": values,
+        }
+    return {
+        "metrics": metrics,
+        "runs": len(results),
+        "correct": all(r["correct"] for r in results),
+        "failed": sum(r["failed"] for r in results),
+        "attempted": sum(r["attempted"] for r in results),
+    }
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
+    parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
+    parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
+    parser.add_argument("--runs", type=int, default=10)
+    args = parser.parse_args()
+    if args.runs < 2:
+        parser.error("--runs must be at least 2 to give quartiles")
+
+    checkouts = {}
+    for item in args.checkouts:
+        label, sep, path = item.partition("=")
+        if not sep or not label or not path:
+            parser.error(f"expected LABEL=CHECKOUT, got {item!r}")
+        checkouts[label] = os.path.abspath(path)
+
+    results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
+    for workload in WORKLOADS:
+        for run in range(args.runs):
+            for label, path in checkouts.items():
+                result = run_once(path, workload)
+                results[label][workload].append(result)
+                wall = result["metrics"]["wall_s"]["value"]
+                print(f"{workload} run {run + 1}/{args.runs} {label}: wall_s={wall:.3f}", file=sys.stderr)
+
+    record = {
+        label: {
+            "rev": git_rev(path),
+            "seed": SEED,
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "workloads": {w: summarize(results[label][w]) for w in WORKLOADS},
+        }
+        for label, path in checkouts.items()
+    }
+    with open(args.out, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=1, sort_keys=True)
+        handle.write("\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

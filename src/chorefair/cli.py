@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -181,11 +182,14 @@ def _cmd_verify(args) -> int:
         if args.seed is None:
             raise ChoreFairError("the lemmas suite runs randomized sweeps; pass --seed")
         rows.extend(verify_lemmas(count=args.count, seed=args.seed))
-    with open(args.out, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
-        writer.writeheader()
-        for row in reports_to_csv_rows(rows):
-            writer.writerow(row)
+    try:
+        with open(args.out, "w", encoding="utf-8", newline="") as handle:
+            writer = csv.DictWriter(handle, fieldnames=CSV_COLUMNS)
+            writer.writeheader()
+            for row in reports_to_csv_rows(rows):
+                writer.writerow(row)
+    except OSError as exc:
+        raise ChoreFairError(f"cannot write {args.out}: {exc}") from exc
     failures = [row for row in rows if not row.passed]
     print(f"{len(rows) - len(failures)}/{len(rows)} checks passed; report written to {args.out}")
     for row in failures:
@@ -193,8 +197,21 @@ def _cmd_verify(args) -> int:
     return 3 if failures else 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a usage error as an ``ArgumentError``, so that ``main`` prints
+    it as one tagged line and returns 2; subparsers inherit the class."""
+
+    def error(self, message):
+        raise ArgumentError(message)
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """The parser tree, built on first use and shared by every ``main`` call.
+
+    Parsing only reads it: each call gets a fresh ``Namespace``.
+    """
+    parser = _Parser(
         prog="chorefair",
         description="Exact fairness analysis for allocating indivisible chores.",
     )
@@ -250,9 +267,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except InternalError as exc:
         print(str(exc), file=sys.stderr)

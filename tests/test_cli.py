@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import argparse
 import csv
 import json
 
 import pytest
 
 from chorefair.cli import main
+from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
 
 INSTANCE_JSON = {
@@ -251,6 +253,21 @@ def test_verify_count_below_one_exits_2(tmp_path, capsys, suite, count):
     assert not out.exists()
 
 
+def _stub_suites(monkeypatch) -> list:
+    """Replace the verify suites with ones that record their arguments and return no rows."""
+    import chorefair.cli as cli
+
+    started = []
+
+    def suite(*args, **kwargs):
+        started.append(kwargs)
+        return []
+
+    for name in ("verify_connections", "verify_prices", "verify_lemmas"):
+        monkeypatch.setattr(cli, name, suite)
+    return started
+
+
 @pytest.mark.parametrize(
     "n_max,tag",
     [
@@ -262,16 +279,7 @@ def test_verify_count_below_one_exits_2(tmp_path, capsys, suite, count):
     ],
 )
 def test_verify_n_max_out_of_range_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, n_max, tag):
-    import chorefair.cli as cli
-
-    started = []
-
-    def suite(*args, **kwargs):
-        started.append(kwargs)
-        return []
-
-    for name in ("verify_connections", "verify_prices", "verify_lemmas"):
-        monkeypatch.setattr(cli, name, suite)
+    started = _stub_suites(monkeypatch)
     out = tmp_path / "r.csv"
     assert main(["verify", "--suite", "all", "--seed", "1", f"--n-max={n_max}", "--out", str(out)]) == 2
     _assert_tagged_input_error(capsys, tag)
@@ -349,3 +357,99 @@ def test_huge_capped_cardinality_chore_count_exits_2(tmp_path, capsys, command):
     argv = {"eval": ["--allocation", alloc], "mms": ["--agent", "0", "--k", "2"]}[command]
     assert main([command, "--instance", inst, *argv]) == 2
     _assert_tagged_input_error(capsys, "size-guard-exceeded")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["mms", "--instance", "x.json", "--agent", "0", "--k", "x"],
+        ["mms", "--instance", "x.json", "--agent", "one", "--k", "2"],
+        ["verify", "--suite", "lemmas", "--out", "r.csv", "--n-max", "x"],
+        ["verify", "--suite", "lemmas", "--out", "r.csv", "--seed", "1.5"],
+        ["verify", "--suite", "lemmas", "--out", "r.csv", "--seed", "1", "--count", "many"],
+        ["bogus"],
+        ["mms", "--agent", "0", "--k", "2"],
+        ["allocate", "--instance", "x.json", "--algorithm", "greedy"],
+        ["eval", "--instance", "x.json", "--allocation", "a.json", "--extra"],
+        [],
+    ],
+    ids=["k", "agent", "n-max", "seed", "count", "unknown-command", "missing-option", "bad-choice",
+         "unknown-option", "empty"],
+)
+def test_usage_errors_exit_2_with_one_tagged_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("argument-error: ") and captured.err.count("\n") == 1, captured.err
+
+
+def test_help_exits_0_with_its_help_text(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mms", "--help"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: chorefair mms ")
+
+
+def test_verify_unwritable_out_exits_2(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.csv"
+    assert main(["verify", "--suite", "lemmas", "--seed", "1", "--count", "1", "--out", str(out)]) == 2
+    _assert_tagged_input_error(capsys, f"error: cannot write {out}")
+
+
+def test_main_builds_the_parser_tree_at_most_once(tmp_path, instance_file, monkeypatch, capsys):
+    _stub_suites(monkeypatch)
+    roots = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        if self.prog == "chorefair":  # subparsers are "chorefair <command>"
+            roots.append(self)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    alloc = _write(tmp_path, "b.json", {"bundles": [[0, 4, 6], [1, 3, 5], [2]]})
+    out = str(tmp_path / "r.csv")
+    calls = [
+        ["eval", "--instance", instance_file, "--allocation", alloc],
+        ["eval", "--instance", instance_file, "--allocation", alloc, "--criteria", "EF1"],
+        ["mms", "--instance", instance_file, "--agent", "0", "--k", "2"],
+        ["mms", "--instance", instance_file, "--agent", "1", "--k", "3", "--enumerate"],
+        ["allocate", "--instance", instance_file, "--algorithm", "optimal"],
+        ["allocate", "--instance", instance_file, "--algorithm", "round_robin", "--trace"],
+        ["search", "--instance", instance_file, "--criterion", "EF", "--alpha", "1"],
+        ["family", "--id", "POF_EF1_N2", "--epsilon", "1/100"],
+        ["verify", "--suite", "lemmas", "--seed", "1", "--out", out],
+        ["mms", "--instance", instance_file, "--agent", "5", "--k", "2"],
+    ]
+    for argv in calls * 2:
+        assert main(argv) in (0, 2)
+    assert len(roots) <= 1
+
+
+def test_calls_leave_no_state_in_the_shared_parser(tmp_path, instance_file, monkeypatch, capsys):
+    import chorefair.cli as cli
+
+    started = _stub_suites(monkeypatch)
+    out = str(tmp_path / "r.csv")
+    calls = [
+        ["allocate", "--instance", instance_file, "--algorithm", "round_robin", "--trace"],
+        ["allocate", "--instance", instance_file, "--algorithm", "round_robin"],
+        ["mms", "--instance", instance_file, "--agent", "0", "--k", "2", "--enumerate"],
+        ["mms", "--instance", instance_file, "--agent", "0", "--k", "2"],
+        ["verify", "--suite", "lemmas", "--seed", "1", "--count", "40", "--out", out],
+        ["verify", "--suite", "lemmas", "--seed", "1", "--out", out],
+    ]
+
+    def run(argv):
+        code = main(argv)
+        return (code, *capsys.readouterr())
+
+    in_sequence = [run(argv) for argv in calls]
+    assert "trace" in json.loads(in_sequence[0][1]) and "trace" not in json.loads(in_sequence[1][1])
+    witness = mms_value(instance_from_json(INSTANCE_JSON), 0, 2).witness
+    assert json.loads(in_sequence[3][1])["witness"] == [sorted(b) for b in witness]
+    assert json.loads(in_sequence[2][1])["witness"] != json.loads(in_sequence[3][1])["witness"]
+    assert [kwargs["count"] for kwargs in started] == [40, 200]
+    for argv, result in zip(calls, in_sequence):
+        cli._build_parser.cache_clear()
+        assert run(argv) == result, argv
