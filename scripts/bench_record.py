@@ -1,17 +1,19 @@
 """Record benchmark runs of one or more checkouts in a BENCH_*.json file.
 
-    python3 scripts/bench_record.py --out BENCH_<n>.json --runs 10 parent=../old change=.
+    python3 scripts/bench_record.py --out BENCH_<n>.json --runs 10 [--seed 7] parent=../old change=.
 
 Each LABEL=CHECKOUT names a checkout of this repository. For every workload
-the script runs ``python3 perfbench/run.py --workload W --seed 7`` in each
+the script runs ``python3 perfbench/run.py --workload W --seed S`` in each
 checkout, ``--runs`` times, alternating between the checkouts run by run so
 that a slow spell of the host hits all of them alike; run i of one label and
-run i of another form a pair. Under each label it writes, per workload, every
-run's value of each end-to-end metric in run order, their median and
-quartiles, the summed ``failed`` and ``attempted`` op counts, and whether every
-run was correct; with the checkout's git revision (``-dirty`` when tracked
-files differ from it), ``nproc`` and the Python version. The output file is
-written from scratch.
+run i of another form a pair. The order within a pair alternates too (the
+checkouts in the given order on even runs, reversed on odd ones), so neither
+side always runs first. Under each label it writes the seed and, per
+workload, every run's value of each end-to-end metric in run order, their
+median and quartiles, the summed ``failed`` and ``attempted`` op counts, and
+whether every run was correct; with the checkout's git revision (``-dirty``
+when tracked files differ from it), ``nproc`` and the Python version. The
+output file is written from scratch.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ import subprocess
 import sys
 
 WORKLOADS = ("prices", "audit", "allocators")
-SEED = 7
 
 
 def git_rev(checkout: str) -> str:
@@ -36,8 +37,8 @@ def git_rev(checkout: str) -> str:
     return rev + "-dirty" if git("status", "--porcelain", "--untracked-files=no").strip() else rev
 
 
-def run_once(checkout: str, workload: str) -> dict:
-    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(SEED)]
+def run_once(checkout: str, workload: str, seed: int) -> dict:
+    cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
@@ -72,6 +73,7 @@ def main() -> int:
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
     parser.add_argument("--out", required=True, help="BENCH_*.json file to write")
     parser.add_argument("--runs", type=int, default=10)
+    parser.add_argument("--seed", type=int, default=7, help="workload seed passed to perfbench/run.py")
     args = parser.parse_args()
     if args.runs < 2:
         parser.error("--runs must be at least 2 to give quartiles")
@@ -86,8 +88,9 @@ def main() -> int:
     results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     for workload in WORKLOADS:
         for run in range(args.runs):
-            for label, path in checkouts.items():
-                result = run_once(path, workload)
+            order = list(checkouts.items())
+            for label, path in order if run % 2 == 0 else order[::-1]:
+                result = run_once(path, workload, args.seed)
                 results[label][workload].append(result)
                 wall = result["metrics"]["wall_s"]["value"]
                 print(f"{workload} run {run + 1}/{args.runs} {label}: wall_s={wall:.3f}", file=sys.stderr)
@@ -95,7 +98,7 @@ def main() -> int:
     record = {
         label: {
             "rev": git_rev(path),
-            "seed": SEED,
+            "seed": args.seed,
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "workloads": {w: summarize(results[label][w]) for w in WORKLOADS},

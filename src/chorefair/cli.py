@@ -11,6 +11,7 @@ import argparse
 import csv
 import functools
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -162,6 +163,13 @@ def _cmd_verify(args) -> int:
         raise ArgumentError(f"--n-max must be at least 2, got {args.n_max}")
     if args.n_max > VERIFY_MAX_N:
         raise SizeGuardError(f"--n-max {args.n_max} exceeds the guard {VERIFY_MAX_N}")
+    # Catch a report path that cannot be written before any suite runs, but
+    # leave an existing report untouched until its rows are ready.
+    if os.path.isdir(args.out):
+        raise ChoreFairError(f"cannot write {args.out}: it is a directory")
+    folder = os.path.dirname(args.out) or "."
+    if not os.path.isdir(folder):
+        raise ChoreFairError(f"cannot write {args.out}: no directory {folder}")
     epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(1, 100)
     n_values = tuple(range(2, args.n_max + 1))
     rows = []

@@ -11,6 +11,12 @@ Three routes, all exact:
                          the group weights and falls back to enumeration for
                          every other cost.
 
+The min-max partition behind the last two solves k=2 exactly from subset-sum
+reachability bitsets (``reach |= reach << w``) while t * total stays within
+``TWO_WAY_REACH_BITS`` (2^24 bits), and returns the branch-and-bound's own
+witness; larger lists and every k >= 3 take the branch-and-bound. Every route
+accepts k up to ``MAX_BLOCKS`` (10^6).
+
 All routes work on integers over the cost's ``denominator()``. A cost
 variant reaches them through ``CostFunction.int_eval`` and ``int_table``
 (enumeration and two-way splits) and ``sum_groups`` (the grouped route), so
@@ -38,6 +44,11 @@ ENUM_MAX_BLOCKS = 6
 PAIRWISE_MAX_CHORES = 20
 ADDITIVE_MAX_CHORES = 64
 ADDITIVE_MAX_BLOCKS = 8
+# Largest k of any route: a witness holds k blocks, padded with empty ones.
+MAX_BLOCKS = 10**6
+# Largest t * total of a k=2 min-max partition solved from subset-sum bitsets
+# rather than by the branch-and-bound: the t bitsets then hold at most 2 MiB.
+TWO_WAY_REACH_BITS = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -60,6 +71,8 @@ def _resolve_chores(inst: Instance, chores: Iterable[int] | None) -> tuple[int, 
 def _check_k(k: int) -> None:
     if not isinstance(k, int) or k < 1:
         raise ArgumentError(f"partition size k must be an integer >= 1, got {k!r}")
+    if k > MAX_BLOCKS:
+        raise SizeGuardError(f"partition size k limited to {MAX_BLOCKS}, got {k}")
 
 
 def _pad(blocks: Sequence[frozenset[int]], k: int) -> tuple[frozenset[int], ...]:
@@ -190,19 +203,63 @@ def _lpt(items: Sequence[int], k: int) -> tuple[int, list[int]]:
     return (max(loads) if items else 0), assign
 
 
+def _two_way_reach(
+    items: Sequence[int], total: int, lpt_val: int, lpt_assign: list[int]
+) -> tuple[int, tuple[int, ...]]:
+    """The branch-and-bound's answer for k=2, read off subset-sum bitsets.
+
+    Bit s of ``reach[i]`` is set when some subset of ``items[i:]`` sums to s,
+    so the optimum is total minus the largest reachable sum <= total // 2.
+    The branch-and-bound replaces its incumbent, LPT, only on a strictly
+    smaller max, so it returns LPT when LPT is optimal and otherwise its
+    first optimal leaf in depth-first order. One walk finds that leaf: at
+    each item take block 0, the child the search tries first, unless
+    ``reach[i + 1]`` shows that the remaining items cannot then finish at or
+    below the optimum, and block 1 otherwise (with equal loads the blocks are
+    alike, so block 0 always can). Where the search closes a run of equal
+    items with ``_waterfill``, which fills block 0 first, the walk places
+    them the same way.
+    """
+    t = len(items)
+    reach = [1] * (t + 1)
+    for i in range(t - 1, -1, -1):
+        reach[i] = reach[i + 1] | reach[i + 1] << items[i]
+    best = total - ((reach[0] & ((2 << total // 2) - 1)).bit_length() - 1)
+    if lpt_val == best:
+        return best, tuple(lpt_assign)
+    loads = [0, 0]
+    assign = [0] * t
+    rest = total
+    for i, w in enumerate(items):
+        rest -= w
+        # Block 0 then needs a reachable sum X of items[i+1:] with
+        # loads[0] + w + X <= best and loads[1] + rest - X <= best.
+        lo = max(0, loads[1] + rest - best)
+        hi = best - loads[0] - w
+        j = 0 if hi >= lo and reach[i + 1] >> lo & ((2 << (hi - lo)) - 1) else 1
+        loads[j] += w
+        assign[i] = j
+    return best, tuple(assign)
+
+
 def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ...]]:
-    """Exact min-max partition of descending nonnegative ints into k blocks."""
+    """Exact min-max partition of descending nonnegative ints into k blocks.
+
+    Returns LPT's assignment when it is optimal, else the first optimal leaf
+    of the branch-and-bound's depth-first order. For k=2 with t * total at
+    most ``TWO_WAY_REACH_BITS``, ``_two_way_reach`` finds the same answer
+    without the search.
+    """
     t = len(items)
     if t == 0:
         return 0, ()
     total = sum(items)
-    suffix = [0] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        suffix[i] = suffix[i + 1] + items[i]
     best_val, best_assign = _lpt(items, k)
     global_lb = max(items[0], -(-total // k))
     if best_val == global_lb:
         return best_val, tuple(best_assign)
+    if k == 2 and t * total <= TWO_WAY_REACH_BITS:
+        return _two_way_reach(items, total, best_val, best_assign)
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()

@@ -453,3 +453,43 @@ def test_calls_leave_no_state_in_the_shared_parser(tmp_path, instance_file, monk
     for argv, result in zip(calls, in_sequence):
         cli._build_parser.cache_clear()
         assert run(argv) == result, argv
+
+
+@pytest.mark.parametrize(
+    "cost",
+    [
+        {"type": "capped_additive", "values": ["1", "2", "3", "4"], "cap": "5"},
+        {"type": "capped_cardinality", "cap": 2},
+        {"type": "row_coverage", "rows": [[0, 1], [2], [3]], "weights": ["1", "2", "3"]},
+    ],
+    ids=lambda cost: cost["type"],
+)
+def test_mms_huge_k_on_grouped_costs_exits_2_at_once(tmp_path, capsys, cost):
+    # The grouped route pads its witness to k blocks, so an unguarded k this
+    # large would try to build a list of 10^10 entries.
+    inst = _write(tmp_path, "inst.json", {"n": 1, "m": 4, "agents": [{"cost": cost}]})
+    assert main(["mms", "--instance", inst, "--agent", "0", "--k", "10000000000"]) == 2
+    _assert_tagged_input_error(capsys, "size-guard-exceeded")
+
+
+@pytest.mark.parametrize("where", ["missing-directory", "file-as-directory", "directory"])
+def test_verify_unwritable_out_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, where):
+    started = _stub_suites(monkeypatch)
+    (tmp_path / "file").write_text("")
+    out = {
+        "missing-directory": tmp_path / "missing" / "r.csv",
+        "file-as-directory": tmp_path / "file" / "r.csv",
+        "directory": tmp_path,
+    }[where]
+    assert main(["verify", "--suite", "all", "--seed", "7", "--out", str(out)]) == 2
+    _assert_tagged_input_error(capsys, f"error: cannot write {out}")
+    assert started == []
+
+
+def test_verify_keeps_an_existing_report_until_its_rows_are_ready(tmp_path, capsys, monkeypatch):
+    started = _stub_suites(monkeypatch)
+    out = tmp_path / "r.csv"
+    out.write_text("old report\n")
+    assert main(["verify", "--suite", "prices", "--out", str(out)]) == 2  # no --seed
+    _assert_tagged_input_error(capsys, "error")
+    assert started == [] and out.read_text() == "old report\n"

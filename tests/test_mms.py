@@ -10,8 +10,10 @@ import pytest
 
 from chorefair import (
     Additive,
+    CappedAdditive,
     CappedCardinality,
     Instance,
+    RowCoverage,
     TableCost,
     mms_share,
     mms_share_additive_fast,
@@ -20,7 +22,8 @@ from chorefair import (
     random_instance,
 )
 from chorefair.errors import ArgumentError, SizeGuardError, UnsupportedVariantError
-from chorefair.mms import _min_max_partition, _waterfill
+from chorefair import mms
+from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
 from chorefair.model import MAX_CHORES
 
 
@@ -200,3 +203,73 @@ def test_enumeration_tie_break_prefers_lexicographic_string(ref_instance):
     first = mms_share(ref_instance, 1, 3)
     second = mms_share(ref_instance, 1, 3)
     assert first == second
+
+
+def _descending_lists(count: int, seed: int):
+    rng = random.Random(seed)
+    for _ in range(count):
+        t = rng.randint(1, 24)
+        top = rng.choice((1, 4, 30, 5000))  # small tops give ties and zeros
+        yield sorted((rng.randint(0, top) for _ in range(t)), reverse=True)
+
+
+def test_two_way_reach_returns_the_branch_and_bound_answer(monkeypatch):
+    lists = list(_descending_lists(20_000, seed=9))
+    reached = [_min_max_partition(items, 2) for items in lists]
+    monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
+    walked = 0
+    for items, result in zip(lists, reached):
+        assert _min_max_partition(items, 2) == result, items
+        walked += result[1] != tuple(_lpt(items, 2)[1])
+    assert walked > 2000  # lists whose answer comes from the walk, not from LPT
+
+
+def test_over_budget_k2_partitions_keep_the_branch_and_bound(monkeypatch):
+    def no_reach(*args):
+        raise AssertionError("subset-sum route taken over its bit budget")
+
+    monkeypatch.setattr(mms, "_two_way_reach", no_reach)
+    rng = random.Random(3)
+    for _ in range(20):
+        items = sorted((rng.randint(10**7, 2 * 10**7) for _ in range(12)), reverse=True)
+        value, assign = _min_max_partition(items, 2)
+        loads = [sum(w for w, b in zip(items, assign) if b == side) for side in (0, 1)]
+        assert value == max(loads)
+        best = min(
+            max(s, sum(items) - s)
+            for mask in range(1 << 11)
+            for s in [sum(w for i, w in enumerate(items) if mask >> i & 1)]
+        )
+        assert value == best
+
+
+def _random_cost(kind: str, m: int, rng: random.Random):
+    def value():
+        return Fraction(rng.randint(0, 40), rng.choice((1, 2, 3)))
+
+    if kind == "additive":
+        return Additive(tuple(value() for _ in range(m)))
+    if kind == "capped_additive":
+        return CappedAdditive(tuple(value() for _ in range(m)), value() + 1)
+    if kind == "capped_cardinality":
+        return CappedCardinality(rng.randint(1, m + 1))
+    if kind == "row_coverage":
+        labels = [rng.randrange(m) for _ in range(m)]
+        rows = tuple(tuple(e for e in range(m) if labels[e] == g) for g in sorted(set(labels)))
+        return RowCoverage(rows, tuple(value() for _ in rows))
+    return TableCost(m=m, values=(Fraction(0),) + tuple(value() for _ in range((1 << m) - 1)))
+
+
+@pytest.mark.parametrize(
+    "kind", ["additive", "capped_additive", "capped_cardinality", "row_coverage", "table"]
+)
+def test_k2_mms_value_matches_enumeration_on_every_variant(kind):
+    rng = random.Random(f"k2-{kind}")
+    for _ in range(300):
+        m = rng.randint(1, 6 if kind == "table" else 10)
+        inst = Instance(n=1, m=m, costs=(_random_cost(kind, m, rng),))
+        elems = tuple(e for e in range(m) if rng.random() < 0.85)
+        result = mms_value(inst, 0, 2, elems)
+        assert result.value == _enumerate_partitions(inst.costs[0], elems, 2)[0], (kind, inst, elems)
+        assert frozenset().union(*result.witness) == frozenset(elems)
+        assert max(inst.cost(0, block) for block in result.witness) == result.value
