@@ -12,8 +12,9 @@ side always runs first. Under each label it writes the seed and, per
 workload, every run's value of each end-to-end metric in run order, their
 median and quartiles, the summed ``failed`` and ``attempted`` op counts, and
 whether every run was correct; with the checkout's git revision (``-dirty``
-when tracked files differ from it), ``nproc`` and the Python version. The
-output file is written from scratch.
+when tracked files differ from it), its ``src_lines`` (the line count of
+``src/**/*.py``), ``nproc`` and the Python version. The output file is
+written from scratch.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import platform
 import statistics
 import subprocess
@@ -35,6 +37,10 @@ def git_rev(checkout: str) -> str:
 
     rev = git("rev-parse", "--short", "HEAD").strip()
     return rev + "-dirty" if git("status", "--porcelain", "--untracked-files=no").strip() else rev
+
+
+def src_lines(checkout: str) -> int:
+    return sum(path.read_text(encoding="utf-8").count("\n") for path in pathlib.Path(checkout, "src").rglob("*.py"))
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -98,6 +104,7 @@ def main() -> int:
     record = {
         label: {
             "rev": git_rev(path),
+            "src_lines": src_lines(path),
             "seed": args.seed,
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

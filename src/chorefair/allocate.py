@@ -270,23 +270,26 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
 def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> AllocatorOutcome:
     """Two-agent 3/2-PMMS allocation with social cost at most 7/6 of the optimum.
 
-    Starts from an optimal allocation; when one agent exceeds 3/2 of their
-    half-split share, chores are moved off that bundle in descending
-    cost-ratio order following a three-case repair.
+    Starts from the per-chore-minimum optimum (ties to agent 0); when one
+    agent exceeds 3/2 of their half-split share, chores are moved off that
+    bundle in descending cost-ratio order following a three-case repair.
     """
     inst = _require_two_agent(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
     ctx = context_for(inst)
-    optimum = optimal_allocation(inst)
-    opt = optimum.social_cost
-    bundles = optimum.allocation.bundles
+    c = [inst.costs[0].values, inst.costs[1].values]
+    opt = sum(map(min, c[0], c[1]), Fraction(0))
+    assignment = [1 if c[1][e] < c[0][e] else 0 for e in range(inst.m)]
+    start = Allocation.from_assignment(assignment, 2)
+    bundles = start.bundles
+    totals = [sum((c[i][e] for e in bundles[i]), Fraction(0)) for i in range(2)]
     shares = [mms_value(inst, i, 2).value for i in range(2)]
     threshold = [Fraction(3, 2) * shares[i] for i in range(2)]
     trace: list[dict] = [
-        {"op": "optimal", "assignment": list(optimum.allocation.assignment(inst.m))},
+        {"op": "optimal", "assignment": assignment},
         {"op": "half_split_shares", "values": [rational_str(v) for v in shares]},
     ]
 
-    violators = [i for i in range(2) if inst.cost(i, bundles[i]) > threshold[i]]
+    violators = [i for i in range(2) if totals[i] > threshold[i]]
     # Normalized costs make a double violation impossible: each violator's
     # bundle would cost more than 3/4, while the optimum costs at most 1.
     if len(violators) > 1:
@@ -294,22 +297,20 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
 
     if not violators:
         trace.append({"op": "case", "label": "optimal_already_fair"})
-        return _checked(ctx, optimum.allocation, trace, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
+        return _checked(ctx, start, trace, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
 
     v = violators[0]
-    cv, co = inst.costs[v].values, inst.costs[1 - v].values
+    cv, co = c[v], c[1 - v]
 
-    # Descending cv/co over the violator's bundle; chores free for the other
-    # agent come first, chores free for the violator last.
+    # Descending cv/co over the violator's bundle, chores free for the violator
+    # last; the bundle holds no chore with cv > co, so co > 0 wherever cv > 0.
     def sort_key(e: int):
-        if co[e] == 0 and cv[e] > 0:
-            return (-2, 0, e)
         if cv[e] == 0:
             return (0, 0, e)
         return (-1, -cv[e] / co[e], e)
 
     ordered = sorted(bundles[v], key=sort_key)
-    own_total = inst.cost(v, bundles[v])
+    own_total = totals[v]
     prefix_cost = Fraction(0)  # cv of ordered[:s]
     for s, e_s in enumerate(ordered, start=1):
         prefix_cost += cv[e_s]

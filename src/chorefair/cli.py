@@ -163,6 +163,9 @@ def _cmd_verify(args) -> int:
         raise ArgumentError(f"--n-max must be at least 2, got {args.n_max}")
     if args.n_max > VERIFY_MAX_N:
         raise SizeGuardError(f"--n-max {args.n_max} exceeds the guard {VERIFY_MAX_N}")
+    if args.seed is None and args.suite != "connections":
+        randomized = "lemmas" if args.suite == "lemmas" else "prices"
+        raise ChoreFairError(f"the {randomized} suite runs randomized sweeps; pass --seed")
     # Catch a report path that cannot be written before any suite runs, but
     # leave an existing report untouched until its rows are ready.
     if os.path.isdir(args.out):
@@ -176,8 +179,6 @@ def _cmd_verify(args) -> int:
     if args.suite in ("connections", "all"):
         rows.extend(verify_connections(n_values=n_values, epsilon=epsilon))
     if args.suite in ("prices", "all"):
-        if args.seed is None:
-            raise ChoreFairError("the prices suite runs randomized sweeps; pass --seed")
         rows.extend(
             verify_prices(
                 epsilon=epsilon,
@@ -187,8 +188,6 @@ def _cmd_verify(args) -> int:
             )
         )
     if args.suite in ("lemmas", "all"):
-        if args.seed is None:
-            raise ChoreFairError("the lemmas suite runs randomized sweeps; pass --seed")
         rows.extend(verify_lemmas(count=args.count, seed=args.seed))
     try:
         with open(args.out, "w", encoding="utf-8", newline="") as handle:

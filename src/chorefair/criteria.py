@@ -89,7 +89,7 @@ class InstanceContext:
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
-        self._eval = [mask_evaluator(fn, inst.m) for fn in inst.costs]
+        self._eval = [mask_evaluator(fn) for fn in inst.costs]
         self._den = [fn.denominator() for fn in inst.costs]
         self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
         self._pair: list[dict[int, int]] = [dict() for _ in range(inst.n)]

@@ -148,9 +148,8 @@ def _enumerate_partitions(
             dfs(idx + 1, used + 1 if b == used else used)
             blocks[b] = old
 
+    # The first descent (every element in block 0) is never pruned: it sets best_val.
     dfs(0, 0)
-    if best_val is None:
-        return Fraction(0), []
     return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
 
 
@@ -266,14 +265,9 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
 
     def dfs(i: int) -> None:
         nonlocal best_val, best_assign
-        if i == t:
-            val = max(loads)
-            if val < best_val:
-                best_val = val
-                best_assign = assign.copy()
-            return
         if items[i] == items[-1]:
-            # All remaining items are equal: close the node exactly.
+            # All remaining items are equal: close the node exactly. This
+            # holds at i = t - 1, so no call reaches i = t.
             val, counts = _waterfill(loads, items[i], t - i)
             if val < best_val:
                 pos = i

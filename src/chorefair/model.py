@@ -506,9 +506,9 @@ def cost(fn: CostFunction, chores: Iterable[int]) -> Fraction:
     return fn.value(s)
 
 
-def mask_evaluator(fn: CostFunction, m: int) -> Callable[[int], int]:
+def mask_evaluator(fn: CostFunction) -> Callable[[int], int]:
     """A bitmask -> d * c(S) evaluator (an int, d = ``fn.denominator()``) for
-    one cost function over m chores; the criteria kernel gets its evaluators here."""
+    one cost function; the criteria kernel gets its evaluators here."""
     return fn.int_eval
 
 

@@ -13,7 +13,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .criteria import Criterion, context_for, fairness_report, implied_guarantee, min_alpha, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
@@ -342,16 +342,16 @@ def _family_grid(
             continue
 
 
-def _grid_bundles(kind, family_ids, n_values, alphas, epsilon, p_values) -> list[FamilyBundle]:
+def _grid_bundles(kind, n_values, alphas, epsilon, p_values) -> list[FamilyBundle]:
     """Every valid grid bundle of the families of ``kind``, each built once.
 
-    ``family_ids`` None means every family. A family is skipped at its first
-    bundle of the other kind. An epsilon that leaves one of ``kind`` with no
-    valid entry, where the reference epsilon 1/100 leaves it some, would drop
-    its rows silently, so it raises ``ArgumentError`` naming those families.
+    A family is skipped at its first bundle of the other kind. An epsilon
+    that leaves one of ``kind`` with no valid entry, where the reference
+    epsilon 1/100 leaves it some, would drop its rows silently, so it raises
+    ``ArgumentError`` naming those families.
     """
     bundles, dropped = [], []
-    for family_id in FAMILY_IDS if family_ids is None else family_ids:
+    for family_id in FAMILY_IDS:
         grid = _family_grid(family_id, n_values, alphas, epsilon, p_values)
         first = next(grid, None)
         if first is None:
@@ -404,41 +404,33 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
         except (ArgumentError, NotInTableError):
             continue
         if guarantee.kind == "bound":
-            rows.append(
-                _report(
-                    f"{label}:guarantee[{src_crit.value}->{crit.value}]",
-                    f"<= {rational_str(guarantee.value)}",
-                    rational_str(measured),
-                    measured <= guarantee.value,
-                    n=n,
-                    alpha=alpha,
-                    epsilon=epsilon,
-                )
-            )
+            row_id = f"guarantee[{src_crit.value}->{crit.value}]"
         elif guarantee.kind == "trivial_only" and crit in (Criterion.MMS, Criterion.PMMS):
-            rows.append(
-                _report(
-                    f"{label}:trivial_bound[{crit.value}]",
-                    f"<= {rational_str(guarantee.value)}",
-                    rational_str(measured),
-                    measured <= guarantee.value,
-                    n=n,
-                    alpha=alpha,
-                    epsilon=epsilon,
-                )
+            row_id = f"trivial_bound[{crit.value}]"
+        else:
+            continue
+        rows.append(
+            _report(
+                f"{label}:{row_id}",
+                f"<= {rational_str(guarantee.value)}",
+                rational_str(measured),
+                measured <= guarantee.value,
+                n=n,
+                alpha=alpha,
+                epsilon=epsilon,
             )
+        )
     return rows
 
 
 def verify_connections(
-    family_ids: Iterable[str] | None = None,
     n_values: Sequence[int] = (2, 3, 4, 5),
     alphas: Sequence[Fraction] = CONNECTION_GRID_ALPHAS,
     epsilon: Fraction = Fraction(1, 1000),
     p_values: Sequence[int] = CONNECTION_GRID_P,
 ) -> list[PropositionReport]:
     """Re-measure every connection family's exact alphas on its grid."""
-    bundles = _grid_bundles("connection", family_ids, n_values, alphas, epsilon, p_values)
+    bundles = _grid_bundles("connection", n_values, alphas, epsilon, p_values)
     return _canonical([row for bundle in bundles for row in _check_family_connections(bundle)])
 
 
@@ -499,6 +491,9 @@ def _check_family_price(bundle: FamilyBundle) -> list[PropositionReport]:
     return rows
 
 
+#: Largest m of a random two-agent instance in the price-bound sweeps.
+PRICE_SWEEP_MAX_CHORES = 8
+
 _PRICE_SWEEP_BOUNDS = (
     ("price-EF1<=5/4", Criterion.EF1, Fraction(1), Fraction(5, 4)),
     ("price-3/2-PMMS<=7/6", Criterion.PMMS, Fraction(3, 2), Fraction(7, 6)),
@@ -510,15 +505,13 @@ _PRICE_SWEEP_BOUNDS = (
 
 
 def verify_prices(
-    family_ids: Iterable[str] | None = None,
     epsilon: Fraction = Fraction(1, 100),
     n_values: Sequence[int] = (3, 4),
     sweep_count: int = 200,
-    sweep_max_chores: int = 8,
     seed: int = 0,
 ) -> list[PropositionReport]:
     """Exact per-family price checks plus two-agent price-bound sweeps."""
-    bundles = _grid_bundles("price", family_ids, n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P)
+    bundles = _grid_bundles("price", n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P)
     rows = [row for bundle in bundles for row in _check_family_price(bundle)]
 
     for name, crit, level, bound in _PRICE_SWEEP_BOUNDS:
@@ -526,7 +519,7 @@ def verify_prices(
         ok = True
         for trial in range(sweep_count):
             rng = random.Random((seed, name, trial).__repr__())
-            inst = random_instance(2, rng.randint(2, sweep_max_chores), "additive", seed=seed * 1_000_003 + trial)
+            inst = random_instance(2, rng.randint(2, PRICE_SWEEP_MAX_CHORES), "additive", seed=seed * 1_000_003 + trial)
             price = price_of_fairness(inst, crit, level)
             if price > worst:
                 worst = price
@@ -607,13 +600,13 @@ def verify_lemmas(count: int = 1000, seed: int = 0) -> list[PropositionReport]:
         )
 
         # Half-split share is monotone under inclusion.
-        low = mms_value(inst, agent, 2, subset).value
+        result = mms_value(inst, agent, 2, subset)
+        low = result.value
         high = mms_value(inst, agent, 2, superset).value
         note("half-split-monotone", low <= high, f"trial {trial}: {low} > {high}")
 
         if inst.is_additive():
             # A multi-chore max block forces a 3/2 gap between c(S) and the share.
-            result = mms_value(inst, agent, 2, subset)
             total = inst.cost(agent, subset)
             if result.value > 0:
                 for block in result.witness:

@@ -243,7 +243,7 @@ def test_two_agent_procedures_build_one_context_and_no_second_optimum(monkeypatc
     assert calls == {"optimal": 0, "context": 1}
     calls.update(optimal=0, context=0)
     pmms32_two_agent(inst)
-    assert calls == {"optimal": 1, "context": 1}
+    assert calls == {"optimal": 0, "context": 1}
 
 
 def test_social_cost_matches_outcomes(ref_instance, alloc_b):
@@ -271,7 +271,8 @@ def test_two_agent_algorithms_on_exhaustive_value_grid():
                 )
             )
             alg1_two_agent_ef1(inst)  # postconditions asserted internally
-            pmms32_two_agent(inst)
+            start = pmms32_two_agent(inst).trace[0]
+            assert start == {"op": "optimal", "assignment": list(optimal_allocation(inst).allocation.assignment(3))}
             checked += 1
     assert checked == 676
 

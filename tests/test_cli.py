@@ -486,6 +486,14 @@ def test_verify_unwritable_out_exits_2_before_any_suite(tmp_path, capsys, monkey
     assert started == []
 
 
+def test_verify_all_without_seed_exits_2_before_any_suite(tmp_path, capsys, monkeypatch):
+    started = _stub_suites(monkeypatch)
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", "all", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the prices suite runs randomized sweeps; pass --seed\n"
+    assert started == [] and not out.exists()
+
+
 def test_verify_keeps_an_existing_report_until_its_rows_are_ready(tmp_path, capsys, monkeypatch):
     started = _stub_suites(monkeypatch)
     out = tmp_path / "r.csv"
