@@ -9,6 +9,7 @@ re-measures a few families and compares them to the table.
 from fractions import Fraction
 
 from chorefair import Criterion, implied_guarantee, make_family, min_alpha
+from chorefair.errors import NotInTableError
 
 SHOWCASE = [
     ("EF_MMS_TIGHT", dict(n=3, alpha=Fraction(3, 2))),
@@ -31,7 +32,7 @@ for family_id, params in SHOWCASE:
         if crit is not src_crit:
             try:
                 guarantee = implied_guarantee(src_crit, src_alpha, crit, n, bundle.setting)
-            except Exception:
+            except NotInTableError:
                 guarantee = None
             if guarantee is not None and guarantee.value is not None:
                 line += f"; table bound {guarantee.value} [{guarantee.kind}]"

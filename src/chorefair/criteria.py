@@ -273,15 +273,79 @@ class Guarantee:
     value: Fraction | None = None
 
 
-def _bound(v: Fraction) -> Guarantee:
-    return Guarantee("bound", v)
+def _any(a: Fraction, n: int) -> bool:
+    return True
 
 
-UNBOUNDED = Guarantee("unbounded")
+def _n_at_least_3(a: Fraction, n: int) -> bool:
+    return n >= 3
 
 
-def _trivial(v: Fraction) -> Guarantee:
-    return Guarantee("trivial_only", v)
+def _two(a: Fraction, n: int) -> Fraction:
+    return Fraction(2)
+
+
+# Rows (applies(a, n), kind, value(a, n) or None); the first row that applies answers.
+_BOUND_ALPHA = ((_any, "bound", lambda a, n: a),)
+_UNBOUNDED = ((_any, "unbounded", None),)
+_TRIVIAL_MMS = ((_any, "trivial_only", lambda a, n: Fraction(n)),)
+_TRIVIAL_PMMS = ((_any, "trivial_only", _two),)
+_MMS_TO_PMMS = ((_n_at_least_3, "trivial_only", _two),)
+_MMS_TO_ENVY = ((_n_at_least_3, "unbounded", None),)
+_PMMS_TO_ENVY = (
+    (lambda a, n: a == 1, "bound", lambda a, n: Fraction(1)),
+    (lambda a, n: 1 < a <= 2, "unbounded", None),
+)
+
+_EF, _EF1, _EFX, _MMS, _PMMS = Criterion.EF, Criterion.EF1, Criterion.EFX, Criterion.MMS, Criterion.PMMS
+
+#: The paper's two guarantee tables, keyed by (setting, src, dst).
+_GUARANTEES = {
+    ("additive", _EF, _EF1): _BOUND_ALPHA,
+    ("additive", _EF, _EFX): _BOUND_ALPHA,
+    ("additive", _EF, _MMS): ((_any, "bound", lambda a, n: n * a / (n - 1 + a)),),
+    ("additive", _EF, _PMMS): ((_any, "bound", lambda a, n: 2 * a / (a + 1)),),
+    ("additive", _EFX, _EF1): _BOUND_ALPHA,
+    ("additive", _EFX, _MMS): (
+        (_any, "bound", lambda a, n: min(2 * n * a / (n - 1 + 2 * a), (n * a + n - 1) / (n - 1 + a))),
+    ),
+    ("additive", _EFX, _PMMS): ((_any, "bound", lambda a, n: 4 * a / (2 * a + 1)),),
+    ("additive", _EF1, _EFX): _UNBOUNDED,
+    ("additive", _EF1, _MMS): ((_any, "bound", lambda a, n: (n * a + n - 1) / (n - 1 + a)),),
+    ("additive", _EF1, _PMMS): ((_any, "bound", lambda a, n: (2 * a + 1) / (a + 1)),),
+    ("additive", _PMMS, _EF1): _PMMS_TO_ENVY,
+    ("additive", _PMMS, _EFX): _PMMS_TO_ENVY,
+    ("additive", _PMMS, _MMS): (
+        (lambda a, n: a == 1 and n == 3, "bound", lambda a, n: Fraction(4, 3)),
+        (lambda a, n: a == 1 and n >= 4, "bound", lambda a, n: Fraction(2 * n, n + 1)),
+        (
+            lambda a, n: 1 < a < Fraction(3, 2) and n >= 3,
+            "bound",
+            lambda a, n: n * a / (a + (n - 1) * (1 - a / 2)),
+        ),
+    ),
+    ("additive", _MMS, _PMMS): _MMS_TO_PMMS,
+    ("additive", _MMS, _EF1): _MMS_TO_ENVY,
+    ("additive", _MMS, _EFX): _MMS_TO_ENVY,
+    ("submodular", _EF, _EF1): _BOUND_ALPHA,
+    ("submodular", _EF, _EFX): _BOUND_ALPHA,
+    ("submodular", _EF, _MMS): _TRIVIAL_MMS,
+    ("submodular", _EF, _PMMS): _TRIVIAL_PMMS,
+    ("submodular", _EFX, _EF1): _BOUND_ALPHA,
+    ("submodular", _EFX, _MMS): _TRIVIAL_MMS,
+    ("submodular", _EFX, _PMMS): _TRIVIAL_PMMS,
+    ("submodular", _EF1, _EFX): _UNBOUNDED,
+    ("submodular", _EF1, _MMS): _TRIVIAL_MMS,
+    ("submodular", _EF1, _PMMS): _TRIVIAL_PMMS,
+    ("submodular", _PMMS, _EF1): _UNBOUNDED,
+    ("submodular", _PMMS, _EFX): _UNBOUNDED,
+    ("submodular", _PMMS, _MMS): (
+        (lambda a, n: 1 <= a <= 2, "bound", lambda a, n: min(Fraction(n), a * ((n + 1) // 2))),
+    ),
+    ("submodular", _MMS, _PMMS): _MMS_TO_PMMS,
+    ("submodular", _MMS, _EF1): _MMS_TO_ENVY,
+    ("submodular", _MMS, _EFX): _MMS_TO_ENVY,
+}
 
 
 def implied_guarantee(
@@ -301,91 +365,10 @@ def implied_guarantee(
         raise ArgumentError(f"setting must be one of {SETTINGS}, got {setting!r}")
     if src is Criterion.EFX_STRONG or dst is Criterion.EFX_STRONG:
         raise NotInTableError("no encoded guarantees involve the strong EFX variant")
-
-    a, nn = alpha, Fraction(n)
-
-    def miss() -> NotInTableError:
-        return NotInTableError(
-            f"no encoded guarantee for {a}-{src.value} -> {dst.value} "
-            f"with n={n} in the {setting} setting"
-        )
-
-    if setting == "additive":
-        if src is Criterion.EF:
-            if dst is Criterion.EF1 or dst is Criterion.EFX:
-                return _bound(a)
-            if dst is Criterion.MMS:
-                return _bound(nn * a / (nn - 1 + a))
-            if dst is Criterion.PMMS:
-                return _bound(2 * a / (a + 1))
-        if src is Criterion.EFX:
-            if dst is Criterion.EF1:
-                return _bound(a)
-            if dst is Criterion.MMS:
-                return _bound(min(2 * nn * a / (nn - 1 + 2 * a), (nn * a + nn - 1) / (nn - 1 + a)))
-            if dst is Criterion.PMMS:
-                return _bound(4 * a / (2 * a + 1))
-        if src is Criterion.EF1:
-            if dst is Criterion.EFX:
-                return UNBOUNDED
-            if dst is Criterion.MMS:
-                return _bound((nn * a + nn - 1) / (nn - 1 + a))
-            if dst is Criterion.PMMS:
-                return _bound((2 * a + 1) / (a + 1))
-        if src is Criterion.PMMS:
-            if dst in (Criterion.EF1, Criterion.EFX):
-                if a == 1:
-                    return _bound(Fraction(1))
-                if 1 < a <= 2:
-                    return UNBOUNDED
-                raise miss()
-            if dst is Criterion.MMS:
-                if a == 1 and n == 3:
-                    return _bound(Fraction(4, 3))
-                if a == 1 and n >= 4:
-                    return _bound(2 * nn / (nn + 1))
-                if 1 < a < Fraction(3, 2) and n >= 3:
-                    return _bound(nn * a / (a + (nn - 1) * (1 - a / 2)))
-                raise miss()
-        if src is Criterion.MMS and n >= 3:
-            if dst is Criterion.PMMS:
-                return _trivial(Fraction(2))
-            if dst in (Criterion.EF1, Criterion.EFX):
-                return UNBOUNDED
-        raise miss()
-
-    # submodular setting
-    if src is Criterion.EF:
-        if dst in (Criterion.EF1, Criterion.EFX):
-            return _bound(a)
-        if dst is Criterion.MMS:
-            return _trivial(nn)
-        if dst is Criterion.PMMS:
-            return _trivial(Fraction(2))
-    if src is Criterion.EFX:
-        if dst is Criterion.EF1:
-            return _bound(a)
-        if dst is Criterion.MMS:
-            return _trivial(nn)
-        if dst is Criterion.PMMS:
-            return _trivial(Fraction(2))
-    if src is Criterion.EF1:
-        if dst is Criterion.EFX:
-            return UNBOUNDED
-        if dst is Criterion.MMS:
-            return _trivial(nn)
-        if dst is Criterion.PMMS:
-            return _trivial(Fraction(2))
-    if src is Criterion.PMMS:
-        if dst in (Criterion.EF1, Criterion.EFX):
-            return UNBOUNDED
-        if dst is Criterion.MMS:
-            if 1 <= a <= 2:
-                return _bound(min(nn, a * ((n + 1) // 2)))
-            raise miss()
-    if src is Criterion.MMS and n >= 3:
-        if dst is Criterion.PMMS:
-            return _trivial(Fraction(2))
-        if dst in (Criterion.EF1, Criterion.EFX):
-            return UNBOUNDED
-    raise miss()
+    for applies, kind, value in _GUARANTEES.get((setting, src, dst), ()):
+        if applies(alpha, n):
+            return Guarantee(kind, None if value is None else value(alpha, n))
+    raise NotInTableError(
+        f"no encoded guarantee for {alpha}-{src.value} -> {dst.value} "
+        f"with n={n} in the {setting} setting"
+    )

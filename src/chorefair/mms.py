@@ -15,7 +15,9 @@ The min-max partition behind the last two solves k=2 exactly from subset-sum
 reachability bitsets (``reach |= reach << w``) while t * total stays within
 ``TWO_WAY_REACH_BITS`` (2^24 bits), and returns the branch-and-bound's own
 witness; larger lists and every k >= 3 take the branch-and-bound. Every route
-accepts k up to ``MAX_BLOCKS`` (10^6).
+accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
+branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
+nodes.
 
 All routes work on integers over the cost's ``denominator()``. A cost
 variant reaches them through ``CostFunction.int_eval`` and ``int_table``
@@ -49,6 +51,9 @@ MAX_BLOCKS = 10**6
 # Largest t * total of a k=2 min-max partition solved from subset-sum bitsets
 # rather than by the branch-and-bound: the t bitsets then hold at most 2 MiB.
 TWO_WAY_REACH_BITS = 1 << 24
+# Most nodes one partition enumeration or one branch-and-bound may visit; past
+# it the search raises SizeGuardError rather than run for minutes.
+MMS_NODE_BUDGET = 250_000
 
 
 @dataclass(frozen=True)
@@ -123,9 +128,13 @@ def _enumerate_partitions(
     best_val: int | None = None
     best_blocks: list[int] = []
     blocks = [0] * k
+    nodes = 0
 
     def dfs(idx: int, used: int) -> None:
-        nonlocal best_val, best_blocks
+        nonlocal best_val, best_blocks, nodes
+        nodes += 1
+        if nodes > MMS_NODE_BUDGET:
+            raise SizeGuardError(f"partition enumeration exceeded its budget of {MMS_NODE_BUDGET} nodes")
         if idx == t:
             val = 0
             for b in range(used):
@@ -262,9 +271,13 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()
+    nodes = 0
 
     def dfs(i: int) -> None:
-        nonlocal best_val, best_assign
+        nonlocal best_val, best_assign, nodes
+        nodes += 1
+        if nodes > MMS_NODE_BUDGET:
+            raise SizeGuardError(f"min-max branch-and-bound exceeded its budget of {MMS_NODE_BUDGET} nodes")
         if items[i] == items[-1]:
             # All remaining items are equal: close the node exactly. This
             # holds at i = t - 1, so no call reaches i = t.
@@ -407,9 +420,10 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
 
     Additive costs use the guarded branch-and-bound; other capped sums over
     groups (capped-additive, capped-cardinality and coverage costs) use the
-    same min-max partition of group weights without its guards. Costs
-    without that form, such as tables, fall back to the two-way split scan
-    for k=2 and to guarded enumeration otherwise.
+    same min-max partition of group weights without its size guards, though
+    within ``MMS_NODE_BUDGET``. Costs without that form, such as tables,
+    fall back to the two-way split scan for k=2 and to guarded enumeration
+    otherwise.
     """
     inst.check_agent(agent)
     _check_k(k)

@@ -401,14 +401,14 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
             continue
         try:
             guarantee = implied_guarantee(src_crit, src_alpha, crit, n, bundle.setting)
-        except (ArgumentError, NotInTableError):
+        except NotInTableError:
+            continue
+        if guarantee.value is None:
             continue
         if guarantee.kind == "bound":
             row_id = f"guarantee[{src_crit.value}->{crit.value}]"
-        elif guarantee.kind == "trivial_only" and crit in (Criterion.MMS, Criterion.PMMS):
-            row_id = f"trivial_bound[{crit.value}]"
         else:
-            continue
+            row_id = f"trivial_bound[{crit.value}]"
         rows.append(
             _report(
                 f"{label}:{row_id}",

@@ -5,6 +5,11 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
+import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -91,6 +96,28 @@ def test_eval_boolean_agent_count_exits_2(tmp_path, capsys):
     alloc = _write(tmp_path, "alloc.json", {"bundles": [[0]]})
     assert main(["eval", "--instance", inst, "--allocation", alloc]) == 2
     _assert_tagged_input_error(capsys, "validation-error")
+
+
+def test_eval_mms_search_past_its_node_budget_exits_2(tmp_path):
+    # Three agents' MMS over 24 large random values: the branch-and-bound
+    # ran for minutes before it had a node budget.
+    rng = random.Random(1)
+    m = 24
+    agents = [
+        {"cost": {"type": "additive", "values": [str(rng.randint(10**6, 10**7)) for _ in range(m)]}}
+        for _ in range(3)
+    ]
+    inst = _write(tmp_path, "big.json", {"n": 3, "m": m, "agents": agents})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [list(range(i, m, 3)) for i in range(3)]})
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    argv = ["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS"]
+    done = subprocess.run(
+        [sys.executable, "-m", "chorefair.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("size-guard-exceeded: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 @pytest.mark.parametrize("m", [-1, 2**62, "3"])

@@ -240,6 +240,18 @@ def test_over_budget_k2_partitions_keep_the_branch_and_bound(monkeypatch):
         assert value == min(max(s, sum(items) - s) for s in sums)
 
 
+def test_unpruned_enumeration_stops_at_the_node_budget():
+    # A non-monotone table is enumerated without pruning: 14 chores into 6
+    # blocks are millions of set partitions.
+    rng = random.Random(14)
+    values = [Fraction(0)] + [Fraction(rng.randint(0, 9)) for _ in range((1 << 14) - 1)]
+    inst = Instance(n=1, m=14, costs=(TableCost(m=14, values=tuple(values)),))
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match=f"budget of {mms.MMS_NODE_BUDGET} nodes"):
+        mms_share(inst, 0, 6)
+    assert time.perf_counter() - start < 5
+
+
 @pytest.mark.parametrize("kind", VARIANTS)
 def test_k2_mms_value_matches_enumeration_on_every_variant(kind):
     rng = random.Random(f"k2-{kind}")
