@@ -14,7 +14,6 @@ from chorefair import (
     Instance,
     RowCoverage,
     mms_share,
-    mms_share_additive_fast,
     mms_value,
     pairwise_mms,
 )
@@ -32,7 +31,7 @@ instance = Instance(
 print("Maximin shares over 3 bundles, per agent:")
 for agent in range(3):
     slow = mms_share(instance, agent, 3)
-    fast = mms_share_additive_fast(instance, agent, 3)
+    fast = mms_value(instance, agent, 3)
     assert slow.value == fast.value
     blocks = [sorted(b) for b in slow.witness]
     print(f"  agent {agent}: share {slow.value}, witness partition {blocks}")

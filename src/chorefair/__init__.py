@@ -28,7 +28,7 @@ from .criteria import (
 )
 from .errors import ChoreFairError
 from .families import FAMILY_IDS, FamilyBundle, make_family
-from .mms import MmsResult, mms_share, mms_share_additive_fast, mms_value, pairwise_mms
+from .mms import MmsResult, mms_share, mms_value, pairwise_mms
 from .model import (
     INFINITY,
     Additive,
@@ -102,7 +102,6 @@ __all__ = [
     "make_family",
     "min_alpha",
     "mms_share",
-    "mms_share_additive_fast",
     "mms_value",
     "normalize",
     "optimal_allocation",

@@ -1,23 +1,23 @@
 """Exact maximin-share computation.
 
-Three routes, all exact:
+Three public routes, all exact:
 
-* ``mms_share``       -- enumeration of set partitions as restricted-growth
-                         strings; works for any cost oracle, guarded sizes.
-* ``mms_share_additive_fast`` -- branch-and-bound over integer subset sums
-                         for additive costs; handles much larger sets.
-* ``mms_value``       -- dispatcher used by the criteria layer; reduces a
-                         capped sum over groups to a min-max partition of
-                         the group weights and falls back to enumeration for
-                         every other cost.
+* ``mms_share``    -- enumeration of set partitions as restricted-growth
+                      strings; works for any cost oracle, guarded sizes.
+* ``pairwise_mms`` -- k=2 over the union of two disjoint bundles, by a scan
+                      of every two-way split.
+* ``mms_value``    -- dispatcher used by the criteria layer; reduces a capped
+                      sum over groups (additive costs included) to a min-max
+                      partition of the group weights and falls back to
+                      enumeration for every other cost.
 
-The min-max partition behind the last two solves k=2 exactly from subset-sum
-reachability bitsets (``reach |= reach << w``) while t * total stays within
-``TWO_WAY_REACH_BITS`` (2^24 bits), and returns the branch-and-bound's own
-witness; larger lists and every k >= 3 take the branch-and-bound. Every route
-accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
-branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
-nodes.
+The min-max partition solves k=2 exactly from subset-sum reachability bitsets
+(``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
+(2^24 bits), and returns the branch-and-bound's own witness; larger lists and
+every k >= 3 take the branch-and-bound. Every route accepts k up to
+``MAX_BLOCKS`` (10^6), and the enumeration and the branch-and-bound each stop
+with ``SizeGuardError`` past ``MMS_NODE_BUDGET`` nodes, as does a
+branch-and-bound too deep for the interpreter's stack.
 
 All routes work on integers over the cost's ``denominator()``. A cost
 variant reaches them through ``CostFunction.int_eval`` and ``int_table``
@@ -25,21 +25,22 @@ variant reaches them through ``CostFunction.int_eval`` and ``int_table``
 a new variant needs nothing in this module: it takes the grouped route if
 its ``sum_groups`` returns groups, and enumeration otherwise.
 
-The dispatcher and the fast path are cross-checked against the enumeration
-route in the test suite on every variant.
+The dispatcher is cross-checked against the enumeration route in the test
+suite on every variant.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ArgumentError, BoundsError, SizeGuardError, UnsupportedVariantError
+from .errors import ArgumentError, BoundsError, SizeGuardError
 from .model import Additive, CostFunction, Instance, set_of
 
-__all__ = ["MmsResult", "mms_share", "mms_share_additive_fast", "pairwise_mms", "mms_value"]
+__all__ = ["MmsResult", "mms_share", "pairwise_mms", "mms_value"]
 
 ENUM_MAX_CHORES = 14
 ENUM_MAX_BLOCKS = 6
@@ -163,41 +164,29 @@ def _enumerate_partitions(
 
 
 # ---------------------------------------------------------------------------
-# Additive branch-and-bound
+# Min-max partition of integer weights
 # ---------------------------------------------------------------------------
 
 
 def _waterfill(loads: Sequence[int], v: int, r: int) -> tuple[int, list[int]]:
     """Optimally place r identical items of size v onto fixed loads.
 
-    Minimizes the max load; exact because the optimal value must equal either
-    max(loads) or some load plus a multiple of v.
+    Putting each item on the least loaded block finds the optimal max load,
+    since the items are identical; the counts then fill the blocks in index
+    order up to that level.
     """
-    k = len(loads)
-    base = max(loads)
-    if r == 0 or v == 0:
-        counts = [0] * k
-        counts[0] = r
-        return base, counts
-    candidates = {base}
-    for load in loads:
-        t0 = max(1, -((load - base) // v))
-        for t in range(t0, r + 1):
-            candidates.add(load + t * v)
-    best = None
-    for cand in sorted(candidates):
-        if sum((cand - load) // v for load in loads) >= r:
-            best = cand
-            break
-    assert best is not None
-    counts = [0] * k
+    if v == 0:
+        return max(loads), [r] + [0] * (len(loads) - 1)
+    heap = list(loads)
+    heapq.heapify(heap)
+    for _ in range(r):
+        heapq.heapreplace(heap, heap[0] + v)
+    best = max(heap)
+    counts = []
     left = r
-    for j, load in enumerate(loads):
-        take = min((best - load) // v, left)
-        counts[j] = take
-        left -= take
-        if left == 0:
-            break
+    for load in loads:
+        counts.append(min((best - load) // v, left))
+        left -= counts[-1]
     return best, counts
 
 
@@ -312,7 +301,12 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
             dfs(i + 1)
             loads[j] = old
 
-    dfs(0)
+    try:
+        dfs(0)
+    except RecursionError:
+        # One stack frame per item: raising the interpreter's limit would
+        # trade this error for a crash of the process.
+        raise SizeGuardError(f"min-max branch-and-bound of {t} items is too deep to search") from None
     return best_val, tuple(best_assign)
 
 
@@ -340,28 +334,6 @@ def _grouped_min_max(
     blocks = [frozenset().union(*part) for part in parts]
     best *= g
     return Fraction(best if cap is None else min(best, cap), den), blocks
-
-
-def mms_share_additive_fast(
-    inst: Instance, agent: int, k: int, chores: Iterable[int] | None = None
-) -> MmsResult:
-    """Branch-and-bound MMS for additive costs; equals ``mms_share`` exactly."""
-    inst.check_agent(agent)
-    _check_k(k)
-    fn = inst.costs[agent]
-    if not isinstance(fn, Additive):
-        raise UnsupportedVariantError(
-            f"fast path requires an additive cost function, agent {agent} has "
-            f"{type(fn).__name__}"
-        )
-    elems = _resolve_chores(inst, chores)
-    if len(elems) > ADDITIVE_MAX_CHORES or k > ADDITIVE_MAX_BLOCKS:
-        raise SizeGuardError(
-            f"additive search limited to {ADDITIVE_MAX_CHORES} chores and "
-            f"{ADDITIVE_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
-        )
-    value, blocks = _grouped_min_max(*fn.sum_groups(elems), fn.denominator(), k)
-    return MmsResult(value=value, witness=_pad(blocks, k))
 
 
 # ---------------------------------------------------------------------------
@@ -418,12 +390,12 @@ def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int])
 def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None = None) -> MmsResult:
     """Exact MMS via the cheapest route available for the agent's cost.
 
-    Additive costs use the guarded branch-and-bound; other capped sums over
-    groups (capped-additive, capped-cardinality and coverage costs) use the
-    same min-max partition of group weights without its size guards, though
-    within ``MMS_NODE_BUDGET``. Costs without that form, such as tables,
-    fall back to the two-way split scan for k=2 and to guarded enumeration
-    otherwise.
+    Capped sums over groups (additive, capped-additive, capped-cardinality and
+    coverage costs) use the min-max partition of group weights within
+    ``MMS_NODE_BUDGET``, additive ones only up to ``ADDITIVE_MAX_CHORES``
+    chores and ``ADDITIVE_MAX_BLOCKS`` blocks. Costs without that form, such
+    as tables, fall back to the two-way split scan for k=2 and to guarded
+    enumeration otherwise.
     """
     inst.check_agent(agent)
     _check_k(k)
@@ -431,8 +403,11 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     fn = inst.costs[agent]
     if not elems:
         return MmsResult(value=Fraction(0), witness=_pad([], k))
-    if isinstance(fn, Additive):
-        return mms_share_additive_fast(inst, agent, k, elems)
+    if isinstance(fn, Additive) and (len(elems) > ADDITIVE_MAX_CHORES or k > ADDITIVE_MAX_BLOCKS):
+        raise SizeGuardError(
+            f"additive search limited to {ADDITIVE_MAX_CHORES} chores and "
+            f"{ADDITIVE_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
+        )
     grouped = fn.sum_groups(elems)
     if grouped is not None:
         value, blocks = _grouped_min_max(*grouped, fn.denominator(), k)

@@ -191,9 +191,6 @@ class CostFunction:
                 f"cost function covers {size} chores, instance has {m}"
             )
 
-    def full_set_value(self, m: int) -> Fraction:
-        return self.value(range(m))
-
 
 def _set(obj: CostFunction, **attrs) -> None:
     """Assign attributes of a frozen dataclass from its ``__post_init__``."""
@@ -599,11 +596,9 @@ class Instance:
             )
         for fn in self.costs:
             fn.validate_for(self.m)
-        one = Fraction(1)
+        full = (1 << self.m) - 1
         object.__setattr__(
-            self,
-            "normalized",
-            all(fn.full_set_value(self.m) == one for fn in self.costs),
+            self, "normalized", all(fn.int_eval(full) == fn.denominator() for fn in self.costs)
         )
 
     def all_chores(self) -> frozenset[int]:
@@ -683,7 +678,7 @@ def normalize(inst: Instance) -> Instance:
     """
     new_costs: list[CostFunction] = []
     for agent, fn in enumerate(inst.costs):
-        total = fn.full_set_value(inst.m)
+        total = fn.value(range(inst.m))
         if total == 0:
             raise NormalizationError(f"agent {agent} has zero cost on the full chore set")
         new_costs.append(scale_cost(fn, Fraction(1) / total))

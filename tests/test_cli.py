@@ -120,6 +120,34 @@ def test_eval_mms_search_past_its_node_budget_exits_2(tmp_path):
     assert done.stderr.startswith("size-guard-exceeded: ") and done.stderr.count("\n") == 1, done.stderr
 
 
+def _deep_capped_additive_files(tmp_path, n):
+    # 1,500 large values have no item guard on the capped-additive route; the
+    # branch-and-bound takes one stack frame per item.
+    rng = random.Random(3)
+    m = 1500
+    cost = {"type": "capped_additive", "values": [str(rng.randint(10**6, 10**7)) for _ in range(m)], "cap": str(10**12)}
+    inst = _write(tmp_path, "deep.json", {"n": n, "m": m, "agents": [{"cost": cost}] * n})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [list(range(i, m, n)) for i in range(n)]})
+    return inst, alloc
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_mms_search_too_deep_for_the_stack_exits_2(tmp_path, capsys, k):
+    inst, _ = _deep_capped_additive_files(tmp_path, 1)
+    assert main(["mms", "--instance", inst, "--agent", "0", "--k", str(k)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("size-guard-exceeded: ") and err.count("\n") == 1, err
+
+
+def test_eval_mms_search_too_deep_for_the_stack_exits_2(tmp_path, capsys):
+    inst, alloc = _deep_capped_additive_files(tmp_path, 2)
+    assert main(["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("size-guard-exceeded: ") and err.count("\n") == 1, err
+
+
 @pytest.mark.parametrize("m", [-1, 2**62, "3"])
 def test_eval_malformed_table_size_exits_2(tmp_path, capsys, m):
     table = {"type": "table", "m": m, "values": ["0", "1"]}

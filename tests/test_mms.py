@@ -14,12 +14,11 @@ from chorefair import (
     Instance,
     TableCost,
     mms_share,
-    mms_share_additive_fast,
     mms_value,
     pairwise_mms,
     random_instance,
 )
-from chorefair.errors import ArgumentError, SizeGuardError, UnsupportedVariantError
+from chorefair.errors import ArgumentError, SizeGuardError
 from chorefair import mms
 from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
 from chorefair.model import MAX_CHORES
@@ -46,7 +45,7 @@ def test_k1_is_total_cost(ref_instance):
 
 
 def test_k_at_least_set_size_gives_max_single(ref_instance):
-    result = mms_share_additive_fast(ref_instance, 2, 8, range(7))
+    result = mms_value(ref_instance, 2, 8, range(7))
     assert result.value == 10  # costliest single chore
 
 
@@ -76,10 +75,21 @@ def test_enumeration_guards(ref_instance):
         mms_share(ref_instance, 0, 0)
 
 
-def test_fast_path_requires_additive():
-    inst = Instance(n=1, m=3, costs=(CappedCardinality(2),))
-    with pytest.raises(UnsupportedVariantError):
-        mms_share_additive_fast(inst, 0, 2)
+def test_additive_guard_on_chores():
+    inst = Instance(n=1, m=65, costs=(Additive((1,) * 65),))
+    with pytest.raises(SizeGuardError, match="additive search limited to 64 chores and 8 blocks, got 65 chores, k=2"):
+        mms_value(inst, 0, 2)
+
+
+def test_additive_guard_on_blocks(ref_instance):
+    with pytest.raises(SizeGuardError, match="additive search limited to 64 chores and 8 blocks, got 7 chores, k=9"):
+        mms_value(ref_instance, 0, 9)
+
+
+def test_additive_guard_passes_an_empty_chore_set(ref_instance):
+    result = mms_value(ref_instance, 0, 9, ())
+    assert result.value == 0
+    assert result.witness == (frozenset(),) * 9
 
 
 def test_pairwise_reference_values(ref_instance):
@@ -126,7 +136,7 @@ def test_fast_path_matches_enumeration_on_random_instances():
         inst = Instance(n=1, m=m, costs=(Additive(values),))
         subset = frozenset(e for e in range(m) if rng.random() < 0.8)
         slow = mms_share(inst, 0, k, subset)
-        fast = mms_share_additive_fast(inst, 0, k, subset)
+        fast = mms_value(inst, 0, k, subset)
         assert slow.value == fast.value, (trial, values, subset, k)
         # the fast witness is a genuine witness for the same optimum
         assert max(
@@ -166,14 +176,21 @@ def test_dispatcher_handles_adversarial_tables():
 
 def test_waterfill_is_exact():
     rng = random.Random(7)
-    for _ in range(200):
-        k = rng.randint(1, 5)
+    for _ in range(300):
+        k = rng.randint(1, 8)
         loads = [rng.randint(0, 20) for _ in range(k)]
-        v = rng.randint(1, 7)
-        r = rng.randint(0, 8)
+        v = rng.randint(0, 7)
+        r = rng.randint(0, 12)
         value, counts = _waterfill(loads, v, r)
         assert sum(counts) == r
         assert max(l + c * v for l, c in zip(loads, counts)) == value
+        # The branch-and-bound's witnesses rest on the fill rule: blocks in
+        # index order, each up to the level (block 0 takes all when v = 0).
+        fill, left = [], r
+        for load in loads:
+            fill.append(left if v == 0 else min((value - load) // v, left))
+            left -= fill[-1]
+        assert counts == fill, (loads, v, r)
         # brute force over all count vectors
         best = None
 
