@@ -5,21 +5,23 @@ exact social cost, and an ordered trace of the decisions taken. The two
 two-agent procedures assert their fairness and price postconditions at
 runtime; a violation would be an internal bug, not a user error. Each builds
 one criteria-kernel context per call and checks its output on it, against the
-optimum it already holds.
+optimum it already holds. Every allocator reads costs as the integer table of
+``search.unit_costs``; a ``Fraction`` is built only for a reported value.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .criteria import Criterion, InstanceContext, context_for
 from .errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
 from .mms import mms_value
 from .model import Allocation, Instance, normalize, rational_str, set_of
-from .search import cheapest_accepted
+from .search import cheapest_accepted, unit_costs
 
 __all__ = [
     "AllocatorOutcome",
@@ -32,6 +34,8 @@ __all__ = [
 ]
 
 BEST_ORDER_MAX_AGENTS = 8
+#: Largest n! * m the best-order search takes: every order makes m picks.
+BEST_ORDER_MAX_PICKS = 10_000_000
 
 
 @dataclass(frozen=True)
@@ -42,14 +46,12 @@ class AllocatorOutcome:
 
 
 def social_cost(inst: Instance, alloc: Allocation) -> Fraction:
-    total = Fraction(0)
-    for agent, bundle in enumerate(alloc.bundles):
-        total += inst.cost(agent, bundle)
-    return total
+    return sum((inst.cost(agent, bundle) for agent, bundle in enumerate(alloc.bundles)), Fraction(0))
 
 
-def _outcome(inst: Instance, alloc: Allocation, trace: list[dict]) -> AllocatorOutcome:
-    return AllocatorOutcome(allocation=alloc, social_cost=social_cost(inst, alloc), trace=tuple(trace))
+def _outcome(scale: int, unit: list[list[int]], alloc: Allocation, trace: list[dict]) -> AllocatorOutcome:
+    total = sum(unit[agent][d] for agent, bundle in enumerate(alloc.bundles) for d in bundle)
+    return AllocatorOutcome(allocation=alloc, social_cost=Fraction(total, scale), trace=tuple(trace))
 
 
 def optimal_allocation(inst: Instance) -> AllocatorOutcome:
@@ -63,37 +65,37 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     first in lexicographic order of the assignment vector.
     """
     if inst.is_additive():
-        trace: list[dict] = []
-        assignment = []
-        for chore in range(inst.m):
-            agent = min(range(inst.n), key=lambda i: (inst.costs[i].values[chore], i))
-            assignment.append(agent)
-            trace.append(
-                {
-                    "op": "assign",
-                    "chore": chore,
-                    "agent": agent,
-                    "cost": rational_str(inst.costs[agent].values[chore]),
-                }
-            )
-        alloc = Allocation.from_assignment(assignment, inst.n)
-        return _outcome(inst, alloc, trace)
+        scale, unit = unit_costs(inst)
+        assignment = [min(range(inst.n), key=lambda i: unit[i][d]) for d in range(inst.m)]
+        trace = [
+            {"op": "assign", "chore": d, "agent": a, "cost": rational_str(Fraction(unit[a][d], scale))}
+            for d, a in enumerate(assignment)
+        ]
+        return _outcome(scale, unit, Allocation.from_assignment(assignment, inst.n), trace)
 
-    _, _, masks = cheapest_accepted(inst, lambda masks: True)
+    opt, _, masks = cheapest_accepted(inst, lambda masks: True)
     assert masks is not None
     alloc = Allocation(tuple(set_of(mask) for mask in masks))
-    trace = [
+    trace = (
         {"op": "enumerate", "candidates": inst.n**inst.m},
         {"op": "select", "assignment": list(alloc.assignment(inst.m))},
-    ]
-    return _outcome(inst, alloc, trace)
+    )
+    return AllocatorOutcome(allocation=alloc, social_cost=opt, trace=trace)
 
 
-def _check_order(inst: Instance, order: Sequence[int]) -> tuple[int, ...]:
-    order = tuple(order)
-    if sorted(order) != list(range(inst.n)):
-        raise ArgumentError(f"order must be a permutation of 0..{inst.n - 1}, got {order}")
-    return order
+def _ranked(unit: list[list[int]]) -> list[list[int]]:
+    """Each agent's chores by (cost, index)."""
+    return [sorted(range(len(row)), key=row.__getitem__) for row in unit]
+
+
+def _picks(order: Sequence[int], ranked: list[list[int]]) -> Iterator[tuple[int, int]]:
+    """(agent, chore) per turn: each agent takes the first untaken chore of its ``_ranked`` list."""
+    taken = [False] * len(ranked[0])
+    untaken = [itertools.filterfalse(taken.__getitem__, row) for row in ranked]
+    for agent in itertools.islice(itertools.cycle(order), len(taken)):
+        chore = next(untaken[agent])
+        taken[chore] = True
+        yield agent, chore
 
 
 def round_robin(inst: Instance, order: Sequence[int] | None = None) -> AllocatorOutcome:
@@ -104,21 +106,17 @@ def round_robin(inst: Instance, order: Sequence[int] | None = None) -> Allocator
     """
     if not inst.is_additive():
         raise PreconditionError("round robin requires additive cost functions")
-    order = _check_order(inst, order if order is not None else range(inst.n))
-    remaining = set(range(inst.m))
+    order = tuple(order if order is not None else range(inst.n))
+    if sorted(order) != list(range(inst.n)):
+        raise ArgumentError(f"order must be a permutation of 0..{inst.n - 1}, got {order}")
+    scale, unit = unit_costs(inst)
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
     trace: list[dict] = [{"op": "order", "order": list(order)}]
-    turn = 0
-    while remaining:
-        agent = order[turn % inst.n]
-        values = inst.costs[agent].values
-        chore = min(remaining, key=lambda e: (values[e], e))
-        remaining.remove(chore)
+    for agent, chore in _picks(order, _ranked(unit)):
         bundles[agent].add(chore)
-        trace.append({"op": "pick", "agent": agent, "chore": chore, "cost": rational_str(values[chore])})
-        turn += 1
-    alloc = Allocation(tuple(frozenset(b) for b in bundles))
-    return _outcome(inst, alloc, trace)
+        cost = rational_str(Fraction(unit[agent][chore], scale))
+        trace.append({"op": "pick", "agent": agent, "chore": chore, "cost": cost})
+    return _outcome(scale, unit, Allocation(tuple(frozenset(b) for b in bundles)), trace)
 
 
 def best_round_robin_order(inst: Instance) -> AllocatorOutcome:
@@ -133,20 +131,20 @@ def best_round_robin_order(inst: Instance) -> AllocatorOutcome:
         raise PreconditionError("best-order search requires a normalized instance")
     if inst.n > BEST_ORDER_MAX_AGENTS:
         raise SizeGuardError(f"order search limited to n <= {BEST_ORDER_MAX_AGENTS}, got {inst.n}")
-    best: AllocatorOutcome | None = None
-    best_order: tuple[int, ...] | None = None
-    for order in itertools.permutations(range(inst.n)):
-        outcome = round_robin(inst, order)
-        if best is None or outcome.social_cost < best.social_cost:
-            best = outcome
-            best_order = order
-    assert best is not None and best_order is not None
+    picks = math.factorial(inst.n) * inst.m
+    if picks > BEST_ORDER_MAX_PICKS:
+        raise SizeGuardError(f"order search limited to n! * m <= {BEST_ORDER_MAX_PICKS}, got {picks}")
+    _, unit = unit_costs(inst)
+    ranked = _ranked(unit)
+    # min() keeps the first of several cheapest orders.
+    best_order = min(
+        itertools.permutations(range(inst.n)),
+        key=lambda order: sum(unit[a][d] for a, d in _picks(order, ranked)),
+    )
+    best = round_robin(inst, best_order)
     if best.social_cost > 1:
-        raise InternalError(
-            f"best round-robin order exceeded social cost 1: {best.social_cost}"
-        )
-    trace = [{"op": "best_order", "order": list(best_order)}] + list(best.trace[1:])
-    return AllocatorOutcome(allocation=best.allocation, social_cost=best.social_cost, trace=tuple(trace))
+        raise InternalError(f"best round-robin order exceeded social cost 1: {best.social_cost}")
+    return replace(best, trace=({"op": "best_order", "order": list(best_order)},) + best.trace[1:])
 
 
 # ---------------------------------------------------------------------------
@@ -176,22 +174,15 @@ def _split(m: int, agent: int, bundle: Iterable[int]) -> Allocation:
 
 
 def _checked(
-    ctx: InstanceContext,
-    alloc: Allocation,
-    trace: list[dict],
-    crit: Criterion,
-    alpha: Fraction,
-    opt: Fraction,
-    price: Fraction,
+    ctx: InstanceContext, out: AllocatorOutcome, crit: Criterion, alpha: Fraction, opt: Fraction, price: Fraction
 ) -> AllocatorOutcome:
-    """The outcome of ``alloc``, asserted alpha-``crit`` and within ``price`` of ``opt``."""
-    outcome = _outcome(ctx.inst, alloc, trace)
-    found, _, _ = ctx.min_alpha_masks(alloc.masks(), crit)
+    """``out``, asserted alpha-``crit`` and within ``price`` of ``opt``."""
+    found, _, _ = ctx.min_alpha_masks(out.allocation.masks(), crit)
     if found > alpha:
         raise InternalError(f"output is {rational_str(found)}-{crit.value}, not {alpha}-{crit.value}")
-    if outcome.social_cost > price * opt:
-        raise InternalError(f"price bound violated: SC={outcome.social_cost} vs OPT={opt}")
-    return outcome
+    if out.social_cost > price * opt:
+        raise InternalError(f"price bound violated: SC={out.social_cost} vs OPT={opt}")
+    return out
 
 
 def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> AllocatorOutcome:
@@ -204,8 +195,8 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
     """
     inst = _require_two_agent(inst, normalize_input, "the two-agent EF1 algorithm")
     ctx = context_for(inst)
-    c = [inst.costs[0].values, inst.costs[1].values]
-    opt = sum(map(min, c[0], c[1]), Fraction(0))
+    scale, c = unit_costs(inst)
+    opt = Fraction(sum(map(min, c[0], c[1])), scale)
 
     cheap_1 = [e for e in range(inst.m) if c[0][e] < c[1][e]]
     cheap_2 = [e for e in range(inst.m) if c[0][e] > c[1][e]]
@@ -220,7 +211,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
             return (0, 0, e)
         if c2[e] == 0:
             return (2, 0, e)
-        return (1, c1[e] / c2[e], e)
+        return (1, Fraction(c1[e], c2[e]), e)
 
     ordered = sorted(range(inst.m), key=sort_key)
     trace: list[dict] = [
@@ -228,10 +219,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
         {"op": "sort", "order": ordered},
     ]
 
-    s = 0
-    for pos, e in enumerate(ordered, start=1):
-        if c1[e] < c2[e]:
-            s = pos
+    s = max((pos for pos, e in enumerate(ordered, start=1) if c1[e] < c2[e]), default=0)
     trace.append({"op": "index", "name": "s", "value": s})
     if s >= inst.m and inst.m > 0:
         raise InternalError("split index reached m on a normalized instance")
@@ -247,8 +235,8 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
         else:
             # Largest f >= s keeping the suffix R(f+2) strictly heavier for
             # agent 2 than the prefix L(f); the proof guarantees it exists here.
-            suffix_cost = Fraction(0)  # c2 of ordered[f+1:]
-            prefix_cost = sum((c2[e] for e in ordered[: inst.m - 1]), Fraction(0))
+            suffix_cost = 0  # c2 of ordered[f+1:]
+            prefix_cost = sum(c2[e] for e in ordered[: inst.m - 1])
             for f in range(inst.m - 2, s - 1, -1):
                 suffix_cost += c2[ordered[f + 1]]
                 prefix_cost -= c2[ordered[f]]
@@ -259,7 +247,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
             trace.append({"op": "index", "name": "f", "value": f})
             trace.append({"op": "branch", "case": "shifted_split"})
             alloc = _split(inst.m, lo, ordered[: f + 1])
-    return _checked(ctx, alloc, trace, Criterion.EF1, Fraction(1), opt, Fraction(5, 4))
+    return _checked(ctx, _outcome(scale, c, alloc, trace), Criterion.EF1, Fraction(1), opt, Fraction(5, 4))
 
 
 # ---------------------------------------------------------------------------
@@ -276,20 +264,22 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     """
     inst = _require_two_agent(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
     ctx = context_for(inst)
-    c = [inst.costs[0].values, inst.costs[1].values]
-    opt = sum(map(min, c[0], c[1]), Fraction(0))
+    scale, c = unit_costs(inst)
+    opt = Fraction(sum(map(min, c[0], c[1])), scale)
     assignment = [1 if c[1][e] < c[0][e] else 0 for e in range(inst.m)]
     start = Allocation.from_assignment(assignment, 2)
     bundles = start.bundles
-    totals = [sum((c[i][e] for e in bundles[i]), Fraction(0)) for i in range(2)]
+    totals = [sum(c[i][e] for e in bundles[i]) for i in range(2)]
     shares = [mms_value(inst, i, 2).value for i in range(2)]
-    threshold = [Fraction(3, 2) * shares[i] for i in range(2)]
     trace: list[dict] = [
         {"op": "optimal", "assignment": assignment},
         {"op": "half_split_shares", "values": [rational_str(v) for v in shares]},
     ]
 
-    violators = [i for i in range(2) if totals[i] > threshold[i]]
+    def violates(i: int, cost: int) -> bool:  # cost / scale > 3/2 * shares[i]
+        return 2 * cost * shares[i].denominator > 3 * scale * shares[i].numerator
+
+    violators = [i for i in range(2) if violates(i, totals[i])]
     # Normalized costs make a double violation impossible: each violator's
     # bundle would cost more than 3/4, while the optimum costs at most 1.
     if len(violators) > 1:
@@ -297,7 +287,7 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
 
     if not violators:
         trace.append({"op": "case", "label": "optimal_already_fair"})
-        return _checked(ctx, start, trace, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
+        return _checked(ctx, _outcome(scale, c, start, trace), Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
 
     v = violators[0]
     cv, co = c[v], c[1 - v]
@@ -307,23 +297,23 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     def sort_key(e: int):
         if cv[e] == 0:
             return (0, 0, e)
-        return (-1, -cv[e] / co[e], e)
+        return (-1, -Fraction(cv[e], co[e]), e)
 
     ordered = sorted(bundles[v], key=sort_key)
     own_total = totals[v]
-    prefix_cost = Fraction(0)  # cv of ordered[:s]
+    prefix_cost = 0  # cv of ordered[:s]
     for s, e_s in enumerate(ordered, start=1):
         prefix_cost += cv[e_s]
-        if own_total - prefix_cost <= threshold[v]:
+        if not violates(v, own_total - prefix_cost):
             break
     else:
         raise InternalError("prefix index undefined for a 3/2-PMMS violator")
     trace.append({"op": "index", "name": "s", "value": s, "violator": v})
 
-    if prefix_cost <= own_total / 2:
+    if 2 * prefix_cost <= own_total:
         trace.append({"op": "case", "label": "move_prefix"})
         new_v = bundles[v] - frozenset(ordered[:s])
-    elif co[e_s] - cv[e_s] <= Fraction(1, 8):
+    elif 8 * (co[e_s] - cv[e_s]) <= scale:
         # In an optimal allocation the violator is weakly cheaper on each of
         # its own chores, so this difference is nonnegative.
         if co[e_s] < cv[e_s]:
@@ -333,4 +323,5 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     else:
         trace.append({"op": "case", "label": "isolate_boundary_chore"})
         new_v = {e_s}
-    return _checked(ctx, _split(inst.m, v, new_v), trace, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
+    outcome = _outcome(scale, c, _split(inst.m, v, new_v), trace)
+    return _checked(ctx, outcome, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))

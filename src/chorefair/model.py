@@ -559,8 +559,6 @@ def check_submodular(fn: CostFunction, m: int) -> bool:
                     continue
                 if table[mask | ebit | fbit] - table[mask | fbit] > gain_e:
                     return False
-                if table[mask | ebit | fbit] - table[mask | ebit] > table[mask | fbit] - table[mask]:
-                    return False
     return True
 
 

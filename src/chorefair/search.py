@@ -119,6 +119,18 @@ def _scan_masks(n: int, m: int) -> Iterator[tuple[int, ...]]:
         yield tuple(masks)
 
 
+def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
+    """(scale, unit): scale is the lcm of the agents' ``denominator()``s and
+    ``unit[i][d]`` is scale times agent i's cost of chore d alone.
+
+    For additive costs a bundle's cost is the sum of its chores' entries over
+    scale, so callers compare and add integers only.
+    """
+    scale = math.lcm(*(fn.denominator() for fn in inst.costs))
+    unit = [[fn.int_eval(1 << d) * (scale // fn.denominator()) for d in range(inst.m)] for fn in inst.costs]
+    return scale, unit
+
+
 def cheapest_accepted(
     inst: Instance, accept: Callable[[list[int]], bool]
 ) -> tuple[Fraction, Fraction | None, tuple[int, ...] | None]:
@@ -131,8 +143,8 @@ def cheapest_accepted(
     order is returned. ``accept`` is asked only about leaves strictly
     cheaper than the incumbent, and must not keep the mask list it is given.
 
-    Costs are each agent's ``int_eval`` scaled to the lcm of the agents'
-    denominators, so the search compares integers only. When every
+    Costs are each agent's ``int_eval`` scaled to the ``unit_costs`` scale,
+    so the search compares integers only. When every
     cost is monotone, a subtree is pruned once its lower bound reaches the
     accepted incumbent: the partial cost, plus, for additive instances, each
     remaining chore's cheapest cost. Pruned leaves cost at least the
@@ -142,17 +154,16 @@ def cheapest_accepted(
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
-    scale = math.lcm(*(fn.denominator() for fn in inst.costs))
-    factor = [scale // fn.denominator() for fn in inst.costs]
+    scale, unit = unit_costs(inst)
     prune = all(fn.monotone_by_construction for fn in inst.costs)
     additive = inst.is_additive()
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)
     if additive:
-        unit = [[fn.int_eval(1 << d) * f for d in range(m)] for fn, f in zip(inst.costs, factor)]
         for d in range(m - 1, -1, -1):
             floor[d] = floor[d + 1] + min(row[d] for row in unit)
     else:
+        factor = [scale // fn.denominator() for fn in inst.costs]
         memo: list[dict[int, int]] = [{} for _ in range(n)]
     masks = [0] * n
     costs = [0] * n
@@ -342,14 +353,15 @@ def _family_grid(
             continue
 
 
-def _grid_bundles(kind, n_values, alphas, epsilon, p_values) -> list[FamilyBundle]:
-    """Every valid grid bundle of the families of ``kind``, each built once.
+def _grid_bundles(kind, n_values, epsilon) -> list[FamilyBundle]:
+    """Every valid bundle of the families of ``kind`` on the connection grid, each built once.
 
     A family is skipped at its first bundle of the other kind. An epsilon
     that leaves one of ``kind`` with no valid entry, where the reference
     epsilon 1/100 leaves it some, would drop its rows silently, so it raises
     ``ArgumentError`` naming those families.
     """
+    alphas, p_values = CONNECTION_GRID_ALPHAS, CONNECTION_GRID_P
     bundles, dropped = [], []
     for family_id in FAMILY_IDS:
         grid = _family_grid(family_id, n_values, alphas, epsilon, p_values)
@@ -424,13 +436,10 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
 
 
 def verify_connections(
-    n_values: Sequence[int] = (2, 3, 4, 5),
-    alphas: Sequence[Fraction] = CONNECTION_GRID_ALPHAS,
-    epsilon: Fraction = Fraction(1, 1000),
-    p_values: Sequence[int] = CONNECTION_GRID_P,
+    n_values: Sequence[int] = (2, 3, 4, 5), epsilon: Fraction = Fraction(1, 1000)
 ) -> list[PropositionReport]:
     """Re-measure every connection family's exact alphas on its grid."""
-    bundles = _grid_bundles("connection", n_values, alphas, epsilon, p_values)
+    bundles = _grid_bundles("connection", n_values, epsilon)
     return _canonical([row for bundle in bundles for row in _check_family_connections(bundle)])
 
 
@@ -511,7 +520,7 @@ def verify_prices(
     seed: int = 0,
 ) -> list[PropositionReport]:
     """Exact per-family price checks plus two-agent price-bound sweeps."""
-    bundles = _grid_bundles("price", n_values, CONNECTION_GRID_ALPHAS, epsilon, CONNECTION_GRID_P)
+    bundles = _grid_bundles("price", n_values, epsilon)
     rows = [row for bundle in bundles for row in _check_family_price(bundle)]
 
     for name, crit, level, bound in _PRICE_SWEEP_BOUNDS:

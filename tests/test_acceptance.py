@@ -71,12 +71,7 @@ def test_criterion_2_lemma_suite():
 
 def test_criterion_3_connection_tightness():
     started = time.time()
-    rows = verify_connections(
-        n_values=(2, 3, 4, 5),
-        alphas=(Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2)),
-        epsilon=Fraction(1, 1000),
-        p_values=(3, 10, 50),
-    )
+    rows = verify_connections(n_values=(2, 3, 4, 5), epsilon=Fraction(1, 1000))
     failures = [row for row in rows if not row.passed]
     assert not failures, failures[:5]
 

@@ -98,6 +98,25 @@ def test_eval_boolean_agent_count_exits_2(tmp_path, capsys):
     _assert_tagged_input_error(capsys, "validation-error")
 
 
+def _run_cli(argv: list[str]) -> subprocess.CompletedProcess:
+    """``chorefair.cli`` in a fresh interpreter, killed after 20 s."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(
+        [sys.executable, "-m", "chorefair.cli", *argv], env=env, capture_output=True, text=True, timeout=20
+    )
+
+
+def _random_normalized_file(tmp_path, n: int, m: int) -> str:
+    rng = random.Random(n * m)
+    agents = []
+    for _ in range(n):
+        row = [rng.randint(0, 9) for _ in range(m)]
+        row[0] += 1
+        agents.append({"cost": {"type": "additive", "values": [f"{v}/{sum(row)}" for v in row]}})
+    return _write(tmp_path, f"normalized_{n}x{m}.json", {"n": n, "m": m, "agents": agents})
+
+
 def test_eval_mms_search_past_its_node_budget_exits_2(tmp_path):
     # Three agents' MMS over 24 large random values: the branch-and-bound
     # ran for minutes before it had a node budget.
@@ -109,12 +128,7 @@ def test_eval_mms_search_past_its_node_budget_exits_2(tmp_path):
     ]
     inst = _write(tmp_path, "big.json", {"n": 3, "m": m, "agents": agents})
     alloc = _write(tmp_path, "alloc.json", {"bundles": [list(range(i, m, 3)) for i in range(3)]})
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    argv = ["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS"]
-    done = subprocess.run(
-        [sys.executable, "-m", "chorefair.cli", *argv], env=env, capture_output=True, text=True, timeout=20
-    )
+    done = _run_cli(["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS"])
     assert done.returncode == 2
     assert done.stdout == ""
     assert done.stderr.startswith("size-guard-exceeded: ") and done.stderr.count("\n") == 1, done.stderr
@@ -210,6 +224,24 @@ def test_allocate_round_robin_with_trace(tmp_path, instance_file, capsys):
     ]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["trace"][0] == {"op": "order", "order": [2, 0, 1]}
+
+
+def test_allocate_round_robin_on_20000_chores_finishes(tmp_path):
+    # Round robin rescanned every remaining chore on each pick: two minutes here.
+    inst = _random_normalized_file(tmp_path, 2, 20_000)
+    done = _run_cli(["allocate", "--instance", inst, "--algorithm", "round_robin"])
+    assert done.returncode == 0, done.stderr
+    bundles = json.loads(done.stdout)["allocation"]["bundles"]
+    assert [len(b) for b in bundles] == [10_000, 10_000]
+
+
+def test_allocate_best_order_past_its_pick_guard_exits_2(tmp_path):
+    # 8! orders of 1,000 picks each: hours of work before the n! * m guard.
+    inst = _random_normalized_file(tmp_path, 8, 1_000)
+    done = _run_cli(["allocate", "--instance", inst, "--algorithm", "best_rr_order"])
+    assert done.returncode == 2
+    assert done.stdout == ""
+    assert done.stderr.startswith("size-guard-exceeded: ") and done.stderr.count("\n") == 1, done.stderr
 
 
 def test_allocate_order_length_mismatch(tmp_path, instance_file, capsys):

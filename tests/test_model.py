@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -116,6 +117,33 @@ def test_check_submodular_variants():
     assert not check_submodular(bad, 2)
     with pytest.raises(SizeGuardError):
         check_submodular(Additive((1,) * 17), 17)
+
+
+def _submodular_by_definition(table: list[int]) -> bool:
+    """c(A | B) + c(A & B) <= c(A) + c(B) for every pair of subsets."""
+    size = len(table)
+    return all(table[a | b] + table[a & b] <= table[a] + table[b] for a in range(size) for b in range(size))
+
+
+def test_check_submodular_matches_the_union_intersection_definition():
+    rng = random.Random(0)
+    verdicts = []
+    for _ in range(200):
+        m = rng.randint(1, 5)
+        if rng.random() < 0.5:
+            # A capped sum is submodular; one bumped entry may break that.
+            weights = [rng.randint(0, 4) for _ in range(m)]
+            cap = rng.randint(1, 10)
+            table = [min(cap, sum(w for e, w in enumerate(weights) if s >> e & 1)) for s in range(1 << m)]
+            if rng.random() < 0.5:
+                table[rng.randrange(1, 1 << m)] += rng.randint(1, 3)
+        else:
+            table = [0] + [rng.randint(0, 6) for _ in range((1 << m) - 1)]
+        fn = TableCost(m=m, values=tuple(Fraction(v) for v in table))
+        verdict = _submodular_by_definition(table)
+        assert check_submodular(fn, m) == verdict, table
+        verdicts.append(verdict)
+    assert 20 < sum(verdicts) < 180
 
 
 @settings(max_examples=60, deadline=None)
