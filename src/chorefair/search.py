@@ -144,13 +144,13 @@ def cheapest_accepted(
     cheaper than the incumbent, and must not keep the mask list it is given.
 
     Costs are each agent's ``int_eval`` scaled to the ``unit_costs`` scale,
-    so the search compares integers only. When every
-    cost is monotone, a subtree is pruned once its lower bound reaches the
-    accepted incumbent: the partial cost, plus, for additive instances, each
-    remaining chore's cheapest cost. Pruned leaves cost at least the
-    incumbent, which is at least the optimum seen so far, so neither output
-    changes. Non-monotone costs get the full scan. More than
-    ``ENUMERATION_GUARD`` allocations raise ``SizeGuardError`` before any work.
+    so the search compares integers only. When every cost is monotone, a
+    subtree is pruned once its lower bound reaches the accepted incumbent:
+    the partial cost, plus, for additive instances, each remaining chore's
+    cheapest cost. Pruned leaves cost at least the incumbent, which is at
+    least the optimum seen so far, so neither output changes. Non-monotone
+    costs get the full scan. More than ``ENUMERATION_GUARD`` allocations
+    raise ``SizeGuardError`` before any work.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
