@@ -4,6 +4,9 @@ Three public routes, all exact:
 
 * ``mms_share``    -- enumeration of set partitions as restricted-growth
                       strings; works for any cost oracle, guarded sizes.
+                      Monotone costs (every formula variant, and each table
+                      whose entries are monotone) are pruned against a greedy
+                      bound, with the full scan's witness.
 * ``pairwise_mms`` -- k=2 over the union of two disjoint bundles, by a scan
                       of every two-way split.
 * ``mms_value``    -- dispatcher used by the criteria layer; reduces a capped
@@ -114,6 +117,21 @@ def mms_share(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
 def _enumerate_partitions(
     fn: CostFunction, elems: tuple[int, ...], k: int
 ) -> tuple[Fraction, list[frozenset[int]]]:
+    """First optimal leaf, in depth-first order, of the restricted-growth strings.
+
+    A greedy placement first puts each chore, in order, on the block of
+    min(k, t) that costs least with the chore added (ties to the lowest
+    index). Its largest block cost G is the value of one leaf, so G is at
+    least the optimum, and the search starts from the bound G + 1 rather than
+    from a leaf. A leaf replaces the incumbent only when strictly cheaper,
+    and every leaf before the first optimal one costs more than the optimum,
+    so that leaf is returned with or without the bound: the tie-break is the
+    full scan's. For monotone costs a branch is cut once a block reaches the
+    incumbent, since blocks only grow; such a branch holds no strictly
+    cheaper leaf. On that path the largest block cost so far is carried down
+    and is the leaf's value. A non-monotone block can cost less after it
+    grows, so the full scan takes the max over the final blocks.
+    """
     ev = fn.int_eval
     memo: dict[int, int] = {0: 0}
 
@@ -124,42 +142,46 @@ def _enumerate_partitions(
             memo[mask] = c
         return c
 
-    prune = fn.monotone_by_construction
+    prune = fn.monotone
     t = len(elems)
-    best_val: int | None = None
+    greedy = [0] * min(k, t)
+    for e in elems:
+        bit = 1 << e
+        j = min(range(len(greedy)), key=lambda b: block_cost(greedy[b] | bit))
+        greedy[j] |= bit
+    best_val = max(map(block_cost, greedy), default=0) + 1
     best_blocks: list[int] = []
     blocks = [0] * k
     nodes = 0
 
-    def dfs(idx: int, used: int) -> None:
+    def dfs(idx: int, used: int, top: int) -> None:
         nonlocal best_val, best_blocks, nodes
         nodes += 1
         if nodes > MMS_NODE_BUDGET:
             raise SizeGuardError(f"partition enumeration exceeded its budget of {MMS_NODE_BUDGET} nodes")
         if idx == t:
-            val = 0
-            for b in range(used):
-                c = block_cost(blocks[b])
-                if c > val:
-                    val = c
-            if best_val is None or val < best_val:
-                best_val = val
+            if not prune:
+                top = max((block_cost(blocks[b]) for b in range(used)), default=0)
+            if top < best_val:
+                best_val = top
                 best_blocks = blocks[:used]
             return
         bit = 1 << elems[idx]
         for b in range(min(used + 1, k)):
             old = blocks[b]
             new = old | bit
-            # For monotone costs a block at or above the incumbent can only
-            # grow, so the whole branch is dominated.
-            if prune and best_val is not None and block_cost(new) >= best_val:
-                continue
+            c = top
+            if prune:
+                c = block_cost(new)
+                if c >= best_val:
+                    continue
+                if c < top:
+                    c = top
             blocks[b] = new
-            dfs(idx + 1, used + 1 if b == used else used)
+            dfs(idx + 1, used + 1 if b == used else used, c)
             blocks[b] = old
 
-    # The first descent (every element in block 0) is never pruned: it sets best_val.
-    dfs(0, 0)
+    dfs(0, 0, 0)
     return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
 
 

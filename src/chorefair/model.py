@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
@@ -70,6 +71,7 @@ MONOTONE_CHECK_MAX = 20
 SUBMODULAR_CHECK_MAX = 16
 #: Chore count guard: only a capped-cardinality cost leaves m unbounded by its data.
 MAX_CHORES = 100_000
+_WORD = (1 << 64) - 1
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -133,8 +135,8 @@ class CostFunction:
     What a variant subclass must provide is listed in the module docstring.
     """
 
-    #: False only for table functions, whose entries are arbitrary.
-    monotone_by_construction = True
+    #: Whether c(S) <= c(T) for all S within T; a table reads it from its entries.
+    monotone = True
 
     def denominator(self) -> int:
         """A positive integer d such that d * c(S) is an integer for every S."""
@@ -218,6 +220,19 @@ def _numerators(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
 
 
 def _bit_sum(nums: Sequence[int], mask: int) -> int:
+    """Sum of ``nums[i]`` over the set bits i of ``mask``.
+
+    Clearing one bit of a long int copies it, so a mask past 64 bits is read
+    one nonzero 64-bit word at a time; each word takes the bit loop below.
+    """
+    if mask.bit_length() > 64:
+        total = 0
+        while mask:
+            base = (mask & -mask).bit_length() - 1 & -64
+            word = mask >> base & _WORD
+            total += _bit_sum(nums[base : base + 64], word)
+            mask ^= word << base
+        return total
     total = 0
     while mask:
         low = mask & -mask
@@ -436,8 +451,6 @@ class TableCost(CostFunction):
     values: tuple[Fraction, ...]
     kind = "table"
 
-    monotone_by_construction = False
-
     def __post_init__(self) -> None:
         values = _rationals(self.values)
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
@@ -468,6 +481,11 @@ class TableCost(CostFunction):
 
     def int_eval(self, mask: int) -> int:
         return self._nums[mask]
+
+    @cached_property
+    def monotone(self) -> bool:
+        """Computed from the entries on first use and kept; eq and hash ignore it."""
+        return _monotone_table(self._nums, self.m)
 
     def scaled(self, factor: Fraction) -> CostFunction:
         raise UnsupportedVariantError("table costs are excluded from normalization")
@@ -524,15 +542,16 @@ def check_monotone(fn: CostFunction, m: int) -> bool:
     if m > MONOTONE_CHECK_MAX:
         raise SizeGuardError(f"monotonicity check limited to m <= {MONOTONE_CHECK_MAX}, got {m}")
     fn.validate_for(m)
-    table = fn.int_table(range(m))
-    for mask in range(1 << m):
-        base = table[mask]
-        for e in range(m):
-            bit = 1 << e
-            if mask & bit:
-                continue
-            if table[mask | bit] < base:
-                return False
+    return _monotone_table(fn.int_table(range(m)), m)
+
+
+def _monotone_table(table: Sequence[int], m: int) -> bool:
+    """Whether table[S] <= table[S + e] for every mask S over m chores and e outside S."""
+    size = 1 << m
+    for e in range(m):
+        bit = 1 << e
+        if any(table[s] > table[s | bit] for s in range(size) if not s & bit):
+            return False
     return True
 
 

@@ -155,7 +155,7 @@ def cheapest_accepted(
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
     scale, unit = unit_costs(inst)
-    prune = all(fn.monotone_by_construction for fn in inst.costs)
+    prune = all(fn.monotone for fn in inst.costs)
     additive = inst.is_additive()
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)

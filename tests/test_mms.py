@@ -21,8 +21,8 @@ from chorefair import (
 from chorefair.errors import ArgumentError, SizeGuardError
 from chorefair import mms
 from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
-from chorefair.model import MAX_CHORES
-from test_oracle import VARIANTS, _random_cost
+from chorefair.model import MAX_CHORES, check_monotone, set_of
+from test_oracle import VARIANTS, _random_cost, _random_monotone_table
 
 
 def test_reference_shares(ref_instance):
@@ -267,6 +267,83 @@ def test_unpruned_enumeration_stops_at_the_node_budget():
     with pytest.raises(SizeGuardError, match=f"budget of {mms.MMS_NODE_BUDGET} nodes"):
         mms_share(inst, 0, 6)
     assert time.perf_counter() - start < 5
+
+
+def _unpruned_partitions(fn, elems, k):
+    """The plain restricted-growth scan: every leaf's largest block cost, and
+    the first strictly cheapest leaf in depth-first order."""
+    t = len(elems)
+    best_val, best_blocks = None, []
+    blocks = [0] * k
+
+    def dfs(idx, used):
+        nonlocal best_val, best_blocks
+        if idx == t:
+            val = max((fn.int_eval(blocks[b]) for b in range(used)), default=0)
+            if best_val is None or val < best_val:
+                best_val, best_blocks = val, blocks[:used]
+            return
+        for b in range(min(used + 1, k)):
+            old = blocks[b]
+            blocks[b] = old | 1 << elems[idx]
+            dfs(idx + 1, used + 1 if b == used else used)
+            blocks[b] = old
+
+    dfs(0, 0)
+    return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
+
+
+@pytest.mark.parametrize("kind", VARIANTS + ("monotone_table",))
+def test_pruned_enumeration_returns_the_unpruned_value_and_witness(kind):
+    rng = random.Random(f"enumerate-{kind}")
+    pruned = 0
+    for _ in range(200):
+        m = rng.randint(0, 8)
+        if kind == "monotone_table":
+            fn = _random_monotone_table(m, rng)
+        else:
+            fn = _random_cost(kind, m, rng)[0]
+        pruned += fn.monotone
+        elems = tuple(sorted(rng.sample(range(m), rng.randint(0, m))))
+        k = rng.randint(1, 5)
+        assert _enumerate_partitions(fn, elems, k) == _unpruned_partitions(fn, elems, k), (kind, fn, elems, k)
+    # Random tables take both paths, every other kind the pruned one.
+    assert (0 < pruned < 200) if kind == "table" else pruned == 200
+
+
+def test_table_monotone_flag_matches_check_monotone():
+    rng = random.Random(5)
+    verdicts = []
+    for _ in range(300):
+        m = rng.randint(0, 6)
+        if rng.random() < 0.4:
+            fn = _random_monotone_table(m, rng)
+            if m and rng.random() < 0.5:
+                # One lowered entry may break monotonicity.
+                values = list(fn.values)
+                mask = rng.randrange(1, 1 << m)
+                values[mask] = max(Fraction(0), values[mask] - rng.randint(1, 3))
+                fn = TableCost(m=m, values=tuple(values))
+        else:
+            fn = _random_cost("table", m, rng)[0]
+        verdicts.append(fn.monotone)
+        assert fn.monotone == check_monotone(fn, m), fn
+    assert 60 < sum(verdicts) < 240
+
+
+def test_monotone_table_at_the_enumeration_guards_is_answered():
+    # 14 chores into 6 blocks: the full scan stops at the node budget, the
+    # pruned one finishes well inside it.
+    rng = random.Random(14)
+    weights = [rng.randint(1, 20) for _ in range(14)]
+    cap = sum(weights) * 2 // 3
+    values = [min(cap, sum(w for e, w in enumerate(weights) if s >> e & 1)) for s in range(1 << 14)]
+    inst = Instance(n=1, m=14, costs=(TableCost(m=14, values=tuple(Fraction(v) for v in values)),))
+    result = mms_share(inst, 0, 6)
+    assert len(result.witness) == 6
+    assert frozenset().union(*result.witness) == frozenset(range(14))
+    assert max(inst.cost(0, block) for block in result.witness) <= result.value
+    assert result.value >= Fraction(sum(weights), 6)
 
 
 @pytest.mark.parametrize("kind", VARIANTS)

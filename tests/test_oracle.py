@@ -55,6 +55,14 @@ def _random_cost(kind: str, m: int, rng: random.Random):
     return TableCost(m=m, values=tuple(table)), lambda mask: table[mask]
 
 
+def _random_monotone_table(m: int, rng: random.Random, draw=_fraction) -> TableCost:
+    """A random table with each entry raised to the largest entry of its subsets."""
+    table = [Fraction(0)] + [draw(rng) for _ in range((1 << m) - 1)]
+    for mask in range(1, 1 << m):
+        table[mask] = max(table[mask], *(table[mask ^ 1 << e] for e in range(m) if mask >> e & 1))
+    return TableCost(m=m, values=tuple(table))
+
+
 @pytest.mark.parametrize("kind", VARIANTS)
 @pytest.mark.parametrize("m", range(1, 7))
 def test_int_eval_is_denominator_times_reference(kind, m):

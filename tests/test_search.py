@@ -39,6 +39,7 @@ from chorefair.search import (
     verify_connections,
     verify_lemmas,
 )
+from test_oracle import _random_monotone_table
 
 
 def test_enumeration_counts():
@@ -192,18 +193,21 @@ def _variant_cost(rng: random.Random, kind: str, m: int):
         for chore in range(m):
             groups.setdefault(rng.randrange(3), []).append(chore)
         return RowCoverage(tuple(tuple(g) for g in groups.values()), tuple(_small_rational(rng) for _ in groups))
+    if kind == "monotone_table":
+        return _random_monotone_table(m, rng, _small_rational)
     # A table cost with arbitrary entries is, in general, not monotone.
     return TableCost(m, (Fraction(0),) + tuple(_small_rational(rng) for _ in range(1, 1 << m)))
 
 
-_KINDS = ("additive", "capped_additive", "capped_cardinality", "row_coverage", "table", "mixed")
+_AGENT_KINDS = ("additive", "capped_additive", "capped_cardinality", "row_coverage", "table")
+_KINDS = _AGENT_KINDS + ("mixed", "monotone_table")
 
 
 def _kernel_cases(kinds=_KINDS):
     for kind in kinds:
         for n, m in ((2, 7), (3, 6), (4, 5)):
             rng = random.Random(f"kernel-{kind}-{n}-{m}")
-            agent_kinds = [rng.choice(_KINDS[:-1]) if kind == "mixed" else kind for _ in range(n)]
+            agent_kinds = [rng.choice(_AGENT_KINDS) if kind == "mixed" else kind for _ in range(n)]
             inst = Instance(n=n, m=m, costs=tuple(_variant_cost(rng, k, m) for k in agent_kinds))
             yield pytest.param(kind, inst, id=f"{kind}-n{n}-m{m}")
 
@@ -232,6 +236,8 @@ def _reference_search(leaves, accept):
 def test_best_fair_allocation_matches_unpruned_reference(kind, inst):
     if kind == "table":  # the unpruned path must really see non-monotone costs
         assert not all(check_monotone(fn, inst.m) for fn in inst.costs)
+    if kind == "monotone_table":  # and monotone tables take the pruned one
+        assert all(fn.monotone for fn in inst.costs)
     leaves = _leaves(inst)
     for crit in Criterion:
         for alpha in (Fraction(1), Fraction(3, 2), Fraction(2), INFINITY):
