@@ -128,9 +128,7 @@ def _enumerate_partitions(
     so that leaf is returned with or without the bound: the tie-break is the
     full scan's. For monotone costs a branch is cut once a block reaches the
     incumbent, since blocks only grow; such a branch holds no strictly
-    cheaper leaf. On that path the largest block cost so far is carried down
-    and is the leaf's value. A non-monotone block can cost less after it
-    grows, so the full scan takes the max over the final blocks.
+    cheaper leaf. Every leaf takes the max over its final blocks.
     """
     ev = fn.int_eval
     memo: dict[int, int] = {0: 0}
@@ -154,34 +152,34 @@ def _enumerate_partitions(
     blocks = [0] * k
     nodes = 0
 
-    def dfs(idx: int, used: int, top: int) -> None:
+    def dfs(idx: int, used: int) -> None:
         nonlocal best_val, best_blocks, nodes
         nodes += 1
         if nodes > MMS_NODE_BUDGET:
             raise SizeGuardError(f"partition enumeration exceeded its budget of {MMS_NODE_BUDGET} nodes")
         if idx == t:
-            if not prune:
-                top = max((block_cost(blocks[b]) for b in range(used)), default=0)
-            if top < best_val:
-                best_val = top
+            val = 0
+            for b in range(used):
+                c = block_cost(blocks[b])
+                if c > val:
+                    val = c
+            if val < best_val:
+                best_val = val
                 best_blocks = blocks[:used]
             return
         bit = 1 << elems[idx]
         for b in range(min(used + 1, k)):
             old = blocks[b]
             new = old | bit
-            c = top
-            if prune:
-                c = block_cost(new)
-                if c >= best_val:
-                    continue
-                if c < top:
-                    c = top
+            # For monotone costs a block at or above the incumbent can only
+            # grow, so the whole branch is dominated.
+            if prune and block_cost(new) >= best_val:
+                continue
             blocks[b] = new
-            dfs(idx + 1, used + 1 if b == used else used, c)
+            dfs(idx + 1, used + 1 if b == used else used)
             blocks[b] = old
 
-    dfs(0, 0, 0)
+    dfs(0, 0)
     return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
 
 

@@ -71,7 +71,6 @@ MONOTONE_CHECK_MAX = 20
 SUBMODULAR_CHECK_MAX = 16
 #: Chore count guard: only a capped-cardinality cost leaves m unbounded by its data.
 MAX_CHORES = 100_000
-_WORD = (1 << 64) - 1
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -220,19 +219,6 @@ def _numerators(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
 
 
 def _bit_sum(nums: Sequence[int], mask: int) -> int:
-    """Sum of ``nums[i]`` over the set bits i of ``mask``.
-
-    Clearing one bit of a long int copies it, so a mask past 64 bits is read
-    one nonzero 64-bit word at a time; each word takes the bit loop below.
-    """
-    if mask.bit_length() > 64:
-        total = 0
-        while mask:
-            base = (mask & -mask).bit_length() - 1 & -64
-            word = mask >> base & _WORD
-            total += _bit_sum(nums[base : base + 64], word)
-            mask ^= word << base
-        return total
     total = 0
     while mask:
         low = mask & -mask
@@ -484,8 +470,16 @@ class TableCost(CostFunction):
 
     @cached_property
     def monotone(self) -> bool:
-        """Computed from the entries on first use and kept; eq and hash ignore it."""
-        return _monotone_table(self._nums, self.m)
+        """Whether the entries are monotone; computed on first use and kept.
+
+        The first use scans the whole table, m * 2^m integer comparisons, even
+        when the caller works on a few of the chores; building the table has
+        already parsed its 2^m entries. A table past ``MONOTONE_CHECK_MAX``
+        chores, which ``check_monotone`` refuses, counts as non-monotone
+        without a scan, so it is searched in full, which is exact. Eq and
+        hash ignore the kept value.
+        """
+        return self.m <= MONOTONE_CHECK_MAX and _monotone_table(self._nums, self.m)
 
     def scaled(self, factor: Fraction) -> CostFunction:
         raise UnsupportedVariantError("table costs are excluded from normalization")

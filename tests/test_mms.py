@@ -19,7 +19,7 @@ from chorefair import (
     random_instance,
 )
 from chorefair.errors import ArgumentError, SizeGuardError
-from chorefair import mms
+from chorefair import mms, model
 from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
 from chorefair.model import MAX_CHORES, check_monotone, set_of
 from test_oracle import VARIANTS, _random_cost, _random_monotone_table
@@ -329,6 +329,15 @@ def test_table_monotone_flag_matches_check_monotone():
         verdicts.append(fn.monotone)
         assert fn.monotone == check_monotone(fn, m), fn
     assert 60 < sum(verdicts) < 240
+
+
+def test_table_past_the_monotone_check_guard_is_searched_in_full(monkeypatch):
+    # A table past MONOTONE_CHECK_MAX chores is not scanned: it counts as
+    # non-monotone, and the unpruned scan gives the same answer.
+    fn = _random_monotone_table(3, random.Random(3))
+    monkeypatch.setattr(model, "MONOTONE_CHECK_MAX", 2)
+    assert not fn.monotone
+    assert _enumerate_partitions(fn, (0, 1, 2), 2) == _unpruned_partitions(fn, (0, 1, 2), 2)
 
 
 def test_monotone_table_at_the_enumeration_guards_is_answered():

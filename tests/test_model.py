@@ -37,7 +37,7 @@ from chorefair.errors import (
     UnsupportedVariantError,
     ValidationError,
 )
-from chorefair.model import _bit_sum, scale_cost
+from chorefair.model import scale_cost
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -144,28 +144,6 @@ def test_check_submodular_matches_the_union_intersection_definition():
         assert check_submodular(fn, m) == verdict, table
         verdicts.append(verdict)
     assert 20 < sum(verdicts) < 180
-
-
-def _bit_sum_by_bits(nums, mask):
-    total = 0
-    while mask:
-        low = mask & -mask
-        total += nums[low.bit_length() - 1]
-        mask ^= low
-    return total
-
-
-def test_bit_sum_matches_the_bit_loop_on_long_masks():
-    rng = random.Random(70_000)
-    nums = tuple(rng.randint(0, 10**6) for _ in range(70_000))
-    widths = [0, 1, 63, 64, 65, 127, 128, 129] + [rng.randint(0, 70_000) for _ in range(16)]
-    for i, width in enumerate(widths):
-        mask = rng.getrandbits(width)
-        if i % 3 == 1 and width:  # sparse: whole zero words between set bits
-            mask = sum(1 << e for e in rng.sample(range(width), min(width, 20)))
-        elif i % 3 == 2 and width:
-            mask = 1 << (width - 1)
-        assert _bit_sum(nums, mask) == _bit_sum_by_bits(nums, mask), width
 
 
 @settings(max_examples=60, deadline=None)
