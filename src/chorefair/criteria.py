@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .errors import ArgumentError, NotInTableError
 from .mms import mms_value
 from .model import (
     INFINITY,
+    Additive,
     Allocation,
     ExtendedRational,
     Instance,
@@ -85,16 +86,19 @@ class InstanceContext:
     which is where the memoization pays off. Every memo holds agent i's
     values as integers over its own ``denominator()`` d_i: d_i * c_i(S) from
     ``mask_evaluator``, and d_i times an MMS share, which is c_i of a block.
+    The share memos keep each share's ``Fraction`` beside its integer, so a
+    report reuses one ``Fraction`` per share.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
         self._eval = [mask_evaluator(fn) for fn in inst.costs]
         self._den = [fn.denominator() for fn in inst.costs]
+        self._additive = [isinstance(fn, Additive) for fn in inst.costs]
         self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
-        self._pair: list[dict[int, int]] = [dict() for _ in range(inst.n)]
+        self._pair: list[dict[int, tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]
-        self._whole: dict[int, int] = {}
+        self._whole: dict[int, tuple[int, Fraction]] = {}
 
     def bundle_cost(self, agent: int, mask: int) -> int:
         memo = self._bundle[agent]
@@ -104,20 +108,42 @@ class InstanceContext:
             memo[mask] = c
         return c
 
-    def whole_set_mms(self, agent: int) -> int:
+    def _share(self, agent: int, share: Fraction) -> tuple[int, Fraction]:
+        return share.numerator * self._den[agent] // share.denominator, share
+
+    def whole_set_mms(self, agent: int) -> tuple[int, Fraction]:
+        """(d_i times agent i's n-way share of all chores, the share)."""
         value = self._whole.get(agent)
         if value is None:
-            share = mms_value(self.inst, agent, self.inst.n).value
-            value = self._whole[agent] = share.numerator * self._den[agent] // share.denominator
+            value = self._whole[agent] = self._share(agent, mms_value(self.inst, agent, self.inst.n).value)
         return value
 
-    def pairwise_mms(self, agent: int, union_mask: int) -> int:
+    def pairwise_mms(self, agent: int, union_mask: int) -> tuple[int, Fraction]:
+        """(d_i times agent i's half-split share of ``union_mask``, the share)."""
         memo = self._pair[agent]
         value = memo.get(union_mask)
         if value is None:
-            share = mms_value(self.inst, agent, 2, set_of(union_mask)).value
-            value = memo[union_mask] = share.numerator * self._den[agent] // share.denominator
+            value = memo[union_mask] = self._share(agent, mms_value(self.inst, agent, 2, set_of(union_mask)).value)
         return value
+
+    def share_cap(self, crit: Criterion, alpha: ExtendedRational) -> Callable[[int], int | None] | None:
+        """Agent i -> the largest d_i * c_i(S) of a bundle S that can pass alpha-``crit``.
+
+        A bundle is alpha-MMS only if it costs at most alpha times the
+        whole-set share. With two agents the pairwise union is every chore,
+        so PMMS has the same bound. The cap reads the share memos only: it
+        is None until the kernel has computed the share, so no share is
+        computed early. Other criteria and an infinite alpha get no function.
+        """
+        if alpha == INFINITY or not (crit is Criterion.MMS or (crit is Criterion.PMMS and self.inst.n == 2)):
+            return None
+        every = (1 << self.inst.m) - 1
+
+        def cap(agent: int) -> int | None:
+            share = self._whole.get(agent) if crit is Criterion.MMS else self._pair[agent].get(every)
+            return None if share is None else alpha.numerator * share[0] // alpha.denominator
+
+        return cap
 
     def removals(self, agent: int, mask: int) -> tuple:
         """One scan of the costs of ``mask`` less each of its chores.
@@ -125,22 +151,26 @@ class InstanceContext:
         Returns (best, its chore, worst over positive-cost chores, its chore,
         worst, its chore). Chores are scanned in ascending order and replace
         a value only when strictly better, so on ties the first chore stays.
+        An additive agent's cost less chore e is read as own - c({e}), so
+        no bundle less a chore is evaluated.
         """
         memo = self._removal[agent]
         hit = memo.get(mask)
         if hit is None:
             best = best_chore = worst_pos = worst_pos_chore = worst = worst_chore = None
+            own = self.bundle_cost(agent, mask) if self._additive[agent] else None
             rest = mask
             while rest:
                 low = rest & -rest
                 rest ^= low
                 e = low.bit_length() - 1
-                left = self.bundle_cost(agent, mask ^ low)
+                single = self.bundle_cost(agent, low)
+                left = self.bundle_cost(agent, mask ^ low) if own is None else own - single
                 if best is None or left < best:
                     best, best_chore = left, e
                 if worst is None or left > worst:
                     worst, worst_chore = left, e
-                if self.bundle_cost(agent, low) > 0 and (worst_pos is None or left > worst_pos):
+                if single > 0 and (worst_pos is None or left > worst_pos):
                     worst_pos, worst_pos_chore = left, e
             hit = memo[mask] = (best, best_chore, worst_pos, worst_pos_chore, worst, worst_chore)
         return hit
@@ -155,48 +185,39 @@ class InstanceContext:
         only when strictly larger, so the first witness is kept.
         """
         n = self.inst.n
+        bundle_cost = self.bundle_cost
         best_num, best_den = 1, 1
-        witness: dict | None = None
+        found = None  # (agent, against, chore) of the maximum
         mms_used: dict = {}
-
-        def consider(left: int, right: int, agent: int, against: int | None, chore: int | None):
-            nonlocal best_num, best_den, witness
-            # left <= right counts as 1, left > right == 0 as infinity
-            if left > right and best_den and (right == 0 or left * best_den > best_num * right):
-                best_num, best_den = (left, right) if right else (1, 0)
-                witness = {"agent": agent, "against": against, "chore": chore}
-
         for i in range(n):
-            own = self.bundle_cost(i, masks[i])
+            own = bundle_cost(i, masks[i])
             if own == 0:
                 continue  # contributes 1 to every criterion
+            left, chore = own, None
             if crit is Criterion.MMS:
-                share = self.whole_set_mms(i)
-                mms_used[i] = Fraction(share, self._den[i])
-                consider(own, share, i, None, None)
-                continue
-            if crit is Criterion.PMMS:
+                right, mms_used[i] = self.whole_set_mms(i)
+                rights = ((None, right),)
+            elif crit is Criterion.PMMS:
+                rights = []
                 for j in range(n):
-                    if j == i:
-                        continue
-                    share = self.pairwise_mms(i, masks[i] | masks[j])
-                    mms_used[(i, j)] = Fraction(share, self._den[i])
-                    consider(own, share, i, j, None)
-                continue
-            if crit is Criterion.EF:
-                left: int | None = own
-                chore: int | None = None
-            elif crit in _REMOVAL_SLOT:
-                slot = _REMOVAL_SLOT[crit]
-                left, chore = self.removals(i, masks[i])[slot : slot + 2]
-                if left is None:
-                    continue  # EFX with no positive-cost chore to remove: vacuous
+                    if j != i:
+                        right, mms_used[(i, j)] = self.pairwise_mms(i, masks[i] | masks[j])
+                        rights.append((j, right))
             else:
-                raise ArgumentError(f"unknown criterion {crit!r}")
-            for j in range(n):
-                if j == i:
-                    continue
-                consider(left, self.bundle_cost(i, masks[j]), i, j, chore)
+                if crit is not Criterion.EF:
+                    slot = _REMOVAL_SLOT.get(crit)
+                    if slot is None:
+                        raise ArgumentError(f"unknown criterion {crit!r}")
+                    left, chore = self.removals(i, masks[i])[slot : slot + 2]
+                    if left is None:
+                        continue  # EFX with no positive-cost chore to remove: vacuous
+                rights = [(j, bundle_cost(i, masks[j])) for j in range(n) if j != i]
+            for j, right in rights:
+                # left <= right counts as 1, left > right == 0 as infinity
+                if left > right and best_den and (right == 0 or left * best_den > best_num * right):
+                    best_num, best_den = (left, right) if right else (1, 0)
+                    found = (i, j, chore)
+        witness = None if found is None else {"agent": found[0], "against": found[1], "chore": found[2]}
         if best_den == 0:
             return INFINITY, witness, mms_used
         return (_ONE if best_num == best_den else Fraction(best_num, best_den)), witness, mms_used

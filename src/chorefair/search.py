@@ -132,7 +132,9 @@ def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
 
 
 def cheapest_accepted(
-    inst: Instance, accept: Callable[[list[int]], bool]
+    inst: Instance,
+    accept: Callable[[list[int]], bool],
+    cap: Callable[[int], int | None] | None = None,
 ) -> tuple[Fraction, Fraction | None, tuple[int, ...] | None]:
     """Exact depth-first search for the cheapest allocation ``accept`` admits.
 
@@ -151,26 +153,41 @@ def cheapest_accepted(
     least the optimum seen so far, so neither output changes. Non-monotone
     costs get the full scan. More than ``ENUMERATION_GUARD`` allocations
     raise ``SizeGuardError`` before any work.
+
+    ``cap(i)``, when given, is the largest ``int_eval`` of agent i's bundle
+    that ``accept`` can admit, or None while that is not known. On an
+    additive instance the search asks it after each ``accept`` call, for
+    each agent whose cap it does not hold yet, and cuts every subtree in
+    which an agent's cost passes its cap: costs only grow below a node, so
+    no cut leaf is accepted and the cheapest accepted allocation is the same.
+    The optimum is then the sum of per-chore minima, not a leaf's cost, as
+    the cut leaves may hold it.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
     scale, unit = unit_costs(inst)
     prune = all(fn.monotone for fn in inst.costs)
     additive = inst.is_additive()
+    factor = [scale // fn.denominator() for fn in inst.costs]
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)
     if additive:
         for d in range(m - 1, -1, -1):
             floor[d] = floor[d + 1] + min(row[d] for row in unit)
     else:
-        factor = [scale // fn.denominator() for fn in inst.costs]
         memo: list[dict[int, int]] = [{} for _ in range(n)]
+    # limit[a]: agent a's largest cost in an accepted allocation; until its
+    # cap is known, the cost of every chore, which no bundle exceeds.
+    cut = cap is not None and additive
+    uncapped = list(range(n)) if cut else []
+    limit = [sum(row) for row in unit]
     masks = [0] * n
     costs = [0] * n
     owner = [-1] * m  # agent holding chore d; -1 before its first agent
     saved = [0] * m  # that agent's cost before it took chore d
     total = 0
-    opt: int | None = None
+    # An additive optimum takes each chore at its cheapest; no leaf is below it.
+    opt: int | None = floor[0] if additive else None
     best: int | None = None
     best_masks: tuple[int, ...] | None = None
     d = 0
@@ -178,9 +195,19 @@ def cheapest_accepted(
         if d == m:
             if opt is None or total < opt:
                 opt = total
-            if (best is None or total < best) and accept(masks):
-                best = total
-                best_masks = tuple(masks)
+            if best is None or total < best:
+                if accept(masks):
+                    best = total
+                    best_masks = tuple(masks)
+                if uncapped:
+                    pending = []
+                    for a in uncapped:
+                        c = cap(a)
+                        if c is None:
+                            pending.append(a)
+                        else:
+                            limit[a] = c * factor[a]
+                    uncapped = pending
             d -= 1
             continue
         a = owner[d]
@@ -199,6 +226,8 @@ def cheapest_accepted(
         mask = masks[a] = masks[a] | bit
         if additive:
             new = old + unit[a][d]
+            if cut and new > limit[a]:
+                continue  # costs[a] and total still hold the undo's values
         else:
             new = memo[a].get(mask)
             if new is None:
@@ -221,14 +250,17 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
 
     ``alpha`` is an exact rational >= 1 or ``INFINITY``. The search is exact
     over all n^m allocations and prunes subtrees that cannot beat the
-    cheapest fair allocation found so far (``cheapest_accepted``). Among the
+    cheapest fair allocation found so far (``cheapest_accepted``). For a
+    finite alpha under MMS, or PMMS with two agents, it also cuts subtrees
+    in which an agent's cost passes alpha times a share the acceptance
+    check has already computed (``InstanceContext.share_cap``). Among the
     cheapest fair allocations the witness is the first in lexicographic
     order of the assignment vector.
     """
     alpha = parse_alpha(alpha)
     ctx = context_for(inst)
     opt_cost, best_fair, best_masks = cheapest_accepted(
-        inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha
+        inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha, ctx.share_cap(criterion, alpha)
     )
     fair_exists = best_fair is not None
     price: ExtendedRational | None = None

@@ -328,6 +328,31 @@ def test_kernel_keeps_the_first_of_equal_ratios():
     assert report.witnesses[Criterion.EF] == {"agent": 0, "against": 1, "chore": None}
 
 
+@pytest.mark.parametrize("crit", [Criterion.EF1, Criterion.EFX, Criterion.EFX_STRONG])
+def test_additive_removal_scan_evaluates_no_bundle_less_a_chore(monkeypatch, crit):
+    import chorefair.criteria as criteria
+
+    seen: list[int] = []
+    make = criteria.mask_evaluator
+
+    def recording(fn):
+        evaluate = make(fn)
+
+        def record(mask):
+            seen.append(mask)
+            return evaluate(mask)
+
+        return record
+
+    monkeypatch.setattr(criteria, "mask_evaluator", recording)
+    inst = random_instance(3, 12, "additive", seed=5)
+    alloc = Allocation.from_assignment([e % 3 for e in range(12)], 3)  # four chores each
+    report = fairness_report(inst, alloc, (crit,))
+    assert report.alphas[crit] == _reference_min_alpha(inst, alloc.bundles, crit, {})[0]
+    less_one = {mask ^ (1 << e) for mask in alloc.masks() for e in range(12) if mask >> e & 1}
+    assert seen and not less_one.intersection(seen)
+
+
 # -- guarantee table ---------------------------------------------------------
 
 

@@ -32,8 +32,10 @@ from chorefair import (
     random_instance,
 )
 from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
+from chorefair.mms import mms_value
 from chorefair.search import (
     VERIFY_MAX_N,
+    cheapest_accepted,
     random_allocation,
     reports_to_csv_rows,
     verify_connections,
@@ -232,7 +234,14 @@ def _reference_search(leaves, accept):
     return opt, best, witness
 
 
-@pytest.mark.parametrize("kind,inst", list(_kernel_cases()))
+def _zero_share_cases():
+    # Agent 1 costs nothing, so its shares are 0.
+    costs = (Additive((1, 2, 0, 1, 3)), Additive((0,) * 5), Additive((2, 1, 1, 0, 2)))
+    for n in (2, 3):
+        yield pytest.param("zero_share", Instance(n=n, m=5, costs=costs[:n]), id=f"zero_share-n{n}-m5")
+
+
+@pytest.mark.parametrize("kind,inst", [*_kernel_cases(), *_zero_share_cases()])
 def test_best_fair_allocation_matches_unpruned_reference(kind, inst):
     if kind == "table":  # the unpruned path must really see non-monotone costs
         assert not all(check_monotone(fn, inst.m) for fn in inst.costs)
@@ -240,13 +249,70 @@ def test_best_fair_allocation_matches_unpruned_reference(kind, inst):
         assert all(fn.monotone for fn in inst.costs)
     leaves = _leaves(inst)
     for crit in Criterion:
-        for alpha in (Fraction(1), Fraction(3, 2), Fraction(2), INFINITY):
+        # 5/4 and 7/6 leave alpha times a share short of an integer, so the share caps round down
+        for alpha in (Fraction(1), Fraction(7, 6), Fraction(5, 4), Fraction(3, 2), Fraction(2), INFINITY):
             opt, best, witness = _reference_search(leaves, lambda alloc: min_alpha(inst, alloc, crit) <= alpha)
             report = best_fair_allocation(inst, crit, alpha)
             assert report.opt_cost == opt
             assert report.fair_exists == (best is not None)
             assert report.best_fair_cost == best
             assert report.witness == witness, (crit, alpha)
+
+
+def _count_kernel_calls(monkeypatch) -> list[int]:
+    from chorefair.criteria import InstanceContext
+
+    calls = [0]
+    kernel = InstanceContext.min_alpha_masks
+
+    def counted(ctx, masks, crit):
+        calls[0] += 1
+        return kernel(ctx, masks, crit)
+
+    monkeypatch.setattr(InstanceContext, "min_alpha_masks", counted)
+    return calls
+
+
+def test_share_caps_compute_no_share_early():
+    # Every chore on agent 0 costs nothing, so the first leaf is fair at cost
+    # 0 and the search needs no share. The other agents' nine-way shares of
+    # six chores are past the additive solver's guard: a share computed
+    # before the kernel asks for it would raise.
+    inst = Instance(n=9, m=6, costs=(Additive((0,) * 6),) + (Additive((Fraction(1, 6),) * 6),) * 8)
+    with pytest.raises(SizeGuardError):
+        mms_value(inst, 1, 9)
+    report = best_fair_allocation(inst, Criterion.MMS, 1)
+    assert report.fair_exists and report.best_fair_cost == 0 and report.opt_cost == 0
+
+
+def test_a_cap_of_zero_cuts_every_positive_bundle():
+    # A zero share gives a cap of 0: agent 1 may hold only chores it values at 0.
+    inst = Instance(n=2, m=6, costs=(Additive((1, 2, 2, 1, 3, 1)), Additive((0, 1, 0, 2, 1, 0))))
+    asked: list[list[int]] = []
+
+    def accept(masks):
+        asked.append(list(masks))
+        return inst.costs[1].int_eval(masks[1]) == 0
+
+    plain = cheapest_accepted(inst, accept)
+    plain_asked, asked[:] = len(asked), []
+    capped = cheapest_accepted(inst, accept, lambda agent: 0 if agent == 1 else None)
+    assert capped == plain
+    assert plain[1] is not None
+    assert asked and all(inst.costs[1].int_eval(masks[1]) == 0 for masks in asked[1:])
+    assert len(asked) < plain_asked
+
+
+def test_share_caps_halve_the_kernel_calls_of_the_largest_mms_query(monkeypatch):
+    # POF_2MMS_LB at n = 5 searches 5^8 allocations for 2-MMS; without share
+    # caps the search asked the criteria kernel 3,162 times.
+    bundle = make_family("POF_2MMS_LB", n=5, epsilon=Fraction(1, 100))
+    (check,) = bundle.price_checks
+    assert (check.criterion, check.alpha) == (Criterion.MMS, 2)
+    calls = _count_kernel_calls(monkeypatch)
+    report = best_fair_allocation(bundle.instance, check.criterion, check.alpha)
+    assert (report.best_fair_cost, report.opt_cost) == (check.fair_cost, bundle.opt_cost)
+    assert 0 < calls[0] <= 3162 // 2
 
 
 @pytest.mark.parametrize("kind,inst", list(_kernel_cases(_KINDS[1:])))

@@ -7,8 +7,9 @@ goes round one of them leaves its per-layer metrics at zero; this test finds
 that in a fresh interpreter, where no context has been built before the
 tracer is installed. The two-agent allocators must reach the MMS layer on both
 routes the ``allocators`` benchmark workload requires: the additive route for
-the half-split shares and the pairwise route for the PMMS postcondition. It
-only reads ``perfbench/``.
+the half-split shares and the pairwise route for the PMMS postcondition. The
+searches that cut subtrees at each agent's share cap (MMS, and PMMS with two
+agents) must still ask the wrapped kernel. It only reads ``perfbench/``.
 """
 
 from __future__ import annotations
@@ -39,6 +40,10 @@ two = random_instance(2, 6, "additive", seed=3)
 alg1_two_agent_ef1(two)
 pmms32_two_agent(two)
 print(json.dumps(tracer.metrics()))
+best_fair_allocation(inst, Criterion.MMS, 1)
+print(json.dumps(tracer.metrics()))
+best_fair_allocation(two, Criterion.PMMS, 1)
+print(json.dumps(tracer.metrics()))
 """
 
 
@@ -46,7 +51,7 @@ def test_tracer_counts_every_traced_layer():
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, check=True, text=True)
-    before, metrics = (json.loads(line) for line in out.stdout.strip().splitlines()[-2:])
+    before, metrics, mms_search, pmms_search = (json.loads(line) for line in out.stdout.strip().splitlines()[-4:])
     names = ["model.eval.calls", "search.best_fair.calls", "search.alpha_checks"]
     names += [f"criteria.{c}.calls" for c in ("EF", "EF1", "EFX", "EFX_STRONG", "MMS", "PMMS")]
     for name in names:
@@ -54,3 +59,6 @@ def test_tracer_counts_every_traced_layer():
     # the allocator calls alone add to each of these
     for name in ("mms.additive.calls", "mms.pairwise.calls", "criteria.context.builds"):
         assert metrics.get(name, 0) > before.get(name, 0), (name, before, metrics)
+    # each capped search alone adds to the kernel's alpha checks
+    for earlier, later in ((metrics, mms_search), (mms_search, pmms_search)):
+        assert later.get("search.alpha_checks", 0) > earlier.get("search.alpha_checks", 0), (earlier, later)
