@@ -13,8 +13,9 @@ workload, every run's value of each end-to-end metric in run order, their
 median and quartiles, the summed ``failed`` and ``attempted`` op counts, and
 whether every run was correct; with the checkout's git revision (``-dirty``
 when tracked files differ from it), its ``src_lines`` (the line count of
-``src/**/*.py``), ``nproc`` and the Python version. The output file is
-written from scratch.
+``src/**/*.py``) and ``src_module_lines`` (that count per module, keyed by
+its path under ``src``), ``nproc`` and the Python version. The output file
+is written from scratch.
 """
 
 from __future__ import annotations
@@ -39,8 +40,9 @@ def git_rev(checkout: str) -> str:
     return rev + "-dirty" if git("status", "--porcelain", "--untracked-files=no").strip() else rev
 
 
-def src_lines(checkout: str) -> int:
-    return sum(path.read_text(encoding="utf-8").count("\n") for path in pathlib.Path(checkout, "src").rglob("*.py"))
+def src_module_lines(checkout: str) -> dict[str, int]:
+    src = pathlib.Path(checkout, "src")
+    return {p.relative_to(src).as_posix(): p.read_text(encoding="utf-8").count("\n") for p in src.rglob("*.py")}
 
 
 def run_once(checkout: str, workload: str, seed: int) -> dict:
@@ -101,17 +103,18 @@ def main() -> int:
                 wall = result["metrics"]["wall_s"]["value"]
                 print(f"{workload} run {run + 1}/{args.runs} {label}: wall_s={wall:.3f}", file=sys.stderr)
 
-    record = {
-        label: {
+    record = {}
+    for label, path in checkouts.items():
+        modules = src_module_lines(path)
+        record[label] = {
             "rev": git_rev(path),
-            "src_lines": src_lines(path),
+            "src_lines": sum(modules.values()),
+            "src_module_lines": modules,
             "seed": args.seed,
             "nproc": os.cpu_count(),
             "python": platform.python_version(),
             "workloads": {w: summarize(results[label][w]) for w in WORKLOADS},
         }
-        for label, path in checkouts.items()
-    }
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")

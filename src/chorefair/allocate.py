@@ -152,7 +152,10 @@ def best_round_robin_order(inst: Instance) -> AllocatorOutcome:
 # ---------------------------------------------------------------------------
 
 
-def _require_two_agent(inst: Instance, normalize_input: bool, what: str) -> Instance:
+def _two_agent_input(
+    inst: Instance, normalize_input: bool, what: str
+) -> tuple[Instance, InstanceContext, int, list[list[int]], Fraction]:
+    """(instance, context, scale, unit costs, optimum) of a checked two-agent input, normalized if asked."""
     if inst.n != 2:
         raise PreconditionError(f"{what} requires exactly 2 agents, got n={inst.n}")
     if not inst.is_additive():
@@ -163,7 +166,8 @@ def _require_two_agent(inst: Instance, normalize_input: bool, what: str) -> Inst
                 f"{what} requires a normalized instance (pass normalize_input=True to rescale)"
             )
         inst = normalize(inst)
-    return inst
+    scale, c = unit_costs(inst)
+    return inst, context_for(inst), scale, c, Fraction(sum(map(min, c[0], c[1])), scale)
 
 
 def _split(m: int, agent: int, bundle: Iterable[int]) -> Allocation:
@@ -193,10 +197,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
     already EF1 the split point is shifted to the largest index that keeps
     the suffix heavier for agent 2.
     """
-    inst = _require_two_agent(inst, normalize_input, "the two-agent EF1 algorithm")
-    ctx = context_for(inst)
-    scale, c = unit_costs(inst)
-    opt = Fraction(sum(map(min, c[0], c[1])), scale)
+    inst, ctx, scale, c, opt = _two_agent_input(inst, normalize_input, "the two-agent EF1 algorithm")
 
     cheap_1 = [e for e in range(inst.m) if c[0][e] < c[1][e]]
     cheap_2 = [e for e in range(inst.m) if c[0][e] > c[1][e]]
@@ -262,10 +263,7 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     agent exceeds 3/2 of their half-split share, chores are moved off that
     bundle in descending cost-ratio order following a three-case repair.
     """
-    inst = _require_two_agent(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
-    ctx = context_for(inst)
-    scale, c = unit_costs(inst)
-    opt = Fraction(sum(map(min, c[0], c[1])), scale)
+    inst, ctx, scale, c, opt = _two_agent_input(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
     assignment = [1 if c[1][e] < c[0][e] else 0 for e in range(inst.m)]
     start = Allocation.from_assignment(assignment, 2)
     bundles = start.bundles

@@ -757,6 +757,11 @@ def family_params(family_id: str) -> tuple[str, ...]:
     return _FAMILIES[family_id].params
 
 
+def family_kind(family_id: str) -> str:
+    """"connection" or "price"; ``family_id`` is one of ``FAMILY_IDS``."""
+    return _FAMILIES[family_id].kind
+
+
 def valid_params(family_id: str, **params) -> bool:
     try:
         make_family(family_id, **params)

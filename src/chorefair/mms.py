@@ -268,8 +268,6 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     without the search.
     """
     t = len(items)
-    if t == 0:
-        return 0, ()
     total = sum(items)
     best_val, best_assign = _lpt(items, k)
     global_lb = max(items[0], -(-total // k))

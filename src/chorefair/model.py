@@ -205,17 +205,11 @@ def _check_nonnegative(values: Sequence[Fraction], what: str) -> None:
             raise ValidationError(f"{what} must be >= 0, got {v}")
 
 
-def _rationals(values: Iterable) -> tuple[Fraction, ...]:
-    return tuple(parse_rational(v) for v in values)
-
-
-def _common_denominator(values: Iterable[Fraction]) -> int:
-    return math.lcm(*(v.denominator for v in values))
-
-
-def _numerators(values: Iterable[Fraction], den: int) -> tuple[int, ...]:
-    """Each value times ``den``, a multiple of every value's denominator."""
-    return tuple(v.numerator * (den // v.denominator) for v in values)
+def _parse_scaled(values: Iterable) -> tuple[tuple[Fraction, ...], tuple[int, ...], int]:
+    """(values parsed, each value times d as an int, d), d the lcm of their denominators."""
+    values = tuple(map(parse_rational, values))
+    den = math.lcm(*(v.denominator for v in values))
+    return values, tuple(v.numerator * (den // v.denominator) for v in values), den
 
 
 def _bit_sum(nums: Sequence[int], mask: int) -> int:
@@ -255,10 +249,9 @@ class Additive(CostFunction):
     kind = "additive"
 
     def __post_init__(self) -> None:
-        values = _rationals(self.values)
+        values, nums, den = _parse_scaled(self.values)
         _check_nonnegative(values, "additive values")
-        den = _common_denominator(values)
-        _set(self, values=values, _den=den, _nums=_numerators(values, den))
+        _set(self, values=values, _den=den, _nums=nums)
 
     def int_eval(self, mask: int) -> int:
         return _bit_sum(self._nums, mask)
@@ -292,12 +285,11 @@ class CappedAdditive(CostFunction):
     kind = "capped_additive"
 
     def __post_init__(self) -> None:
-        values, cap = _rationals(self.values), parse_rational(self.cap)
+        parsed, nums, den = _parse_scaled((*self.values, self.cap))
+        values, cap = parsed[:-1], parsed[-1]
         _check_nonnegative(values, "capped-additive values")
         if cap <= 0:
             raise ValidationError(f"cap must be > 0, got {cap}")
-        den = _common_denominator(values + (cap,))
-        nums = _numerators(values + (cap,), den)
         _set(self, values=values, cap=cap, _den=den, _nums=nums[:-1], _cap=nums[-1])
 
     def int_eval(self, mask: int) -> int:
@@ -376,7 +368,7 @@ class RowCoverage(CostFunction):
 
     def __post_init__(self) -> None:
         rows = tuple(tuple(sorted(_as_chore_set(r))) for r in self.rows)
-        weights = _rationals(self.weights)
+        weights, nums, den = _parse_scaled(self.weights)
         if len(rows) != len(weights):
             raise ValidationError("rows and weights must have equal length")
         _check_nonnegative(weights, "coverage weights")
@@ -388,8 +380,6 @@ class RowCoverage(CostFunction):
                 seen.add(e)
         if seen != set(range(len(seen))):
             raise ValidationError("coverage groups must partition 0..m-1")
-        den = _common_denominator(weights)
-        nums = _numerators(weights, den)
         groups = tuple(zip(map(mask_of, rows), nums))
         _set(self, rows=rows, weights=weights, _den=den, _nums=nums, _groups=groups)
 
@@ -438,7 +428,7 @@ class TableCost(CostFunction):
     kind = "table"
 
     def __post_init__(self) -> None:
-        values = _rationals(self.values)
+        values, nums, den = _parse_scaled(self.values)
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValidationError(f"table m must be an integer >= 0, got {self.m!r}")
         size = len(values)
@@ -451,8 +441,7 @@ class TableCost(CostFunction):
         if values[0] != 0:
             raise ValidationError("table cost of the empty set must be 0")
         _check_nonnegative(values, "table values")
-        den = _common_denominator(values)
-        _set(self, values=values, _den=den, _nums=_numerators(values, den))
+        _set(self, values=values, _den=den, _nums=nums)
 
     @classmethod
     def from_subsets(cls, m: int, table: Mapping[frozenset[int], int | str | Fraction]) -> "TableCost":

@@ -17,7 +17,7 @@ from typing import Callable, Iterator, Sequence
 
 from .criteria import Criterion, context_for, fairness_report, implied_guarantee, min_alpha, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
-from .families import FAMILY_IDS, FamilyBundle, family_params, make_family
+from .families import FAMILY_IDS, FamilyBundle, family_kind, family_params, make_family
 from .mms import mms_value
 from .model import (
     INFINITY,
@@ -388,26 +388,20 @@ def _family_grid(
 def _grid_bundles(kind, n_values, epsilon) -> list[FamilyBundle]:
     """Every valid bundle of the families of ``kind`` on the connection grid, each built once.
 
-    A family is skipped at its first bundle of the other kind. An epsilon
-    that leaves one of ``kind`` with no valid entry, where the reference
-    epsilon 1/100 leaves it some, would drop its rows silently, so it raises
-    ``ArgumentError`` naming those families.
+    An epsilon that leaves one of ``kind`` with no valid entry, where the
+    reference epsilon 1/100 leaves it some, would drop its rows silently, so
+    it raises ``ArgumentError`` naming those families.
     """
     alphas, p_values = CONNECTION_GRID_ALPHAS, CONNECTION_GRID_P
     bundles, dropped = [], []
     for family_id in FAMILY_IDS:
-        grid = _family_grid(family_id, n_values, alphas, epsilon, p_values)
-        first = next(grid, None)
-        if first is None:
-            # Only an epsilon other than the reference can empty a grid the reference fills.
-            if epsilon != _REFERENCE_EPSILON and "epsilon" in family_params(family_id):
-                probe = next(_family_grid(family_id, n_values, alphas, _REFERENCE_EPSILON, p_values), None)
-                if probe is not None and probe.kind == kind:
-                    dropped.append(family_id)
+        if family_kind(family_id) != kind:
             continue
-        if first.kind == kind:
-            bundles.append(first)
-            bundles.extend(grid)
+        grid = list(_family_grid(family_id, n_values, alphas, epsilon, p_values))
+        # Only an epsilon other than the reference can empty a grid the reference fills.
+        if not grid and next(_family_grid(family_id, n_values, alphas, _REFERENCE_EPSILON, p_values), None):
+            dropped.append(family_id)
+        bundles.extend(grid)
     if dropped:
         raise ArgumentError(f"epsilon {epsilon} leaves no valid parameters for {', '.join(dropped)}")
     return bundles
@@ -616,10 +610,11 @@ def verify_lemmas(count: int = 1000, seed: int = 0) -> list[PropositionReport]:
         subset = frozenset(e for e in chores if rng.random() < 0.6)
         superset = subset | frozenset(e for e in chores if rng.random() < 0.5)
 
-        # Share lower bounds, on the full set and a random subset.
+        # Share lower bounds, on the full set and a random subset. ``shares``
+        # keeps the subset's k-way results; the checks below read k = 2.
         for s in (frozenset(chores), subset):
-            for k in range(1, inst.n + 1):
-                share = mms_value(inst, agent, k, s).value
+            shares = [mms_value(inst, agent, k, s) for k in range(1, inst.n + 1)]
+            for k, share in enumerate((r.value for r in shares), start=1):
                 total = inst.cost(agent, s)
                 singles_ok = all(inst.cost(agent, [e]) <= share for e in s)
                 note(
@@ -641,7 +636,7 @@ def verify_lemmas(count: int = 1000, seed: int = 0) -> list[PropositionReport]:
         )
 
         # Half-split share is monotone under inclusion.
-        result = mms_value(inst, agent, 2, subset)
+        result = shares[1]
         low = result.value
         high = mms_value(inst, agent, 2, superset).value
         note("half-split-monotone", low <= high, f"trial {trial}: {low} > {high}")

@@ -113,7 +113,8 @@ def _random_normalized_file(tmp_path, n: int, m: int) -> str:
     for _ in range(n):
         row = [rng.randint(0, 9) for _ in range(m)]
         row[0] += 1
-        agents.append({"cost": {"type": "additive", "values": [f"{v}/{sum(row)}" for v in row]}})
+        total = sum(row)
+        agents.append({"cost": {"type": "additive", "values": [f"{v}/{total}" for v in row]}})
     return _write(tmp_path, f"normalized_{n}x{m}.json", {"n": n, "m": m, "agents": agents})
 
 

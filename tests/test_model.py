@@ -317,6 +317,35 @@ def test_nested_coverage_row_is_a_validation_error():
         RowCoverage(rows=(([0],),), weights=(Fraction(1),))
 
 
+# Inputs with more than one fault: each row pins the error a cost class
+# raises first, so a change to the order of its checks shows here.
+@pytest.mark.parametrize(
+    "build, expected",
+    [
+        (lambda: TableCost(m="x", values=("1", "-1")), "validation-error: table m must be an integer >= 0, got 'x'"),
+        (lambda: TableCost(m=1, values=("1", "-1")), "validation-error: table cost of the empty set must be 0"),
+        (lambda: TableCost(m=-1, values=("x",)), "parse-error: not a rational: 'x'"),
+        (lambda: TableCost.from_subsets(2, {frozenset({0}): "x"}), "parse-error: not a rational: 'x'"),
+        (lambda: CappedAdditive(("-1",), "0"), "validation-error: capped-additive values must be >= 0, got -1"),
+        (lambda: CappedAdditive(("-1",), "y"), "parse-error: not a rational: 'y'"),
+        (
+            lambda: RowCoverage(rows=((0,),), weights=("-1", "2")),
+            "validation-error: rows and weights must have equal length",
+        ),
+        (
+            lambda: RowCoverage(rows=((0,), (0,)), weights=("-1", "1")),
+            "validation-error: coverage weights must be >= 0, got -1",
+        ),
+        (lambda: Additive(("-1", "x")), "parse-error: not a rational: 'x'"),
+        (lambda: Additive((0.5,)), "parse-error: not a rational: 0.5 (floats are rejected)"),
+    ],
+)
+def test_cost_validation_reports_the_first_fault(build, expected):
+    with pytest.raises((ParseError, ValidationError)) as caught:
+        build()
+    assert str(caught.value) == expected
+
+
 def test_chore_count_guard():
     from chorefair.model import MAX_CHORES
 
