@@ -613,13 +613,13 @@ def verify_lemmas(count: int = 1000, seed: int = 0) -> list[PropositionReport]:
         # Share lower bounds, on the full set and a random subset. ``shares``
         # keeps the subset's k-way results; the checks below read k = 2.
         for s in (frozenset(chores), subset):
+            total = inst.cost(agent, s)
+            singles = [inst.cost(agent, [e]) for e in s]
             shares = [mms_value(inst, agent, k, s) for k in range(1, inst.n + 1)]
             for k, share in enumerate((r.value for r in shares), start=1):
-                total = inst.cost(agent, s)
-                singles_ok = all(inst.cost(agent, [e]) <= share for e in s)
                 note(
                     "share-lower-bounds",
-                    share * k >= total and singles_ok,
+                    share * k >= total and all(c <= share for c in singles),
                     f"trial {trial}: MMS({k}, |S|={len(s)})={share} vs c(S)={total}",
                 )
 
