@@ -94,22 +94,19 @@ def _cmd_mms(args) -> int:
     return 0
 
 
-_ALGORITHMS = ("round_robin", "alg1", "pmms32", "optimal", "best_rr_order")
+#: ``allocate --algorithm`` name -> its call on the loaded instance; the keys are the choices, in order.
+_ALGORITHMS = {
+    "round_robin": lambda inst, args: round_robin(inst, _parse_int_list(args.order) if args.order else None),
+    "alg1": lambda inst, args: alg1_two_agent_ef1(inst, normalize_input=args.normalize),
+    "pmms32": lambda inst, args: pmms32_two_agent(inst, normalize_input=args.normalize),
+    "optimal": lambda inst, args: optimal_allocation(inst),
+    "best_rr_order": lambda inst, args: best_round_robin_order(inst),
+}
 
 
 def _cmd_allocate(args) -> int:
     inst = _load_instance(args.instance)
-    if args.algorithm == "round_robin":
-        order = _parse_int_list(args.order) if args.order else None
-        outcome = round_robin(inst, order)
-    elif args.algorithm == "alg1":
-        outcome = alg1_two_agent_ef1(inst, normalize_input=args.normalize)
-    elif args.algorithm == "pmms32":
-        outcome = pmms32_two_agent(inst, normalize_input=args.normalize)
-    elif args.algorithm == "optimal":
-        outcome = optimal_allocation(inst)
-    else:
-        outcome = best_round_robin_order(inst)
+    outcome = _ALGORITHMS[args.algorithm](inst, args)
     payload = {
         "allocation": allocation_to_json(outcome.allocation),
         "social_cost": rational_str(outcome.social_cost),

@@ -2,10 +2,12 @@
 
 Each family packages one extremal construction: an instance, the allocation
 exhibiting the extreme behaviour, and the closed-form values it attains.
-Connection families pin minimal alphas for several criteria at once; price
-families pin the optimal social cost, the cheapest fair cost, and their
-ratio. Every expectation is exact at the given parameters and is re-derived
-by the search layer in tests.
+Connection families pin minimal alphas for several criteria at once. The
+first is the family's ``source``: the criterion and alpha its reference
+allocation is built to meet, whose implied guarantees bound the others.
+Price families pin the optimal social cost, the cheapest fair cost, and
+their ratio. Every expectation is exact at the given parameters and is
+re-derived by the search layer in tests.
 
 Adding a family takes one builder decorated with ``@_family(id, setting,
 kind)``. Its parameter names are read from its signature (``n``, ``m`` and
@@ -65,7 +67,6 @@ class FamilyBundle:
     kind: str  # "connection" | "price"
     instance: Instance
     reference_allocation: Allocation
-    source: tuple[Criterion, Fraction] | None = None
     expected_alphas: tuple[tuple[Criterion, ExtendedRational], ...] = ()
     expected_values: tuple[tuple[str, Fraction], ...] = ()
     opt_cost: Fraction | None = None
@@ -74,6 +75,11 @@ class FamilyBundle:
     @property
     def params_dict(self) -> dict:
         return dict(self.params)
+
+    @property
+    def source(self) -> tuple[Criterion, ExtendedRational] | None:
+        """The (criterion, alpha) a connection family starts from: its first expected alpha."""
+        return self.expected_alphas[0] if self.expected_alphas else None
 
     @property
     def alphas_dict(self) -> dict[Criterion, ExtendedRational]:
@@ -174,7 +180,6 @@ def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF, alpha),
         expected_alphas=((Criterion.EF, alpha), (Criterion.MMS, n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
@@ -191,7 +196,6 @@ def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF, alpha),
         expected_alphas=((Criterion.EF, alpha), (Criterion.PMMS, 2 * alpha / (1 + alpha))),
         expected_values=(("pair_share_agent0", 1 + alpha),),
     )
@@ -208,7 +212,6 @@ def _ef1_not_efx(n: int, p: int) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF1, Fraction(1)),
         expected_alphas=((Criterion.EF1, Fraction(1)), (Criterion.EFX, Fraction(p, 2))),
     )
 
@@ -225,7 +228,6 @@ def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF1, alpha),
         expected_alphas=((Criterion.EF1, alpha), (Criterion.MMS, (n * alpha + n - 1) / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
@@ -243,7 +245,6 @@ def _efx_mms_lb_a(n: int) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EFX, Fraction(1)),
         expected_alphas=((Criterion.EFX, Fraction(1)), (Criterion.MMS, Fraction(2 * n, n + 1))),
         expected_values=(("whole_set_share_agent0", Fraction(n + 1)),),
     )
@@ -267,7 +268,6 @@ def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EFX, alpha),
         expected_alphas=((Criterion.EFX, alpha), (Criterion.MMS, 2 * n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
@@ -284,7 +284,6 @@ def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EFX, alpha),
         expected_alphas=((Criterion.EFX, alpha), (Criterion.PMMS, 4 * alpha / (2 * alpha + 1))),
         expected_values=(("pair_share_agent0", 2 * alpha + 1),),
     )
@@ -302,7 +301,6 @@ def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF1, alpha),
         expected_alphas=((Criterion.EF1, alpha), (Criterion.PMMS, (2 * alpha + 1) / (alpha + 1))),
         expected_values=(("pair_share_agent0", alpha + 1),),
     )
@@ -323,7 +321,6 @@ def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, alpha),
         expected_alphas=((Criterion.PMMS, alpha), (Criterion.EF1, 1 / epsilon)),
         expected_values=(("pair_share_agent0", big),),
     )
@@ -337,7 +334,6 @@ def _pmms_mms_n3_tight() -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, Fraction(1)),
         expected_alphas=((Criterion.PMMS, Fraction(1)), (Criterion.MMS, Fraction(4, 3))),
         expected_values=(("whole_set_share_agent0", Fraction(3)),),
     )
@@ -358,7 +354,6 @@ def _pmms_mms_lb(n: int) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, Fraction(1)),
         expected_alphas=(
             (Criterion.PMMS, Fraction(1)),
             (Criterion.MMS, Fraction(2 * n + 2, n + 3)),
@@ -379,7 +374,6 @@ def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, alpha),
         expected_alphas=((Criterion.PMMS, alpha), (Criterion.MMS, n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share), ("pair_share_agent0", Fraction(n))),
     )
@@ -404,7 +398,6 @@ def _mms_not_pmms(n: int, p: int) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.MMS, Fraction(1)),
         expected_alphas=(
             (Criterion.MMS, Fraction(1)),
             (Criterion.PMMS, Fraction(p + 1) / Fraction(math.ceil(Fraction(p + 2, 2)))),
@@ -421,7 +414,6 @@ def _mms_not_ef1(n: int, p: int) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.MMS, Fraction(1)),
         expected_alphas=((Criterion.MMS, Fraction(1)), (Criterion.EF1, Fraction(p))),
         expected_values=(("whole_set_share_agent0", Fraction(p + 1)),),
     )
@@ -444,7 +436,6 @@ def _sub_ef_coverage(n: int) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.EF, Fraction(1)),
         expected_alphas=(
             (Criterion.EF, Fraction(1)),
             (Criterion.MMS, Fraction(n)),
@@ -462,7 +453,6 @@ def _sub_pmms_capped() -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, Fraction(1)),
         expected_alphas=(
             (Criterion.PMMS, Fraction(1)),
             (Criterion.MMS, Fraction(1)),
@@ -501,7 +491,6 @@ def _sub_pmms_mms_tight(n: int, alpha: Fraction) -> dict:
     return dict(
         instance=inst,
         reference_allocation=alloc,
-        source=(Criterion.PMMS, alpha),
         expected_alphas=((Criterion.PMMS, alpha), (Criterion.MMS, half)),
         expected_values=(("whole_set_share_agent0", Fraction(1)),),
     )

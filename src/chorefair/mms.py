@@ -78,7 +78,7 @@ def _resolve_chores(inst: Instance, chores: Iterable[int] | None) -> tuple[int, 
 
 
 def _check_k(k: int) -> None:
-    if not isinstance(k, int) or k < 1:
+    if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ArgumentError(f"partition size k must be an integer >= 1, got {k!r}")
     if k > MAX_BLOCKS:
         raise SizeGuardError(f"partition size k limited to {MAX_BLOCKS}, got {k}")

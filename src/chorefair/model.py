@@ -612,7 +612,7 @@ class Instance:
         return self.costs[agent].value(s)
 
     def check_agent(self, agent: int) -> None:
-        if not isinstance(agent, int) or not 0 <= agent < self.n:
+        if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < self.n:
             raise BoundsError(f"agent index {agent!r} out of range for n={self.n}")
 
     def is_additive(self) -> bool:

@@ -96,6 +96,17 @@ def _report(prop_id, expected, observed, ok, n=None, alpha=None, epsilon=None) -
     )
 
 
+def _equal(prop_id, expected, observed, **where) -> PropositionReport:
+    """A row that passes when ``observed == expected``; an ``observed`` of None prints "none" and fails."""
+    shown = "none" if observed is None else rational_str(observed)
+    return _report(prop_id, rational_str(expected), shown, observed == expected, **where)
+
+
+def _within(prop_id, bound, observed, **where) -> PropositionReport:
+    """A row that passes when ``observed <= bound``."""
+    return _report(prop_id, f"<= {rational_str(bound)}", rational_str(observed), observed <= bound, **where)
+
+
 def _check_allocation_count(n: int, m: int) -> None:
     """Raise ``SizeGuardError`` when the n^m allocations exceed ``ENUMERATION_GUARD``."""
     count = n**m
@@ -414,27 +425,16 @@ def _params_str(params: dict) -> str:
 
 
 def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
-    rows: list[PropositionReport] = []
     params = bundle.params_dict
     n = bundle.instance.n
-    alpha = params.get("alpha")
-    epsilon = params.get("epsilon")
+    where = dict(n=n, alpha=params.get("alpha"), epsilon=params.get("epsilon"))
     label = bundle.family_id + _params_str(params)
-    src_crit, src_alpha = bundle.source  # connection families always set it
+    src_crit, src_alpha = bundle.source  # connection families always have one
     report = fairness_report(bundle.instance, bundle.reference_allocation, bundle.alphas_dict)
+    rows = []
     for crit, expected in bundle.expected_alphas:
         measured = report.alphas[crit]
-        rows.append(
-            _report(
-                f"{label}:min_alpha[{crit.value}]",
-                rational_str(expected),
-                rational_str(measured),
-                measured == expected,
-                n=n,
-                alpha=alpha,
-                epsilon=epsilon,
-            )
-        )
+        rows.append(_equal(f"{label}:min_alpha[{crit.value}]", expected, measured, **where))
         if crit is src_crit:
             continue
         try:
@@ -447,17 +447,7 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
             row_id = f"guarantee[{src_crit.value}->{crit.value}]"
         else:
             row_id = f"trivial_bound[{crit.value}]"
-        rows.append(
-            _report(
-                f"{label}:{row_id}",
-                f"<= {rational_str(guarantee.value)}",
-                rational_str(measured),
-                measured <= guarantee.value,
-                n=n,
-                alpha=alpha,
-                epsilon=epsilon,
-            )
-        )
+        rows.append(_within(f"{label}:{row_id}", guarantee.value, measured, **where))
     return rows
 
 
@@ -470,59 +460,22 @@ def verify_connections(
 
 
 def _check_family_price(bundle: FamilyBundle) -> list[PropositionReport]:
-    rows: list[PropositionReport] = []
+    """Each check's search against its expectations, and one report on the reference allocation."""
     params = bundle.params_dict
     n = bundle.instance.n
     epsilon = params.get("epsilon")
     label = bundle.family_id + _params_str(params)
-    reports = [best_fair_allocation(bundle.instance, c.criterion, c.alpha) for c in bundle.price_checks]
-    rows.append(
-        _report(
-            f"{label}:opt_cost",
-            rational_str(bundle.opt_cost),
-            rational_str(reports[0].opt_cost),
-            reports[0].opt_cost == bundle.opt_cost,
-            n=n,
-            epsilon=epsilon,
-        )
-    )
-    for check, report in zip(bundle.price_checks, reports):
+    checks = bundle.price_checks
+    reports = [best_fair_allocation(bundle.instance, c.criterion, c.alpha) for c in checks]
+    reference = fairness_report(bundle.instance, bundle.reference_allocation, [c.criterion for c in checks])
+    rows = [_equal(f"{label}:opt_cost", bundle.opt_cost, reports[0].opt_cost, n=n, epsilon=epsilon)]
+    for check, report in zip(checks, reports):
         tag = f"{check.criterion.value}@{check.alpha}"
-        ok = report.fair_exists and report.best_fair_cost == check.fair_cost
-        rows.append(
-            _report(
-                f"{label}:fair_cost[{tag}]",
-                rational_str(check.fair_cost),
-                rational_str(report.best_fair_cost) if report.fair_exists else "none",
-                ok,
-                n=n,
-                alpha=check.alpha,
-                epsilon=epsilon,
-            )
-        )
-        rows.append(
-            _report(
-                f"{label}:price[{tag}]",
-                rational_str(check.price),
-                rational_str(report.price) if report.fair_exists else "none",
-                report.fair_exists and report.price == check.price,
-                n=n,
-                alpha=check.alpha,
-                epsilon=epsilon,
-            )
-        )
-        ref_alpha = min_alpha(bundle.instance, bundle.reference_allocation, check.criterion)
-        rows.append(
-            _report(
-                f"{label}:reference_is_fair[{tag}]",
-                f"<= {check.alpha}",
-                rational_str(ref_alpha),
-                ref_alpha <= check.alpha,
-                n=n,
-                alpha=check.alpha,
-                epsilon=epsilon,
-            )
-        )
+        where = dict(n=n, alpha=check.alpha, epsilon=epsilon)
+        rows.append(_equal(f"{label}:fair_cost[{tag}]", check.fair_cost, report.best_fair_cost, **where))
+        rows.append(_equal(f"{label}:price[{tag}]", check.price, report.price, **where))
+        ref_alpha = reference.alphas[check.criterion]
+        rows.append(_within(f"{label}:reference_is_fair[{tag}]", check.alpha, ref_alpha, **where))
     return rows
 
 
@@ -550,27 +503,12 @@ def verify_prices(
     rows = [row for bundle in bundles for row in _check_family_price(bundle)]
 
     for name, crit, level, bound in _PRICE_SWEEP_BOUNDS:
-        worst: ExtendedRational = Fraction(1)
-        ok = True
+        worst: ExtendedRational = Fraction(1)  # no price is below 1
         for trial in range(sweep_count):
             rng = random.Random((seed, name, trial).__repr__())
             inst = random_instance(2, rng.randint(2, PRICE_SWEEP_MAX_CHORES), "additive", seed=seed * 1_000_003 + trial)
-            price = price_of_fairness(inst, crit, level)
-            if price > worst:
-                worst = price
-            if price > bound or (bound == 1 and price != 1):
-                ok = False
-        rows.append(
-            _report(
-                f"sweep:{name}(count={sweep_count})",
-                f"<= {rational_str(bound)}",
-                rational_str(worst),
-                ok,
-                n=2,
-                alpha=level,
-                epsilon=epsilon,
-            )
-        )
+            worst = max(worst, price_of_fairness(inst, crit, level))
+        rows.append(_within(f"sweep:{name}(count={sweep_count})", bound, worst, n=2, alpha=level, epsilon=epsilon))
     return _canonical(rows)
 
 
@@ -696,18 +634,12 @@ def _canonical(rows: list[PropositionReport]) -> list[PropositionReport]:
 CSV_COLUMNS = ("proposition_id", "n", "alpha", "epsilon", "expected", "observed", "status")
 
 
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    return value if isinstance(value, str) else rational_str(value)
+
+
 def reports_to_csv_rows(rows: Sequence[PropositionReport]) -> list[dict[str, str]]:
-    out = []
-    for row in rows:
-        out.append(
-            {
-                "proposition_id": row.proposition_id,
-                "n": "" if row.n is None else str(row.n),
-                "alpha": "" if row.alpha is None else rational_str(row.alpha),
-                "epsilon": "" if row.epsilon is None else rational_str(row.epsilon),
-                "expected": row.expected,
-                "observed": row.observed,
-                "status": row.status,
-            }
-        )
-    return out
+    """One dict per row, keyed by ``CSV_COLUMNS``: None is empty, text stays, numbers go through ``rational_str``."""
+    return [{column: _cell(getattr(row, column)) for column in CSV_COLUMNS} for row in rows]

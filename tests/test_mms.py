@@ -18,7 +18,7 @@ from chorefair import (
     pairwise_mms,
     random_instance,
 )
-from chorefair.errors import ArgumentError, SizeGuardError
+from chorefair.errors import ArgumentError, BoundsError, SizeGuardError
 from chorefair import mms, model
 from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
 from chorefair.model import MAX_CHORES, check_monotone, set_of
@@ -73,6 +73,17 @@ def test_enumeration_guards(ref_instance):
         mms_share(ref_instance, 0, 7)
     with pytest.raises(ArgumentError):
         mms_share(ref_instance, 0, 0)
+
+
+def test_bool_agent_and_k_are_rejected(ref_instance):
+    # bool is an int subclass: True would otherwise answer for agent 1 or k = 1.
+    for solve in (mms_value, mms_share):
+        with pytest.raises(BoundsError, match=f"agent index True out of range for n={ref_instance.n}"):
+            solve(ref_instance, True, 2)
+        with pytest.raises(ArgumentError, match="partition size k must be an integer >= 1, got True"):
+            solve(ref_instance, 0, True)
+    with pytest.raises(BoundsError, match="agent index False out of range"):
+        pairwise_mms(ref_instance, False, {0}, {1})
 
 
 def test_additive_guard_on_chores():

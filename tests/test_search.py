@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import os
 import random
@@ -32,6 +33,7 @@ from chorefair import (
     random_instance,
 )
 from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
+from chorefair.families import FamilyBundle, PriceCheck
 from chorefair.mms import mms_value
 from chorefair.search import (
     VERIFY_MAX_N,
@@ -390,12 +392,53 @@ def test_family_checks_run_each_query_once(monkeypatch):
     price = make_family("POF_PMMS_N2", epsilon=Fraction(1, 100))
     rows = search._check_family_price(price)
     assert calls["best_fair"] == len(price.price_checks) == 3
+    assert (calls["report"], calls["min_alpha"]) == (1, 0)
     assert all(row.passed for row in rows)
     calls.update(report=0, min_alpha=0)
     connection = make_family("SUB_PMMS_CAPPED")
     rows = search._check_family_connections(connection)
     assert (calls["report"], calls["min_alpha"]) == (1, 0)
     assert all(row.passed for row in rows)
+
+
+def _shown(rows):
+    return [(r.proposition_id, r.expected, r.observed, r.status) for r in rows]
+
+
+def test_verification_rows_report_each_failure(monkeypatch):
+    import chorefair.search as search
+
+    # One chore costing 1 to both agents: no allocation is EF, and the
+    # reference allocation leaves agent 0 envying an empty bundle.
+    fn = Additive((Fraction(1),))
+    one_chore = FamilyBundle(
+        family_id="ONE_CHORE",
+        params=(("epsilon", Fraction(1, 100)),),
+        setting="additive",
+        kind="price",
+        instance=Instance(n=2, m=1, costs=(fn, fn)),
+        reference_allocation=Allocation((frozenset({0}), frozenset())),
+        opt_cost=Fraction(1),
+        price_checks=(PriceCheck(Criterion.EF, 1, 1, 1),),
+    )
+    assert _shown(search._check_family_price(one_chore)) == [
+        ("ONE_CHORE[epsilon=1/100]:opt_cost", "1", "1", "pass"),
+        ("ONE_CHORE[epsilon=1/100]:fair_cost[EF@1]", "1", "none", "fail"),
+        ("ONE_CHORE[epsilon=1/100]:price[EF@1]", "1", "none", "fail"),
+        ("ONE_CHORE[epsilon=1/100]:reference_is_fair[EF@1]", "<= 1", "inf", "fail"),
+    ]
+
+    capped = make_family("SUB_PMMS_CAPPED")
+    wrong = dataclasses.replace(capped, expected_alphas=((Criterion.PMMS, Fraction(1)), (Criterion.MMS, Fraction(2))))
+    failed = [row for row in _shown(search._check_family_connections(wrong)) if row[3] == "fail"]
+    assert failed == [("SUB_PMMS_CAPPED:min_alpha[MMS]", "2", "1", "fail")]
+
+    monkeypatch.setattr(search, "price_of_fairness", lambda inst, crit, alpha: 3)
+    rows = search.verify_prices(n_values=(3,), sweep_count=1)
+    sweeps = {r[0]: r[1:] for r in _shown(rows) if r[0].startswith("sweep:")}
+    assert sweeps["sweep:price-EF1<=5/4(count=1)"] == ("<= 5/4", "3", "fail")
+    assert sweeps["sweep:price-2-MMS=1(count=1)"] == ("<= 1", "3", "fail")
+    assert all(row.passed for row in rows if not row.proposition_id.startswith("sweep:"))
 
 
 def test_verify_grids_build_each_entry_once(monkeypatch):
