@@ -13,7 +13,6 @@ import functools
 import json
 import os
 import sys
-from fractions import Fraction
 
 from .allocate import (
     alg1_two_agent_ef1,
@@ -34,6 +33,7 @@ from .model import (
     rational_str,
 )
 from .search import (
+    _REFERENCE_EPSILON,
     CSV_COLUMNS,
     VERIFY_MAX_N,
     best_fair_allocation,
@@ -170,7 +170,7 @@ def _cmd_verify(args) -> int:
     folder = os.path.dirname(args.out) or "."
     if not os.path.isdir(folder):
         raise ChoreFairError(f"cannot write {args.out}: no directory {folder}")
-    epsilon = parse_rational(args.epsilon) if args.epsilon else Fraction(1, 100)
+    epsilon = parse_rational(args.epsilon) if args.epsilon else _REFERENCE_EPSILON
     n_values = tuple(range(2, args.n_max + 1))
     rows = []
     if args.suite in ("connections", "all"):

@@ -99,6 +99,7 @@ class InstanceContext:
         self._pair: list[dict[int, tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]
         self._whole: dict[int, tuple[int, Fraction]] = {}
+        self._filled: list[int] = []  # the agent of each share memo entry, in fill order
 
     def bundle_cost(self, agent: int, mask: int) -> int:
         memo = self._bundle[agent]
@@ -109,6 +110,7 @@ class InstanceContext:
         return c
 
     def _share(self, agent: int, share: Fraction) -> tuple[int, Fraction]:
+        self._filled.append(agent)  # each share is memoised as it is scaled
         return share.numerator * self._den[agent] // share.denominator, share
 
     def whole_set_mms(self, agent: int) -> tuple[int, Fraction]:
@@ -127,23 +129,48 @@ class InstanceContext:
         return value
 
     def share_cap(self, crit: Criterion, alpha: ExtendedRational) -> Callable[[int], int | None] | None:
-        """Agent i -> the largest d_i * c_i(S) of a bundle S that can pass alpha-``crit``.
+        """Agent i -> the largest x = d_i * c_i(S_i) of a bundle S_i that can pass alpha-``crit``.
 
-        A bundle is alpha-MMS only if it costs at most alpha times the
-        whole-set share. With two agents the pairwise union is every chore,
-        so PMMS has the same bound. The cap reads the share memos only: it
-        is None until the kernel has computed the share, so no share is
-        computed early. Other criteria and an infinite alpha get no function.
+        Lazy caps: alpha-MMS asks x <= alpha * d_i * MMS, and with two agents
+        the pairwise union is every chore, so PMMS asks the same. The cap is
+        None until the kernel has computed the share, so none is computed
+        early; its ``filled`` list names the agent of each new share, in order.
+
+        Closed-form caps, additive instances only, with alpha = p/q, C = d_i *
+        c_i(all chores) and t = d_i * (largest single-chore cost). Alpha-EF1
+        asks x - t <= alpha * d_i * c_i(S_j) for each j != i; the other
+        bundles cost C - x together, so x * (q(n-1) + p) <= p*C + q(n-1)*t.
+        EFX and strong EFX imply EF1 (a positive-cost additive bundle holds a
+        positive-cost chore); EF is the case t = 0. List scheduling gives
+        2 * MMS_2(T) <= c_i(T) + t (Graham 1969), so alpha-PMMS asks
+        2q*x <= p * (x + d_i * c_i(S_j) + t) for each j != i, and summing,
+        x * (2q(n-1) - p(n-2)) <= p * (C + (n-1)*t): a cap for n >= 3 when
+        2q(n-1) > p(n-2). Any other case gets no function.
         """
-        if alpha == INFINITY or not (crit is Criterion.MMS or (crit is Criterion.PMMS and self.inst.n == 2)):
+        if alpha == INFINITY:
             return None
-        every = (1 << self.inst.m) - 1
+        n, m, p, q = self.inst.n, self.inst.m, alpha.numerator, alpha.denominator
+        every = (1 << m) - 1
+        if crit is Criterion.MMS or (crit is Criterion.PMMS and n == 2):
 
-        def cap(agent: int) -> int | None:
-            share = self._whole.get(agent) if crit is Criterion.MMS else self._pair[agent].get(every)
-            return None if share is None else alpha.numerator * share[0] // alpha.denominator
+            def cap(agent: int) -> int | None:
+                share = self._whole.get(agent) if crit is Criterion.MMS else self._pair[agent].get(every)
+                return None if share is None else p * share[0] // q
 
-        return cap
+            cap.filled = self._filled
+            return cap
+        if crit is Criterion.PMMS:  # x * div <= p*C + top_k*t
+            top_k, div = p * (n - 1), 2 * q * (n - 1) - p * (n - 2)
+        else:
+            top_k, div = (0 if crit is Criterion.EF else q * (n - 1)), q * (n - 1) + p
+        if div <= 0 or not all(self._additive):
+            return None
+
+        def closed_cap(agent: int) -> int:
+            top = max((self.bundle_cost(agent, 1 << e) for e in range(m)), default=0) if top_k else 0
+            return (p * self.bundle_cost(agent, every) + top_k * top) // div
+
+        return closed_cap
 
     def removals(self, agent: int, mask: int) -> tuple:
         """One scan of the costs of ``mask`` less each of its chores.

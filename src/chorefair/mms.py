@@ -214,7 +214,7 @@ def _lpt(items: Sequence[int], k: int) -> tuple[int, list[int]]:
     loads = [0] * k
     assign = [0] * len(items)
     for i, v in enumerate(items):
-        j = min(range(k), key=lambda b: loads[b])
+        j = loads.index(min(loads))
         loads[j] += v
         assign[i] = j
     return (max(loads) if items else 0), assign

@@ -167,12 +167,13 @@ def cheapest_accepted(
 
     ``cap(i)``, when given, is the largest ``int_eval`` of agent i's bundle
     that ``accept`` can admit, or None while that is not known. On an
-    additive instance the search asks it after each ``accept`` call, for
-    each agent whose cap it does not hold yet, and cuts every subtree in
-    which an agent's cost passes its cap: costs only grow below a node, so
-    no cut leaf is accepted and the cheapest accepted allocation is the same.
-    The optimum is then the sum of per-chore minima, not a leaf's cost, as
-    the cut leaves may hold it.
+    additive instance the search asks every agent's cap before the first
+    leaf, and asks an unknown cap again after an ``accept`` call that added
+    its agent to the list ``cap.filled``, if ``cap`` has one. It cuts every
+    subtree in which an agent's cost passes its cap: costs only grow below
+    a node, so no cut leaf is accepted and the cheapest accepted allocation
+    is the same. The optimum is then the sum of per-chore minima, not a
+    leaf's cost, as the cut leaves may hold it.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
@@ -189,9 +190,17 @@ def cheapest_accepted(
         memo: list[dict[int, int]] = [{} for _ in range(n)]
     # limit[a]: agent a's largest cost in an accepted allocation; until its
     # cap is known, the cost of every chore, which no bundle exceeds.
-    cut = cap is not None and additive
-    uncapped = list(range(n)) if cut else []
     limit = [sum(row) for row in unit]
+
+    def ask(agents) -> None:
+        for a in agents:
+            if (c := cap(a)) is not None:
+                limit[a] = c * factor[a]
+                uncapped.discard(a)
+
+    uncapped = set(range(n)) if cap is not None and additive else set()
+    ask(list(uncapped))
+    filled, seen = getattr(cap, "filled", ()), 0  # seen: how much of ``filled`` has been read
     masks = [0] * n
     costs = [0] * n
     owner = [-1] * m  # agent holding chore d; -1 before its first agent
@@ -211,14 +220,8 @@ def cheapest_accepted(
                     best = total
                     best_masks = tuple(masks)
                 if uncapped:
-                    pending = []
-                    for a in uncapped:
-                        c = cap(a)
-                        if c is None:
-                            pending.append(a)
-                        else:
-                            limit[a] = c * factor[a]
-                    uncapped = pending
+                    ask(uncapped.intersection(filled[seen:]))
+                    seen = len(filled)
             d -= 1
             continue
         a = owner[d]
@@ -237,7 +240,7 @@ def cheapest_accepted(
         mask = masks[a] = masks[a] | bit
         if additive:
             new = old + unit[a][d]
-            if cut and new > limit[a]:
+            if new > limit[a]:
                 continue  # costs[a] and total still hold the undo's values
         else:
             new = memo[a].get(mask)
@@ -261,12 +264,10 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
 
     ``alpha`` is an exact rational >= 1 or ``INFINITY``. The search is exact
     over all n^m allocations and prunes subtrees that cannot beat the
-    cheapest fair allocation found so far (``cheapest_accepted``). For a
-    finite alpha under MMS, or PMMS with two agents, it also cuts subtrees
-    in which an agent's cost passes alpha times a share the acceptance
-    check has already computed (``InstanceContext.share_cap``). Among the
-    cheapest fair allocations the witness is the first in lexicographic
-    order of the assignment vector.
+    cheapest fair allocation found so far (``cheapest_accepted``), and cuts
+    those in which an agent's cost passes its cap (``InstanceContext.share_cap``).
+    Among the cheapest fair allocations the witness is the first in
+    lexicographic order of the assignment vector.
     """
     alpha = parse_alpha(alpha)
     ctx = context_for(inst)
@@ -376,6 +377,7 @@ CONNECTION_GRID_ALPHAS = (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(
 CONNECTION_GRID_P = (3, 10, 50)
 
 
+#: The epsilon of the epsilon families when ``verify`` is given none, from Python or the CLI.
 _REFERENCE_EPSILON = Fraction(1, 100)
 
 
@@ -452,7 +454,7 @@ def _check_family_connections(bundle: FamilyBundle) -> list[PropositionReport]:
 
 
 def verify_connections(
-    n_values: Sequence[int] = (2, 3, 4, 5), epsilon: Fraction = Fraction(1, 1000)
+    n_values: Sequence[int] = (2, 3, 4, 5), epsilon: Fraction = _REFERENCE_EPSILON
 ) -> list[PropositionReport]:
     """Re-measure every connection family's exact alphas on its grid."""
     bundles = _grid_bundles("connection", n_values, epsilon)
@@ -493,7 +495,7 @@ _PRICE_SWEEP_BOUNDS = (
 
 
 def verify_prices(
-    epsilon: Fraction = Fraction(1, 100),
+    epsilon: Fraction = _REFERENCE_EPSILON,
     n_values: Sequence[int] = (3, 4),
     sweep_count: int = 200,
     seed: int = 0,

@@ -16,6 +16,7 @@ import pytest
 from chorefair.cli import main
 from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
+from chorefair.search import reports_to_csv_rows, verify_connections
 
 INSTANCE_JSON = {
     "n": 3,
@@ -308,6 +309,14 @@ def test_verify_connections_writes_csv(tmp_path, capsys):
     # canonical ordering: sorted by proposition id
     ids = [row["proposition_id"] for row in rows]
     assert ids == sorted(ids)
+
+
+def test_verify_connections_defaults_are_the_cli_defaults(tmp_path):
+    # One reference epsilon: the Python call with no arguments checks the CLI's rows.
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", "connections", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        assert list(csv.DictReader(handle)) == reports_to_csv_rows(verify_connections())
 
 
 def test_verify_lemmas_requires_seed(tmp_path, capsys):

@@ -305,6 +305,26 @@ def test_a_cap_of_zero_cuts_every_positive_bundle():
     assert len(asked) < plain_asked
 
 
+def _count_cap_calls(monkeypatch) -> list[int]:
+    from chorefair.criteria import InstanceContext
+
+    calls = [0]
+    share_cap = InstanceContext.share_cap
+
+    def counted(ctx, crit, alpha):
+        cap = share_cap(ctx, crit, alpha)
+
+        def asked(agent):
+            calls[0] += 1
+            return cap(agent)
+
+        asked.filled = cap.filled
+        return asked
+
+    monkeypatch.setattr(InstanceContext, "share_cap", counted)
+    return calls
+
+
 def test_share_caps_halve_the_kernel_calls_of_the_largest_mms_query(monkeypatch):
     # POF_2MMS_LB at n = 5 searches 5^8 allocations for 2-MMS; without share
     # caps the search asked the criteria kernel 3,162 times.
@@ -312,9 +332,79 @@ def test_share_caps_halve_the_kernel_calls_of_the_largest_mms_query(monkeypatch)
     (check,) = bundle.price_checks
     assert (check.criterion, check.alpha) == (Criterion.MMS, 2)
     calls = _count_kernel_calls(monkeypatch)
+    cap_calls = _count_cap_calls(monkeypatch)
     report = best_fair_allocation(bundle.instance, check.criterion, check.alpha)
     assert (report.best_fair_cost, report.opt_cost) == (check.fair_cost, bundle.opt_cost)
-    assert 0 < calls[0] <= 3162 // 2
+    assert calls[0] == 1371
+    # Each cap is asked once before the first leaf and then only after a
+    # kernel call that computed that agent's share; it was asked 5,480 times
+    # when every unknown cap was asked after every kernel call.
+    assert cap_calls[0] <= 2 * bundle.instance.n
+
+
+# Closed-form caps: one two-agent and one three-agent instance on which the
+# cheapest fair allocation gives some agent exactly its cap, for each criterion.
+_CAP_TWO = ((1, 4, 4, 3), (5, 10, 10, 5))
+_CAP_THREE = ((2, 1, 2, 2), (10, 5, 15, 15), (10, 5, 15, 15))
+_TIGHT_CAPS = (
+    # values, criterion, alpha, agent, that agent's cap
+    (_CAP_TWO, Criterion.EF1, Fraction(1), 0, 8),  # C = 12, t = 4: (12 + 4) / 2
+    (_CAP_TWO, Criterion.EFX, Fraction(1), 0, 8),
+    (_CAP_TWO, Criterion.EF, Fraction(1), 1, 15),  # C = 30: 30 / 2
+    (_CAP_THREE, Criterion.EF1, Fraction(1), 0, 3),  # C = 7, t = 2: (7 + 2*2) / 3
+    (_CAP_THREE, Criterion.EFX, Fraction(1), 0, 3),
+    (_CAP_THREE, Criterion.EF, Fraction(1), 0, 2),  # 7 / 3
+    (_CAP_THREE, Criterion.PMMS, Fraction(3, 2), 0, 6),  # 3 * (7 + 2*2) / (2*2*2 - 3*1)
+)
+
+
+@pytest.mark.parametrize("values,crit,alpha,agent,expected", _TIGHT_CAPS)
+def test_closed_form_caps_are_attained_and_exact(values, crit, alpha, agent, expected):
+    from chorefair.criteria import context_for
+
+    inst = Instance(n=len(values), m=len(values[0]), costs=tuple(Additive(v) for v in values))
+    ctx = context_for(inst)
+    cap = ctx.share_cap(crit, alpha)
+    assert cap(agent) == expected
+    report = best_fair_allocation(inst, crit, alpha)
+    assert inst.cost(agent, report.witness.bundles[agent]) == expected
+    asked: list[list[int]] = []
+
+    def accept(masks):
+        asked.append(list(masks))
+        return ctx.min_alpha_masks(masks, crit)[0] <= alpha
+
+    # The caps are read before the first leaf, so no leaf past one is asked about.
+    assert cheapest_accepted(inst, accept, cap)[1] == report.best_fair_cost
+    assert asked and all(fn.int_eval(masks[a]) <= cap(a) for masks in asked for a, fn in enumerate(inst.costs))
+    # A cap one unit too small cuts the cheapest fair allocation.
+    assert cheapest_accepted(inst, accept, lambda a: cap(a) - (a == agent))[1] != report.best_fair_cost
+
+
+@pytest.mark.parametrize("alpha", [Fraction(4), Fraction(5)])
+def test_pmms_has_no_closed_form_cap_past_the_list_scheduling_condition(alpha):
+    # With n = 3, 2q(n-1) > p(n-2) asks alpha < 4.
+    from chorefair.criteria import context_for
+
+    inst = Instance(n=3, m=4, costs=tuple(Additive(v) for v in _CAP_THREE))
+    assert context_for(inst).share_cap(Criterion.PMMS, alpha) is None
+    opt, best, witness = _reference_search(_leaves(inst), lambda alloc: min_alpha(inst, alloc, Criterion.PMMS) <= alpha)
+    report = best_fair_allocation(inst, Criterion.PMMS, alpha)
+    assert (report.opt_cost, report.best_fair_cost, report.witness) == (opt, best, witness)
+
+
+def test_mixed_and_non_additive_instances_get_no_closed_form_cap():
+    from chorefair.criteria import context_for
+
+    additive = Additive((1, 2, 3))
+    mixed = Instance(n=3, m=3, costs=(additive, CappedAdditive((1, 2, 3), 4), additive))
+    table = Instance(n=2, m=2, costs=(TableCost(2, (0, 1, 1, 2)),) * 2)
+    for inst in (mixed, table):
+        ctx = context_for(inst)
+        for crit in (Criterion.EF, Criterion.EF1, Criterion.EFX, Criterion.EFX_STRONG, Criterion.PMMS):
+            if crit is Criterion.PMMS and inst.n == 2:
+                continue  # the lazy two-agent share cap
+            assert ctx.share_cap(crit, Fraction(1)) is None, (crit, inst.n)
 
 
 @pytest.mark.parametrize("kind,inst", list(_kernel_cases(_KINDS[1:])))
