@@ -32,6 +32,7 @@ from chorefair import (
     price_of_fairness,
     random_instance,
 )
+from chorefair.criteria import context_for
 from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
 from chorefair.families import FamilyBundle, PriceCheck
 from chorefair.mms import mms_value
@@ -360,8 +361,6 @@ _TIGHT_CAPS = (
 
 @pytest.mark.parametrize("values,crit,alpha,agent,expected", _TIGHT_CAPS)
 def test_closed_form_caps_are_attained_and_exact(values, crit, alpha, agent, expected):
-    from chorefair.criteria import context_for
-
     inst = Instance(n=len(values), m=len(values[0]), costs=tuple(Additive(v) for v in values))
     ctx = context_for(inst)
     cap = ctx.share_cap(crit, alpha)
@@ -384,8 +383,6 @@ def test_closed_form_caps_are_attained_and_exact(values, crit, alpha, agent, exp
 @pytest.mark.parametrize("alpha", [Fraction(4), Fraction(5)])
 def test_pmms_has_no_closed_form_cap_past_the_list_scheduling_condition(alpha):
     # With n = 3, 2q(n-1) > p(n-2) asks alpha < 4.
-    from chorefair.criteria import context_for
-
     inst = Instance(n=3, m=4, costs=tuple(Additive(v) for v in _CAP_THREE))
     assert context_for(inst).share_cap(Criterion.PMMS, alpha) is None
     opt, best, witness = _reference_search(_leaves(inst), lambda alloc: min_alpha(inst, alloc, Criterion.PMMS) <= alpha)
@@ -394,8 +391,6 @@ def test_pmms_has_no_closed_form_cap_past_the_list_scheduling_condition(alpha):
 
 
 def test_mixed_and_non_additive_instances_get_no_closed_form_cap():
-    from chorefair.criteria import context_for
-
     additive = Additive((1, 2, 3))
     mixed = Instance(n=3, m=3, costs=(additive, CappedAdditive((1, 2, 3), 4), additive))
     table = Instance(n=2, m=2, costs=(TableCost(2, (0, 1, 1, 2)),) * 2)
