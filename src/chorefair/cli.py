@@ -176,14 +176,7 @@ def _cmd_verify(args) -> int:
     if args.suite in ("connections", "all"):
         rows.extend(verify_connections(n_values=n_values, epsilon=epsilon))
     if args.suite in ("prices", "all"):
-        rows.extend(
-            verify_prices(
-                epsilon=epsilon,
-                n_values=tuple(v for v in n_values if v >= 3),
-                sweep_count=args.count,
-                seed=args.seed,
-            )
-        )
+        rows.extend(verify_prices(epsilon=epsilon, n_values=n_values, sweep_count=args.count, seed=args.seed))
     if args.suite in ("lemmas", "all"):
         rows.extend(verify_lemmas(count=args.count, seed=args.seed))
     try:

@@ -261,10 +261,7 @@ def context_for(inst: Instance) -> InstanceContext:
 
 def min_alpha(inst: Instance, alloc: Allocation, crit: Criterion) -> ExtendedRational:
     """Smallest alpha in [1, inf] for which ``alloc`` is alpha-``crit``."""
-    check_partition(inst, alloc)
-    ctx = context_for(inst)
-    value, _, _ = ctx.min_alpha_masks(alloc.masks(), crit)
-    return value
+    return fairness_report(inst, alloc, (crit,)).alphas[crit]
 
 
 def fairness_report(

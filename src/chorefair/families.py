@@ -15,8 +15,11 @@ kind)``. Its parameter names are read from its signature (``n``, ``m`` and
 ``make_family`` converts them before the call. A builder whose size depends
 on its parameters checks its agent and chore counts with ``_sized`` before
 it builds any list. It checks its own constraints with ``_require`` and
-returns the remaining ``FamilyBundle`` fields: the instance, the reference
-allocation and the expectations.
+returns plain data: ``costs`` (one cost function per agent), ``bundles``
+(the reference partition) and its expectations. ``make_family`` builds the
+``Instance`` and the ``Allocation`` from them. The reference bundles
+partition every chore, so n is their count and m the number of chores they
+hold; ``Instance`` then checks the cost count and each cost's ground size.
 Registration order is the order of ``FAMILY_IDS``.
 """
 
@@ -43,6 +46,7 @@ from .model import (
     RowCoverage,
     TableCost,
     allocation_to_json,
+    check_partition,
     instance_to_json,
     parse_rational,
     rational_str,
@@ -125,9 +129,8 @@ def _family(family_id: str, setting: str, kind: str) -> Callable:
     return register
 
 
-def _identical_additive(n: int, values: list[Fraction]) -> tuple[CostFunction, ...]:
-    fn = Additive(tuple(values))
-    return tuple(fn for _ in range(n))
+def _identical_additive(n: int, values: list[Fraction]) -> list[CostFunction]:
+    return [Additive(tuple(values))] * n
 
 
 def _indicator_costs(bundles: list[frozenset[int]], m: int) -> list[CostFunction]:
@@ -174,12 +177,10 @@ def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
     values = [alpha] * n + [Fraction(1)] * (m - n)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
-    alloc = Allocation(tuple(_blocks([n] * n)))
     share = n - 1 + alpha
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=_blocks([n] * n),
         expected_alphas=((Criterion.EF, alpha), (Criterion.MMS, n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
@@ -191,11 +192,9 @@ def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
     values = [alpha, alpha] + [Fraction(1)] * (m - 2)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
-    alloc = Allocation(tuple(_blocks([2] * n)))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=_blocks([2] * n),
         expected_alphas=((Criterion.EF, alpha), (Criterion.PMMS, 2 * alpha / (1 + alpha))),
         expected_values=(("pair_share_agent0", 1 + alpha),),
     )
@@ -207,11 +206,9 @@ def _ef1_not_efx(n: int, p: int) -> dict:
     _require(n >= 2, "n >= 2")
     _require(p >= 2, "p >= 2")
     values = [Fraction(p)] + [Fraction(1)] * (m - 1)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
-    alloc = Allocation(tuple(_blocks([2] * n)))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=_blocks([2] * n),
         expected_alphas=((Criterion.EF1, Fraction(1)), (Criterion.EFX, Fraction(p, 2))),
     )
 
@@ -222,12 +219,10 @@ def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
     values = [alpha + n - 1] + [alpha] * (n - 1) + [Fraction(1)] * ((n - 1) ** 2)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
-    alloc = Allocation(tuple(_blocks([n] + [n - 1] * (n - 1))))
     share = alpha + n - 1
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=_blocks([n] + [n - 1] * (n - 1)),
         expected_alphas=((Criterion.EF1, alpha), (Criterion.MMS, (n * alpha + n - 1) / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
@@ -238,13 +233,11 @@ def _efx_mms_lb_a(n: int) -> dict:
     m = _sized(n, 2 * n)
     _require(n >= 2, "n >= 2")
     values = [Fraction(t // 2 + 1) for t in range(m)]
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({2 * n - 2, 2 * n - 1})]
     bundles += [frozenset({i - 2, 2 * n - i - 1}) for i in range(2, n + 1)]
-    alloc = Allocation(tuple(bundles))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=bundles,
         expected_alphas=((Criterion.EFX, Fraction(1)), (Criterion.MMS, Fraction(2 * n, n + 1))),
         expected_values=(("whole_set_share_agent0", Fraction(n + 1)),),
     )
@@ -261,13 +254,10 @@ def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
         bundles.append(frozenset(range(start, start + 2 * n - 1)))
         start += 2 * n - 1
     agent0 = Additive(tuple([2 * alpha] * n + [Fraction(1)] * (m - n)))
-    costs = [agent0] + _indicator_costs(bundles[1:], m)
-    inst = Instance(n=n, m=m, costs=tuple(costs))
-    alloc = Allocation(tuple(bundles))
     share = 2 * alpha + 2 * n - 3
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=[agent0] + _indicator_costs(bundles[1:], m),
+        bundles=bundles,
         expected_alphas=((Criterion.EFX, alpha), (Criterion.MMS, 2 * n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share),),
     )
@@ -279,11 +269,9 @@ def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
     values = [2 * alpha, 2 * alpha] + [Fraction(1)] * (m - 2)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
-    alloc = Allocation(tuple(_blocks([2] * n)))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=_blocks([2] * n),
         expected_alphas=((Criterion.EFX, alpha), (Criterion.PMMS, 4 * alpha / (2 * alpha + 1))),
         expected_values=(("pair_share_agent0", 2 * alpha + 1),),
     )
@@ -291,16 +279,14 @@ def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("EF1_PMMS_TIGHT", "additive", "connection")
 def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
-    m = _sized(n, n + 1)
+    _sized(n, n + 1)
     _require(n >= 2, "n >= 2")
     _require(alpha >= 1, "alpha >= 1")
     values = [alpha + 1, alpha] + [Fraction(1)] * (n - 1)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
-    alloc = Allocation(tuple(bundles))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=bundles,
         expected_alphas=((Criterion.EF1, alpha), (Criterion.PMMS, (2 * alpha + 1) / (alpha + 1))),
         expected_values=(("pair_share_agent0", alpha + 1),),
     )
@@ -308,19 +294,17 @@ def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("PMMS_NOT_EF1", "additive", "connection")
 def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
-    m = _sized(n, n + 1)
+    _sized(n, n + 1)
     _require(n >= 2, "n >= 2")
     _require(1 < alpha < 2, "1 < alpha < 2")
     _require(epsilon > 0, "epsilon > 0")
     big = Fraction(1) / (alpha - 1)
     _require(big >= 1 + epsilon, "1/(alpha-1) >= 1 + epsilon")
     values = [big, Fraction(1)] + [epsilon] * (n - 1)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
-    alloc = Allocation(tuple(bundles))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=bundles,
         expected_alphas=((Criterion.PMMS, alpha), (Criterion.EF1, 1 / epsilon)),
         expected_values=(("pair_share_agent0", big),),
     )
@@ -329,11 +313,9 @@ def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
 @_family("PMMS_MMS_N3_TIGHT", "additive", "connection")
 def _pmms_mms_n3_tight() -> dict:
     values = [Fraction(2)] * 3 + [Fraction(1)] * 3
-    inst = Instance(n=3, m=6, costs=_identical_additive(3, values))
-    alloc = Allocation((frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(3, values),
+        bundles=(frozenset({0, 1}), frozenset({2}), frozenset({3, 4, 5})),
         expected_alphas=((Criterion.PMMS, Fraction(1)), (Criterion.MMS, Fraction(4, 3))),
         expected_values=(("whole_set_share_agent0", Fraction(3)),),
     )
@@ -348,12 +330,9 @@ def _pmms_mms_lb(n: int) -> dict:
     bundles += [frozenset({j}) for j in range(2, n)]
     bundles.append(frozenset(range(n, 2 * n)))
     agent0 = Additive(tuple([big] * n + [Fraction(1)] * n))
-    costs = [agent0] + _indicator_costs(bundles[1:], m)
-    inst = Instance(n=n, m=m, costs=tuple(costs))
-    alloc = Allocation(tuple(bundles))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=[agent0] + _indicator_costs(bundles[1:], m),
+        bundles=bundles,
         expected_alphas=(
             (Criterion.PMMS, Fraction(1)),
             (Criterion.MMS, Fraction(2 * n + 2, n + 3)),
@@ -368,36 +347,32 @@ def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
     _require(1 < alpha < Fraction(3, 2), "1 < alpha < 3/2")
     values = [alpha] * n + [2 - alpha] * (m - n)
-    inst = Instance(n=n, m=m, costs=_identical_additive(n, values))
-    alloc = Allocation(tuple(_blocks([n] * n)))
     share = alpha + (n - 1) * (2 - alpha)
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=_identical_additive(n, values),
+        bundles=_blocks([n] * n),
         expected_alphas=((Criterion.PMMS, alpha), (Criterion.MMS, n * alpha / share)),
         expected_values=(("whole_set_share_agent0", share), ("pair_share_agent0", Fraction(n))),
     )
 
 
-def _mms_not_pmms_instance(n: int, p: int) -> tuple[Instance, Allocation]:
+def _mms_not_pmms_instance(n: int, p: int) -> dict:
+    """The costs and reference bundles that MMS_NOT_PMMS and MMS_NOT_EF1 share."""
     m = _sized(n, p + 2 * n - 1)
     bundles = [frozenset(range(p + 1))]
     bundles += [frozenset({p + i - 1}) for i in range(2, n - 1)]
     bundles.append(frozenset({n + p - 2, n + p - 1}))
     bundles.append(frozenset(range(n + p, 2 * n + p - 1)))
     agent0 = Additive(tuple([Fraction(1)] * (n + p) + [Fraction(p)] * (n - 1)))
-    costs = [agent0] + _indicator_costs(bundles[1:], m)
-    return Instance(n=n, m=m, costs=tuple(costs)), Allocation(tuple(bundles))
+    return dict(costs=[agent0] + _indicator_costs(bundles[1:], m), bundles=bundles)
 
 
 @_family("MMS_NOT_PMMS", "additive", "connection")
 def _mms_not_pmms(n: int, p: int) -> dict:
     _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
     _require(p >= 1, "p >= 1")
-    inst, alloc = _mms_not_pmms_instance(n, p)
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        **_mms_not_pmms_instance(n, p),
         expected_alphas=(
             (Criterion.MMS, Fraction(1)),
             (Criterion.PMMS, Fraction(p + 1) / Fraction(math.ceil(Fraction(p + 2, 2)))),
@@ -410,10 +385,8 @@ def _mms_not_pmms(n: int, p: int) -> dict:
 def _mms_not_ef1(n: int, p: int) -> dict:
     _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
     _require(p >= 1, "p >= 1")
-    inst, alloc = _mms_not_pmms_instance(n, p)
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        **_mms_not_pmms_instance(n, p),
         expected_alphas=((Criterion.MMS, Fraction(1)), (Criterion.EF1, Fraction(p))),
         expected_values=(("whole_set_share_agent0", Fraction(p + 1)),),
     )
@@ -430,12 +403,10 @@ def _sub_ef_coverage(n: int) -> dict:
     _require(n >= 2 and n % 2 == 0, "n even and >= 2")
     rows = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(n))
     fn = RowCoverage(rows=rows, weights=tuple(Fraction(1) for _ in range(n)))
-    inst = Instance(n=n, m=m, costs=tuple(fn for _ in range(n)))
     columns = [frozenset(range(j, m, n)) for j in range(n)]
-    alloc = Allocation(tuple(columns))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=[fn] * n,
+        bundles=columns,
         expected_alphas=(
             (Criterion.EF, Fraction(1)),
             (Criterion.MMS, Fraction(n)),
@@ -448,11 +419,9 @@ def _sub_ef_coverage(n: int) -> dict:
 @_family("SUB_PMMS_CAPPED", "submodular", "connection")
 def _sub_pmms_capped() -> dict:
     fn = CappedCardinality(cap=2)
-    inst = Instance(n=2, m=3, costs=(fn, fn))
-    alloc = Allocation((frozenset({0, 1, 2}), frozenset()))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(fn, fn),
+        bundles=(frozenset({0, 1, 2}), frozenset()),
         expected_alphas=(
             (Criterion.PMMS, Fraction(1)),
             (Criterion.MMS, Fraction(1)),
@@ -485,12 +454,9 @@ def _sub_pmms_mms_tight(n: int, alpha: Fraction) -> dict:
     for r in range(1, n - 1):
         bundles.append(frozenset(cell(r, j) for j in tail_cols))
     bundles.append(frozenset(cell(n - 1, j) for j in tail_cols) | frozenset(cell(0, j) for j in tail_cols))
-    costs = [agent0] + _indicator_costs(bundles[1:], m)
-    inst = Instance(n=n, m=m, costs=tuple(costs))
-    alloc = Allocation(tuple(bundles))
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=[agent0] + _indicator_costs(bundles[1:], m),
+        bundles=bundles,
         expected_alphas=((Criterion.PMMS, alpha), (Criterion.MMS, half)),
         expected_values=(("whole_set_share_agent0", Fraction(1)),),
     )
@@ -506,13 +472,11 @@ def _pof_ef1_n2(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 12), "0 < epsilon < 1/12")
     c1 = Additive((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
     c2 = Additive((Fraction(1, 3) - 2 * epsilon, Fraction(1, 3) + epsilon, Fraction(1, 3) + epsilon))
-    inst = Instance(n=2, m=3, costs=(c1, c2))
-    alloc = Allocation((frozenset({0, 1}), frozenset({2})))
     opt = Fraction(2, 3) + 2 * epsilon
     fair = Fraction(5, 6) + epsilon
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset({0, 1}), frozenset({2})),
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.EF1, Fraction(1), fair, fair / opt),),
     )
@@ -523,13 +487,11 @@ def _pof_pmms32_n2(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 10), "0 < epsilon < 1/10")
     c1 = Additive((Fraction(3, 8), Fraction(3, 8) + epsilon, Fraction(1, 8) - epsilon, Fraction(1, 8)))
     c2 = Additive((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
-    inst = Instance(n=2, m=4, costs=(c1, c2))
-    alloc = Allocation((frozenset({0}), frozenset({1, 2, 3})))
     opt = Fraction(3, 4) + epsilon
     fair = Fraction(7, 8)
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset({0}), frozenset({1, 2, 3})),
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.PMMS, Fraction(3, 2), fair, fair / opt),),
     )
@@ -540,8 +502,6 @@ def _pof_pmms_n2(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
     c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = Additive((Fraction(1, 2), epsilon, Fraction(1, 2) - epsilon))
-    inst = Instance(n=2, m=3, costs=(c1, c2))
-    alloc = Allocation((frozenset({0}), frozenset({1, 2})))
     opt = Fraction(1, 2) + 2 * epsilon
     one = Fraction(1)
     checks = tuple(
@@ -549,8 +509,8 @@ def _pof_pmms_n2(epsilon: Fraction) -> dict:
         for crit in (Criterion.PMMS, Criterion.MMS, Criterion.EFX)
     )
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset({0}), frozenset({1, 2})),
         opt_cost=opt,
         price_checks=checks,
     )
@@ -571,15 +531,13 @@ def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
     costs: list[CostFunction] = [Additive(tuple(c1)), Additive(tuple(c2)), Additive(tuple(c3))]
     for _ in range(n - 3):
         costs.append(Additive(tuple([inv_m] * m)))
-    inst = Instance(n=n, m=m, costs=tuple(costs))
     bundles = [frozenset(range(m - 4, m - 1)), frozenset(range(1, m - 4)), frozenset({0, m - 1})]
     bundles += [frozenset() for _ in range(n - 3)]
-    alloc = Allocation(tuple(bundles))
     opt = 5 * epsilon
     fair = inv_m + 3 * epsilon
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=costs,
+        bundles=bundles,
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.PMMS, Fraction(3, 2), fair, fair / opt),),
     )
@@ -594,15 +552,13 @@ def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
     c1 = [inv_n, epsilon, inv_n - epsilon] + [inv_n] * (m - 3)
     rest = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (m - 2)
     costs = [Additive(tuple(c1))] + [Additive(tuple(rest))] * (n - 1)
-    inst = Instance(n=n, m=m, costs=tuple(costs))
     bundles = [frozenset({1}), frozenset({0, 2}) | frozenset(range(3, m))]
     bundles += [frozenset() for _ in range(n - 2)]
-    alloc = Allocation(tuple(bundles))
     opt = inv_n + epsilon
     fair = Fraction(1, 2) + epsilon
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=costs,
+        bundles=bundles,
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.MMS, Fraction(1), fair, fair / opt),),
     )
@@ -618,15 +574,13 @@ def _pof_2mms_lb(n: int, epsilon: Fraction) -> dict:
     c1 += [inv_n] * (m - 6)
     rest = [Fraction(1, 3)] * 3 + [Fraction(0)] * (m - 3)
     costs = [Additive(tuple(c1))] + [Additive(tuple(rest))] * (n - 1)
-    inst = Instance(n=n, m=m, costs=tuple(costs))
     bundles = [frozenset({1, 2}), frozenset({0}) | frozenset(range(3, m))]
     bundles += [frozenset() for _ in range(n - 2)]
-    alloc = Allocation(tuple(bundles))
     opt = 2 * inv_n + epsilon
     fair = Fraction(1, 3) + inv_n + 2 * epsilon
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=costs,
+        bundles=bundles,
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.MMS, Fraction(2), fair, fair / opt),),
     )
@@ -637,13 +591,11 @@ def _sub_pof_efx(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
     c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = CappedAdditive((1 - epsilon, 3 * epsilon, 1 - 2 * epsilon), Fraction(1))
-    inst = Instance(n=2, m=3, costs=(c1, c2))
-    alloc = Allocation((frozenset({1, 2}), frozenset({0})))
     opt = Fraction(1, 2) + 4 * epsilon
     fair = Fraction(3, 2) - epsilon
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset({1, 2}), frozenset({0})),
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.EFX, Fraction(1), fair, fair / opt),),
     )
@@ -654,13 +606,11 @@ def _sub_pof_ef1(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 12), "0 < epsilon < 1/12")
     c1 = Additive((Fraction(1, 3) + epsilon, Fraction(1, 3), Fraction(1, 3) - epsilon))
     c2 = CappedAdditive((1 - epsilon, 1 - epsilon, epsilon), Fraction(1))
-    inst = Instance(n=2, m=3, costs=(c1, c2))
-    alloc = Allocation((frozenset({1}), frozenset({0, 2})))
     opt = Fraction(2, 3) + 2 * epsilon
     fair = Fraction(4, 3)
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset({1}), frozenset({0, 2})),
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.EF1, Fraction(1), fair, fair / opt),),
     )
@@ -683,16 +633,14 @@ def _sub_pof_pmms(epsilon: Fraction) -> dict:
             frozenset({0, 1, 2}): Fraction(1),
         },
     )
-    inst = Instance(n=2, m=3, costs=(c1, c2))
-    alloc = Allocation((frozenset({1, 2}), frozenset({0})))
     opt = Fraction(1, 2) + 11 * epsilon
     fair = Fraction(3, 2) - 2 * epsilon
     checks = tuple(
         PriceCheck(crit, Fraction(1), fair, fair / opt) for crit in (Criterion.PMMS, Criterion.MMS)
     )
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset({1, 2}), frozenset({0})),
         opt_cost=opt,
         price_checks=checks,
     )
@@ -703,13 +651,11 @@ def _sub_pof_pmms32(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 16), "0 < epsilon < 1/16")
     c1 = Additive((Fraction(3, 8), Fraction(3, 8) + epsilon, Fraction(1, 8) - epsilon, Fraction(1, 8)))
     c2 = CappedAdditive((1 - epsilon, 1 - epsilon, epsilon, epsilon), Fraction(1))
-    inst = Instance(n=2, m=4, costs=(c1, c2))
-    alloc = Allocation((frozenset(), frozenset({0, 1, 2, 3})))
     opt = Fraction(3, 4) + 3 * epsilon
     fair = Fraction(1)
     return dict(
-        instance=inst,
-        reference_allocation=alloc,
+        costs=(c1, c2),
+        bundles=(frozenset(), frozenset({0, 1, 2, 3})),
         opt_cost=opt,
         price_checks=(PriceCheck(Criterion.PMMS, Fraction(3, 2), fair, fair / opt),),
     )
@@ -731,12 +677,19 @@ def make_family(family_id: str, **params) -> FamilyBundle:
     if missing:
         raise ArgumentError(f"family {family_id} requires parameters {missing}")
     values = {name: _CONVERT[name](name, params[name]) for name in names}
+    data = family.build(**values)
+    # The reference allocation partitions every chore, so it fixes n and m.
+    alloc = Allocation(tuple(data.pop("bundles")))
+    inst = Instance(n=len(alloc.bundles), m=sum(map(len, alloc.bundles)), costs=tuple(data.pop("costs")))
+    check_partition(inst, alloc)
     return FamilyBundle(
         family_id=family_id,
         params=tuple(values.items()),
         setting=family.setting,
         kind=family.kind,
-        **family.build(**values),
+        instance=inst,
+        reference_allocation=alloc,
+        **data,
     )
 
 

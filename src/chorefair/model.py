@@ -33,7 +33,6 @@ from .errors import (
 
 __all__ = [
     "INFINITY",
-    "Rational",
     "ExtendedRational",
     "parse_rational",
     "rational_str",
@@ -61,7 +60,6 @@ __all__ = [
     "instance_digest",
 ]
 
-Rational = Fraction
 INFINITY = float("inf")
 # Finite values are exact Fractions; INFINITY only ever participates in
 # comparisons, never in arithmetic.

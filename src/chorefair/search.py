@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
-from .criteria import Criterion, context_for, fairness_report, implied_guarantee, min_alpha, parse_alpha
+from .criteria import Criterion, context_for, fairness_report, implied_guarantee, parse_alpha
 from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeGuardError
 from .families import FAMILY_IDS, FamilyBundle, family_kind, family_params, make_family
 from .mms import mms_value
@@ -314,10 +314,16 @@ def price_of_fairness(inst: Instance, criterion: Criterion, alpha) -> ExtendedRa
 _MAX_RAW_VALUE = 100
 
 
-def _random_additive(rng: random.Random, m: int) -> Additive:
+def _random_raw(rng: random.Random, m: int) -> list[int]:
+    """``m`` draws from [0, _MAX_RAW_VALUE]; if all are 0, a random one becomes 1."""
     raw = [rng.randint(0, _MAX_RAW_VALUE) for _ in range(m)]
     if sum(raw) == 0:
         raw[rng.randrange(m)] = 1
+    return raw
+
+
+def _random_additive(rng: random.Random, m: int) -> Additive:
+    raw = _random_raw(rng, m)
     total = sum(raw)
     return Additive(tuple(Fraction(v, total) for v in raw))
 
@@ -327,9 +333,7 @@ def _random_cost(rng: random.Random, m: int) -> CostFunction:
     if kind == "additive":
         return _random_additive(rng, m)
     if kind == "capped_additive":
-        raw = [rng.randint(0, _MAX_RAW_VALUE) for _ in range(m)]
-        if sum(raw) == 0:
-            raw[rng.randrange(m)] = 1
+        raw = _random_raw(rng, m)
         cap = rng.randint(max(1, sum(raw) // 2), sum(raw))
         # Scaled by the cap so the full set costs exactly 1.
         return CappedAdditive(tuple(Fraction(v, cap) for v in raw), Fraction(1))
@@ -496,7 +500,7 @@ _PRICE_SWEEP_BOUNDS = (
 
 def verify_prices(
     epsilon: Fraction = _REFERENCE_EPSILON,
-    n_values: Sequence[int] = (3, 4),
+    n_values: Sequence[int] = (2, 3, 4, 5),
     sweep_count: int = 200,
     seed: int = 0,
 ) -> list[PropositionReport]:
@@ -525,7 +529,7 @@ def _lemma_instances(count: int, seed: int) -> Iterator[tuple[int, Instance, All
         yield trial, inst, alloc
 
 
-def verify_lemmas(count: int = 1000, seed: int = 0) -> list[PropositionReport]:
+def verify_lemmas(count: int = 200, seed: int = 0) -> list[PropositionReport]:
     """Property sweeps for the structural share lemmas.
 
     Checks, per random instance and random allocation: the share lower
@@ -564,16 +568,9 @@ def verify_lemmas(count: int = 1000, seed: int = 0) -> list[PropositionReport]:
                 )
 
         # Universal guarantees for an arbitrary allocation.
-        note(
-            "any-allocation-2-PMMS",
-            min_alpha(inst, alloc, Criterion.PMMS) <= 2,
-            f"trial {trial}",
-        )
-        note(
-            "any-allocation-n-MMS",
-            min_alpha(inst, alloc, Criterion.MMS) <= inst.n,
-            f"trial {trial}",
-        )
+        alphas = fairness_report(inst, alloc, (Criterion.PMMS, Criterion.MMS)).alphas
+        note("any-allocation-2-PMMS", alphas[Criterion.PMMS] <= 2, f"trial {trial}")
+        note("any-allocation-n-MMS", alphas[Criterion.MMS] <= inst.n, f"trial {trial}")
 
         # Half-split share is monotone under inclusion.
         result = shares[1]

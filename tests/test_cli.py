@@ -16,7 +16,7 @@ import pytest
 from chorefair.cli import main
 from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
-from chorefair.search import reports_to_csv_rows, verify_connections
+from chorefair.search import reports_to_csv_rows, verify_connections, verify_lemmas, verify_prices
 
 INSTANCE_JSON = {
     "n": 3,
@@ -317,6 +317,15 @@ def test_verify_connections_defaults_are_the_cli_defaults(tmp_path):
     assert main(["verify", "--suite", "connections", "--out", str(out)]) == 0
     with open(out, newline="") as handle:
         assert list(csv.DictReader(handle)) == reports_to_csv_rows(verify_connections())
+
+
+@pytest.mark.parametrize("suite,run", [("prices", verify_prices), ("lemmas", verify_lemmas)])
+def test_verify_randomized_defaults_are_the_cli_defaults(tmp_path, suite, run):
+    # One n grid and one sweep size: the Python call at seed 0 checks the CLI's rows.
+    out = tmp_path / "report.csv"
+    assert main(["verify", "--suite", suite, "--seed", "0", "--out", str(out)]) == 0
+    with open(out, newline="") as handle:
+        assert list(csv.DictReader(handle)) == reports_to_csv_rows(run())
 
 
 def test_verify_lemmas_requires_seed(tmp_path, capsys):

@@ -7,6 +7,8 @@ from fractions import Fraction
 import pytest
 
 from chorefair import (
+    Additive,
+    CappedCardinality,
     Criterion,
     check_monotone,
     check_partition,
@@ -15,7 +17,7 @@ from chorefair import (
     min_alpha,
     mms_value,
 )
-from chorefair.errors import ArgumentError, SizeGuardError
+from chorefair.errors import ArgumentError, SizeGuardError, ValidationError
 from chorefair.families import FAMILY_IDS, family_params, family_to_json, valid_params
 from chorefair.model import MAX_CHORES
 from chorefair.search import _family_grid
@@ -170,3 +172,25 @@ def test_family_sizes_are_guarded_before_any_list_is_built(family_id):
         else:
             with pytest.raises(SizeGuardError):
                 make_family(family_id, **params)
+
+
+def test_make_family_derives_n_and_m_from_the_reference_bundles(monkeypatch):
+    import chorefair.families as families
+
+    def build_as(costs, bundles):
+        family = families._Family(lambda: dict(costs=costs, bundles=bundles), (), "additive", "connection")
+        monkeypatch.setitem(families._FAMILIES, "THROWAWAY", family)
+        return make_family("THROWAWAY")
+
+    three = Additive((Fraction(1),) * 3)
+    bundle = build_as([three, three], [frozenset({0}), frozenset({1, 2})])
+    assert (bundle.instance.n, bundle.instance.m) == (2, 3)
+    # Bundles that leave out chore 2 make m = 2, which the costs do not cover.
+    with pytest.raises(ValidationError, match="covers 3 chores, instance has 2"):
+        build_as([three, three], [frozenset({0}), frozenset({1})])
+    with pytest.raises(ValidationError, match="expected 2 cost functions, got 3"):
+        build_as([three] * 3, [frozenset({0}), frozenset({1, 2})])
+    # A cost with no ground size of its own: the partition check finds the gap.
+    fn = CappedCardinality(cap=1)
+    with pytest.raises(ValidationError, match=r"unknown chores \[2\]"):
+        build_as([fn, fn], [frozenset({0}), frozenset({2})])

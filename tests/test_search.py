@@ -462,7 +462,7 @@ def test_every_allocation_scan_shares_one_guard():
 def test_family_checks_run_each_query_once(monkeypatch):
     import chorefair.search as search
 
-    calls = {"best_fair": 0, "report": 0, "min_alpha": 0}
+    calls = {"best_fair": 0, "report": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -473,16 +473,15 @@ def test_family_checks_run_each_query_once(monkeypatch):
 
     monkeypatch.setattr(search, "best_fair_allocation", counted("best_fair", search.best_fair_allocation))
     monkeypatch.setattr(search, "fairness_report", counted("report", search.fairness_report))
-    monkeypatch.setattr(search, "min_alpha", counted("min_alpha", search.min_alpha))
     price = make_family("POF_PMMS_N2", epsilon=Fraction(1, 100))
     rows = search._check_family_price(price)
     assert calls["best_fair"] == len(price.price_checks) == 3
-    assert (calls["report"], calls["min_alpha"]) == (1, 0)
+    assert calls["report"] == 1
     assert all(row.passed for row in rows)
-    calls.update(report=0, min_alpha=0)
+    calls.update(report=0)
     connection = make_family("SUB_PMMS_CAPPED")
     rows = search._check_family_connections(connection)
-    assert (calls["report"], calls["min_alpha"]) == (1, 0)
+    assert calls["report"] == 1
     assert all(row.passed for row in rows)
 
 
