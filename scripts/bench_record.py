@@ -2,8 +2,9 @@
 
     python3 scripts/bench_record.py --out BENCH_<n>.json --runs 10 [--seed 7] parent=../old change=.
 
-Each LABEL=CHECKOUT names a checkout of this repository; a checkout with no
-``perfbench/run.py`` is refused before any run starts. For every workload
+Each LABEL=CHECKOUT names a checkout of this repository under its own label;
+a repeated label, and then a checkout with no ``perfbench/run.py``, is
+refused before any run starts. For every workload
 the script runs ``python3 perfbench/run.py --workload W --seed S`` in each
 checkout, ``--runs`` times, alternating between the checkouts run by run so
 that a slow spell of the host hits all of them alike; run i of one label and
@@ -92,9 +93,12 @@ def main() -> int:
         label, sep, path = item.partition("=")
         if not sep or not label or not path:
             parser.error(f"expected LABEL=CHECKOUT, got {item!r}")
+        if label in checkouts:
+            parser.error(f"{item!r}: label {label!r} is repeated; each checkout needs its own label")
         checkouts[label] = os.path.abspath(path)
-        if not os.path.isfile(os.path.join(checkouts[label], "perfbench", "run.py")):
-            parser.error(f"{item!r}: no perfbench/run.py in {checkouts[label]}")
+    for item, path in zip(args.checkouts, checkouts.values()):
+        if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
+            parser.error(f"{item!r}: no perfbench/run.py in {path}")
 
     results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     for workload in WORKLOADS:

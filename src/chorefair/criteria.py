@@ -80,26 +80,27 @@ _REMOVAL_SLOT = {Criterion.EF1: 0, Criterion.EFX: 2, Criterion.EFX_STRONG: 4}
 
 
 class InstanceContext:
-    """Caches bundle costs and MMS values across many allocations of one instance.
+    """Caches bundle costs and MMS shares across many allocations of one instance.
 
     The exhaustive search layer reuses one context for a whole enumeration,
     which is where the memoization pays off. Every memo holds agent i's
     values as integers over its own ``denominator()`` d_i: d_i * c_i(S) from
     ``mask_evaluator``, and d_i times an MMS share, which is c_i of a block.
-    The share memos keep each share's ``Fraction`` beside its integer, so a
-    report reuses one ``Fraction`` per share.
+    One share memo per agent, keyed by (k, chore mask), serves MMS (k = n
+    over every chore) and PMMS (k = 2 over a pairwise union), so with two
+    agents both read one entry. It keeps each share's ``Fraction`` beside
+    its integer, so a report reuses one ``Fraction`` per share.
     """
 
     def __init__(self, inst: Instance) -> None:
         self.inst = inst
+        self._every = (1 << inst.m) - 1
         self._eval = [mask_evaluator(fn) for fn in inst.costs]
         self._den = [fn.denominator() for fn in inst.costs]
         self._additive = [isinstance(fn, Additive) for fn in inst.costs]
         self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
-        self._pair: list[dict[int, tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
+        self._shares: list[dict[tuple[int, int], tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]
-        self._whole: dict[int, tuple[int, Fraction]] = {}
-        self._filled: list[int] = []  # the agent of each share memo entry, in fill order
 
     def bundle_cost(self, agent: int, mask: int) -> int:
         memo = self._bundle[agent]
@@ -109,32 +110,23 @@ class InstanceContext:
             memo[mask] = c
         return c
 
-    def _share(self, agent: int, share: Fraction) -> tuple[int, Fraction]:
-        self._filled.append(agent)  # each share is memoised as it is scaled
-        return share.numerator * self._den[agent] // share.denominator, share
-
-    def whole_set_mms(self, agent: int) -> tuple[int, Fraction]:
-        """(d_i times agent i's n-way share of all chores, the share)."""
-        value = self._whole.get(agent)
+    def share(self, agent: int, k: int, mask: int) -> tuple[int, Fraction]:
+        """(d_i times agent i's k-way share of the chores in ``mask``, the share)."""
+        memo = self._shares[agent]
+        value = memo.get((k, mask))
         if value is None:
-            value = self._whole[agent] = self._share(agent, mms_value(self.inst, agent, self.inst.n).value)
-        return value
-
-    def pairwise_mms(self, agent: int, union_mask: int) -> tuple[int, Fraction]:
-        """(d_i times agent i's half-split share of ``union_mask``, the share)."""
-        memo = self._pair[agent]
-        value = memo.get(union_mask)
-        if value is None:
-            value = memo[union_mask] = self._share(agent, mms_value(self.inst, agent, 2, set_of(union_mask)).value)
+            chores = range(self.inst.m) if mask == self._every else set_of(mask)
+            share = mms_value(self.inst, agent, k, chores).value
+            value = memo[(k, mask)] = share.numerator * self._den[agent] // share.denominator, share
         return value
 
     def share_cap(self, crit: Criterion, alpha: ExtendedRational) -> Callable[[int], int | None] | None:
         """Agent i -> the largest x = d_i * c_i(S_i) of a bundle S_i that can pass alpha-``crit``.
 
         Lazy caps: alpha-MMS asks x <= alpha * d_i * MMS, and with two agents
-        the pairwise union is every chore, so PMMS asks the same. The cap is
-        None until the kernel has computed the share, so none is computed
-        early; its ``filled`` list names the agent of each new share, in order.
+        the pairwise union is every chore, so PMMS asks the same. Both read
+        the memoized share (n, every chore), and the cap is None until the
+        kernel has computed it, so no share is computed early.
 
         Closed-form caps, additive instances only, with alpha = p/q, C = d_i *
         c_i(all chores) and t = d_i * (largest single-chore cost). Alpha-EF1
@@ -150,14 +142,12 @@ class InstanceContext:
         if alpha == INFINITY:
             return None
         n, m, p, q = self.inst.n, self.inst.m, alpha.numerator, alpha.denominator
-        every = (1 << m) - 1
         if crit is Criterion.MMS or (crit is Criterion.PMMS and n == 2):
 
             def cap(agent: int) -> int | None:
-                share = self._whole.get(agent) if crit is Criterion.MMS else self._pair[agent].get(every)
+                share = self._shares[agent].get((n, self._every))
                 return None if share is None else p * share[0] // q
 
-            cap.filled = self._filled
             return cap
         if crit is Criterion.PMMS:  # x * div <= p*C + top_k*t
             top_k, div = p * (n - 1), 2 * q * (n - 1) - p * (n - 2)
@@ -168,7 +158,7 @@ class InstanceContext:
 
         def closed_cap(agent: int) -> int:
             top = max((self.bundle_cost(agent, 1 << e) for e in range(m)), default=0) if top_k else 0
-            return (p * self.bundle_cost(agent, every) + top_k * top) // div
+            return (p * self.bundle_cost(agent, self._every) + top_k * top) // div
 
         return closed_cap
 
@@ -222,13 +212,13 @@ class InstanceContext:
                 continue  # contributes 1 to every criterion
             left, chore = own, None
             if crit is Criterion.MMS:
-                right, mms_used[i] = self.whole_set_mms(i)
+                right, mms_used[i] = self.share(i, n, self._every)
                 rights = ((None, right),)
             elif crit is Criterion.PMMS:
                 rights = []
                 for j in range(n):
                     if j != i:
-                        right, mms_used[(i, j)] = self.pairwise_mms(i, masks[i] | masks[j])
+                        right, mms_used[(i, j)] = self.share(i, 2, masks[i] | masks[j])
                         rights.append((j, right))
             else:
                 if crit is not Criterion.EF:

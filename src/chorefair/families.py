@@ -16,11 +16,12 @@ kind)``. Its parameter names are read from its signature (``n``, ``m`` and
 on its parameters checks its agent and chore counts with ``_sized`` before
 it builds any list. It checks its own constraints with ``_require`` and
 returns plain data: ``costs`` (one cost function per agent), ``bundles``
-(the reference partition) and its expectations. ``make_family`` builds the
-``Instance`` and the ``Allocation`` from them. The reference bundles
-partition every chore, so n is their count and m the number of chores they
-hold; ``Instance`` then checks the cost count and each cost's ground size.
-Registration order is the order of ``FAMILY_IDS``.
+(the reference partition) and its expectations, a price family's checks as
+(criterion, alpha, fair cost) triples. ``make_family`` builds the
+``Instance`` and the ``Allocation`` from them and gives each check its
+price with ``price_ratio``. The reference bundles partition every chore, so
+n is their count and m the number of chores they hold; ``Instance`` then
+checks the cost count and each cost's ground size. Registration order is the order of ``FAMILY_IDS``.
 """
 
 from __future__ import annotations
@@ -49,6 +50,7 @@ from .model import (
     check_partition,
     instance_to_json,
     parse_rational,
+    price_ratio,
     rational_str,
 )
 
@@ -298,6 +300,7 @@ def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
     _require(n >= 2, "n >= 2")
     _require(1 < alpha < 2, "1 < alpha < 2")
     _require(epsilon > 0, "epsilon > 0")
+    _require(epsilon <= 1, "epsilon <= 1")
     big = Fraction(1) / (alpha - 1)
     _require(big >= 1 + epsilon, "1/(alpha-1) >= 1 + epsilon")
     values = [big, Fraction(1)] + [epsilon] * (n - 1)
@@ -478,7 +481,7 @@ def _pof_ef1_n2(epsilon: Fraction) -> dict:
         costs=(c1, c2),
         bundles=(frozenset({0, 1}), frozenset({2})),
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.EF1, Fraction(1), fair, fair / opt),),
+        price_checks=((Criterion.EF1, Fraction(1), fair),),
     )
 
 
@@ -493,7 +496,7 @@ def _pof_pmms32_n2(epsilon: Fraction) -> dict:
         costs=(c1, c2),
         bundles=(frozenset({0}), frozenset({1, 2, 3})),
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.PMMS, Fraction(3, 2), fair, fair / opt),),
+        price_checks=((Criterion.PMMS, Fraction(3, 2), fair),),
     )
 
 
@@ -502,17 +505,11 @@ def _pof_pmms_n2(epsilon: Fraction) -> dict:
     _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
     c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = Additive((Fraction(1, 2), epsilon, Fraction(1, 2) - epsilon))
-    opt = Fraction(1, 2) + 2 * epsilon
-    one = Fraction(1)
-    checks = tuple(
-        PriceCheck(crit, Fraction(1), one, one / opt)
-        for crit in (Criterion.PMMS, Criterion.MMS, Criterion.EFX)
-    )
     return dict(
         costs=(c1, c2),
         bundles=(frozenset({0}), frozenset({1, 2})),
-        opt_cost=opt,
-        price_checks=checks,
+        opt_cost=Fraction(1, 2) + 2 * epsilon,
+        price_checks=tuple((crit, Fraction(1), Fraction(1)) for crit in (Criterion.PMMS, Criterion.MMS, Criterion.EFX)),
     )
 
 
@@ -539,7 +536,7 @@ def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
         costs=costs,
         bundles=bundles,
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.PMMS, Fraction(3, 2), fair, fair / opt),),
+        price_checks=((Criterion.PMMS, Fraction(3, 2), fair),),
     )
 
 
@@ -560,7 +557,7 @@ def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
         costs=costs,
         bundles=bundles,
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.MMS, Fraction(1), fair, fair / opt),),
+        price_checks=((Criterion.MMS, Fraction(1), fair),),
     )
 
 
@@ -582,7 +579,7 @@ def _pof_2mms_lb(n: int, epsilon: Fraction) -> dict:
         costs=costs,
         bundles=bundles,
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.MMS, Fraction(2), fair, fair / opt),),
+        price_checks=((Criterion.MMS, Fraction(2), fair),),
     )
 
 
@@ -597,7 +594,7 @@ def _sub_pof_efx(epsilon: Fraction) -> dict:
         costs=(c1, c2),
         bundles=(frozenset({1, 2}), frozenset({0})),
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.EFX, Fraction(1), fair, fair / opt),),
+        price_checks=((Criterion.EFX, Fraction(1), fair),),
     )
 
 
@@ -612,7 +609,7 @@ def _sub_pof_ef1(epsilon: Fraction) -> dict:
         costs=(c1, c2),
         bundles=(frozenset({1}), frozenset({0, 2})),
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.EF1, Fraction(1), fair, fair / opt),),
+        price_checks=((Criterion.EF1, Fraction(1), fair),),
     )
 
 
@@ -633,16 +630,12 @@ def _sub_pof_pmms(epsilon: Fraction) -> dict:
             frozenset({0, 1, 2}): Fraction(1),
         },
     )
-    opt = Fraction(1, 2) + 11 * epsilon
     fair = Fraction(3, 2) - 2 * epsilon
-    checks = tuple(
-        PriceCheck(crit, Fraction(1), fair, fair / opt) for crit in (Criterion.PMMS, Criterion.MMS)
-    )
     return dict(
         costs=(c1, c2),
         bundles=(frozenset({1, 2}), frozenset({0})),
-        opt_cost=opt,
-        price_checks=checks,
+        opt_cost=Fraction(1, 2) + 11 * epsilon,
+        price_checks=tuple((crit, Fraction(1), fair) for crit in (Criterion.PMMS, Criterion.MMS)),
     )
 
 
@@ -657,7 +650,7 @@ def _sub_pof_pmms32(epsilon: Fraction) -> dict:
         costs=(c1, c2),
         bundles=(frozenset(), frozenset({0, 1, 2, 3})),
         opt_cost=opt,
-        price_checks=(PriceCheck(Criterion.PMMS, Fraction(3, 2), fair, fair / opt),),
+        price_checks=((Criterion.PMMS, Fraction(3, 2), fair),),
     )
 
 
@@ -682,6 +675,8 @@ def make_family(family_id: str, **params) -> FamilyBundle:
     alloc = Allocation(tuple(data.pop("bundles")))
     inst = Instance(n=len(alloc.bundles), m=sum(map(len, alloc.bundles)), costs=tuple(data.pop("costs")))
     check_partition(inst, alloc)
+    opt = data.get("opt_cost")
+    checks = tuple(PriceCheck(c, a, fair, price_ratio(fair, opt)) for c, a, fair in data.pop("price_checks", ()))
     return FamilyBundle(
         family_id=family_id,
         params=tuple(values.items()),
@@ -689,6 +684,7 @@ def make_family(family_id: str, **params) -> FamilyBundle:
         kind=family.kind,
         instance=inst,
         reference_allocation=alloc,
+        price_checks=checks,
         **data,
     )
 

@@ -36,6 +36,7 @@ __all__ = [
     "ExtendedRational",
     "parse_rational",
     "rational_str",
+    "price_ratio",
     "Additive",
     "CappedAdditive",
     "CappedCardinality",
@@ -95,6 +96,13 @@ def rational_str(value: ExtendedRational) -> str:
     if value == INFINITY:
         return "inf"
     return str(Fraction(value))
+
+
+def price_ratio(fair: Fraction, opt: Fraction) -> ExtendedRational:
+    """The price of a fair cost against the optimal cost: 1 when both are 0, infinity when only opt is."""
+    if opt == 0:
+        return Fraction(1) if fair == 0 else INFINITY
+    return fair / opt
 
 
 def _as_chore_set(chores: Iterable[int]) -> frozenset[int]:

@@ -20,7 +20,6 @@ from .errors import ArgumentError, NoFairAllocationError, NotInTableError, SizeG
 from .families import FAMILY_IDS, FamilyBundle, family_kind, family_params, make_family
 from .mms import mms_value
 from .model import (
-    INFINITY,
     Additive,
     Allocation,
     CappedAdditive,
@@ -30,6 +29,7 @@ from .model import (
     Instance,
     RowCoverage,
     instance_digest,
+    price_ratio,
     rational_str,
     set_of,
 )
@@ -57,11 +57,18 @@ class SearchReport:
     instance: Instance = field(repr=False)
     criterion: Criterion
     alpha: ExtendedRational
-    fair_exists: bool
     best_fair_cost: Fraction | None
     opt_cost: Fraction
-    price: ExtendedRational | None
     witness: Allocation | None
+
+    @property
+    def fair_exists(self) -> bool:
+        return self.best_fair_cost is not None
+
+    @property
+    def price(self) -> ExtendedRational | None:
+        """The cheapest fair cost over the optimal cost, or None with no fair allocation."""
+        return None if self.best_fair_cost is None else price_ratio(self.best_fair_cost, self.opt_cost)
 
     @property
     def instance_digest(self) -> str:
@@ -168,12 +175,13 @@ def cheapest_accepted(
     ``cap(i)``, when given, is the largest ``int_eval`` of agent i's bundle
     that ``accept`` can admit, or None while that is not known. On an
     additive instance the search asks every agent's cap before the first
-    leaf, and asks an unknown cap again after an ``accept`` call that added
-    its agent to the list ``cap.filled``, if ``cap`` has one. It cuts every
-    subtree in which an agent's cost passes its cap: costs only grow below
-    a node, so no cut leaf is accepted and the cheapest accepted allocation
-    is the same. The optimum is then the sum of per-chore minima, not a
-    leaf's cost, as the cut leaves may hold it.
+    leaf, and after each ``accept`` call asks again the unknown cap of each
+    agent whose cost at that leaf is positive: the kernel computes exactly
+    those agents' shares. It cuts every subtree in which an agent's cost
+    passes its cap: costs only grow below a node, so no cut leaf is accepted
+    and the cheapest accepted allocation is the same. The optimum is then
+    the sum of per-chore minima, not a leaf's cost, as the cut leaves may
+    hold it.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
@@ -200,7 +208,6 @@ def cheapest_accepted(
 
     uncapped = set(range(n)) if cap is not None and additive else set()
     ask(list(uncapped))
-    filled, seen = getattr(cap, "filled", ()), 0  # seen: how much of ``filled`` has been read
     masks = [0] * n
     costs = [0] * n
     owner = [-1] * m  # agent holding chore d; -1 before its first agent
@@ -220,8 +227,7 @@ def cheapest_accepted(
                     best = total
                     best_masks = tuple(masks)
                 if uncapped:
-                    ask(uncapped.intersection(filled[seen:]))
-                    seen = len(filled)
+                    ask([a for a in uncapped if costs[a]])
             d -= 1
             continue
         a = owner[d]
@@ -274,26 +280,11 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     opt_cost, best_fair, best_masks = cheapest_accepted(
         inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha, ctx.share_cap(criterion, alpha)
     )
-    fair_exists = best_fair is not None
-    price: ExtendedRational | None = None
-    if fair_exists:
-        assert best_fair is not None
-        if opt_cost > 0:
-            price = best_fair / opt_cost
-        else:
-            price = Fraction(1) if best_fair == 0 else INFINITY
     witness = None
     if best_masks is not None:
         witness = Allocation(tuple(set_of(mask) for mask in best_masks))
     return SearchReport(
-        instance=inst,
-        criterion=criterion,
-        alpha=alpha,
-        fair_exists=fair_exists,
-        best_fair_cost=best_fair,
-        opt_cost=opt_cost,
-        price=price,
-        witness=witness,
+        instance=inst, criterion=criterion, alpha=alpha, best_fair_cost=best_fair, opt_cost=opt_cost, witness=witness
     )
 
 

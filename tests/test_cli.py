@@ -444,6 +444,24 @@ def test_verify_epsilon_outside_a_family_range_exits_2(tmp_path, capsys, suite, 
     assert not out.exists()
 
 
+def test_verify_connections_refuses_an_epsilon_above_1(tmp_path, capsys):
+    # PMMS_NOT_EF1 expects EF1 = 1/epsilon, below 1 past epsilon 1.
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", "connections", "--epsilon", "3/2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "argument-error: epsilon 3/2 leaves no valid parameters for PMMS_NOT_EF1\n"
+    assert not out.exists()
+
+
+def test_bench_record_refuses_a_repeated_label():
+    # Checked before any checkout: a repeated label would keep only its last path.
+    repo = Path(__file__).resolve().parent.parent
+    argv = [sys.executable, str(repo / "scripts" / "bench_record.py"), "--out", "unused.json"]
+    proc = subprocess.run([*argv, f"a={repo}", "a=/nonexistent"], capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2 and proc.stdout == ""
+    error = "'a=/nonexistent': label 'a' is repeated; each checkout needs its own label"
+    assert proc.stderr.splitlines()[-1] == f"bench_record.py: error: {error}"
+
+
 @pytest.mark.parametrize("command", ["eval", "mms"])
 def test_nested_coverage_row_exits_2(tmp_path, capsys, command):
     cost = {"type": "row_coverage", "rows": [[[0]]], "weights": ["1"]}

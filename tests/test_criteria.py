@@ -420,3 +420,30 @@ def test_capped_cardinality_pmms_reference():
     alloc = Allocation((frozenset({0, 1, 2}), frozenset()))
     assert min_alpha(inst, alloc, Criterion.PMMS) == 1
     assert min_alpha(inst, alloc, Criterion.EF1) == INFINITY
+
+
+def test_two_agent_mms_and_pmms_share_one_share_per_agent(monkeypatch):
+    # With two agents the pairwise union is every chore, so PMMS asks for the
+    # same half-split share as MMS: one ``mms_value`` call per agent with a
+    # positive cost, and none for an agent whose bundle costs nothing.
+    import chorefair.criteria as criteria
+
+    calls: list[tuple[int, int]] = []
+
+    def counted(inst, agent, k, chores=None):
+        calls.append((agent, k))
+        return mms_value(inst, agent, k, chores)
+
+    inst = Instance(n=2, m=5, costs=(Additive((3, 1, 2, 2, 4)), Additive((1, 0, 5, 2, 2))))
+    crits = (Criterion.MMS, Criterion.PMMS)
+    for alloc, agents in (
+        (Allocation((frozenset({0, 2}), frozenset({1, 3, 4}))), [0, 1]),
+        (Allocation((frozenset({0, 2, 3, 4}), frozenset({1}))), [0]),
+    ):
+        alone = {crit: fairness_report(inst, alloc, (crit,)).alphas[crit] for crit in crits}
+        calls.clear()
+        monkeypatch.setattr(criteria, "mms_value", counted)
+        report = fairness_report(inst, alloc, crits)
+        monkeypatch.undo()
+        assert sorted(calls) == [(agent, 2) for agent in agents]
+        assert report.alphas == alone

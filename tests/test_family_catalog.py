@@ -91,5 +91,23 @@ def test_parameter_errors_keep_their_messages(family_id, params, message):
     assert message in str(info.value)
 
 
+def test_no_connection_family_expects_an_alpha_below_1():
+    # A minimal alpha is at least 1. PMMS_NOT_EF1 expects EF1 = 1/epsilon, so
+    # it must refuse epsilon > 1; epsilon 1 stays valid.
+    grid = dict(GRID, epsilon=(Fraction(1, 100), Fraction(1), Fraction(3, 2), Fraction(2)))
+    built = set()
+    for family_id in FAMILY_IDS:
+        names = family_params(family_id)
+        for combo in itertools.product(*(grid[name] for name in names)):
+            params = dict(zip(names, combo))
+            if not valid_params(family_id, **params):
+                continue
+            bundle = make_family(family_id, **params)
+            built.add((family_id, params.get("epsilon")))
+            assert all(alpha >= 1 for _, alpha in bundle.expected_alphas), (family_id, params)
+    assert ("PMMS_NOT_EF1", Fraction(1)) in built
+    assert not {eps for family_id, eps in built if family_id == "PMMS_NOT_EF1"} & {Fraction(3, 2), Fraction(2)}
+
+
 if __name__ == "__main__":
     sys.stdout.write(catalog_text())

@@ -37,7 +37,7 @@ from chorefair.errors import (
     UnsupportedVariantError,
     ValidationError,
 )
-from chorefair.model import scale_cost
+from chorefair.model import INFINITY, price_ratio, scale_cost
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -352,3 +352,11 @@ def test_chore_count_guard():
     assert Instance(n=1, m=MAX_CHORES, costs=(CappedCardinality(2),)).m == MAX_CHORES
     with pytest.raises(SizeGuardError, match="chore count"):
         Instance(n=1, m=MAX_CHORES + 1, costs=(CappedCardinality(2),))
+
+
+def test_price_ratio_of_equal_zero_and_positive_costs():
+    x = Fraction(3, 7)
+    assert price_ratio(x, x) == 1
+    assert price_ratio(Fraction(6, 7), x) == 2
+    assert price_ratio(x, Fraction(0)) == INFINITY
+    assert price_ratio(Fraction(0), Fraction(0)) == 1

@@ -306,6 +306,24 @@ def test_a_cap_of_zero_cuts_every_positive_bundle():
     assert len(asked) < plain_asked
 
 
+def test_an_unknown_cap_is_asked_again_after_a_leaf_that_costs_its_agent():
+    # A plain cap function, as a share memo behaves: agent 1's cap is unknown
+    # until ``accept`` has seen agent 1 at a positive cost, and 0 after that.
+    inst = Instance(n=2, m=6, costs=(Additive((1, 2, 2, 1, 3, 1)), Additive((0, 1, 0, 2, 1, 0))))
+    positive: list[bool] = []  # per asked leaf: does agent 1 hold a positive cost?
+
+    def accept(masks):
+        positive.append(inst.costs[1].int_eval(masks[1]) > 0)
+        return False
+
+    def cap(agent):
+        return 0 if agent == 1 and any(positive) else None
+
+    assert cheapest_accepted(inst, accept, cap)[1] is None
+    first = positive.index(True)
+    assert first < len(positive) - 1 and not any(positive[first + 1 :])
+
+
 def _count_cap_calls(monkeypatch) -> list[int]:
     from chorefair.criteria import InstanceContext
 
@@ -319,7 +337,6 @@ def _count_cap_calls(monkeypatch) -> list[int]:
             calls[0] += 1
             return cap(agent)
 
-        asked.filled = cap.filled
         return asked
 
     monkeypatch.setattr(InstanceContext, "share_cap", counted)
@@ -338,8 +355,9 @@ def test_share_caps_halve_the_kernel_calls_of_the_largest_mms_query(monkeypatch)
     assert (report.best_fair_cost, report.opt_cost) == (check.fair_cost, bundle.opt_cost)
     assert calls[0] == 1371
     # Each cap is asked once before the first leaf and then only after a
-    # kernel call that computed that agent's share; it was asked 5,480 times
-    # when every unknown cap was asked after every kernel call.
+    # kernel call at a leaf where that agent's cost is positive, which is the
+    # call that computes its share; it was asked 5,480 times when every
+    # unknown cap was asked after every kernel call.
     assert cap_calls[0] <= 2 * bundle.instance.n
 
 
