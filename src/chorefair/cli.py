@@ -22,7 +22,7 @@ from .allocate import (
     round_robin,
 )
 from .criteria import DEFAULT_CRITERIA, Criterion, fairness_report
-from .errors import ArgumentError, ChoreFairError, InternalError, SizeGuardError
+from .errors import ArgumentError, ChoreFairError, InternalError, ParseError, SizeGuardError
 from .families import family_params, family_to_json, make_family
 from .mms import mms_share, mms_value
 from .model import (
@@ -54,6 +54,8 @@ def _load_json(path: str) -> dict:
         raise ChoreFairError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ChoreFairError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past int()'s digit limit, or bytes that are not UTF-8
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 def _load_instance(path: str):

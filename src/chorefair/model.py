@@ -1,8 +1,10 @@
 """Domain types: exact rationals, cost-function oracles, instances, allocations.
 
-All arithmetic is exact (``fractions.Fraction``); floats never enter the core.
-Chore sets are plain ``frozenset[int]`` over ``range(m)``; hot paths elsewhere
-use integer bitmasks.
+Every number is exact; floats never enter the core. A cost variant keeps its
+rational data as integers over one denominator ``_den``, the lcm of their
+reduced denominators, and builds its ``Fraction``s (``values``, ``cap``,
+``weights``) only when they are read. Chore sets are plain ``frozenset[int]``
+over ``range(m)``; hot paths elsewhere use integer bitmasks.
 
 Each cost variant is one ``CostFunction`` class, the only place that knows
 its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
@@ -74,19 +76,38 @@ MAX_CHORES = 100_000
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
     """Parse an exact rational from an int, Fraction, or "p/q" / "p" string."""
-    if isinstance(value, Fraction):
-        return value
+    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+
+
+def _ratio(value) -> tuple[int, int]:
+    """``value`` as a reduced (p, q), q > 0, by the rules of ``parse_rational``.
+
+    ASCII ``-?digits`` or ``-?digits/digits`` strings take a fast path; any
+    other string, or one ``int()`` refuses, goes through ``Fraction(str)``, so
+    the accepted inputs and the messages are its own.
+    """
+    if type(value) is str and value.isascii():
+        num, slash, den = value.partition("/")
+        if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+            try:
+                p, q = int(num), (int(den) if slash else 1)
+            except ValueError:  # past int()'s digit limit: left to Fraction(str)
+                q = 0
+            if q:
+                g = math.gcd(p, q)
+                return p // g, q // g
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
-    if isinstance(value, int):
-        return Fraction(value)
+    if isinstance(value, (int, Fraction)):
+        return value.numerator, value.denominator
     if isinstance(value, str):
         if "." in value or "e" in value or "E" in value:
             raise ParseError(f"decimal notation is not exact: {value!r}")
         try:
-            return Fraction(value)
+            exact = Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"not a rational: {value!r}") from exc
+        return exact.numerator, exact.denominator
     hint = " (floats are rejected)" if isinstance(value, float) else ""
     raise ParseError(f"not a rational: {value!r}{hint}")
 
@@ -194,28 +215,53 @@ class CostFunction:
     def validate_for(self, m: int) -> None:
         size = self.ground_size()
         if size is not None and size != m:
-            raise ValidationError(
-                f"cost function covers {size} chores, instance has {m}"
-            )
+            raise ValidationError(f"cost function covers {size} chores, instance has {m}")
 
 
 def _set(obj: CostFunction, **attrs) -> None:
-    """Assign attributes of a frozen dataclass from its ``__post_init__``."""
+    """Assign attributes of a frozen dataclass from its own constructor."""
     for name, value in attrs.items():
         object.__setattr__(obj, name, value)
 
 
-def _check_nonnegative(values: Sequence[Fraction], what: str) -> None:
-    for v in values:
-        if v < 0:
-            raise ValidationError(f"{what} must be >= 0, got {v}")
+def _check_nonnegative(nums: Sequence[int], den: int, what: str) -> None:
+    for p in nums:
+        if p < 0:
+            raise ValidationError(f"{what} must be >= 0, got {Fraction(p, den)}")
 
 
-def _parse_scaled(values: Iterable) -> tuple[tuple[Fraction, ...], tuple[int, ...], int]:
-    """(values parsed, each value times d as an int, d), d the lcm of their denominators."""
-    values = tuple(map(parse_rational, values))
-    den = math.lcm(*(v.denominator for v in values))
-    return values, tuple(v.numerator * (den // v.denominator) for v in values), den
+def _parse_scaled(values: Iterable) -> tuple[tuple[int, ...], int]:
+    """(each value times d as an int, d), d the lcm of the values' reduced denominators."""
+    pairs = list(map(_ratio, values))
+    den = math.lcm(*(q for _, q in pairs))
+    return tuple([p * (den // q) for p, q in pairs]), den
+
+
+def _rational_strs(nums: Sequence[int], den: int) -> list[str]:
+    """``rational_str`` of each p / den, formatted from the integers."""
+    return [str(p // g) if g == den else f"{p // g}/{den // g}" for p in nums for g in (math.gcd(p, den),)]
+
+
+def _fractions(cost: CostFunction) -> tuple[Fraction, ...]:
+    """The cost's stored integers over its denominator, as Fractions."""
+    den = cost._den
+    return tuple([Fraction(p, den) for p in cost._nums])
+
+
+class _Scaled(CostFunction):
+    """A variant whose rational data are integers ``_nums`` over ``_den``, the lcm of their
+    reduced denominators, so eq and hash follow the data; ``_store`` checks and keeps them."""
+
+    @classmethod
+    def _from_ints(cls, nums: Sequence[int], den: int, *rest) -> "_Scaled":
+        """Build from integers p over ``den`` > 0, unparsed; den / gcd(den, every p) is the canonical ``_den``."""
+        g = math.gcd(den, *nums)
+        cost = object.__new__(cls)
+        cost._store(tuple([p // g for p in nums]), den // g, *rest)
+        return cost
+
+    def _scaled_ints(self, nums: Sequence[int], factor: Fraction, *rest) -> "_Scaled":
+        return self._from_ints([p * factor.numerator for p in nums], self._den * factor.denominator, *rest)
 
 
 def _bit_sum(nums: Sequence[int], mask: int) -> int:
@@ -247,17 +293,21 @@ def _json_list(obj: dict, key: str) -> list:
     return value
 
 
-@dataclass(frozen=True)
-class Additive(CostFunction):
+@dataclass(frozen=True, init=False)
+class Additive(_Scaled):
     """c(S) = sum of per-chore values."""
 
-    values: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
     kind = "additive"
+    values = cached_property(_fractions)
 
-    def __post_init__(self) -> None:
-        values, nums, den = _parse_scaled(self.values)
-        _check_nonnegative(values, "additive values")
-        _set(self, values=values, _den=den, _nums=nums)
+    def __init__(self, values: Iterable[int | str | Fraction]) -> None:
+        self._store(*_parse_scaled(values))
+
+    def _store(self, nums: tuple[int, ...], den: int) -> None:
+        _check_nonnegative(nums, den, "additive values")
+        _set(self, _nums=nums, _den=den)
 
     def int_eval(self, mask: int) -> int:
         return _bit_sum(self._nums, mask)
@@ -266,37 +316,43 @@ class Additive(CostFunction):
         return _sum_table([self._nums[e] for e in elems])
 
     def scaled(self, factor: Fraction) -> "Additive":
-        return Additive(tuple(v * factor for v in self.values))
+        return self._scaled_ints(self._nums, factor)
 
     def sum_groups(self, elems: Sequence[int]):
         return _singletons(self._nums, elems), None
 
     def ground_size(self) -> int | None:
-        return len(self.values)
+        return len(self._nums)
 
     def to_json(self) -> dict:
-        return {"type": self.kind, "values": [rational_str(v) for v in self.values]}
+        return {"type": self.kind, "values": _rational_strs(self._nums, self._den)}
 
     @classmethod
     def from_json(cls, obj: dict, m: int) -> "Additive":
         return cls(tuple(_json_list(obj, "values")))
 
 
-@dataclass(frozen=True)
-class CappedAdditive(CostFunction):
+@dataclass(frozen=True, init=False)
+class CappedAdditive(_Scaled):
     """c(S) = min(sum of per-chore values, cap)."""
 
-    values: tuple[Fraction, ...]
-    cap: Fraction
+    _nums: tuple[int, ...]
+    _cap: int
+    _den: int
     kind = "capped_additive"
+    values = cached_property(_fractions)
+    cap = cached_property(lambda self: Fraction(self._cap, self._den))
 
-    def __post_init__(self) -> None:
-        parsed, nums, den = _parse_scaled((*self.values, self.cap))
-        values, cap = parsed[:-1], parsed[-1]
-        _check_nonnegative(values, "capped-additive values")
+    def __init__(self, values: Iterable[int | str | Fraction], cap: int | str | Fraction) -> None:
+        self._store(*_parse_scaled((*values, cap)))
+
+    def _store(self, nums: tuple[int, ...], den: int) -> None:
+        """``nums`` holds the values and then the cap."""
+        nums, cap = nums[:-1], nums[-1]
+        _check_nonnegative(nums, den, "capped-additive values")
         if cap <= 0:
-            raise ValidationError(f"cap must be > 0, got {cap}")
-        _set(self, values=values, cap=cap, _den=den, _nums=nums[:-1], _cap=nums[-1])
+            raise ValidationError(f"cap must be > 0, got {Fraction(cap, den)}")
+        _set(self, _nums=nums, _cap=cap, _den=den)
 
     def int_eval(self, mask: int) -> int:
         return min(_bit_sum(self._nums, mask), self._cap)
@@ -306,20 +362,17 @@ class CappedAdditive(CostFunction):
         return [min(x, cap) for x in _sum_table([self._nums[e] for e in elems])]
 
     def scaled(self, factor: Fraction) -> "CappedAdditive":
-        return CappedAdditive(tuple(v * factor for v in self.values), self.cap * factor)
+        return self._scaled_ints((*self._nums, self._cap), factor)
 
     def sum_groups(self, elems: Sequence[int]):
         return _singletons(self._nums, elems), self._cap
 
     def ground_size(self) -> int | None:
-        return len(self.values)
+        return len(self._nums)
 
     def to_json(self) -> dict:
-        return {
-            "type": self.kind,
-            "values": [rational_str(v) for v in self.values],
-            "cap": rational_str(self.cap),
-        }
+        *values, cap = _rational_strs((*self._nums, self._cap), self._den)
+        return {"type": self.kind, "values": values, "cap": cap}
 
     @classmethod
     def from_json(cls, obj: dict, m: int) -> "CappedAdditive":
@@ -360,8 +413,8 @@ class CappedCardinality(CostFunction):
         return cls(cap)
 
 
-@dataclass(frozen=True)
-class RowCoverage(CostFunction):
+@dataclass(frozen=True, init=False)
+class RowCoverage(_Scaled):
     """Weighted coverage: c(S) = sum over groups g of weight[g] * [S hits g].
 
     ``rows`` must partition the ground set; each group contributes its full
@@ -369,15 +422,20 @@ class RowCoverage(CostFunction):
     """
 
     rows: tuple[tuple[int, ...], ...]
-    weights: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
     kind = "row_coverage"
+    weights = cached_property(_fractions)
 
-    def __post_init__(self) -> None:
-        rows = tuple(tuple(sorted(_as_chore_set(r))) for r in self.rows)
-        weights, nums, den = _parse_scaled(self.weights)
-        if len(rows) != len(weights):
+    def __init__(self, rows: Iterable[Iterable[int]], weights: Iterable[int | str | Fraction]) -> None:
+        rows = tuple(tuple(sorted(_as_chore_set(r))) for r in rows)
+        self._store(*_parse_scaled(weights), rows)
+
+    def _store(self, nums: tuple[int, ...], den: int, rows: tuple[tuple[int, ...], ...]) -> None:
+        """``rows`` are sorted tuples of chore indices."""
+        if len(rows) != len(nums):
             raise ValidationError("rows and weights must have equal length")
-        _check_nonnegative(weights, "coverage weights")
+        _check_nonnegative(nums, den, "coverage weights")
         seen: set[int] = set()
         for row in rows:
             for e in row:
@@ -387,7 +445,7 @@ class RowCoverage(CostFunction):
         if seen != set(range(len(seen))):
             raise ValidationError("coverage groups must partition 0..m-1")
         groups = tuple(zip(map(mask_of, rows), nums))
-        _set(self, rows=rows, weights=weights, _den=den, _nums=nums, _groups=groups)
+        _set(self, rows=rows, _nums=nums, _den=den, _groups=groups)
 
     def int_eval(self, mask: int) -> int:
         total = 0
@@ -397,7 +455,7 @@ class RowCoverage(CostFunction):
         return total
 
     def scaled(self, factor: Fraction) -> "RowCoverage":
-        return RowCoverage(self.rows, tuple(w * factor for w in self.weights))
+        return self._scaled_ints(self._nums, factor, self.rows)
 
     def sum_groups(self, elems: Sequence[int]):
         chosen = frozenset(elems)
@@ -411,7 +469,7 @@ class RowCoverage(CostFunction):
         return {
             "type": self.kind,
             "rows": [list(r) for r in self.rows],
-            "weights": [rational_str(w) for w in self.weights],
+            "weights": _rational_strs(self._nums, self._den),
         }
 
     @classmethod
@@ -422,7 +480,7 @@ class RowCoverage(CostFunction):
         return cls(tuple(map(tuple, rows)), tuple(_json_list(obj, "weights")))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class TableCost(CostFunction):
     """Explicit value per subset, for adversarial tests; excluded from normalization.
 
@@ -430,24 +488,24 @@ class TableCost(CostFunction):
     """
 
     m: int
-    values: tuple[Fraction, ...]
+    _nums: tuple[int, ...]
+    _den: int
     kind = "table"
+    values = cached_property(_fractions)
 
-    def __post_init__(self) -> None:
-        values, nums, den = _parse_scaled(self.values)
-        if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
-            raise ValidationError(f"table m must be an integer >= 0, got {self.m!r}")
-        size = len(values)
+    def __init__(self, m: int, values: Iterable[int | str | Fraction]) -> None:
+        nums, den = _parse_scaled(values)
+        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+            raise ValidationError(f"table m must be an integer >= 0, got {m!r}")
+        size = len(nums)
         # Compares bit lengths rather than computing 1 << m, which for a huge
         # m from JSON would build a huge integer.
-        if size & (size - 1) or size.bit_length() != self.m + 1:
-            raise ValidationError(
-                f"table must have 2^{self.m} entries, got {size}"
-            )
-        if values[0] != 0:
+        if size & (size - 1) or size.bit_length() != m + 1:
+            raise ValidationError(f"table must have 2^{m} entries, got {size}")
+        if nums[0] != 0:
             raise ValidationError("table cost of the empty set must be 0")
-        _check_nonnegative(values, "table values")
-        _set(self, values=values, _den=den, _nums=nums)
+        _check_nonnegative(nums, den, "table values")
+        _set(self, m=m, _nums=nums, _den=den)
 
     @classmethod
     def from_subsets(cls, m: int, table: Mapping[frozenset[int], int | str | Fraction]) -> "TableCost":
@@ -483,7 +541,7 @@ class TableCost(CostFunction):
         return self.m
 
     def to_json(self) -> dict:
-        return {"type": self.kind, "m": self.m, "values": [rational_str(v) for v in self.values]}
+        return {"type": self.kind, "m": self.m, "values": _rational_strs(self._nums, self._den)}
 
     @classmethod
     def from_json(cls, obj: dict, m: int) -> "TableCost":

@@ -315,8 +315,7 @@ def _random_raw(rng: random.Random, m: int) -> list[int]:
 
 def _random_additive(rng: random.Random, m: int) -> Additive:
     raw = _random_raw(rng, m)
-    total = sum(raw)
-    return Additive(tuple(Fraction(v, total) for v in raw))
+    return Additive._from_ints(raw, sum(raw))
 
 
 def _random_cost(rng: random.Random, m: int) -> CostFunction:
@@ -326,8 +325,8 @@ def _random_cost(rng: random.Random, m: int) -> CostFunction:
     if kind == "capped_additive":
         raw = _random_raw(rng, m)
         cap = rng.randint(max(1, sum(raw) // 2), sum(raw))
-        # Scaled by the cap so the full set costs exactly 1.
-        return CappedAdditive(tuple(Fraction(v, cap) for v in raw), Fraction(1))
+        # Scaled by the cap so the full set costs exactly 1: the values and then the cap, over the cap.
+        return CappedAdditive._from_ints((*raw, cap), cap)
     if kind == "row_coverage":
         groups: dict[int, list[int]] = {}
         count = rng.randint(1, m)
@@ -335,8 +334,7 @@ def _random_cost(rng: random.Random, m: int) -> CostFunction:
             groups.setdefault(rng.randrange(count), []).append(chore)
         rows = tuple(tuple(r) for r in groups.values())
         raw = [rng.randint(1, _MAX_RAW_VALUE) for _ in rows]
-        total = sum(raw)
-        return RowCoverage(rows=rows, weights=tuple(Fraction(v, total) for v in raw))
+        return RowCoverage._from_ints(raw, sum(raw), rows)
     return CappedCardinality(cap=rng.randint(1, m))
 
 

@@ -625,3 +625,38 @@ def test_verify_keeps_an_existing_report_until_its_rows_are_ready(tmp_path, caps
     assert main(["verify", "--suite", "prices", "--out", str(out)]) == 2  # no --seed
     _assert_tagged_input_error(capsys, "error")
     assert started == [] and out.read_text() == "old report\n"
+
+
+_LONG_LITERAL = "1" * 5000  # past int()'s 4,300-digit limit, so json.load refuses it; json.dumps cannot write it
+
+
+@pytest.mark.parametrize(
+    "command,where",
+    [("eval", "values"), ("eval", "cap"), ("eval", "allocation"), ("mms", "values"), ("mms", "cap")],
+)
+def test_integer_literal_past_the_digit_limit_exits_2(tmp_path, capsys, command, where):
+    costs = {
+        "values": f'{{"type": "additive", "values": [{_LONG_LITERAL}]}}',
+        "cap": f'{{"type": "capped_additive", "values": ["1"], "cap": {_LONG_LITERAL}}}',
+        "allocation": '{"type": "additive", "values": ["1"]}',
+    }
+    inst = tmp_path / "inst.json"
+    inst.write_text(f'{{"n": 1, "m": 1, "agents": [{{"cost": {costs[where]}}}]}}', encoding="utf-8")
+    alloc = tmp_path / "alloc.json"
+    alloc.write_text(f'{{"bundles": [[{_LONG_LITERAL if where == "allocation" else 0}]]}}', encoding="utf-8")
+    argv = {"eval": ["--allocation", str(alloc)], "mms": ["--agent", "0", "--k", "1"]}[command]
+    assert main([command, "--instance", str(inst), *argv]) == 2
+    bad = alloc if where == "allocation" else inst
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse-error: {bad}: Exceeds the limit") and err.count("\n") == 1, err[:200]
+
+
+@pytest.mark.parametrize("command", ["eval", "mms"])
+def test_instance_file_that_is_not_utf8_exits_2(tmp_path, capsys, command):
+    inst = tmp_path / "inst.json"
+    inst.write_bytes(b'\xff{"n": 1}')
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0]]})
+    argv = {"eval": ["--allocation", alloc], "mms": ["--agent", "0", "--k", "1"]}[command]
+    assert main([command, "--instance", str(inst), *argv]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"parse-error: {inst}: 'utf-8' codec can't decode") and err.count("\n") == 1, err
