@@ -1,18 +1,17 @@
 """Exact maximin-share computation.
 
-Three public routes, all exact:
+Two routes, both exact:
 
-* ``mms_share``    -- enumeration of set partitions as restricted-growth
-                      strings; works for any cost oracle, guarded sizes.
-                      Monotone costs (every formula variant, and each table
-                      whose entries are monotone) are pruned against a greedy
-                      bound, with the full scan's witness.
-* ``pairwise_mms`` -- k=2 over the union of two disjoint bundles, by a scan
-                      of every two-way split.
-* ``mms_value``    -- dispatcher used by the criteria layer; reduces a capped
-                      sum over groups (additive costs included) to a min-max
-                      partition of the group weights and falls back to
-                      enumeration for every other cost.
+* ``mms_share`` -- the reference: enumeration of set partitions as
+                   restricted-growth strings, for any cost oracle, guarded
+                   sizes. Monotone costs (every formula variant, and each
+                   table whose entries are monotone) are pruned against a
+                   greedy bound, with the full scan's witness.
+* ``mms_value`` -- the dispatcher: a min-max partition of the group weights
+                   for a capped sum over groups (additive costs included),
+                   a scan of every two-way split of other costs for k=2,
+                   and enumeration otherwise. ``pairwise_mms`` is
+                   ``mms_value`` with k=2 over two disjoint bundles.
 
 The min-max partition solves k=2 exactly from subset-sum reachability bitsets
 (``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
@@ -40,7 +39,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import ArgumentError, BoundsError, SizeGuardError
+from .errors import ArgumentError, SizeGuardError
 from .model import Additive, CostFunction, Instance, set_of
 
 __all__ = ["MmsResult", "mms_share", "pairwise_mms", "mms_value"]
@@ -68,20 +67,16 @@ class MmsResult:
     witness: tuple[frozenset[int], ...]
 
 
-def _resolve_chores(inst: Instance, chores: Iterable[int] | None) -> tuple[int, ...]:
-    if chores is None:
-        return tuple(range(inst.m))
-    elems = tuple(sorted(set(chores)))
-    if elems and (elems[0] < 0 or elems[-1] >= inst.m):
-        raise BoundsError(f"chore index out of range for m={inst.m}")
-    return elems
-
-
-def _check_k(k: int) -> None:
+def _query(inst: Instance, agent: int, k: int, chores: Iterable[int] | None) -> tuple[int, ...]:
+    """Check an MMS query (agent, then k, then chores); return its sorted chores, all of them for None."""
+    inst.check_agent(agent)
     if not isinstance(k, int) or isinstance(k, bool) or k < 1:
         raise ArgumentError(f"partition size k must be an integer >= 1, got {k!r}")
     if k > MAX_BLOCKS:
         raise SizeGuardError(f"partition size k limited to {MAX_BLOCKS}, got {k}")
+    if chores is None:
+        return tuple(range(inst.m))
+    return tuple(sorted(inst.check_chores(chores)))
 
 
 def _pad(blocks: Sequence[frozenset[int]], k: int) -> tuple[frozenset[int], ...]:
@@ -102,9 +97,7 @@ def mms_share(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     blocks never change the optimum for monotone costs, which makes k larger
     than the set size harmless.
     """
-    inst.check_agent(agent)
-    _check_k(k)
-    elems = _resolve_chores(inst, chores)
+    elems = _query(inst, agent, k, chores)
     if len(elems) > ENUM_MAX_CHORES or k > ENUM_MAX_BLOCKS:
         raise SizeGuardError(
             f"partition enumeration limited to {ENUM_MAX_CHORES} chores and "
@@ -355,16 +348,15 @@ def _grouped_min_max(
 
 
 # ---------------------------------------------------------------------------
-# Dedicated 2-partition enumeration
+# Two-way split scan
 # ---------------------------------------------------------------------------
 
 
 def _two_partition_scan(
     fn: CostFunction, elems: tuple[int, ...]
 ) -> tuple[Fraction, list[frozenset[int]]]:
+    """Exact k=2 MMS of a nonempty chore set, by a scan of every two-way split."""
     t = len(elems)
-    if t == 0:
-        return Fraction(0), [frozenset(), frozenset()]
     table = fn.int_table(elems)
     full = (1 << t) - 1
     best = None
@@ -382,26 +374,8 @@ def _two_partition_scan(
     return Fraction(best, fn.denominator()), [side_a, side_b]
 
 
-def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int]) -> MmsResult:
-    """MMS with k=2 over the union of two disjoint bundles.
-
-    Scans all 2^(t-1) two-way splits of the union directly.
-    """
-    inst.check_agent(agent)
-    set_a, set_b = frozenset(a), frozenset(b)
-    if set_a & set_b:
-        raise ArgumentError(f"bundles overlap on chores {sorted(set_a & set_b)}")
-    elems = _resolve_chores(inst, set_a | set_b)
-    if len(elems) > PAIRWISE_MAX_CHORES:
-        raise SizeGuardError(
-            f"pairwise enumeration limited to {PAIRWISE_MAX_CHORES} chores, got {len(elems)}"
-        )
-    value, blocks = _two_partition_scan(inst.costs[agent], elems)
-    return MmsResult(value=value, witness=tuple(blocks))
-
-
 # ---------------------------------------------------------------------------
-# Exact dispatcher
+# Exact dispatcher and the pairwise share
 # ---------------------------------------------------------------------------
 
 
@@ -412,12 +386,10 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     coverage costs) use the min-max partition of group weights within
     ``MMS_NODE_BUDGET``, additive ones only up to ``ADDITIVE_MAX_CHORES``
     chores and ``ADDITIVE_MAX_BLOCKS`` blocks. Costs without that form, such
-    as tables, fall back to the two-way split scan for k=2 and to guarded
-    enumeration otherwise.
+    as tables, fall back to the two-way split scan for k=2 up to
+    ``PAIRWISE_MAX_CHORES`` chores and to guarded enumeration otherwise.
     """
-    inst.check_agent(agent)
-    _check_k(k)
-    elems = _resolve_chores(inst, chores)
+    elems = _query(inst, agent, k, chores)
     fn = inst.costs[agent]
     if not elems:
         return MmsResult(value=Fraction(0), witness=_pad([], k))
@@ -439,3 +411,12 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     raise SizeGuardError(
         f"table costs support only enumeration; {len(elems)} chores with k={k} exceed the guards"
     )
+
+
+def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int]) -> MmsResult:
+    """The pairwise share MMS_i(2, a | b): ``mms_value`` with k=2 over two disjoint bundles."""
+    inst.check_agent(agent)
+    set_a, set_b = inst.check_chores(a), inst.check_chores(b)
+    if set_a & set_b:
+        raise ArgumentError(f"bundles overlap on chores {sorted(set_a & set_b)}")
+    return mms_value(inst, agent, 2, set_a | set_b)

@@ -670,14 +670,18 @@ class Instance:
 
     def cost(self, agent: int, chores: Iterable[int]) -> Fraction:
         self.check_agent(agent)
-        s = _as_chore_set(chores)
-        if s and (min(s) < 0 or max(s) >= self.m):
-            raise BoundsError(f"chore index out of range for m={self.m}")
-        return self.costs[agent].value(s)
+        return self.costs[agent].value(self.check_chores(chores))
 
     def check_agent(self, agent: int) -> None:
         if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < self.n:
             raise BoundsError(f"agent index {agent!r} out of range for n={self.n}")
+
+    def check_chores(self, chores: Iterable[int]) -> frozenset[int]:
+        """The chores as a set, each checked to be an int chore index below m."""
+        s = _as_chore_set(chores)
+        if s and (min(s) < 0 or max(s) >= self.m):
+            raise BoundsError(f"chore index out of range for m={self.m}")
+        return s
 
     def is_additive(self) -> bool:
         return all(isinstance(fn, Additive) for fn in self.costs)

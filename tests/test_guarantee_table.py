@@ -11,11 +11,11 @@ change to the table, from the repository root:
 Every row of every cell of ``_GUARANTEES`` is then checked. A row with a
 value (``bound`` or ``trivial_only``) must hold on every allocation of small
 random instances of its setting. A row without a finite improvement
-(``unbounded`` or ``trivial_only``) must be shown by a catalog family: the
-target alpha reaches 50 (``unbounded``) or comes within 1/20 of the trivial
-value (``trivial_only``). Additive families also show submodular rows, since
-additive costs are submodular. The README lists the parts of cells no family
-shows.
+(``unbounded`` or ``trivial_only``) must be shown, at each n from 2 to 5 at
+which it answers for some alpha of the grid, by a catalog family or by a
+literal witness instance: the target alpha reaches 50 (``unbounded``) or
+comes within 1/20 of the trivial value (``trivial_only``). Additive
+instances also show submodular rows, since additive costs are submodular.
 """
 
 from __future__ import annotations
@@ -32,11 +32,20 @@ from chorefair.criteria import (
     SETTINGS,
     Criterion,
     context_for,
+    fairness_report,
     implied_guarantee,
 )
 from chorefair.errors import ChoreFairError
 from chorefair.families import make_family
-from chorefair.model import INFINITY, rational_str
+from chorefair.model import (
+    INFINITY,
+    Additive,
+    Allocation,
+    CappedCardinality,
+    Instance,
+    RowCoverage,
+    rational_str,
+)
 from chorefair.search import _scan_masks, random_instance
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "guarantee_table.txt"
@@ -134,29 +143,103 @@ FAMILY_CLAIMS = [
 ]
 
 
-@pytest.fixture(scope="module")
-def rows_shown() -> set:
-    """(key, row) of every unbounded or trivial row a catalog family shows."""
-    shown: set = set()
+def _mms_not_pmms_at_three(x: int) -> tuple[Instance, Allocation]:
+    """Agent 0 costs 1 on each of x chores and x on two more; agents 1 and 2 cost 1 on every chore."""
+    unit = Additive((1,) * (x + 2))
+    inst = Instance(n=3, m=x + 2, costs=(Additive((1,) * x + (x, x)), unit, unit))
+    return inst, Allocation((frozenset(range(x)), frozenset(), frozenset({x, x + 1})))
+
+
+def _coverage_grid(n: int) -> tuple[Instance, Allocation]:
+    """``SUB_EF_COVERAGE``'s grid with 2n unit rows of n chores: every agent alike, columns as bundles."""
+    m = 2 * n * n
+    rows = tuple(tuple(range(r * n, (r + 1) * n)) for r in range(2 * n))
+    fn = RowCoverage(rows=rows, weights=(1,) * (2 * n))
+    return Instance(n=n, m=m, costs=(fn,) * n), Allocation(tuple(frozenset(range(j, m, n)) for j in range(n)))
+
+
+def _capped_one(n: int) -> tuple[Instance, Allocation]:
+    """Every agent has CappedCardinality(1); agent 0 holds all three chores."""
+    bundles = (frozenset(range(3)),) + (frozenset(),) * (n - 1)
+    return Instance(n=n, m=3, costs=(CappedCardinality(1),) * n), Allocation(bundles)
+
+
+# (id, instance, allocation, measured alphas, (src, dst) claims): the parts of
+# cells that no family shows at some n (MMS rows at n = 3, submodular EF rows
+# at odd n), and PMMS to EF1 and EFX at alpha = 1 for submodular costs.
+WITNESSES = [
+    *[
+        (
+            f"mms_not_pmms_n3_x{x}",
+            *_mms_not_pmms_at_three(x),
+            {E.MMS: 1, E.PMMS: 2, E.EF1: INFINITY, E.EFX: INFINITY},
+            [(E.MMS, dst) for dst in (E.PMMS, E.EF1, E.EFX)],
+        )
+        for x in (2, 10, 40)
+    ],
+    *[
+        (
+            f"coverage_2n_rows_n{n}",
+            *_coverage_grid(n),
+            {E.EF: 1, E.EF1: 1, E.EFX: 1, E.MMS: n, E.PMMS: 2},
+            [(src, dst) for src in (E.EF, E.EFX, E.EF1) for dst in (E.MMS, E.PMMS)],
+        )
+        for n in (3, 5)
+    ],
+    *[
+        (
+            f"capped_one_n{n}",
+            *_capped_one(n),
+            {E.PMMS: 1, E.MMS: 1, E.EF1: INFINITY, E.EFX: INFINITY},
+            [(E.PMMS, dst) for dst in (E.EF1, E.EFX)],
+        )
+        for n in (3, 4, 5)
+    ],
+]
+
+
+@pytest.mark.parametrize("inst, alloc, alphas", [w[1:4] for w in WITNESSES], ids=[w[0] for w in WITNESSES])
+def test_witnesses_measure_their_alphas(inst, alloc, alphas):
+    report = fairness_report(inst, alloc)
+    assert {c: report.alphas[c] for c in alphas} == alphas
+
+
+def _claims():
+    """(label, instance, allocation, settings it shows, src, dst) of every family and witness claim."""
     for family_id, params, src, dst in FAMILY_CLAIMS:
         bundle = make_family(family_id, **params)
-        inst, alloc = bundle.instance, bundle.reference_allocation
+        settings = SETTINGS if bundle.setting == "additive" else (bundle.setting,)
+        yield (family_id, params), bundle.instance, bundle.reference_allocation, settings, src, dst
+    for label, inst, alloc, _, pairs in WITNESSES:
+        settings = SETTINGS if inst.is_additive() else ("submodular",)
+        for src, dst in pairs:
+            yield label, inst, alloc, settings, src, dst
+
+
+# Each unbounded or trivial row must be shown at every n of this range at which it answers.
+SHOWN_N = range(2, 6)
+
+
+@pytest.fixture(scope="module")
+def rows_shown() -> set:
+    """(key, row, n) of every unbounded or trivial row a family or witness shows."""
+    shown: set = set()
+    for label, inst, alloc, settings, src, dst in _claims():
         ctx = context_for(inst)
         masks = alloc.masks()
         a = ctx.min_alpha_masks(masks, src)[0]
         measured = ctx.min_alpha_masks(masks, dst)[0]
-        settings = SETTINGS if bundle.setting == "additive" else (bundle.setting,)
         for setting in settings:
             key = (setting, src, dst)
             row = _first_row(key, a, inst.n)
-            assert row is not None, (family_id, params, key, a)
+            assert row is not None, (label, key, a)
             _, kind, value = _GUARANTEES[key][row]
             if kind == "unbounded":
-                assert measured >= _LARGE, (family_id, params, key, measured)
+                assert measured >= _LARGE, (label, key, measured)
             else:
-                assert kind == "trivial_only", (family_id, params, key, kind)
-                assert measured > value(a, inst.n) - _NEAR, (family_id, params, key, measured)
-            shown.add((key, row))
+                assert kind == "trivial_only", (label, key, kind)
+                assert measured > value(a, inst.n) - _NEAR, (label, key, measured)
+            shown.add((key, row, inst.n))
     return shown
 
 
@@ -174,8 +257,12 @@ def test_every_cell_is_checked(rows_held, rows_shown):
         for row, (_, kind, value) in enumerate(rows):
             if value is not None:
                 assert (key, row) in rows_held, (key, row, "no small allocation meets this row")
-            if kind != "bound":
-                assert (key, row) in rows_shown, (key, row, "no catalog family shows this row")
+            if kind == "bound":
+                continue
+            answering = [n for n in SHOWN_N if any(_first_row(key, a, n) == row for a in GRID_ALPHAS)]
+            assert answering, (key, row, "this row answers at no n of SHOWN_N")
+            for n in answering:
+                assert (key, row, n) in rows_shown, (key, row, n, "no family or witness shows this row at this n")
 
 
 if __name__ == "__main__":

@@ -1,8 +1,9 @@
-"""Maximin-share engine: enumeration oracle, fast paths, pairwise splits."""
+"""Maximin-share engine: enumeration oracle, fast paths, the pairwise share."""
 
 from __future__ import annotations
 
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -10,15 +11,18 @@ import pytest
 
 from chorefair import (
     Additive,
+    Allocation,
     CappedCardinality,
+    Criterion,
     Instance,
     TableCost,
+    fairness_report,
     mms_share,
     mms_value,
     pairwise_mms,
     random_instance,
 )
-from chorefair.errors import ArgumentError, BoundsError, SizeGuardError
+from chorefair.errors import ArgumentError, BoundsError, SizeGuardError, ValidationError
 from chorefair import mms, model
 from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
 from chorefair.model import MAX_CHORES, check_monotone, set_of
@@ -86,6 +90,22 @@ def test_bool_agent_and_k_are_rejected(ref_instance):
         pairwise_mms(ref_instance, False, {0}, {1})
 
 
+@pytest.mark.parametrize("chore", [True, 1.5, "a", [0]], ids=["bool", "float", "str", "list"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda inst, chores: mms_value(inst, 0, 2, chores),
+        lambda inst, chores: mms_share(inst, 0, 2, chores),
+        lambda inst, chores: pairwise_mms(inst, 0, chores, {2}),
+    ],
+    ids=["mms_value", "mms_share", "pairwise_mms"],
+)
+def test_non_int_chores_are_rejected(ref_instance, query, chore):
+    # bool is an int subclass: True would otherwise answer as chore 1.
+    with pytest.raises(ValidationError, match=re.escape(f"chore index must be an int, got {chore!r}")):
+        query(ref_instance, [chore])
+
+
 def test_additive_guard_on_chores():
     inst = Instance(n=1, m=65, costs=(Additive((1,) * 65),))
     with pytest.raises(SizeGuardError, match="additive search limited to 64 chores and 8 blocks, got 65 chores, k=2"):
@@ -132,10 +152,41 @@ def test_pairwise_rejects_overlap(ref_instance):
         pairwise_mms(ref_instance, 0, {0, 1}, {1, 2})
 
 
-def test_pairwise_guard():
-    inst = Instance(n=1, m=21, costs=(Additive((1,) * 21),))
-    with pytest.raises(SizeGuardError):
-        pairwise_mms(inst, 0, range(10), range(10, 21))
+def test_pairwise_answers_a_24_chore_additive_union():
+    # The union is answered by mms_value's grouped route; no split scan caps it at 20 chores.
+    rng = random.Random(3)
+    inst = Instance(n=1, m=24, costs=(Additive(tuple(rng.randint(1, 40) for _ in range(24))),))
+    result = pairwise_mms(inst, 0, range(12), range(12, 24))
+    assert result.value == 291
+    assert result == mms_value(inst, 0, 2)
+    assert frozenset().union(*result.witness) == frozenset(range(24))
+    assert max(inst.cost(0, block) for block in result.witness) == 291
+
+
+@pytest.mark.parametrize("kind", VARIANTS)
+def test_pairwise_is_the_k2_share_of_the_union(kind):
+    # Value and witness are mms_value's; the value is the enumeration's and
+    # the one the criteria kernel reports for PMMS.
+    rng = random.Random(f"pairwise-{kind}")
+    checked = 0
+    for _ in range(40):
+        n, m = rng.randint(2, 3), rng.randint(1, 7)
+        inst = Instance(n=n, m=m, costs=tuple(_random_cost(kind, m, rng)[0] for _ in range(n)))
+        alloc = Allocation.from_assignment([rng.randrange(n) for _ in range(m)], n)
+        bundles = alloc.bundles
+        pmms = fairness_report(inst, alloc, (Criterion.PMMS,)).mms_values[Criterion.PMMS]
+        for i in range(n):
+            for j in range(n):
+                if i == j:
+                    continue
+                union = bundles[i] | bundles[j]
+                result = pairwise_mms(inst, i, bundles[i], bundles[j])
+                assert result == mms_value(inst, i, 2, union), (kind, inst, bundles, i, j)
+                assert result.value == mms_share(inst, i, 2, union).value
+                if (i, j) in pmms:
+                    assert result.value == pmms[i, j]
+                    checked += 1
+    assert checked
 
 
 def test_fast_path_matches_enumeration_on_random_instances():
