@@ -13,10 +13,11 @@ Two routes, both exact:
                    and enumeration otherwise. ``pairwise_mms`` is
                    ``mms_value`` with k=2 over two disjoint bundles.
 
-The min-max partition solves k=2 exactly from subset-sum reachability bitsets
-(``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
-(2^24 bits), and returns the branch-and-bound's own witness; larger lists and
-every k >= 3 take the branch-and-bound. Every route accepts k up to
+The min-max partition builds subset-sum reachability bitsets (``reach |= reach
+<< w``) while t * total stays within ``TWO_WAY_REACH_BITS`` (2^24 bits). They
+solve k=2 exactly with the branch-and-bound's own witness, and give its k >= 3
+search a room bound that keeps its witness; larger lists take the plain
+branch-and-bound. Every route accepts k up to
 ``MAX_BLOCKS`` (10^6), and the enumeration and the branch-and-bound each stop
 with ``SizeGuardError`` past ``MMS_NODE_BUDGET`` nodes, as does a
 branch-and-bound too deep for the interpreter's stack.
@@ -51,8 +52,8 @@ ADDITIVE_MAX_CHORES = 64
 ADDITIVE_MAX_BLOCKS = 8
 # Largest k of any route: a witness holds k blocks, padded with empty ones.
 MAX_BLOCKS = 10**6
-# Largest t * total of a k=2 min-max partition solved from subset-sum bitsets
-# rather than by the branch-and-bound: the t bitsets then hold at most 2 MiB.
+# Largest t * total for which a min-max partition builds subset-sum bitsets (the
+# k=2 answer, the k >= 3 room bound): the t bitsets then hold at most 2 MiB.
 TWO_WAY_REACH_BITS = 1 << 24
 # Most nodes one partition enumeration or one branch-and-bound may visit; past
 # it the search raises SizeGuardError rather than run for minutes.
@@ -213,6 +214,14 @@ def _lpt(items: Sequence[int], k: int) -> tuple[int, list[int]]:
     return (max(loads) if items else 0), assign
 
 
+def _suffix_reach(items: Sequence[int]) -> list[int]:
+    """Subset-sum bitsets: bit s of entry i is set when some subset of ``items[i:]`` sums to s."""
+    reach = [1] * (len(items) + 1)
+    for i in range(len(items) - 1, -1, -1):
+        reach[i] = reach[i + 1] | reach[i + 1] << items[i]
+    return reach
+
+
 def _two_way_reach(
     items: Sequence[int], total: int, lpt_val: int, lpt_assign: list[int]
 ) -> tuple[int, tuple[int, ...]]:
@@ -231,9 +240,7 @@ def _two_way_reach(
     them the same way.
     """
     t = len(items)
-    reach = [1] * (t + 1)
-    for i in range(t - 1, -1, -1):
-        reach[i] = reach[i + 1] | reach[i + 1] << items[i]
+    reach = _suffix_reach(items)
     best = total - ((reach[0] & ((2 << total // 2) - 1)).bit_length() - 1)
     if lpt_val == best:
         return best, tuple(lpt_assign)
@@ -258,7 +265,15 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     Returns LPT's assignment when it is optimal, else the first optimal leaf
     of the branch-and-bound's depth-first order. For k=2 with t * total at
     most ``TWO_WAY_REACH_BITS``, ``_two_way_reach`` finds the same answer
-    without the search.
+    without the search. For k >= 3 within that limit, the same bitsets give
+    a room bound (bin completion, Korf 2009): a block of load L can still
+    take at most the largest sum of the remaining items below best_val - L,
+    and a node whose loads plus these fits sum to less than ``total`` is
+    cut. Each cut (``lb``, the room bound, ``seen``) drops only subtrees with
+    no leaf below the incumbent, so the first optimal leaf is never cut. A
+    state cut by the room bound is not added to ``seen``, and an equal one
+    met later is cut again, as ``best_val`` only falls: ``seen`` skips the
+    same subtrees as before, and the witness is unchanged.
     """
     t = len(items)
     total = sum(items)
@@ -268,6 +283,7 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
         return best_val, tuple(best_assign)
     if k == 2 and t * total <= TWO_WAY_REACH_BITS:
         return _two_way_reach(items, total, best_val, best_assign)
+    reach = _suffix_reach(items) if t * total <= TWO_WAY_REACH_BITS else None
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -294,6 +310,10 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
         lb = max(max(loads), global_lb, min(loads) + items[i])
         if lb >= best_val:
             return
+        if reach is not None:
+            fits = sum(load + (reach[i] & ((1 << (best_val - load)) - 1)).bit_length() - 1 for load in loads)
+            if fits < total:
+                return
         state = (i, tuple(sorted(loads)))
         if state in seen:
             return

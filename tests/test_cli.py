@@ -136,6 +136,20 @@ def test_eval_mms_search_past_its_node_budget_exits_2(tmp_path):
     assert done.stderr.startswith("size-guard-exceeded: ") and done.stderr.count("\n") == 1, done.stderr
 
 
+def test_mms_k3_share_past_the_unbounded_node_budget_exits_0(tmp_path, capsys):
+    # Without the branch-and-bound's room bound this share passes the node
+    # budget and exits 2 with size-guard-exceeded.
+    rng = random.Random(3)
+    values = [str(rng.randint(1, 10**4)) for _ in range(24)]
+    inst = _write(tmp_path, "k3.json", {"n": 1, "m": 24, "agents": [{"cost": {"type": "additive", "values": values}}]})
+    assert main(["mms", "--instance", inst, "--agent", "0", "--k", "3"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["value"] == "48568"
+    assert sorted(sum(payload["witness"], [])) == list(range(24))
+
+
 def _deep_capped_additive_files(tmp_path, n):
     # 1,500 large values have no item guard on the capped-additive route; the
     # branch-and-bound takes one stack frame per item.

@@ -319,6 +319,54 @@ def test_over_budget_k2_partitions_keep_the_branch_and_bound(monkeypatch):
         assert value == min(max(s, sum(items) - s) for s in sums)
 
 
+def _attempt(items, k):
+    try:
+        return _min_max_partition(items, k)
+    except SizeGuardError:
+        return None
+
+
+def test_room_bound_changes_no_answer(monkeypatch):
+    lists = list(_descending_lists(300, seed=23))
+    ks = random.Random(23).choices(range(3, 9), k=len(lists))
+    bounded = [_attempt(items, k) for items, k in zip(lists, ks)]
+    # Without the bound some lists need millions of nodes: a smaller budget
+    # keeps the reference run short, and only the lists it answers compare.
+    monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 5_000)
+    compared = searched = 0
+    for items, k, result in zip(lists, ks, bounded):
+        reference = _attempt(items, k)
+        if reference is not None:
+            assert result == reference, (items, k)
+            compared += 1
+            searched += result[1] != tuple(_lpt(items, k)[1])
+    assert compared > 250 and searched > 25  # answers from the search, not from LPT
+
+
+def _random_descending(seed, t):
+    rng = random.Random(seed)
+    return sorted((rng.randint(1, 10**4) for _ in range(t)), reverse=True)
+
+
+def test_room_bound_answers_a_share_past_the_unbounded_node_budget(monkeypatch):
+    items = _random_descending(3, 24)
+    value, assign = _min_max_partition(items, 3)
+    assert (value, sum(items)) == (48_568, 145_702) and value == -(-sum(items) // 3)
+    # Without the bound this search passes MMS_NODE_BUDGET nodes.
+    monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 10**7)
+    assert _min_max_partition(items, 3) == (value, assign)
+
+
+def test_node_budget_stops_a_bounded_search_it_cannot_finish(monkeypatch):
+    items = _random_descending(0, 40)
+    assert len(items) * sum(items) <= mms.TWO_WAY_REACH_BITS  # the room bound is on
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 20_000)
+    with pytest.raises(SizeGuardError, match="budget of 20000 nodes"):
+        _min_max_partition(items, 5)
+
+
 def test_unpruned_enumeration_stops_at_the_node_budget():
     # A non-monotone table is enumerated without pruning: 14 chores into 6
     # blocks are millions of set partitions.
