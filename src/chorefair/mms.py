@@ -13,11 +13,11 @@ Two routes, both exact:
                    and enumeration otherwise. ``pairwise_mms`` is
                    ``mms_value`` with k=2 over two disjoint bundles.
 
-The min-max partition builds subset-sum reachability bitsets (``reach |= reach
-<< w``) while t * total stays within ``TWO_WAY_REACH_BITS`` (2^24 bits). They
-solve k=2 exactly with the branch-and-bound's own witness, and give its k >= 3
-search a room bound that keeps its witness; larger lists take the plain
-branch-and-bound. Every route accepts k up to
+The min-max partition builds subset-sum reachability bitsets
+(``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
+(2^24 bits). They solve k=2 exactly with the branch-and-bound's own witness,
+and give its k >= 3 search a room bound that keeps its witness; larger lists
+take the plain branch-and-bound. Every route accepts k up to
 ``MAX_BLOCKS`` (10^6), and the enumeration and the branch-and-bound each stop
 with ``SizeGuardError`` past ``MMS_NODE_BUDGET`` nodes, as does a
 branch-and-bound too deep for the interpreter's stack.
