@@ -6,7 +6,11 @@ two-agent procedures assert their fairness and price postconditions at
 runtime; a violation would be an internal bug, not a user error. Each builds
 one criteria-kernel context per call and checks its output on it, against the
 optimum it already holds. Every allocator reads costs as the integer table of
-``search.unit_costs``; a ``Fraction`` is built only for a reported value.
+``search.unit_costs`` and sorts, sums and compares those integers: the
+two-agent procedures order chores by an exact integer key for each cost
+ratio, and check their price bound as an integer product. A ``Fraction`` is
+built only for a reported value (a social cost or a trace entry's cost),
+and for the optimum only in the message of a violated price bound.
 """
 
 from __future__ import annotations
@@ -36,6 +40,9 @@ __all__ = [
 BEST_ORDER_MAX_AGENTS = 8
 #: Largest n! * m the best-order search takes: every order makes m picks.
 BEST_ORDER_MAX_PICKS = 10_000_000
+#: What each two-agent procedure asserts on its output: (criterion, fairness level, price bound p, q).
+_EF1_GUARANTEE = (Criterion.EF1, Fraction(1), 5, 4)
+_PMMS32_GUARANTEE = (Criterion.PMMS, Fraction(3, 2), 7, 6)
 
 
 @dataclass(frozen=True)
@@ -107,7 +114,7 @@ def round_robin(inst: Instance, order: Sequence[int] | None = None) -> Allocator
     if not inst.is_additive():
         raise PreconditionError("round robin requires additive cost functions")
     order = tuple(order if order is not None else range(inst.n))
-    if sorted(order) != list(range(inst.n)):
+    if any(not isinstance(a, int) or isinstance(a, bool) for a in order) or sorted(order) != list(range(inst.n)):
         raise ArgumentError(f"order must be a permutation of 0..{inst.n - 1}, got {order}")
     scale, unit = unit_costs(inst)
     bundles: list[set[int]] = [set() for _ in range(inst.n)]
@@ -154,8 +161,8 @@ def best_round_robin_order(inst: Instance) -> AllocatorOutcome:
 
 def _two_agent_input(
     inst: Instance, normalize_input: bool, what: str
-) -> tuple[Instance, InstanceContext, int, list[list[int]], Fraction]:
-    """(instance, context, scale, unit costs, optimum) of a checked two-agent input, normalized if asked."""
+) -> tuple[Instance, InstanceContext, int, list[list[int]], int]:
+    """(instance, context, scale, unit costs, optimum over scale) of a checked two-agent input, normalized if asked."""
     if inst.n != 2:
         raise PreconditionError(f"{what} requires exactly 2 agents, got n={inst.n}")
     if not inst.is_additive():
@@ -167,7 +174,19 @@ def _two_agent_input(
             )
         inst = normalize(inst)
     scale, c = unit_costs(inst)
-    return inst, context_for(inst), scale, c, Fraction(sum(map(min, c[0], c[1])), scale)
+    return inst, context_for(inst), scale, c, sum(map(min, c[0], c[1]))
+
+
+def _ratio_key(a: int, b: int, scale: int) -> int:
+    """floor(a * T / b), T = scale**2, for b > 0: an exact integer sort key for the cost ratio a/b.
+
+    Here a and b are one chore's costs over the instance's ``unit_costs``
+    scale. On a normalized instance each agent's costs sum to scale, so
+    b, d <= scale, and two different ratios a/b and c/d differ by
+    |ad - bc| / bd >= 1/T: times T they are at least 1 apart, and their floors
+    keep their order. Equal ratios get equal keys.
+    """
+    return a * scale * scale // b
 
 
 def _split(m: int, agent: int, bundle: Iterable[int]) -> Allocation:
@@ -177,15 +196,16 @@ def _split(m: int, agent: int, bundle: Iterable[int]) -> Allocation:
     return Allocation((own, rest) if agent == 0 else (rest, own))
 
 
-def _checked(
-    ctx: InstanceContext, out: AllocatorOutcome, crit: Criterion, alpha: Fraction, opt: Fraction, price: Fraction
-) -> AllocatorOutcome:
-    """``out``, asserted alpha-``crit`` and within ``price`` of ``opt``."""
+def _checked(ctx: InstanceContext, out: AllocatorOutcome, guarantee: tuple, scale: int, opt: int) -> AllocatorOutcome:
+    """``out``, asserted alpha-``crit`` and within p/q of the optimum ``opt`` / ``scale``, for
+    ``guarantee`` = (crit, alpha, p, q)."""
+    crit, alpha, p, q = guarantee
     found, _, _ = ctx.min_alpha_masks(out.allocation.masks(), crit)
     if found > alpha:
         raise InternalError(f"output is {rational_str(found)}-{crit.value}, not {alpha}-{crit.value}")
-    if out.social_cost > price * opt:
-        raise InternalError(f"price bound violated: SC={out.social_cost} vs OPT={opt}")
+    cost = out.social_cost
+    if q * scale * cost.numerator > p * opt * cost.denominator:
+        raise InternalError(f"price bound violated: SC={cost} vs OPT={Fraction(opt, scale)}")
     return out
 
 
@@ -212,7 +232,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
             return (0, 0, e)
         if c2[e] == 0:
             return (2, 0, e)
-        return (1, Fraction(c1[e], c2[e]), e)
+        return (1, _ratio_key(c1[e], c2[e], scale), e)
 
     ordered = sorted(range(inst.m), key=sort_key)
     trace: list[dict] = [
@@ -248,7 +268,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
             trace.append({"op": "index", "name": "f", "value": f})
             trace.append({"op": "branch", "case": "shifted_split"})
             alloc = _split(inst.m, lo, ordered[: f + 1])
-    return _checked(ctx, _outcome(scale, c, alloc, trace), Criterion.EF1, Fraction(1), opt, Fraction(5, 4))
+    return _checked(ctx, _outcome(scale, c, alloc, trace), _EF1_GUARANTEE, scale, opt)
 
 
 # ---------------------------------------------------------------------------
@@ -285,7 +305,7 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
 
     if not violators:
         trace.append({"op": "case", "label": "optimal_already_fair"})
-        return _checked(ctx, _outcome(scale, c, start, trace), Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
+        return _checked(ctx, _outcome(scale, c, start, trace), _PMMS32_GUARANTEE, scale, opt)
 
     v = violators[0]
     cv, co = c[v], c[1 - v]
@@ -295,7 +315,7 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     def sort_key(e: int):
         if cv[e] == 0:
             return (0, 0, e)
-        return (-1, -Fraction(cv[e], co[e]), e)
+        return (-1, -_ratio_key(cv[e], co[e], scale), e)
 
     ordered = sorted(bundles[v], key=sort_key)
     own_total = totals[v]
@@ -322,4 +342,4 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
         trace.append({"op": "case", "label": "isolate_boundary_chore"})
         new_v = {e_s}
     outcome = _outcome(scale, c, _split(inst.m, v, new_v), trace)
-    return _checked(ctx, outcome, Criterion.PMMS, Fraction(3, 2), opt, Fraction(7, 6))
+    return _checked(ctx, outcome, _PMMS32_GUARANTEE, scale, opt)

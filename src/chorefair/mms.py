@@ -205,8 +205,18 @@ def _waterfill(loads: Sequence[int], v: int, r: int) -> tuple[int, list[int]]:
 
 
 def _lpt(items: Sequence[int], k: int) -> tuple[int, list[int]]:
-    loads = [0] * k
+    """Each item in turn onto the first least loaded of k blocks: (max load, block of each item)."""
     assign = [0] * len(items)
+    if k == 2:  # the same rule on two named loads, without a list scan per item
+        a = b = 0
+        for i, v in enumerate(items):
+            if a <= b:
+                a += v
+            else:
+                b += v
+                assign[i] = 1
+        return max(a, b), assign
+    loads = [0] * k
     for i, v in enumerate(items):
         j = loads.index(min(loads))
         loads[j] += v
@@ -342,7 +352,7 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
 
 
 def _grouped_min_max(
-    groups: Sequence[tuple[frozenset[int], int]], cap: int | None, den: int, k: int
+    groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int, k: int
 ) -> tuple[Fraction, list[frozenset[int]]]:
     """Exact MMS of a capped sum over groups (``CostFunction.sum_groups``).
 
@@ -354,15 +364,17 @@ def _grouped_min_max(
     attains it. Weights are divided by their gcd with ``den``, which puts
     them over the lcm of the denominators of the weights in play and keeps
     the search's lower bound, a ceiling of total / k, as tight as it gets.
+    Groups are ordered by descending weight, then by first chore; as they
+    are disjoint, no two tie on both, so the chore tuples are never compared.
     """
     g = math.gcd(den, *(w for _, w in groups))
-    order = sorted(groups, key=lambda group: (-group[1], min(group[0])))
-    items = [w // g for _, w in order]
-    parts: list[list[frozenset[int]]] = [[] for _ in range(min(k, len(items)))]
+    order = sorted([(-w, members[0], members) for members, w in groups])
+    items = [-neg // g for neg, _, _ in order]
+    parts: list[list[int]] = [[] for _ in range(min(k, len(items)))]
     best, assign = _min_max_partition(items, len(parts))
-    for (members, _), b in zip(order, assign):
-        parts[b].append(members)
-    blocks = [frozenset().union(*part) for part in parts]
+    for (_, _, members), b in zip(order, assign):
+        parts[b] += members
+    blocks = [frozenset(part) for part in parts]
     best *= g
     return Fraction(best if cap is None else min(best, cap), den), blocks
 

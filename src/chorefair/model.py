@@ -4,7 +4,8 @@ Every number is exact; floats never enter the core. A cost variant keeps its
 rational data as integers over one denominator ``_den``, the lcm of their
 reduced denominators, and builds its ``Fraction``s (``values``, ``cap``,
 ``weights``) only when they are read. Chore sets are plain ``frozenset[int]``
-over ``range(m)``; hot paths elsewhere use integer bitmasks.
+over ``range(m)``, and the groups of ``sum_groups`` sorted tuples; hot paths
+elsewhere use integer bitmasks.
 
 Each cost variant is one ``CostFunction`` class, the only place that knows
 its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
@@ -114,6 +115,8 @@ def _ratio(value) -> tuple[int, int]:
 
 def rational_str(value: ExtendedRational) -> str:
     """Serialize a value as "p/q", "p", or "inf"."""
+    if isinstance(value, Fraction):
+        return str(value)
     if value == INFINITY:
         return "inf"
     return str(Fraction(value))
@@ -190,13 +193,14 @@ class CostFunction:
         """factor * c as a cost of the same variant, for a rational factor > 0."""
         raise UnsupportedVariantError(f"{type(self).__name__} costs cannot be rescaled")
 
-    def sum_groups(self, elems: Sequence[int]) -> tuple[list[tuple[frozenset[int], int]], int | None] | None:
+    def sum_groups(self, elems: Sequence[int]) -> tuple[list[tuple[tuple[int, ...], int]], int | None] | None:
         """c on subsets of ``elems`` as a capped sum over groups, if it is one.
 
         Returns (groups, cap), where the groups (chores, weight) partition
         ``elems`` and c(S) = min(cap, sum of the weights of the groups that S
-        meets); weights and cap are over ``denominator()``, and cap is None
-        when there is none. Returns None for a cost without that form.
+        meets); each group's chores are a nonempty sorted tuple, weights and
+        cap are over ``denominator()``, and cap is None when there is none.
+        Returns None for a cost without that form.
         """
         return None
 
@@ -282,8 +286,8 @@ def _sum_table(nums: Sequence[int]) -> list[int]:
     return table
 
 
-def _singletons(nums: Sequence[int], elems: Sequence[int]) -> list[tuple[frozenset[int], int]]:
-    return [(frozenset((e,)), nums[e]) for e in elems]
+def _singletons(nums: Sequence[int], elems: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
+    return [((e,), nums[e]) for e in elems]
 
 
 def _json_list(obj: dict, key: str) -> list:
@@ -400,7 +404,7 @@ class CappedCardinality(CostFunction):
         raise UnsupportedVariantError("capped-cardinality costs cannot be rescaled")
 
     def sum_groups(self, elems: Sequence[int]):
-        return [(frozenset((e,)), 1) for e in elems], self.cap
+        return [((e,), 1) for e in elems], self.cap
 
     def to_json(self) -> dict:
         return {"type": self.kind, "cap": self.cap}
@@ -459,7 +463,7 @@ class RowCoverage(_Scaled):
 
     def sum_groups(self, elems: Sequence[int]):
         chosen = frozenset(elems)
-        hit = ((chosen.intersection(row), w) for row, w in zip(self.rows, self._nums))
+        hit = ((tuple([e for e in row if e in chosen]), w) for row, w in zip(self.rows, self._nums))
         return [(members, w) for members, w in hit if members], None
 
     def ground_size(self) -> int | None:

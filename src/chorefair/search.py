@@ -142,10 +142,18 @@ def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
     ``unit[i][d]`` is scale times agent i's cost of chore d alone.
 
     For additive costs a bundle's cost is the sum of its chores' entries over
-    scale, so callers compare and add integers only.
+    scale, so callers compare and add integers only. An additive cost's
+    groups (``CostFunction.sum_groups``) are its chores in index order, so
+    its row is read from them in one call.
     """
     scale = math.lcm(*(fn.denominator() for fn in inst.costs))
-    unit = [[fn.int_eval(1 << d) * (scale // fn.denominator()) for d in range(inst.m)] for fn in inst.costs]
+    unit = []
+    for fn in inst.costs:
+        factor = scale // fn.denominator()
+        if isinstance(fn, Additive):
+            unit.append([w * factor for _, w in fn.sum_groups(range(inst.m))[0]])
+        else:
+            unit.append([fn.int_eval(1 << d) * factor for d in range(inst.m)])
     return scale, unit
 
 

@@ -24,7 +24,10 @@ from chorefair import (
     round_robin,
     social_cost,
 )
+from chorefair import allocate
+from chorefair.allocate import _ratio_key
 from chorefair.errors import ArgumentError, PreconditionError, SizeGuardError
+from test_allocator_traces import LABELS, cases
 
 
 def test_optimal_reference(ref_instance):
@@ -97,6 +100,13 @@ def test_round_robin_is_three_halves_pmms():
 def test_round_robin_validation(ref_instance):
     with pytest.raises(ArgumentError):
         round_robin(ref_instance, (0, 1))
+
+
+@pytest.mark.parametrize("order", [(True, False), (0, "a"), (0, 1.0), (0, None)])
+def test_round_robin_rejects_non_int_order_entries(order):
+    inst = normalize(Instance(n=2, m=3, costs=(Additive((1, 2, 3)), Additive((3, 2, 1)))))
+    with pytest.raises(ArgumentError, match=r"order must be a permutation of 0\.\.1, got "):
+        round_robin(inst, order)
     inst = Instance(n=1, m=2, costs=(CappedCardinality(1),))
     with pytest.raises(PreconditionError):
         round_robin(inst)
@@ -284,3 +294,85 @@ def test_optimal_allocation_agrees_with_enumeration():
         inst = random_instance(2 + trial % 2, 5, "additive", seed=trial + 811)
         report = best_fair_allocation(inst, Criterion.EF, INFINITY)
         assert optimal_allocation(inst).social_cost == report.opt_cost
+
+
+def test_ratio_key_orders_every_ratio_of_bounded_costs():
+    # Every ratio a/b with a, b <= scale, zero included: the keys keep the
+    # exact order, Farey neighbours at the bound too, and equal ratios share a key.
+    for scale in (1, 2, 7, 36, 41):
+        ratios = sorted({Fraction(a, b) for a in range(scale + 1) for b in range(1, scale + 1)})
+        keys = {r: _ratio_key(r.numerator, r.denominator, scale) for r in ratios}
+        assert list(keys.values()) == sorted(set(keys.values())), scale
+        for a in range(scale + 1):
+            for b in range(1, scale + 1):
+                assert _ratio_key(a, b, scale) == keys[Fraction(a, b)]
+
+
+def _farey_instances():
+    """Normalized two-agent instances whose chores hold Farey neighbours at the bound.
+
+    Costs are integers over ``scale``. Chores (a, b) and (c, d) have
+    |bc - ad| = 1, so their ratios differ by 1 / bd, with b + d = scale - 2
+    or, with a second chore of ratio a/b, 2b + d = scale - 2. A chore free for
+    each agent and one last chore make each agent's costs sum to scale. Each
+    instance comes with the two neighbours in both chore orders and with the
+    agents in both orders, so ratios above 1 occur as well.
+    """
+    for scale in (31, 64, 97):
+        pairs = [(b, scale - 2 - b, False) for b in range(scale // 4, scale // 2)]
+        pairs += [(b, scale - 2 - 2 * b, True) for b in range(scale // 6, scale // 3)]
+        for b, d, twice in pairs:
+            for a in range(1, b):
+                for sign in (1, -1):
+                    c, r = divmod(a * d + sign, b)  # bc - ad = sign
+                    if r or not 0 < c < d:
+                        continue
+                    for near in ([(a, b), (c, d)], [(c, d), (a, b)]):
+                        chores = near + [(1, 0), (0, 1)] + [(a, b)] * twice
+                        rest = (scale - sum(x for x, _ in chores), scale - sum(y for _, y in chores))
+                        if min(rest) < 0:
+                            continue
+                        rows = [[Fraction(x, scale) for x in row] for row in zip(*chores, rest)]
+                        for agents in (rows, rows[::-1]):
+                            yield Instance(n=2, m=len(rows[0]), costs=tuple(map(Additive, agents)))
+
+
+def test_two_agent_procedures_sort_as_the_fraction_key_does(monkeypatch):
+    insts = list(_farey_instances())
+    assert len(insts) > 200
+    exact = {}
+    for key in ("integer", "fraction", "coarse"):
+        if key == "fraction":
+            monkeypatch.setattr(allocate, "_ratio_key", lambda a, b, scale: Fraction(a, b))
+        elif key == "coarse":  # scale in place of scale**2: Farey neighbours collide
+            monkeypatch.setattr(allocate, "_ratio_key", lambda a, b, scale: a * scale // b)
+        exact[key] = [(alg1_two_agent_ef1(inst), pmms32_two_agent(inst)) for inst in insts]
+    assert exact["integer"] == exact["fraction"]
+    sorts = {key: [next(s for s in alg1.trace if s["op"] == "sort") for alg1, _ in runs] for key, runs in exact.items()}
+    assert sorts["coarse"] != sorts["fraction"]
+
+
+def test_two_agent_procedures_build_fractions_only_for_reported_values(monkeypatch):
+    # Sorting, the fairness check and the price check run on integers: the only
+    # Fractions built are the social cost and each trace entry's cost, plus the
+    # round-robin outcome's social cost when alg1 takes that branch.
+    built = []
+
+    class Counted(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return super().__new__(cls, *args, **kwargs)
+
+    monkeypatch.setattr(allocate, "Fraction", Counted)
+    insts = [inst for _, inst in cases() if inst.n == 2]
+    insts += [random_instance(2, 2 + seed % 9, "additive", seed=seed) for seed in range(60)]
+    branches = set()
+    for inst in insts:
+        for algo in (alg1_two_agent_ef1, pmms32_two_agent):
+            built.clear()
+            out = algo(inst)
+            taken = [step.get("case") or step.get("label") for step in out.trace if step["op"] in ("branch", "case")]
+            branches.update(taken)
+            reported = 1 + sum("cost" in step for step in out.trace) + ("round_robin" in taken)
+            assert len(built) == reported, (algo.__name__, inst, built)
+    assert branches == set(LABELS)

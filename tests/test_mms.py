@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import re
 import time
@@ -15,6 +16,8 @@ from chorefair import (
     CappedCardinality,
     Criterion,
     Instance,
+    MmsResult,
+    RowCoverage,
     TableCost,
     fairness_report,
     mms_share,
@@ -476,3 +479,71 @@ def test_k2_mms_value_matches_enumeration_on_every_variant(kind):
         assert result.value == _enumerate_partitions(inst.costs[0], elems, 2)[0], (kind, inst, elems)
         assert frozenset().union(*result.witness) == frozenset(elems)
         assert max(inst.cost(0, block) for block in result.witness) == result.value
+
+
+def _frozenset_sum_groups(fn, elems):
+    """The groups of a grouped cost as (frozenset of chores, weight), read from its public data."""
+    den = fn.denominator()
+    if isinstance(fn, RowCoverage):
+        chosen = frozenset(elems)
+        hit = ((chosen.intersection(row), w * den) for row, w in zip(fn.rows, fn.weights))
+        return [(members, int(w)) for members, w in hit if members], None
+    if isinstance(fn, CappedCardinality):
+        return [(frozenset((e,)), 1) for e in elems], fn.cap
+    groups = [(frozenset((e,)), int(fn.values[e] * den)) for e in elems]
+    return groups, (int(fn.cap * den) if hasattr(fn, "cap") else None)
+
+
+def _frozenset_grouped_min_max(groups, cap, den, k):
+    """The grouped route as it was written over frozenset groups: a sort on (-weight, least chore)."""
+    g = math.gcd(den, *(w for _, w in groups))
+    order = sorted(groups, key=lambda group: (-group[1], min(group[0])))
+    items = [w // g for _, w in order]
+    parts = [[] for _ in range(min(k, len(items)))]
+    best, assign = _min_max_partition(items, len(parts))
+    for (members, _), b in zip(order, assign):
+        parts[b].append(members)
+    blocks = [frozenset().union(*part) for part in parts]
+    best *= g
+    return Fraction(best if cap is None else min(best, cap), den), blocks
+
+
+@pytest.mark.parametrize("kind", ("additive", "capped_additive", "capped_cardinality", "row_coverage"))
+def test_grouped_route_matches_the_frozenset_reference(kind):
+    # Groups are sorted chore tuples now; value and witness must be those of
+    # the frozenset groups, on every grouped variant, for empty chore sets,
+    # coverage rows cut down to a subset, and k above the group count.
+    rng = random.Random(f"grouped-{kind}")
+    above = 0
+    for _ in range(400):
+        m = rng.randint(1, 10)
+        fn = _random_cost(kind, m, rng)[0]
+        inst = Instance(n=1, m=m, costs=(fn,))
+        elems = tuple(e for e in range(m) if rng.random() < 0.7)
+        groups, cap = fn.sum_groups(elems)
+        assert all(members and list(members) == sorted(members) for members, _ in groups)
+        reference = _frozenset_sum_groups(fn, elems)
+        assert ([(frozenset(members), w) for members, w in groups], cap) == reference
+        k = rng.randint(1, min(len(groups) + 2, mms.ADDITIVE_MAX_BLOCKS))
+        above += k > len(groups)
+        result = mms_value(inst, 0, k, elems)
+        if elems:
+            value, blocks = _frozenset_grouped_min_max(*reference, fn.denominator(), k)
+            assert result == MmsResult(value, mms._pad(blocks, k)), (kind, fn, elems, k)
+        else:
+            assert result == MmsResult(Fraction(0), (frozenset(),) * k)
+    assert above > 50
+
+
+def test_two_block_lpt_is_the_general_rule():
+    def general(items, k):
+        loads = [0] * k
+        assign = [0] * len(items)
+        for i, v in enumerate(items):
+            j = loads.index(min(loads))
+            loads[j] += v
+            assign[i] = j
+        return (max(loads) if items else 0), assign
+
+    for items in [[], *_descending_lists(5000, seed=31)]:
+        assert _lpt(items, 2) == general(items, 2), items
