@@ -100,6 +100,9 @@ def test_round_robin_is_three_halves_pmms():
 def test_round_robin_validation(ref_instance):
     with pytest.raises(ArgumentError):
         round_robin(ref_instance, (0, 1))
+    inst = Instance(n=1, m=2, costs=(CappedCardinality(1),))
+    with pytest.raises(PreconditionError):
+        round_robin(inst)
 
 
 @pytest.mark.parametrize("order", [(True, False), (0, "a"), (0, 1.0), (0, None)])
@@ -107,9 +110,6 @@ def test_round_robin_rejects_non_int_order_entries(order):
     inst = normalize(Instance(n=2, m=3, costs=(Additive((1, 2, 3)), Additive((3, 2, 1)))))
     with pytest.raises(ArgumentError, match=r"order must be a permutation of 0\.\.1, got "):
         round_robin(inst, order)
-    inst = Instance(n=1, m=2, costs=(CappedCardinality(1),))
-    with pytest.raises(PreconditionError):
-        round_robin(inst)
 
 
 def test_best_round_robin_order_requires_normalized():
@@ -348,7 +348,7 @@ def test_two_agent_procedures_sort_as_the_fraction_key_does(monkeypatch):
             monkeypatch.setattr(allocate, "_ratio_key", lambda a, b, scale: a * scale // b)
         exact[key] = [(alg1_two_agent_ef1(inst), pmms32_two_agent(inst)) for inst in insts]
     assert exact["integer"] == exact["fraction"]
-    sorts = {key: [next(s for s in alg1.trace if s["op"] == "sort") for alg1, _ in runs] for key, runs in exact.items()}
+    sorts = {key: [next(s for s in alg1.trace if s["op"] == "sort") for alg1, _ in exact[key]] for key in exact}
     assert sorts["coarse"] != sorts["fraction"]
 
 

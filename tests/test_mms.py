@@ -495,7 +495,7 @@ def _frozenset_sum_groups(fn, elems):
 
 
 def _frozenset_grouped_min_max(groups, cap, den, k):
-    """The grouped route as it was written over frozenset groups: a sort on (-weight, least chore)."""
+    """The reference grouped route over frozenset groups, sorted on (-weight, least chore)."""
     g = math.gcd(den, *(w for _, w in groups))
     order = sorted(groups, key=lambda group: (-group[1], min(group[0])))
     items = [w // g for _, w in order]
@@ -510,9 +510,9 @@ def _frozenset_grouped_min_max(groups, cap, den, k):
 
 @pytest.mark.parametrize("kind", ("additive", "capped_additive", "capped_cardinality", "row_coverage"))
 def test_grouped_route_matches_the_frozenset_reference(kind):
-    # Groups are sorted chore tuples now; value and witness must be those of
-    # the frozenset groups, on every grouped variant, for empty chore sets,
-    # coverage rows cut down to a subset, and k above the group count.
+    # Groups are sorted chore tuples; value and witness must be those of the
+    # same groups as frozensets, on every grouped variant, for empty chore
+    # sets, coverage rows cut down to a subset, and k above the group count.
     rng = random.Random(f"grouped-{kind}")
     above = 0
     for _ in range(400):
