@@ -77,6 +77,8 @@ def _query(inst: Instance, agent: int, k: int, chores: Iterable[int] | None) -> 
         raise SizeGuardError(f"partition size k limited to {MAX_BLOCKS}, got {k}")
     if chores is None:
         return tuple(range(inst.m))
+    if type(chores) is range and chores.step == 1 and chores.start >= 0 and chores.stop <= inst.m:
+        return tuple(chores)  # already sorted, distinct and in bounds
     return tuple(sorted(inst.check_chores(chores)))
 
 

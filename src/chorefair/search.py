@@ -169,7 +169,8 @@ def cheapest_accepted(
     index order, so leaves come in lexicographic order of the assignment
     vector, and of several cheapest accepted allocations the first in that
     order is returned. ``accept`` is asked only about leaves strictly
-    cheaper than the incumbent, and must not keep the mask list it is given.
+    cheaper than the incumbent, and once, out of that order, about the seed
+    below. It must not keep the mask list it is given.
 
     Costs are each agent's ``int_eval`` scaled to the ``unit_costs`` scale,
     so the search compares integers only. When every cost is monotone, a
@@ -189,7 +190,21 @@ def cheapest_accepted(
     passes its cap: costs only grow below a node, so no cut leaf is accepted
     and the cheapest accepted allocation is the same. The optimum is then
     the sum of per-chore minima, not a leaf's cost, as the cut leaves may
-    hold it.
+    hold it. A cap learned at a leaf also cuts the leaf's ancestors: the
+    search backs up to the shallowest depth t at which the holder of chore
+    t passes its new cap and goes on with chore t's next agent. Every leaf
+    below that node gives the holder at least that cost, so none of the
+    leaves it skips is accepted.
+
+    Such a search first asks about the seed, the leaf that gives each chore
+    to its cheapest agent (ties to the lowest): the first leaf of optimal
+    cost in lexicographic order, so the unpruned scan asks about it too.
+    It is asked only if no agent's cost in it passes a cap known then, and
+    its answer is reused when the scan reaches it, so it is asked once. If
+    it is accepted, the scan starts with an incumbent one unit above the
+    optimum and no witness. It then asks only about leaves of optimal cost,
+    and the first of them it accepts, which is at latest the seed, is the
+    witness: the same as without the seed.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
@@ -208,34 +223,69 @@ def cheapest_accepted(
     # cap is known, the cost of every chore, which no bundle exceeds.
     limit = [sum(row) for row in unit]
 
-    def ask(agents) -> None:
+    def ask(agents) -> bool:
+        """Read the caps of ``agents`` now known; True if any is."""
+        learned = False
         for a in agents:
             if (c := cap(a)) is not None:
                 limit[a] = c * factor[a]
                 uncapped.discard(a)
+                learned = True
+        return learned
 
-    uncapped = set(range(n)) if cap is not None and additive else set()
+    capped = cap is not None and additive
+    uncapped = set(range(n)) if capped else set()
     ask(list(uncapped))
+    # An additive optimum takes each chore at its cheapest; no leaf is below it.
+    opt: int | None = floor[0] if additive else None
+    best: int | None = None
+    best_masks: tuple[int, ...] | None = None
+    seed: list[int] | None = None
+    seed_accepted = False
+    if capped:
+        seed, held = [0] * n, [0] * n
+        for d in range(m):
+            low = floor[d] - floor[d + 1]
+            a = next(i for i in range(n) if unit[i][d] == low)
+            seed[a] |= 1 << d
+            held[a] += low
+        if all(held[a] <= limit[a] for a in range(n)):
+            seed_accepted = accept(seed)
+            if seed_accepted:
+                best = floor[0] + 1
+            ask([a for a in uncapped if held[a]])
+        else:
+            seed = None  # a known cap cuts it from the scan too
     masks = [0] * n
     costs = [0] * n
     owner = [-1] * m  # agent holding chore d; -1 before its first agent
     saved = [0] * m  # that agent's cost before it took chore d
     total = 0
-    # An additive optimum takes each chore at its cheapest; no leaf is below it.
-    opt: int | None = floor[0] if additive else None
-    best: int | None = None
-    best_masks: tuple[int, ...] | None = None
     d = 0
     while d >= 0:
         if d == m:
             if opt is None or total < opt:
                 opt = total
             if best is None or total < best:
-                if accept(masks):
+                if total == opt and masks == seed:  # answered before the scan
+                    accepted, learned = seed_accepted, False
+                else:
+                    accepted = accept(masks)
+                    learned = bool(uncapped) and ask([a for a in uncapped if costs[a]])
+                if accepted:
                     best = total
                     best_masks = tuple(masks)
-                if uncapped:
-                    ask([a for a in uncapped if costs[a]])
+                if learned:
+                    # Back up to the shallowest depth whose holder passes its limit.
+                    t = next((e for e in range(m) if saved[e] + unit[owner[e]][e] > limit[owner[e]]), m - 1)
+                    for e in range(m - 1, t, -1):
+                        a = owner[e]
+                        masks[a] ^= 1 << e
+                        total += saved[e] - costs[a]
+                        costs[a] = saved[e]
+                        owner[e] = -1
+                    d = t
+                    continue
             d -= 1
             continue
         a = owner[d]
@@ -266,6 +316,7 @@ def cheapest_accepted(
             continue
         d += 1
     assert opt is not None
+    assert not seed_accepted or best_masks is not None
     return (
         Fraction(opt, scale),
         None if best is None else Fraction(best, scale),

@@ -547,3 +547,34 @@ def test_two_block_lpt_is_the_general_rule():
 
     for items in [[], *_descending_lists(5000, seed=31)]:
         assert _lpt(items, 2) == general(items, 2), items
+
+
+def _answer(query):
+    """A query's (value, witness), or its error's (type, message)."""
+    try:
+        result = query()
+    except Exception as exc:  # noqa: BLE001 - compared, not handled
+        return type(exc), str(exc)
+    return result.value, result.witness
+
+
+_RANGES = (
+    range(7), range(2, 5), range(6, 7), range(3, 3), range(7, 7), range(5, 2), range(0, -2), range(9, 9),
+    range(-3, -1), range(-1, 3), range(2, 8), range(6, 9), range(0, 7, 2), range(6, -1, -1), range(100),
+)
+
+
+@pytest.mark.parametrize("chores", _RANGES, ids=repr)
+def test_a_range_of_chores_answers_as_the_same_chores_in_a_list(ref_instance, chores, monkeypatch):
+    # A step-1 range inside [0, m) skips the per-chore check; every other
+    # range takes it, with the same errors and results as a list.
+    for agent, k in ((0, 2), (2, 3)):
+        assert _answer(lambda: mms_value(ref_instance, agent, k, chores)) == _answer(
+            lambda: mms_value(ref_instance, agent, k, list(chores))
+        )
+    checked = []
+    check = Instance.check_chores
+    monkeypatch.setattr(Instance, "check_chores", lambda inst, c: checked.append(c) or check(inst, c))
+    _answer(lambda: mms_value(ref_instance, 0, 2, chores))
+    fast = chores.step == 1 and chores.start >= 0 and chores.stop <= ref_instance.m
+    assert checked == ([] if fast else [chores])

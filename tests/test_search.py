@@ -41,6 +41,7 @@ from chorefair.search import (
     cheapest_accepted,
     random_allocation,
     reports_to_csv_rows,
+    unit_costs,
     verify_connections,
     verify_lemmas,
 )
@@ -343,22 +344,97 @@ def _count_cap_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_share_caps_halve_the_kernel_calls_of_the_largest_mms_query(monkeypatch):
-    # POF_2MMS_LB at n = 5 searches 5^8 allocations for 2-MMS; without share
-    # caps the search asked the criteria kernel 3,162 times.
-    bundle = make_family("POF_2MMS_LB", n=5, epsilon=Fraction(1, 100))
+def _mms_lb_query_calls(monkeypatch, family_id: str, alpha) -> tuple[int, int]:
+    """(kernel calls, cap calls) of the family's one price query at n = 5."""
+    bundle = make_family(family_id, n=5, epsilon=Fraction(1, 100))
     (check,) = bundle.price_checks
-    assert (check.criterion, check.alpha) == (Criterion.MMS, 2)
+    assert (check.criterion, check.alpha) == (Criterion.MMS, alpha)
     calls = _count_kernel_calls(monkeypatch)
     cap_calls = _count_cap_calls(monkeypatch)
     report = best_fair_allocation(bundle.instance, check.criterion, check.alpha)
     assert (report.best_fair_cost, report.opt_cost) == (check.fair_cost, bundle.opt_cost)
-    assert calls[0] == 1371
     # Each cap is asked once before the first leaf and then only after a
     # kernel call at a leaf where that agent's cost is positive, which is the
     # call that computes its share; it was asked 5,480 times when every
     # unknown cap was asked after every kernel call.
     assert cap_calls[0] <= 2 * bundle.instance.n
+    return calls[0], cap_calls[0]
+
+
+def test_learned_caps_and_the_seed_cut_the_largest_mms_query_to_seven_kernel_calls(monkeypatch):
+    # POF_2MMS_LB at n = 5 searches 5^8 allocations for 2-MMS. The search
+    # asked the criteria kernel 3,162 times without share caps, 1,371 times
+    # when a cap learned at a leaf cut only the subtrees placed after it.
+    assert _mms_lb_query_calls(monkeypatch, "POF_2MMS_LB", 2)[0] == 7
+
+
+def test_the_seed_and_learned_caps_cut_the_mms_lb_query_to_three_kernel_calls(monkeypatch):
+    # POF_MMS_LB at n = 5 searches 5^6 allocations for MMS; the search asked
+    # the kernel 343 times before it began at the optimal leaf and backed up
+    # past every ancestor that passes a cap learned at a leaf.
+    assert _mms_lb_query_calls(monkeypatch, "POF_MMS_LB", 1)[0] == 3
+
+
+def _seed_masks(inst) -> list[int]:
+    """Each chore on its cheapest agent, ties to the lowest."""
+    _, unit = unit_costs(inst)
+    masks = [0] * inst.n
+    for d in range(inst.m):
+        masks[min(range(inst.n), key=lambda i: unit[i][d])] |= 1 << d
+    return masks
+
+
+def _seed_cases():
+    # Small integer costs, so that many leaves tie with the optimum.
+    rng = random.Random("seed-and-unwind")
+    for trial in range(18):
+        n = 2 + trial % 3
+        m = rng.randint(2, (7, 7, 5)[n - 2])
+        costs = tuple(Additive(tuple(rng.randint(0, 4) for _ in range(m))) for _ in range(n))
+        yield Instance(n=n, m=m, costs=costs)
+    # Identical agents: every leaf costs the same, and the seed gives agent 0 everything.
+    yield Instance(n=3, m=5, costs=(Additive((1, 2, 1, 3, 2)),) * 3)
+
+
+def test_seed_and_unwind_match_the_unpruned_reference():
+    seen = {"seed accepted": 0, "seed rejected": 0, "seed cut": 0, "cap learned after the first leaf": 0}
+    for inst in _seed_cases():
+        leaves = _leaves(inst)
+        seed = _seed_masks(inst)
+        reference = context_for(inst)
+        for crit in Criterion:
+            for alpha in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), INFINITY):
+                ref_opt, ref_best, ref_witness = _reference_search(
+                    leaves, lambda alloc: reference.min_alpha_masks(alloc.masks(), crit)[0] <= alpha
+                )
+                ctx = context_for(inst)
+                cap = ctx.share_cap(crit, alpha)
+                asked: list[tuple[list[int], int]] = []  # (masks, caps known when asked)
+
+                def accept(masks):
+                    known = 0
+                    for a, fn in enumerate(inst.costs):
+                        if cap is not None and (c := cap(a)) is not None:
+                            known += 1
+                            assert fn.int_eval(masks[a]) <= c, "a leaf past a known cap was asked"
+                    asked.append((list(masks), known))
+                    return ctx.min_alpha_masks(masks, crit)[0] <= alpha
+
+                opt, best, masks = cheapest_accepted(inst, accept, cap)
+                where = (inst, crit, alpha)
+                assert (opt, best) == (ref_opt, ref_best), where
+                assert masks == (None if ref_witness is None else ref_witness.masks()), where
+                assert sum(leaf == seed for leaf, _ in asked) <= 1, where
+                if cap is None:
+                    continue
+                if asked and asked[0][0] == seed:
+                    accepted = reference.min_alpha_masks(seed, crit)[0] <= alpha
+                    seen["seed accepted" if accepted else "seed rejected"] += 1
+                else:
+                    seen["seed cut"] += 1
+                if len(asked) > 2 and asked[-1][1] > asked[1][1]:
+                    seen["cap learned after the first leaf"] += 1
+    assert all(seen.values()), seen
 
 
 # Closed-form caps: one two-agent and one three-agent instance on which the
