@@ -344,8 +344,8 @@ def _count_cap_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def _mms_lb_query_calls(monkeypatch, family_id: str, alpha) -> tuple[int, int]:
-    """(kernel calls, cap calls) of the family's one price query at n = 5."""
+def _mms_lb_query_calls(monkeypatch, family_id: str, alpha) -> int:
+    """The kernel calls of the family's one price query at n = 5."""
     bundle = make_family(family_id, n=5, epsilon=Fraction(1, 100))
     (check,) = bundle.price_checks
     assert (check.criterion, check.alpha) == (Criterion.MMS, alpha)
@@ -358,21 +358,21 @@ def _mms_lb_query_calls(monkeypatch, family_id: str, alpha) -> tuple[int, int]:
     # call that computes its share; it was asked 5,480 times when every
     # unknown cap was asked after every kernel call.
     assert cap_calls[0] <= 2 * bundle.instance.n
-    return calls[0], cap_calls[0]
+    return calls[0]
 
 
 def test_learned_caps_and_the_seed_cut_the_largest_mms_query_to_seven_kernel_calls(monkeypatch):
     # POF_2MMS_LB at n = 5 searches 5^8 allocations for 2-MMS. The search
     # asked the criteria kernel 3,162 times without share caps, 1,371 times
     # when a cap learned at a leaf cut only the subtrees placed after it.
-    assert _mms_lb_query_calls(monkeypatch, "POF_2MMS_LB", 2)[0] == 7
+    assert _mms_lb_query_calls(monkeypatch, "POF_2MMS_LB", 2) == 7
 
 
 def test_the_seed_and_learned_caps_cut_the_mms_lb_query_to_three_kernel_calls(monkeypatch):
     # POF_MMS_LB at n = 5 searches 5^6 allocations for MMS; the search asked
     # the kernel 343 times before it began at the optimal leaf and backed up
     # past every ancestor that passes a cap learned at a leaf.
-    assert _mms_lb_query_calls(monkeypatch, "POF_MMS_LB", 1)[0] == 3
+    assert _mms_lb_query_calls(monkeypatch, "POF_MMS_LB", 1) == 3
 
 
 def _seed_masks(inst) -> list[int]:
@@ -404,9 +404,13 @@ def test_seed_and_unwind_match_the_unpruned_reference():
         reference = context_for(inst)
         for crit in Criterion:
             for alpha in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), INFINITY):
-                ref_opt, ref_best, ref_witness = _reference_search(
-                    leaves, lambda alloc: reference.min_alpha_masks(alloc.masks(), crit)[0] <= alpha
-                )
+                ref_asked: set[tuple[int, ...]] = set()
+
+                def ref_accept(alloc):
+                    ref_asked.add(alloc.masks())
+                    return reference.min_alpha_masks(alloc.masks(), crit)[0] <= alpha
+
+                ref_opt, ref_best, ref_witness = _reference_search(leaves, ref_accept)
                 ctx = context_for(inst)
                 cap = ctx.share_cap(crit, alpha)
                 asked: list[tuple[list[int], int]] = []  # (masks, caps known when asked)
@@ -425,6 +429,8 @@ def test_seed_and_unwind_match_the_unpruned_reference():
                 assert (opt, best) == (ref_opt, ref_best), where
                 assert masks == (None if ref_witness is None else ref_witness.masks()), where
                 assert sum(leaf == seed for leaf, _ in asked) <= 1, where
+                # Every asked leaf is one the unpruned scan asks, so no share is computed that it would not.
+                assert {tuple(leaf) for leaf, _ in asked} <= ref_asked, where
                 if cap is None:
                     continue
                 if asked and asked[0][0] == seed:
