@@ -75,7 +75,7 @@ def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
     alloc = allocation_from_json(_load_json(args.allocation))
     criteria = DEFAULT_CRITERIA
-    if args.criteria:
+    if args.criteria is not None:
         criteria = tuple(Criterion.parse(name) for name in args.criteria.split(","))
     report = fairness_report(inst, alloc, criteria)
     print(json.dumps(report.alpha_str(), **_JSON_KW))

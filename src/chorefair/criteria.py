@@ -13,7 +13,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Callable, Iterable, Mapping, Sequence
 
-from .errors import ArgumentError, NotInTableError
+from .errors import ArgumentError, NotInTableError, SizeGuardError
 from .mms import mms_value
 from .model import (
     INFINITY,
@@ -123,10 +123,12 @@ class InstanceContext:
     def share_cap(self, crit: Criterion, alpha: ExtendedRational) -> Callable[[int], int | None] | None:
         """Agent i -> the largest x = d_i * c_i(S_i) of a bundle S_i that can pass alpha-``crit``.
 
-        Lazy caps: alpha-MMS asks x <= alpha * d_i * MMS, and with two agents
-        the pairwise union is every chore, so PMMS asks the same. Both read
-        the memoized share (n, every chore), and the cap is None until the
-        kernel has computed it, so no share is computed early.
+        Every cap is known before the search's first leaf. Alpha-MMS asks
+        x <= alpha * d_i * MMS, and with two agents the pairwise union is
+        every chore, so PMMS asks the same. Both compute the memoized share
+        (n, every chore), which the kernel then reuses. A share the solver
+        refuses with ``SizeGuardError`` gives None, no cap; the kernel raises
+        that error if, and only if, a leaf needs the share.
 
         Closed-form caps, additive instances only, with alpha = p/q, C = d_i *
         c_i(all chores) and t = d_i * (largest single-chore cost). Alpha-EF1
@@ -145,8 +147,10 @@ class InstanceContext:
         if crit is Criterion.MMS or (crit is Criterion.PMMS and n == 2):
 
             def cap(agent: int) -> int | None:
-                share = self._shares[agent].get((n, self._every))
-                return None if share is None else p * share[0] // q
+                try:
+                    return p * self.share(agent, n, self._every)[0] // q
+                except SizeGuardError:
+                    return None
 
             return cap
         if crit is Criterion.PMMS:  # x * div <= p*C + top_k*t

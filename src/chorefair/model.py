@@ -516,7 +516,10 @@ class TableCost(CostFunction):
         values: list[Fraction | None] = [None] * (1 << m)
         values[0] = Fraction(0)
         for subset, v in table.items():
-            values[mask_of(subset)] = parse_rational(v)
+            chores = _as_chore_set(subset)
+            if chores and (min(chores) < 0 or max(chores) >= m):
+                raise BoundsError(f"table subset {sorted(chores)} has a chore index out of range for m={m}")
+            values[mask_of(chores)] = parse_rational(v)
         missing = sum(1 for v in values if v is None)
         if missing:
             raise ValidationError(f"table is missing {missing} subset entries")

@@ -182,26 +182,20 @@ def cheapest_accepted(
     raise ``SizeGuardError`` before any work.
 
     ``cap(i)``, when given, is the largest ``int_eval`` of agent i's bundle
-    that ``accept`` can admit, or None while that is not known. On an
-    additive instance the search asks every agent's cap before the first
-    leaf, and after each ``accept`` call asks again the unknown cap of each
-    agent whose cost at that leaf is positive: the kernel computes exactly
-    those agents' shares. It cuts every subtree in which an agent's cost
-    passes its cap: costs only grow below a node, so no cut leaf is accepted
-    and the cheapest accepted allocation is the same. The optimum is then
-    the sum of per-chore minima, not a leaf's cost, as the cut leaves may
-    hold it. A cap learned at a leaf also cuts the leaf's ancestors: the
-    search backs up to the shallowest depth t at which the holder of chore
-    t passes its new cap and goes on with chore t's next agent. Every leaf
-    below that node gives the holder at least that cost, so none of the
-    leaves it skips is accepted.
+    that ``accept`` can admit, or None for no cap. On an additive instance
+    the search reads the cap of each agent with a positive-cost chore once,
+    before the first leaf; an agent whose chores all cost nothing is never
+    asked. It cuts every subtree in which an agent's cost passes its cap:
+    costs only grow below a node, so no cut leaf is accepted and the
+    cheapest accepted allocation is the same. The optimum is then the sum
+    of per-chore minima, not a leaf's cost, as the cut leaves may hold it.
 
     Such a search first asks about the seed, the leaf that gives each chore
     to its cheapest agent (ties to the lowest): the first leaf of optimal
     cost in lexicographic order, so the unpruned scan asks about it too.
-    It is asked only if no agent's cost in it passes a cap known then, and
-    its answer is reused when the scan reaches it, so it is asked once. If
-    it is accepted, the scan starts with an incumbent one unit above the
+    It is asked only if no agent's cost in it passes its cap, and its
+    answer is reused when the scan reaches it, so it is asked once. If it
+    is accepted, the scan starts with an incumbent one unit above the
     optimum and no witness. It then asks only about leaves of optimal cost,
     and the first of them it accepts, which is at latest the seed, is the
     witness: the same as without the seed.
@@ -219,30 +213,19 @@ def cheapest_accepted(
             floor[d] = floor[d + 1] + min(row[d] for row in unit)
     else:
         memo: list[dict[int, int]] = [{} for _ in range(n)]
-    # limit[a]: agent a's largest cost in an accepted allocation; until its
-    # cap is known, the cost of every chore, which no bundle exceeds.
+    # limit[a]: agent a's largest cost in an accepted allocation; with no
+    # cap, the cost of every chore, which no bundle exceeds.
     limit = [sum(row) for row in unit]
-
-    def ask(agents) -> bool:
-        """Read the caps of ``agents`` now known; True if any is."""
-        learned = False
-        for a in agents:
-            if (c := cap(a)) is not None:
-                limit[a] = c * factor[a]
-                uncapped.discard(a)
-                learned = True
-        return learned
-
-    capped = cap is not None and additive
-    uncapped = set(range(n)) if capped else set()
-    ask(list(uncapped))
     # An additive optimum takes each chore at its cheapest; no leaf is below it.
     opt: int | None = floor[0] if additive else None
     best: int | None = None
     best_masks: tuple[int, ...] | None = None
     seed: list[int] | None = None
     seed_accepted = False
-    if capped:
+    if cap is not None and additive:
+        for a in range(n):
+            if limit[a] and (c := cap(a)) is not None:
+                limit[a] = c * factor[a]
         seed, held = [0] * n, [0] * n
         for d in range(m):
             low = floor[d] - floor[d + 1]
@@ -253,9 +236,8 @@ def cheapest_accepted(
             seed_accepted = accept(seed)
             if seed_accepted:
                 best = floor[0] + 1
-            ask([a for a in uncapped if held[a]])
         else:
-            seed = None  # a known cap cuts it from the scan too
+            seed = None  # a cap cuts it from the scan too
     masks = [0] * n
     costs = [0] * n
     owner = [-1] * m  # agent holding chore d; -1 before its first agent
@@ -268,24 +250,12 @@ def cheapest_accepted(
                 opt = total
             if best is None or total < best:
                 if total == opt and masks == seed:  # answered before the scan
-                    accepted, learned = seed_accepted, False
+                    accepted = seed_accepted
                 else:
                     accepted = accept(masks)
-                    learned = bool(uncapped) and ask([a for a in uncapped if costs[a]])
                 if accepted:
                     best = total
                     best_masks = tuple(masks)
-                if learned:
-                    # Back up to the shallowest depth whose holder passes its limit.
-                    t = next((e for e in range(m) if saved[e] + unit[owner[e]][e] > limit[owner[e]]), m - 1)
-                    for e in range(m - 1, t, -1):
-                        a = owner[e]
-                        masks[a] ^= 1 << e
-                        total += saved[e] - costs[a]
-                        costs[a] = saved[e]
-                        owner[e] = -1
-                    d = t
-                    continue
             d -= 1
             continue
         a = owner[d]

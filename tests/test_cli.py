@@ -55,6 +55,16 @@ def test_eval_criteria_subset(tmp_path, instance_file, capsys):
     assert json.loads(capsys.readouterr().out) == {"EF": "1", "EFX_STRONG": "1"}
 
 
+@pytest.mark.parametrize("criteria", ["", "EF,,MMS"])
+def test_eval_empty_criterion_name_exits_2(tmp_path, instance_file, capsys, criteria):
+    # An empty list names no criterion; it does not fall back to the defaults.
+    alloc = _write(tmp_path, "a.json", {"bundles": [[0, 3, 6], [1, 2, 5], [4]]})
+    assert main(["eval", "--instance", instance_file, "--allocation", alloc, "--criteria", criteria]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "argument-error: unknown criterion ''\n"
+
+
 def test_eval_empty_instance(tmp_path, capsys):
     inst = _write(tmp_path, "empty.json", {"n": 2, "m": 0, "agents": [
         {"cost": {"type": "additive", "values": []}},

@@ -326,6 +326,19 @@ def test_nested_coverage_row_is_a_validation_error():
         (lambda: TableCost(m=1, values=("1", "-1")), "validation-error: table cost of the empty set must be 0"),
         (lambda: TableCost(m=-1, values=("x",)), "parse-error: not a rational: 'x'"),
         (lambda: TableCost.from_subsets(2, {frozenset({0}): "x"}), "parse-error: not a rational: 'x'"),
+        (
+            lambda: TableCost.from_subsets(2, {frozenset({5}): 1}),
+            "bounds-error: table subset [5] has a chore index out of range for m=2",
+        ),
+        (
+            lambda: TableCost.from_subsets(2, {frozenset({-1}): 1}),
+            "bounds-error: table subset [-1] has a chore index out of range for m=2",
+        ),
+        (
+            lambda: TableCost.from_subsets(2, {frozenset({True}): 1}),
+            "validation-error: chore index must be an int, got True",
+        ),
+        (lambda: TableCost.from_subsets(2, {frozenset({"0"}): 1}), "validation-error: chore index must be an int, got '0'"),
         (lambda: CappedAdditive(("-1",), "0"), "validation-error: capped-additive values must be >= 0, got -1"),
         (lambda: CappedAdditive(("-1",), "y"), "parse-error: not a rational: 'y'"),
         (
@@ -341,7 +354,7 @@ def test_nested_coverage_row_is_a_validation_error():
     ],
 )
 def test_cost_validation_reports_the_first_fault(build, expected):
-    with pytest.raises((ParseError, ValidationError)) as caught:
+    with pytest.raises((BoundsError, ParseError, ValidationError)) as caught:
         build()
     assert str(caught.value) == expected
 

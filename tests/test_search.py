@@ -277,11 +277,11 @@ def _count_kernel_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_share_caps_compute_no_share_early():
-    # Every chore on agent 0 costs nothing, so the first leaf is fair at cost
-    # 0 and the search needs no share. The other agents' nine-way shares of
-    # six chores are past the additive solver's guard: a share computed
-    # before the kernel asks for it would raise.
+def test_a_refused_share_leaves_its_agent_uncapped():
+    # Every chore on agent 0 costs nothing, so the seed is fair at cost 0 and
+    # the kernel needs no share. The other agents' nine-way shares of six
+    # chores are past the additive solver's guard, so their caps are None:
+    # a cap that passed the refusal on would raise before the first leaf.
     inst = Instance(n=9, m=6, costs=(Additive((0,) * 6),) + (Additive((Fraction(1, 6),) * 6),) * 8)
     with pytest.raises(SizeGuardError):
         mms_value(inst, 1, 9)
@@ -307,22 +307,23 @@ def test_a_cap_of_zero_cuts_every_positive_bundle():
     assert len(asked) < plain_asked
 
 
-def test_an_unknown_cap_is_asked_again_after_a_leaf_that_costs_its_agent():
-    # A plain cap function, as a share memo behaves: agent 1's cap is unknown
-    # until ``accept`` has seen agent 1 at a positive cost, and 0 after that.
-    inst = Instance(n=2, m=6, costs=(Additive((1, 2, 2, 1, 3, 1)), Additive((0, 1, 0, 2, 1, 0))))
-    positive: list[bool] = []  # per asked leaf: does agent 1 hold a positive cost?
+def test_each_cap_is_asked_once_before_the_first_leaf_and_never_for_a_zero_cost_agent():
+    # Agent 1 costs nothing, so it has no cap to ask.
+    inst = Instance(n=3, m=5, costs=(Additive((1, 2, 0, 1, 3)), Additive((0,) * 5), Additive((2, 1, 1, 0, 2))))
+    events: list = []  # the agents whose caps are asked, and "accept" per asked leaf
 
     def accept(masks):
-        positive.append(inst.costs[1].int_eval(masks[1]) > 0)
+        events.append("accept")
         return False
 
     def cap(agent):
-        return 0 if agent == 1 and any(positive) else None
+        events.append(agent)
+        return None
 
     assert cheapest_accepted(inst, accept, cap)[1] is None
-    first = positive.index(True)
-    assert first < len(positive) - 1 and not any(positive[first + 1 :])
+    first = events.index("accept")
+    assert events[:first] == [0, 2]
+    assert set(events[first:]) == {"accept"}
 
 
 def _count_cap_calls(monkeypatch) -> list[int]:
@@ -353,26 +354,25 @@ def _mms_lb_query_calls(monkeypatch, family_id: str, alpha) -> int:
     cap_calls = _count_cap_calls(monkeypatch)
     report = best_fair_allocation(bundle.instance, check.criterion, check.alpha)
     assert (report.best_fair_cost, report.opt_cost) == (check.fair_cost, bundle.opt_cost)
-    # Each cap is asked once before the first leaf and then only after a
-    # kernel call at a leaf where that agent's cost is positive, which is the
-    # call that computes its share; it was asked 5,480 times when every
-    # unknown cap was asked after every kernel call.
-    assert cap_calls[0] <= 2 * bundle.instance.n
+    # Each cap is asked at most once, before the first leaf; it was asked
+    # 5,480 times when every unknown cap was asked after every kernel call.
+    assert cap_calls[0] <= bundle.instance.n
     return calls[0]
 
 
-def test_learned_caps_and_the_seed_cut_the_largest_mms_query_to_seven_kernel_calls(monkeypatch):
+def test_caps_and_the_seed_cut_the_largest_mms_query_to_six_kernel_calls(monkeypatch):
     # POF_2MMS_LB at n = 5 searches 5^8 allocations for 2-MMS. The search
     # asked the criteria kernel 3,162 times without share caps, 1,371 times
-    # when a cap learned at a leaf cut only the subtrees placed after it.
-    assert _mms_lb_query_calls(monkeypatch, "POF_2MMS_LB", 2) == 7
+    # when a cap learned at a leaf cut only the subtrees placed after it, and
+    # 7 times when it also backed up past that leaf's ancestors.
+    assert _mms_lb_query_calls(monkeypatch, "POF_2MMS_LB", 2) == 6
 
 
-def test_the_seed_and_learned_caps_cut_the_mms_lb_query_to_three_kernel_calls(monkeypatch):
+def test_the_seed_and_caps_cut_the_mms_lb_query_to_two_kernel_calls(monkeypatch):
     # POF_MMS_LB at n = 5 searches 5^6 allocations for MMS; the search asked
-    # the kernel 343 times before it began at the optimal leaf and backed up
-    # past every ancestor that passes a cap learned at a leaf.
-    assert _mms_lb_query_calls(monkeypatch, "POF_MMS_LB", 1) == 3
+    # the kernel 343 times before it began at the optimal leaf, and 3 times
+    # while each share cap was learned at a leaf.
+    assert _mms_lb_query_calls(monkeypatch, "POF_MMS_LB", 1) == 2
 
 
 def _seed_masks(inst) -> list[int]:
@@ -396,8 +396,8 @@ def _seed_cases():
     yield Instance(n=3, m=5, costs=(Additive((1, 2, 1, 3, 2)),) * 3)
 
 
-def test_seed_and_unwind_match_the_unpruned_reference():
-    seen = {"seed accepted": 0, "seed rejected": 0, "seed cut": 0, "cap learned after the first leaf": 0}
+def test_seed_and_caps_match_the_unpruned_reference():
+    seen = {"seed accepted": 0, "seed rejected": 0, "seed cut": 0}
     for inst in _seed_cases():
         leaves = _leaves(inst)
         seed = _seed_masks(inst)
@@ -413,33 +413,29 @@ def test_seed_and_unwind_match_the_unpruned_reference():
                 ref_opt, ref_best, ref_witness = _reference_search(leaves, ref_accept)
                 ctx = context_for(inst)
                 cap = ctx.share_cap(crit, alpha)
-                asked: list[tuple[list[int], int]] = []  # (masks, caps known when asked)
+                caps = [None if cap is None else cap(a) for a in range(inst.n)]
+                asked: list[list[int]] = []
 
                 def accept(masks):
-                    known = 0
-                    for a, fn in enumerate(inst.costs):
-                        if cap is not None and (c := cap(a)) is not None:
-                            known += 1
-                            assert fn.int_eval(masks[a]) <= c, "a leaf past a known cap was asked"
-                    asked.append((list(masks), known))
+                    for c, fn, mask in zip(caps, inst.costs, masks):
+                        assert c is None or fn.int_eval(mask) <= c, "a leaf past a cap was asked"
+                    asked.append(list(masks))
                     return ctx.min_alpha_masks(masks, crit)[0] <= alpha
 
                 opt, best, masks = cheapest_accepted(inst, accept, cap)
                 where = (inst, crit, alpha)
                 assert (opt, best) == (ref_opt, ref_best), where
                 assert masks == (None if ref_witness is None else ref_witness.masks()), where
-                assert sum(leaf == seed for leaf, _ in asked) <= 1, where
-                # Every asked leaf is one the unpruned scan asks, so no share is computed that it would not.
-                assert {tuple(leaf) for leaf, _ in asked} <= ref_asked, where
+                assert asked.count(seed) <= 1, where
+                # Every asked leaf is one the unpruned scan asks.
+                assert {tuple(leaf) for leaf in asked} <= ref_asked, where
                 if cap is None:
                     continue
-                if asked and asked[0][0] == seed:
+                if asked and asked[0] == seed:
                     accepted = reference.min_alpha_masks(seed, crit)[0] <= alpha
                     seen["seed accepted" if accepted else "seed rejected"] += 1
                 else:
                     seen["seed cut"] += 1
-                if len(asked) > 2 and asked[-1][1] > asked[1][1]:
-                    seen["cap learned after the first leaf"] += 1
     assert all(seen.values()), seen
 
 
