@@ -24,8 +24,8 @@ from typing import Iterable, Iterator, Sequence
 from .criteria import Criterion, InstanceContext, context_for
 from .errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
 from .mms import mms_value
-from .model import Allocation, Instance, normalize, rational_str, set_of
-from .search import cheapest_accepted, unit_costs
+from .model import Allocation, Instance, normalize, rational_str
+from .search import cheapest_accepted, cheapest_agents, unit_costs
 
 __all__ = [
     "AllocatorOutcome",
@@ -73,7 +73,7 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     """
     if inst.is_additive():
         scale, unit = unit_costs(inst)
-        assignment = [min(range(inst.n), key=lambda i: unit[i][d]) for d in range(inst.m)]
+        assignment = cheapest_agents(unit)
         trace = [
             {"op": "assign", "chore": d, "agent": a, "cost": rational_str(Fraction(unit[a][d], scale))}
             for d, a in enumerate(assignment)
@@ -82,7 +82,7 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
 
     opt, _, masks = cheapest_accepted(inst, lambda masks: True)
     assert masks is not None
-    alloc = Allocation(tuple(set_of(mask) for mask in masks))
+    alloc = Allocation.from_masks(masks)
     trace = (
         {"op": "enumerate", "candidates": inst.n**inst.m},
         {"op": "select", "assignment": list(alloc.assignment(inst.m))},

@@ -484,6 +484,11 @@ class RowCoverage(_Scaled):
         return cls(tuple(map(tuple, rows)), tuple(_json_list(obj, "weights")))
 
 
+def _check_table_m(m) -> None:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 0:
+        raise ValidationError(f"table m must be an integer >= 0, got {m!r}")
+
+
 @dataclass(frozen=True, init=False)
 class TableCost(CostFunction):
     """Explicit value per subset, for adversarial tests; excluded from normalization.
@@ -499,8 +504,7 @@ class TableCost(CostFunction):
 
     def __init__(self, m: int, values: Iterable[int | str | Fraction]) -> None:
         nums, den = _parse_scaled(values)
-        if not isinstance(m, int) or isinstance(m, bool) or m < 0:
-            raise ValidationError(f"table m must be an integer >= 0, got {m!r}")
+        _check_table_m(m)
         size = len(nums)
         # Compares bit lengths rather than computing 1 << m, which for a huge
         # m from JSON would build a huge integer.
@@ -513,17 +517,17 @@ class TableCost(CostFunction):
 
     @classmethod
     def from_subsets(cls, m: int, table: Mapping[frozenset[int], int | str | Fraction]) -> "TableCost":
-        values: list[Fraction | None] = [None] * (1 << m)
-        values[0] = Fraction(0)
+        _check_table_m(m)
+        by_mask = {0: Fraction(0)}
         for subset, v in table.items():
             chores = _as_chore_set(subset)
             if chores and (min(chores) < 0 or max(chores) >= m):
                 raise BoundsError(f"table subset {sorted(chores)} has a chore index out of range for m={m}")
-            values[mask_of(chores)] = parse_rational(v)
-        missing = sum(1 for v in values if v is None)
-        if missing:
-            raise ValidationError(f"table is missing {missing} subset entries")
-        return cls(m=m, values=tuple(values))
+            by_mask[mask_of(chores)] = parse_rational(v)
+        # Every mask is below 2^m; bit lengths count them against 2^m without building 1 << m.
+        if len(by_mask).bit_length() <= m:
+            raise ValidationError(f"table gives {len(by_mask)} of the 2^{m} subsets, the empty set included")
+        return cls(m=m, values=tuple(by_mask[mask] for mask in range(len(by_mask))))
 
     def int_eval(self, mask: int) -> int:
         return self._nums[mask]
@@ -572,6 +576,8 @@ def cost(fn: CostFunction, chores: Iterable[int]) -> Fraction:
     size = fn.ground_size()
     if size is not None and hi >= size:
         raise BoundsError(f"chore index {hi} out of range for m={size}")
+    if hi >= MAX_CHORES:  # a capped-cardinality cost has no ground size
+        raise BoundsError(f"chore index {hi} exceeds the guard {MAX_CHORES}")
     return fn.value(s)
 
 
@@ -715,8 +721,14 @@ class Allocation:
     def from_assignment(cls, assignment: Sequence[int], n: int) -> "Allocation":
         bundles: list[set[int]] = [set() for _ in range(n)]
         for chore, agent in enumerate(assignment):
+            if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < n:
+                raise BoundsError(f"agent index {agent!r} of chore {chore} out of range for n={n}")
             bundles[agent].add(chore)
         return cls(tuple(frozenset(b) for b in bundles))
+
+    @classmethod
+    def from_masks(cls, masks: Iterable[int]) -> "Allocation":
+        return cls(tuple(set_of(mask) for mask in masks))
 
     def assignment(self, m: int) -> tuple[int, ...]:
         owner = [-1] * m

@@ -31,7 +31,6 @@ from .model import (
     instance_digest,
     price_ratio,
     rational_str,
-    set_of,
 )
 
 __all__ = [
@@ -125,7 +124,7 @@ def enumerate_allocations(m: int, n: int) -> Iterator[Allocation]:
     """All n^m assignments, in lexicographic order of the assignment vector."""
     _check_allocation_count(n, m)
     for masks in _scan_masks(n, m):
-        yield Allocation(tuple(set_of(mask) for mask in masks))
+        yield Allocation.from_masks(masks)
 
 
 def _scan_masks(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -157,6 +156,11 @@ def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
     return scale, unit
 
 
+def cheapest_agents(unit: list[list[int]]) -> list[int]:
+    """Each chore's cheapest agent in a ``unit_costs`` table, ties to the lowest index."""
+    return [min(range(len(column)), key=column.__getitem__) for column in zip(*unit)]
+
+
 def cheapest_accepted(
     inst: Instance,
     accept: Callable[[list[int]], bool],
@@ -169,7 +173,7 @@ def cheapest_accepted(
     index order, so leaves come in lexicographic order of the assignment
     vector, and of several cheapest accepted allocations the first in that
     order is returned. ``accept`` is asked only about leaves strictly
-    cheaper than the incumbent, and once, out of that order, about the seed
+    cheaper than the incumbent, and first, out of that order, about the seed
     below. It must not keep the mask list it is given.
 
     Costs are each agent's ``int_eval`` scaled to the ``unit_costs`` scale,
@@ -190,15 +194,10 @@ def cheapest_accepted(
     cheapest accepted allocation is the same. The optimum is then the sum
     of per-chore minima, not a leaf's cost, as the cut leaves may hold it.
 
-    Such a search first asks about the seed, the leaf that gives each chore
-    to its cheapest agent (ties to the lowest): the first leaf of optimal
-    cost in lexicographic order, so the unpruned scan asks about it too.
-    It is asked only if no agent's cost in it passes its cap, and its
-    answer is reused when the scan reaches it, so it is asked once. If it
-    is accepted, the scan starts with an incumbent one unit above the
-    optimum and no witness. It then asks only about leaves of optimal cost,
-    and the first of them it accepts, which is at latest the seed, is the
-    witness: the same as without the seed.
+    An additive search first asks about the seed, each chore on its
+    ``cheapest_agents`` entry, unless a cap cuts it. The seed is the first
+    optimal leaf in lexicographic order, so the unpruned scan asks about it
+    too; if ``accept`` admits it, it is the answer, else the scan skips it.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
@@ -206,38 +205,32 @@ def cheapest_accepted(
     prune = all(fn.monotone for fn in inst.costs)
     additive = inst.is_additive()
     factor = [scale // fn.denominator() for fn in inst.costs]
-    # floor[d]: a lower bound on what chores d.. add to any completion.
-    floor = [0] * (m + 1)
-    if additive:
-        for d in range(m - 1, -1, -1):
-            floor[d] = floor[d + 1] + min(row[d] for row in unit)
-    else:
-        memo: list[dict[int, int]] = [{} for _ in range(n)]
     # limit[a]: agent a's largest cost in an accepted allocation; with no
     # cap, the cost of every chore, which no bundle exceeds.
     limit = [sum(row) for row in unit]
+    # floor[d]: a lower bound on what chores d.. add to any completion.
+    floor = [0] * (m + 1)
+    seed: list[int] | None = None
+    if additive:
+        seed, held = [0] * n, [0] * n
+        for d, a in reversed(list(enumerate(cheapest_agents(unit)))):  # floor sums from the last chore
+            floor[d] = floor[d + 1] + unit[a][d]
+            seed[a] |= 1 << d
+            held[a] += unit[a][d]
+        if cap is not None:
+            for a in range(n):
+                if limit[a] and (c := cap(a)) is not None:
+                    limit[a] = c * factor[a]
+        if any(held[a] > limit[a] for a in range(n)):
+            seed = None  # a cap cuts it from the scan too
+        elif accept(seed):
+            return Fraction(floor[0], scale), Fraction(floor[0], scale), tuple(seed)
+    else:
+        memo: list[dict[int, int]] = [{} for _ in range(n)]
     # An additive optimum takes each chore at its cheapest; no leaf is below it.
     opt: int | None = floor[0] if additive else None
     best: int | None = None
     best_masks: tuple[int, ...] | None = None
-    seed: list[int] | None = None
-    seed_accepted = False
-    if cap is not None and additive:
-        for a in range(n):
-            if limit[a] and (c := cap(a)) is not None:
-                limit[a] = c * factor[a]
-        seed, held = [0] * n, [0] * n
-        for d in range(m):
-            low = floor[d] - floor[d + 1]
-            a = next(i for i in range(n) if unit[i][d] == low)
-            seed[a] |= 1 << d
-            held[a] += low
-        if all(held[a] <= limit[a] for a in range(n)):
-            seed_accepted = accept(seed)
-            if seed_accepted:
-                best = floor[0] + 1
-        else:
-            seed = None  # a cap cuts it from the scan too
     masks = [0] * n
     costs = [0] * n
     owner = [-1] * m  # agent holding chore d; -1 before its first agent
@@ -248,14 +241,10 @@ def cheapest_accepted(
         if d == m:
             if opt is None or total < opt:
                 opt = total
-            if best is None or total < best:
-                if total == opt and masks == seed:  # answered before the scan
-                    accepted = seed_accepted
-                else:
-                    accepted = accept(masks)
-                if accepted:
-                    best = total
-                    best_masks = tuple(masks)
+            # A seed reaching the scan was refused.
+            if (best is None or total < best) and masks != seed and accept(masks):
+                best = total
+                best_masks = tuple(masks)
             d -= 1
             continue
         a = owner[d]
@@ -286,7 +275,6 @@ def cheapest_accepted(
             continue
         d += 1
     assert opt is not None
-    assert not seed_accepted or best_masks is not None
     return (
         Fraction(opt, scale),
         None if best is None else Fraction(best, scale),
@@ -302,16 +290,15 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     cheapest fair allocation found so far (``cheapest_accepted``), and cuts
     those in which an agent's cost passes its cap (``InstanceContext.share_cap``).
     Among the cheapest fair allocations the witness is the first in
-    lexicographic order of the assignment vector.
+    lexicographic order of the assignment vector; on an additive instance
+    whose seed (``cheapest_accepted``) is fair, it is the one checked.
     """
     alpha = parse_alpha(alpha)
     ctx = context_for(inst)
     opt_cost, best_fair, best_masks = cheapest_accepted(
         inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha, ctx.share_cap(criterion, alpha)
     )
-    witness = None
-    if best_masks is not None:
-        witness = Allocation(tuple(set_of(mask) for mask in best_masks))
+    witness = None if best_masks is None else Allocation.from_masks(best_masks)
     return SearchReport(
         instance=inst, criterion=criterion, alpha=alpha, best_fair_cost=best_fair, opt_cost=opt_cost, witness=witness
     )

@@ -269,6 +269,18 @@ def test_allocation_assignment_roundtrip():
     assert alloc.assignment(3) == (1, 0, 1)
 
 
+@pytest.mark.parametrize("assignment", [[0, -1, 1], [0, True], [0, 5], [0, "1"], [0, 1.0]])
+def test_allocation_from_assignment_refuses_an_agent_index_outside_0_to_n_minus_1(assignment):
+    with pytest.raises(BoundsError, match=r"agent index .* of chore 1 out of range for n=2"):
+        Allocation.from_assignment(assignment, 2)
+
+
+def test_allocation_from_masks_reads_one_bundle_per_mask():
+    alloc = Allocation.from_masks((0b010, 0b101))
+    assert alloc == Allocation.from_assignment((1, 0, 1), 2)
+    assert alloc.masks() == (0b010, 0b101)
+
+
 def test_instance_json_roundtrip(ref_instance):
     blob = instance_to_json(ref_instance)
     assert blob["agents"][0]["cost"]["values"][0] == "2"
@@ -339,6 +351,18 @@ def test_nested_coverage_row_is_a_validation_error():
             "validation-error: chore index must be an int, got True",
         ),
         (lambda: TableCost.from_subsets(2, {frozenset({"0"}): 1}), "validation-error: chore index must be an int, got '0'"),
+        (lambda: TableCost.from_subsets("2", {}), "validation-error: table m must be an integer >= 0, got '2'"),
+        (lambda: TableCost.from_subsets(-1, {}), "validation-error: table m must be an integer >= 0, got -1"),
+        (lambda: TableCost.from_subsets(True, {}), "validation-error: table m must be an integer >= 0, got True"),
+        (
+            lambda: TableCost.from_subsets(2, {frozenset({0}): 1}),
+            "validation-error: table gives 2 of the 2^2 subsets, the empty set included",
+        ),
+        # 2^64 entries would not fit in a list: the count is checked first.
+        (
+            lambda: TableCost.from_subsets(64, {frozenset({63}): 1}),
+            "validation-error: table gives 2 of the 2^64 subsets, the empty set included",
+        ),
         (lambda: CappedAdditive(("-1",), "0"), "validation-error: capped-additive values must be >= 0, got -1"),
         (lambda: CappedAdditive(("-1",), "y"), "parse-error: not a rational: 'y'"),
         (
@@ -365,6 +389,15 @@ def test_chore_count_guard():
     assert Instance(n=1, m=MAX_CHORES, costs=(CappedCardinality(2),)).m == MAX_CHORES
     with pytest.raises(SizeGuardError, match="chore count"):
         Instance(n=1, m=MAX_CHORES + 1, costs=(CappedCardinality(2),))
+
+
+def test_cost_refuses_a_chore_index_past_the_guard_before_building_a_mask():
+    from chorefair.model import MAX_CHORES
+
+    # A capped-cardinality cost has no ground size to bound its chores.
+    assert cost(CappedCardinality(2), [MAX_CHORES - 1]) == 1
+    with pytest.raises(BoundsError, match=f"chore index {MAX_CHORES} exceeds the guard {MAX_CHORES}"):
+        cost(CappedCardinality(2), [MAX_CHORES])
 
 
 def test_price_ratio_of_equal_zero_and_positive_costs():

@@ -375,6 +375,25 @@ def test_the_seed_and_caps_cut_the_mms_lb_query_to_two_kernel_calls(monkeypatch)
     assert _mms_lb_query_calls(monkeypatch, "POF_MMS_LB", 1) == 2
 
 
+@pytest.mark.parametrize(
+    "crit,alpha,n", [(Criterion.EF1, INFINITY, 3), (Criterion.MMS, INFINITY, 3), (Criterion.PMMS, Fraction(3), 4)]
+)
+def test_a_fair_seed_ends_an_uncapped_search_at_one_kernel_call(monkeypatch, crit, alpha, n):
+    # No criterion has a cap at INFINITY, nor PMMS at alpha 3 with n = 4,
+    # past the list-scheduling condition. Every allocation is 2-PMMS, so
+    # every seed here is fair.
+    instances = [random_instance(n, 2 + trial % 4, "additive", seed=trial) for trial in range(20)]
+    expected = [
+        _reference_search(_leaves(inst), lambda alloc: min_alpha(inst, alloc, crit) <= alpha) for inst in instances
+    ]
+    calls = _count_kernel_calls(monkeypatch)
+    for inst, (opt, best, witness) in zip(instances, expected):
+        assert context_for(inst).share_cap(crit, alpha) is None
+        report = best_fair_allocation(inst, crit, alpha)
+        assert (report.opt_cost, report.best_fair_cost, report.witness) == (opt, best, witness)
+    assert calls[0] == len(instances)
+
+
 def _seed_masks(inst) -> list[int]:
     """Each chore on its cheapest agent, ties to the lowest."""
     _, unit = unit_costs(inst)
@@ -397,7 +416,7 @@ def _seed_cases():
 
 
 def test_seed_and_caps_match_the_unpruned_reference():
-    seen = {"seed accepted": 0, "seed rejected": 0, "seed cut": 0}
+    seen = {"uncapped seed": 0, "seed accepted": 0, "seed rejected": 0, "seed cut": 0}
     for inst in _seed_cases():
         leaves = _leaves(inst)
         seed = _seed_masks(inst)
@@ -429,13 +448,17 @@ def test_seed_and_caps_match_the_unpruned_reference():
                 assert asked.count(seed) <= 1, where
                 # Every asked leaf is one the unpruned scan asks.
                 assert {tuple(leaf) for leaf in asked} <= ref_asked, where
-                if cap is None:
-                    continue
-                if asked and asked[0] == seed:
-                    accepted = reference.min_alpha_masks(seed, crit)[0] <= alpha
-                    seen["seed accepted" if accepted else "seed rejected"] += 1
-                else:
+                if not asked or asked[0] != seed:
+                    assert cap is not None, "an uncapped seed was not asked first"
                     seen["seed cut"] += 1
+                    continue
+                accepted = reference.min_alpha_masks(seed, crit)[0] <= alpha
+                if accepted:  # the answer, asked about alone
+                    assert asked == [seed] and masks == tuple(seed), where
+                if cap is None:
+                    seen["uncapped seed"] += 1
+                else:
+                    seen["seed accepted" if accepted else "seed rejected"] += 1
     assert all(seen.values()), seen
 
 

@@ -9,7 +9,9 @@ tracer is installed. The two-agent allocators must reach the MMS layer on both
 routes the ``allocators`` benchmark workload requires: the additive route for
 the half-split shares and the pairwise route for the PMMS postcondition. The
 searches that cut subtrees at each agent's share cap (MMS, and PMMS with two
-agents) must still ask the wrapped kernel. It only reads ``perfbench/``.
+agents) must still ask the wrapped kernel, and an uncapped search whose seed
+(each chore on its cheapest agent) is fair asks it exactly once. It only reads
+``perfbench/``.
 """
 
 from __future__ import annotations
@@ -28,8 +30,8 @@ from tracer import Tracer
 
 tracer = Tracer()
 tracer.install()
-from chorefair import (Allocation, Criterion, alg1_two_agent_ef1, best_fair_allocation, fairness_report,
-                       pmms32_two_agent, random_instance)
+from chorefair import (INFINITY, Allocation, Criterion, alg1_two_agent_ef1, best_fair_allocation,
+                       fairness_report, pmms32_two_agent, random_instance)
 
 inst = random_instance(3, 5, "additive", seed=1)
 best_fair_allocation(inst, Criterion.EF1, 1)
@@ -44,6 +46,8 @@ best_fair_allocation(inst, Criterion.MMS, 1)
 print(json.dumps(tracer.metrics()))
 best_fair_allocation(two, Criterion.PMMS, 1)
 print(json.dumps(tracer.metrics()))
+best_fair_allocation(inst, Criterion.EF1, INFINITY)
+print(json.dumps(tracer.metrics()))
 """
 
 
@@ -51,7 +55,8 @@ def test_tracer_counts_every_traced_layer():
     path = [str(ROOT / "src"), str(ROOT / "perfbench"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, path)))
     out = subprocess.run([sys.executable, "-c", _SCRIPT], env=env, capture_output=True, check=True, text=True)
-    before, metrics, mms_search, pmms_search = (json.loads(line) for line in out.stdout.strip().splitlines()[-4:])
+    lines = out.stdout.strip().splitlines()[-5:]
+    before, metrics, mms_search, pmms_search, uncapped = (json.loads(line) for line in lines)
     names = ["model.eval.calls", "search.best_fair.calls", "search.alpha_checks"]
     names += [f"criteria.{c}.calls" for c in ("EF", "EF1", "EFX", "EFX_STRONG", "MMS", "PMMS")]
     for name in names:
@@ -62,3 +67,5 @@ def test_tracer_counts_every_traced_layer():
     # each capped search alone adds to the kernel's alpha checks
     for earlier, later in ((metrics, mms_search), (mms_search, pmms_search)):
         assert later.get("search.alpha_checks", 0) > earlier.get("search.alpha_checks", 0), (earlier, later)
+    # a fair seed ends the uncapped search, still through the wrapped kernel
+    assert uncapped.get("search.alpha_checks", 0) == pmms_search.get("search.alpha_checks", 0) + 1
