@@ -36,6 +36,7 @@ from .search import (
     _REFERENCE_EPSILON,
     CSV_COLUMNS,
     VERIFY_MAX_N,
+    VERIFY_PRICES_MAX_N,
     best_fair_allocation,
     reports_to_csv_rows,
     verify_connections,
@@ -160,8 +161,9 @@ def _cmd_verify(args) -> int:
         raise ArgumentError(f"--count must be at least 1, got {args.count}")
     if args.n_max < 2:
         raise ArgumentError(f"--n-max must be at least 2, got {args.n_max}")
-    if args.n_max > VERIFY_MAX_N:
-        raise SizeGuardError(f"--n-max {args.n_max} exceeds the guard {VERIFY_MAX_N}")
+    limit = VERIFY_PRICES_MAX_N if args.suite in ("prices", "all") else VERIFY_MAX_N
+    if args.n_max > limit:
+        raise SizeGuardError(f"--n-max {args.n_max} exceeds the guard {limit} for --suite {args.suite}")
     if args.seed is None and args.suite != "connections":
         randomized = "lemmas" if args.suite == "lemmas" else "prices"
         raise ChoreFairError(f"the {randomized} suite runs randomized sweeps; pass --seed")

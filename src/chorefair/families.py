@@ -11,22 +11,25 @@ re-derived by the search layer in tests.
 
 Adding a family takes one builder decorated with ``@_family(id, setting,
 kind)``. Its parameter names are read from its signature (``n``, ``m`` and
-``p`` are integers, ``alpha`` and ``epsilon`` exact rationals), and
-``make_family`` converts them before the call. A builder whose size depends
-on its parameters checks its agent and chore counts with ``_sized`` before
-it builds any list. It checks its own constraints with ``_require`` and
-returns plain data: ``costs`` (one cost function per agent), ``bundles``
-(the reference partition) and its expectations, a price family's checks as
-(criterion, alpha, fair cost) triples. ``make_family`` builds the
-``Instance`` and the ``Allocation`` from them and gives each check its
-price with ``price_ratio``. The reference bundles partition every chore, so
-n is their count and m the number of chores they hold; ``Instance`` then
-checks the cost count and each cost's ground size. Registration order is the order of ``FAMILY_IDS``.
+``p`` are integers, ``alpha`` and ``epsilon`` exact rationals). Before the
+call, ``make_family`` converts them and checks the domain that every family
+shares for a name (``_SHARED``). A builder whose size depends on its
+parameters checks its agent and chore counts with ``_sized`` before it
+builds any list. It checks only its narrower constraints, such as n >= 3 or
+epsilon < 1/8, with ``_require`` and returns plain data: ``costs`` (one cost
+function per agent), ``bundles`` (the reference partition) and its
+expectations, a price family's checks as (criterion, alpha, fair cost)
+triples. ``make_family`` builds the ``Instance`` and the ``Allocation`` from
+them and gives each check its price with ``price_ratio``. The reference
+bundles partition every chore, so n is their count and m the number of
+chores they hold; ``Instance`` then checks the cost count and each cost's
+ground size. Registration order is the order of ``FAMILY_IDS``.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -107,6 +110,14 @@ _CONVERT: dict[str, Callable[[str, object], object]] = {
     "epsilon": lambda _, value: parse_rational(value),
 }
 
+#: The domain every family shares for a parameter name, checked after conversion.
+_SHARED: dict[str, tuple[str, Callable[[object], bool]]] = {
+    "n": ("n >= 2", lambda n: n >= 2),
+    "p": ("p >= 1", lambda p: p >= 1),
+    "alpha": ("alpha >= 1", lambda alpha: alpha >= 1),
+    "epsilon": ("epsilon > 0", lambda epsilon: epsilon > 0),
+}
+
 
 @dataclass(frozen=True)
 class _Family:
@@ -137,19 +148,12 @@ def _identical_additive(n: int, values: list[Fraction]) -> list[CostFunction]:
 
 def _indicator_costs(bundles: list[frozenset[int]], m: int) -> list[CostFunction]:
     """One additive function per bundle: 0 on the bundle, 1 elsewhere."""
-    out = []
-    for bundle in bundles:
-        out.append(Additive(tuple(Fraction(0) if e in bundle else Fraction(1) for e in range(m))))
-    return out
+    return [Additive(tuple(Fraction(0) if e in bundle else Fraction(1) for e in range(m))) for bundle in bundles]
 
 
 def _blocks(sizes: list[int]) -> list[frozenset[int]]:
-    bundles = []
-    start = 0
-    for size in sizes:
-        bundles.append(frozenset(range(start, start + size)))
-        start += size
-    return bundles
+    starts = itertools.accumulate(sizes, initial=0)
+    return [frozenset(range(start, start + size)) for start, size in zip(starts, sizes)]
 
 
 def _sized(n: int, m: int) -> int:
@@ -176,8 +180,6 @@ def _require(cond: bool, constraint: str) -> None:
 @_family("EF_MMS_TIGHT", "additive", "connection")
 def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
     m = _sized(n, n * n)
-    _require(n >= 2, "n >= 2")
-    _require(alpha >= 1, "alpha >= 1")
     values = [alpha] * n + [Fraction(1)] * (m - n)
     share = n - 1 + alpha
     return dict(
@@ -191,8 +193,6 @@ def _ef_mms_tight(n: int, alpha: Fraction) -> dict:
 @_family("EF_PMMS_TIGHT", "additive", "connection")
 def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
     m = _sized(n, 2 * n)
-    _require(n >= 2, "n >= 2")
-    _require(alpha >= 1, "alpha >= 1")
     values = [alpha, alpha] + [Fraction(1)] * (m - 2)
     return dict(
         costs=_identical_additive(n, values),
@@ -205,7 +205,6 @@ def _ef_pmms_tight(n: int, alpha: Fraction) -> dict:
 @_family("EF1_NOT_EFX", "additive", "connection")
 def _ef1_not_efx(n: int, p: int) -> dict:
     m = _sized(n, 2 * n)
-    _require(n >= 2, "n >= 2")
     _require(p >= 2, "p >= 2")
     values = [Fraction(p)] + [Fraction(1)] * (m - 1)
     return dict(
@@ -218,8 +217,6 @@ def _ef1_not_efx(n: int, p: int) -> dict:
 @_family("EF1_MMS_TIGHT", "additive", "connection")
 def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
     m = _sized(n, n * n - n + 1)
-    _require(n >= 2, "n >= 2")
-    _require(alpha >= 1, "alpha >= 1")
     values = [alpha + n - 1] + [alpha] * (n - 1) + [Fraction(1)] * ((n - 1) ** 2)
     share = alpha + n - 1
     return dict(
@@ -233,7 +230,6 @@ def _ef1_mms_tight(n: int, alpha: Fraction) -> dict:
 @_family("EFX_MMS_LB_A", "additive", "connection")
 def _efx_mms_lb_a(n: int) -> dict:
     m = _sized(n, 2 * n)
-    _require(n >= 2, "n >= 2")
     values = [Fraction(t // 2 + 1) for t in range(m)]
     bundles = [frozenset({2 * n - 2, 2 * n - 1})]
     bundles += [frozenset({i - 2, 2 * n - i - 1}) for i in range(2, n + 1)]
@@ -248,8 +244,6 @@ def _efx_mms_lb_a(n: int) -> dict:
 @_family("EFX_MMS_LB_B", "additive", "connection")
 def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
     m = _sized(n, 2 * n * n - 2 * n)
-    _require(n >= 2, "n >= 2")
-    _require(alpha >= 1, "alpha >= 1")
     bundles = [frozenset(range(n)), frozenset(range(n, 3 * n - 2))]
     start = 3 * n - 2
     for _ in range(n - 2):
@@ -268,8 +262,6 @@ def _efx_mms_lb_b(n: int, alpha: Fraction) -> dict:
 @_family("EFX_PMMS_TIGHT", "additive", "connection")
 def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
     m = _sized(n, 2 * n)
-    _require(n >= 2, "n >= 2")
-    _require(alpha >= 1, "alpha >= 1")
     values = [2 * alpha, 2 * alpha] + [Fraction(1)] * (m - 2)
     return dict(
         costs=_identical_additive(n, values),
@@ -282,8 +274,6 @@ def _efx_pmms_tight(n: int, alpha: Fraction) -> dict:
 @_family("EF1_PMMS_TIGHT", "additive", "connection")
 def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
     _sized(n, n + 1)
-    _require(n >= 2, "n >= 2")
-    _require(alpha >= 1, "alpha >= 1")
     values = [alpha + 1, alpha] + [Fraction(1)] * (n - 1)
     bundles = [frozenset({0, 1})] + [frozenset({j}) for j in range(2, n + 1)]
     return dict(
@@ -297,9 +287,7 @@ def _ef1_pmms_tight(n: int, alpha: Fraction) -> dict:
 @_family("PMMS_NOT_EF1", "additive", "connection")
 def _pmms_not_ef1(n: int, alpha: Fraction, epsilon: Fraction) -> dict:
     _sized(n, n + 1)
-    _require(n >= 2, "n >= 2")
     _require(1 < alpha < 2, "1 < alpha < 2")
-    _require(epsilon > 0, "epsilon > 0")
     _require(epsilon <= 1, "epsilon <= 1")
     big = Fraction(1) / (alpha - 1)
     _require(big >= 1 + epsilon, "1/(alpha-1) >= 1 + epsilon")
@@ -347,7 +335,7 @@ def _pmms_mms_lb(n: int) -> dict:
 @_family("APMMS_MMS_LB", "additive", "connection")
 def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
     m = _sized(n, n * n)
-    _require(n >= 2 and n % 2 == 0, "n even and >= 2")
+    _require(n % 2 == 0, "n even")
     _require(1 < alpha < Fraction(3, 2), "1 < alpha < 3/2")
     values = [alpha] * n + [2 - alpha] * (m - n)
     share = alpha + (n - 1) * (2 - alpha)
@@ -361,6 +349,7 @@ def _apmms_mms_lb(n: int, alpha: Fraction) -> dict:
 
 def _mms_not_pmms_instance(n: int, p: int) -> dict:
     """The costs and reference bundles that MMS_NOT_PMMS and MMS_NOT_EF1 share."""
+    _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
     m = _sized(n, p + 2 * n - 1)
     bundles = [frozenset(range(p + 1))]
     bundles += [frozenset({p + i - 1}) for i in range(2, n - 1)]
@@ -372,8 +361,6 @@ def _mms_not_pmms_instance(n: int, p: int) -> dict:
 
 @_family("MMS_NOT_PMMS", "additive", "connection")
 def _mms_not_pmms(n: int, p: int) -> dict:
-    _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
-    _require(p >= 1, "p >= 1")
     return dict(
         **_mms_not_pmms_instance(n, p),
         expected_alphas=(
@@ -386,8 +373,6 @@ def _mms_not_pmms(n: int, p: int) -> dict:
 
 @_family("MMS_NOT_EF1", "additive", "connection")
 def _mms_not_ef1(n: int, p: int) -> dict:
-    _require(n >= 4, "n >= 4 (a singleton bundle must exist next to the unit block)")
-    _require(p >= 1, "p >= 1")
     return dict(
         **_mms_not_pmms_instance(n, p),
         expected_alphas=((Criterion.MMS, Fraction(1)), (Criterion.EF1, Fraction(p))),
@@ -403,7 +388,7 @@ def _mms_not_ef1(n: int, p: int) -> dict:
 @_family("SUB_EF_COVERAGE", "submodular", "connection")
 def _sub_ef_coverage(n: int) -> dict:
     m = _sized(n, n * n)
-    _require(n >= 2 and n % 2 == 0, "n even and >= 2")
+    _require(n % 2 == 0, "n even")
     rows = tuple(tuple(range(i * n, (i + 1) * n)) for i in range(n))
     fn = RowCoverage(rows=rows, weights=tuple(Fraction(1) for _ in range(n)))
     columns = [frozenset(range(j, m, n)) for j in range(n)]
@@ -439,8 +424,8 @@ def _sub_pmms_capped() -> dict:
 def _sub_pmms_mms_tight(n: int, alpha: Fraction) -> dict:
     cols = n + 1
     m = _sized(n, n * cols)
-    _require(n >= 2 and n % 2 == 0, "n even and >= 2")
-    _require(1 <= alpha < 2, "1 <= alpha < 2")
+    _require(n % 2 == 0, "n even")
+    _require(alpha < 2, "alpha < 2")
     half = alpha * n / 2
     floor_part = math.floor(half)
     delta = half - floor_part
@@ -472,7 +457,7 @@ def _sub_pmms_mms_tight(n: int, alpha: Fraction) -> dict:
 
 @_family("POF_EF1_N2", "additive", "price")
 def _pof_ef1_n2(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 12), "0 < epsilon < 1/12")
+    _require(epsilon < Fraction(1, 12), "epsilon < 1/12")
     c1 = Additive((Fraction(0), Fraction(1, 2), Fraction(1, 2)))
     c2 = Additive((Fraction(1, 3) - 2 * epsilon, Fraction(1, 3) + epsilon, Fraction(1, 3) + epsilon))
     opt = Fraction(2, 3) + 2 * epsilon
@@ -487,7 +472,7 @@ def _pof_ef1_n2(epsilon: Fraction) -> dict:
 
 @_family("POF_PMMS32_N2", "additive", "price")
 def _pof_pmms32_n2(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 10), "0 < epsilon < 1/10")
+    _require(epsilon < Fraction(1, 10), "epsilon < 1/10")
     c1 = Additive((Fraction(3, 8), Fraction(3, 8) + epsilon, Fraction(1, 8) - epsilon, Fraction(1, 8)))
     c2 = Additive((Fraction(1, 2), Fraction(1, 2), Fraction(0), Fraction(0)))
     opt = Fraction(3, 4) + epsilon
@@ -502,7 +487,7 @@ def _pof_pmms32_n2(epsilon: Fraction) -> dict:
 
 @_family("POF_PMMS_N2", "additive", "price")
 def _pof_pmms_n2(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
+    _require(epsilon < Fraction(1, 8), "epsilon < 1/8")
     c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = Additive((Fraction(1, 2), epsilon, Fraction(1, 2) - epsilon))
     return dict(
@@ -520,7 +505,7 @@ def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
     _require(m >= 5, "m >= 5")
     # The bound keeps the cheapest fair allocation fair even against the
     # empty bundles that appear for n >= 4.
-    _require(0 < epsilon < Fraction(1, 3 * m), "0 < epsilon < 1/(3m)")
+    _require(epsilon < Fraction(1, 3 * m), "epsilon < 1/(3m)")
     inv_m = Fraction(1, m)
     c1 = [Fraction(1) - 4 * epsilon] + [Fraction(0)] * (m - 5) + [epsilon] * 4
     c2 = [1 - 4 * inv_m] + [Fraction(0)] * (m - 5) + [inv_m] * 4
@@ -544,7 +529,7 @@ def _pof_n3_unbounded(n: int, m: int, epsilon: Fraction) -> dict:
 def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
     m = _sized(n, n + 1)
     _require(n >= 3, "n >= 3")
-    _require(0 < epsilon < Fraction(1, 2 * n), "0 < epsilon < 1/(2n)")
+    _require(epsilon < Fraction(1, 2 * n), "epsilon < 1/(2n)")
     inv_n = Fraction(1, n)
     c1 = [inv_n, epsilon, inv_n - epsilon] + [inv_n] * (m - 3)
     rest = [Fraction(1, 2), Fraction(1, 2)] + [Fraction(0)] * (m - 2)
@@ -565,7 +550,7 @@ def _pof_mms_lb(n: int, epsilon: Fraction) -> dict:
 def _pof_2mms_lb(n: int, epsilon: Fraction) -> dict:
     m = _sized(n, n + 3)
     _require(n >= 3, "n >= 3")
-    _require(0 < epsilon < Fraction(1, 4 * n), "0 < epsilon < 1/(4n)")
+    _require(epsilon < Fraction(1, 4 * n), "epsilon < 1/(4n)")
     inv_n = Fraction(1, n)
     c1 = [inv_n - epsilon, inv_n - epsilon, 3 * epsilon, epsilon, epsilon, inv_n - 3 * epsilon]
     c1 += [inv_n] * (m - 6)
@@ -585,7 +570,7 @@ def _pof_2mms_lb(n: int, epsilon: Fraction) -> dict:
 
 @_family("SUB_POF_EFX", "submodular", "price")
 def _sub_pof_efx(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 8), "0 < epsilon < 1/8")
+    _require(epsilon < Fraction(1, 8), "epsilon < 1/8")
     c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = CappedAdditive((1 - epsilon, 3 * epsilon, 1 - 2 * epsilon), Fraction(1))
     opt = Fraction(1, 2) + 4 * epsilon
@@ -600,7 +585,7 @@ def _sub_pof_efx(epsilon: Fraction) -> dict:
 
 @_family("SUB_POF_EF1", "submodular", "price")
 def _sub_pof_ef1(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 12), "0 < epsilon < 1/12")
+    _require(epsilon < Fraction(1, 12), "epsilon < 1/12")
     c1 = Additive((Fraction(1, 3) + epsilon, Fraction(1, 3), Fraction(1, 3) - epsilon))
     c2 = CappedAdditive((1 - epsilon, 1 - epsilon, epsilon), Fraction(1))
     opt = Fraction(2, 3) + 2 * epsilon
@@ -615,7 +600,7 @@ def _sub_pof_ef1(epsilon: Fraction) -> dict:
 
 @_family("SUB_POF_PMMS", "submodular", "price")
 def _sub_pof_pmms(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 22), "0 < epsilon < 1/22")
+    _require(epsilon < Fraction(1, 22), "epsilon < 1/22")
     c1 = Additive((Fraction(1, 2), Fraction(1, 2) - epsilon, epsilon))
     c2 = TableCost.from_subsets(
         3,
@@ -641,7 +626,7 @@ def _sub_pof_pmms(epsilon: Fraction) -> dict:
 
 @_family("SUB_POF_PMMS32", "submodular", "price")
 def _sub_pof_pmms32(epsilon: Fraction) -> dict:
-    _require(0 < epsilon < Fraction(1, 16), "0 < epsilon < 1/16")
+    _require(epsilon < Fraction(1, 16), "epsilon < 1/16")
     c1 = Additive((Fraction(3, 8), Fraction(3, 8) + epsilon, Fraction(1, 8) - epsilon, Fraction(1, 8)))
     c2 = CappedAdditive((1 - epsilon, 1 - epsilon, epsilon, epsilon), Fraction(1))
     opt = Fraction(3, 4) + 3 * epsilon
@@ -670,6 +655,9 @@ def make_family(family_id: str, **params) -> FamilyBundle:
     if missing:
         raise ArgumentError(f"family {family_id} requires parameters {missing}")
     values = {name: _CONVERT[name](name, params[name]) for name in names}
+    for name, (rule, holds) in _SHARED.items():
+        if name in values:
+            _require(holds(values[name]), rule)
     data = family.build(**values)
     # The reference allocation partitions every chore, so it fixes n and m.
     alloc = Allocation(tuple(data.pop("bundles")))

@@ -439,12 +439,7 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     if k == 2 and len(elems) <= PAIRWISE_MAX_CHORES:
         value, blocks = _two_partition_scan(fn, elems)
         return MmsResult(value=value, witness=tuple(blocks))
-    if len(elems) <= ENUM_MAX_CHORES and k <= ENUM_MAX_BLOCKS:
-        value, blocks = _enumerate_partitions(fn, elems, k)
-        return MmsResult(value=value, witness=_pad(blocks, k))
-    raise SizeGuardError(
-        f"table costs support only enumeration; {len(elems)} chores with k={k} exceed the guards"
-    )
+    return mms_share(inst, agent, k, elems)
 
 
 def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int]) -> MmsResult:

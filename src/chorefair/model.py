@@ -518,12 +518,16 @@ class TableCost(CostFunction):
     @classmethod
     def from_subsets(cls, m: int, table: Mapping[frozenset[int], int | str | Fraction]) -> "TableCost":
         _check_table_m(m)
-        by_mask = {0: Fraction(0)}
+        by_mask = {}
         for subset, v in table.items():
             chores = _as_chore_set(subset)
             if chores and (min(chores) < 0 or max(chores) >= m):
                 raise BoundsError(f"table subset {sorted(chores)} has a chore index out of range for m={m}")
-            by_mask[mask_of(chores)] = parse_rational(v)
+            mask = mask_of(chores)
+            if mask in by_mask:
+                raise ValidationError(f"table names subset {sorted(chores)} more than once")
+            by_mask[mask] = parse_rational(v)
+        by_mask.setdefault(0, Fraction(0))
         # Every mask is below 2^m; bit lengths count them against 2^m without building 1 << m.
         if len(by_mask).bit_length() <= m:
             raise ValidationError(f"table gives {len(by_mask)} of the 2^{m} subsets, the empty set included")
@@ -646,6 +650,11 @@ def check_submodular(fn: CostFunction, m: int) -> bool:
 # ---------------------------------------------------------------------------
 
 
+def _check_agent_count(n) -> None:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
+        raise ValidationError(f"agent count must be >= 1, got {n!r}")
+
+
 @dataclass(frozen=True)
 class Instance:
     """n agents, m chores, one cost oracle per agent.
@@ -660,8 +669,7 @@ class Instance:
     normalized: bool = field(init=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not isinstance(self.n, int) or isinstance(self.n, bool) or self.n < 1:
-            raise ValidationError(f"agent count must be >= 1, got {self.n!r}")
+        _check_agent_count(self.n)
         if not isinstance(self.m, int) or isinstance(self.m, bool) or self.m < 0:
             raise ValidationError(f"chore count must be >= 0, got {self.m!r}")
         if self.m > MAX_CHORES:
@@ -719,6 +727,7 @@ class Allocation:
 
     @classmethod
     def from_assignment(cls, assignment: Sequence[int], n: int) -> "Allocation":
+        _check_agent_count(n)
         bundles: list[set[int]] = [set() for _ in range(n)]
         for chore, agent in enumerate(assignment):
             if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < n:

@@ -16,7 +16,14 @@ import pytest
 from chorefair.cli import main
 from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
-from chorefair.search import reports_to_csv_rows, verify_connections, verify_lemmas, verify_prices
+from chorefair.search import (
+    VERIFY_MAX_N,
+    VERIFY_PRICES_MAX_N,
+    reports_to_csv_rows,
+    verify_connections,
+    verify_lemmas,
+    verify_prices,
+)
 
 INSTANCE_JSON = {
     "n": 3,
@@ -416,16 +423,35 @@ def test_verify_n_max_out_of_range_exits_2_before_any_suite(tmp_path, capsys, mo
     assert started == [] and not out.exists()
 
 
+@pytest.mark.parametrize("suite", ["prices", "all"])
+def test_verify_n_max_past_the_prices_guard_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, suite):
+    started = _stub_suites(monkeypatch)
+    out = tmp_path / "r.csv"
+    argv = ["verify", "--suite", suite, "--seed", "1", f"--n-max={VERIFY_PRICES_MAX_N + 1}", "--out", str(out)]
+    assert main(argv) == 2
+    _assert_tagged_input_error(capsys, "size-guard-exceeded")
+    assert started == [] and not out.exists()
+
+
+@pytest.mark.parametrize("suite", ["connections", "lemmas"])
+def test_verify_n_max_6_runs_the_suites_that_allow_it(tmp_path, capsys, monkeypatch, suite):
+    started = _stub_suites(monkeypatch)
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", suite, "--seed", "1", f"--n-max={VERIFY_MAX_N}", "--out", str(out)]) == 0
+    assert len(started) == 1 and out.exists()
+
+
 @pytest.mark.parametrize(
     "argv,tag",
     [
         (["--id", "EF_MMS_TIGHT", "--n", "10000000000", "--alpha", "1"], "size-guard-exceeded"),
+        (["--id", "EF_MMS_TIGHT", "--n", "-100000", "--alpha", "1"], "argument-error"),
         (["--id", "MMS_NOT_PMMS", "--n", "4", "--p", "1000000000"], "size-guard-exceeded"),
         (["--id", "MMS_NOT_PMMS", "--n", "4", "--p", "300000"], "size-guard-exceeded"),
         (["--id", "POF_N3_UNBOUNDED", "--n", "3", "--m", "10000000000", "--epsilon", "1/100"], "size-guard-exceeded"),
         (["--id", "POF_N3_UNBOUNDED", "--n", "3", "--m", "x", "--epsilon", "1/100"], "argument-error"),
     ],
-    ids=["n", "p", "p-just-over", "m", "m-not-an-integer"],
+    ids=["n", "n-negative", "p", "p-just-over", "m", "m-not-an-integer"],
 )
 def test_family_size_errors_exit_2_at_once(capsys, argv, tag):
     assert main(["family", *argv]) == 2
@@ -529,6 +555,24 @@ def test_usage_errors_exit_2_with_one_tagged_line(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("argument-error: ") and captured.err.count("\n") == 1, captured.err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["mms", "--agent", "0", "--k", "2"], "cannot read {missing}"),
+        (["mms", "--agent", "0", "--k", "2", "--chores", "0,x"], "expected a comma-separated integer list, got '0,x'"),
+        (["allocate", "--algorithm", "round_robin", "--order", "1,x"], "expected a comma-separated integer list, got '1,x'"),
+    ],
+    ids=["missing-instance", "chores", "order"],
+)
+def test_unreadable_instance_and_bad_lists_exit_2_with_one_tagged_line(tmp_path, instance_file, capsys, argv, message):
+    missing = str(tmp_path / "missing.json")
+    path = missing if "{missing}" in message else instance_file
+    assert main([argv[0], "--instance", path, *argv[1:]]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1, captured.err
+    assert captured.err.startswith(f"error: {message.format(missing=missing)}"), captured.err
 
 
 def test_help_exits_0_with_its_help_text(capsys):

@@ -412,6 +412,8 @@ def test_guarantee_validity_errors():
         implied_guarantee(Criterion.EF, Fraction(1, 2), Criterion.MMS, 3)
     with pytest.raises(ArgumentError):
         implied_guarantee(Criterion.EF, 1, Criterion.MMS, 1)
+    with pytest.raises(ArgumentError, match="setting must be one of .*, got 'x'"):
+        implied_guarantee(Criterion.EF, 1, Criterion.MMS, 3, "x")
 
 
 def test_capped_cardinality_pmms_reference():

@@ -13,6 +13,7 @@ deliberate, documented output change, from the repository root:
 from __future__ import annotations
 
 import contextlib
+import inspect
 import io
 import itertools
 import json
@@ -22,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from chorefair import families
 from chorefair.cli import main
 from chorefair.errors import ChoreFairError
 from chorefair.families import FAMILY_IDS, family_params, make_family, valid_params
@@ -83,12 +85,28 @@ def test_family_catalog_is_unchanged():
         ("EF_MMS_TIGHT", {"n": 3, "alpha": "x"}, "not a rational: 'x'"),
         ("PMMS_NOT_EF1", {"n": 3, "alpha": 1.5, "epsilon": 1}, "not a rational: 1.5 (floats are rejected)"),
         ("PMMS_NOT_EF1", {"n": 1, "alpha": 2, "epsilon": 1}, "family parameters violate: n >= 2"),
+        # The shared domains are checked before a builder sizes its lists.
+        ("EF_MMS_TIGHT", {"n": -100000, "alpha": 1}, "family parameters violate: n >= 2"),
+        ("PMMS_MMS_LB", {"n": 1}, "family parameters violate: n >= 2"),
+        ("MMS_NOT_EF1", {"n": 4, "p": 0}, "family parameters violate: p >= 1"),
+        ("EF1_NOT_EFX", {"n": 3, "p": 1}, "family parameters violate: p >= 2"),
+        ("EF_PMMS_TIGHT", {"n": 3, "alpha": Fraction(1, 2)}, "family parameters violate: alpha >= 1"),
+        ("APMMS_MMS_LB", {"n": 2, "alpha": 1}, "family parameters violate: 1 < alpha < 3/2"),
+        ("POF_EF1_N2", {"epsilon": 0}, "family parameters violate: epsilon > 0"),
+        ("POF_EF1_N2", {"epsilon": Fraction(1, 12)}, "family parameters violate: epsilon < 1/12"),
+        ("POF_N3_UNBOUNDED", {"n": 3, "m": 4, "epsilon": -1}, "family parameters violate: epsilon > 0"),
     ],
 )
 def test_parameter_errors_keep_their_messages(family_id, params, message):
     with pytest.raises(ChoreFairError) as info:
         make_family(family_id, **params)
     assert message in str(info.value)
+
+
+def test_each_shared_domain_is_stated_once():
+    source = inspect.getsource(families)
+    for rule in ("n >= 2", "p >= 1", "alpha >= 1", "epsilon > 0"):
+        assert source.count(f'"{rule}"') == 1, rule
 
 
 def test_no_connection_family_expects_an_alpha_below_1():

@@ -82,6 +82,16 @@ def test_enumeration_guards(ref_instance):
         mms_share(ref_instance, 0, 0)
 
 
+def test_mms_value_refuses_a_table_past_the_enumeration_guards():
+    # 15 chores with k = 3 is past both the two-way scan and enumeration.
+    inst = Instance(n=1, m=15, costs=(TableCost(m=15, values=tuple(s.bit_count() for s in range(1 << 15))),))
+    with pytest.raises(SizeGuardError) as caught:
+        mms_value(inst, 0, 3)
+    assert str(caught.value) == (
+        "size-guard-exceeded: partition enumeration limited to 14 chores and 6 blocks, got 15 chores, k=3"
+    )
+
+
 def test_bool_agent_and_k_are_rejected(ref_instance):
     # bool is an int subclass: True would otherwise answer for agent 1 or k = 1.
     for solve in (mms_value, mms_share):

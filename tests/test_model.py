@@ -275,6 +275,13 @@ def test_allocation_from_assignment_refuses_an_agent_index_outside_0_to_n_minus_
         Allocation.from_assignment(assignment, 2)
 
 
+@pytest.mark.parametrize("n", ["2", -1, 0, True])
+def test_allocation_from_assignment_checks_n_first(n):
+    with pytest.raises(ValidationError) as caught:
+        Allocation.from_assignment([0, 1], n)
+    assert str(caught.value) == f"validation-error: agent count must be >= 1, got {n!r}"
+
+
 def test_allocation_from_masks_reads_one_bundle_per_mask():
     alloc = Allocation.from_masks((0b010, 0b101))
     assert alloc == Allocation.from_assignment((1, 0, 1), 2)
@@ -358,6 +365,14 @@ def test_nested_coverage_row_is_a_validation_error():
             lambda: TableCost.from_subsets(2, {frozenset({0}): 1}),
             "validation-error: table gives 2 of the 2^2 subsets, the empty set included",
         ),
+        (
+            lambda: TableCost.from_subsets(2, {(0, 1): 1, (1, 0): 2, (0,): 1, (1,): 1}),
+            "validation-error: table names subset [0, 1] more than once",
+        ),
+        (
+            lambda: TableCost.from_subsets(1, {frozenset(): 0, (): 0, (0,): 1}),
+            "validation-error: table names subset [] more than once",
+        ),
         # 2^64 entries would not fit in a list: the count is checked first.
         (
             lambda: TableCost.from_subsets(64, {frozenset({63}): 1}),
@@ -373,6 +388,21 @@ def test_nested_coverage_row_is_a_validation_error():
             lambda: RowCoverage(rows=((0,), (0,)), weights=("-1", "1")),
             "validation-error: coverage weights must be >= 0, got -1",
         ),
+        (
+            lambda: RowCoverage(rows=((0, 1), (1, 5)), weights=("1", "1")),
+            "validation-error: chore 1 appears in two coverage groups",
+        ),
+        (
+            lambda: RowCoverage(rows=((0,), (2,)), weights=("1", "1")),
+            "validation-error: coverage groups must partition 0..m-1",
+        ),
+        (lambda: CappedCardinality(0), "validation-error: cap must be a positive integer, got 0"),
+        (lambda: CappedCardinality(True), "validation-error: cap must be a positive integer, got True"),
+        (
+            lambda: instance_from_json({"n": 1, "m": 2, "agents": [{"cost": {"type": "capped_cardinality", "cap": "2"}}]}),
+            "parse-error: capped_cardinality cap must be an integer",
+        ),
+        (lambda: scale_cost(Additive(("1",)), 0), "validation-error: scale factor must be > 0, got 0"),
         (lambda: Additive(("-1", "x")), "parse-error: not a rational: 'x'"),
         (lambda: Additive((0.5,)), "parse-error: not a rational: 0.5 (floats are rejected)"),
     ],

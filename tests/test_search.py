@@ -37,7 +37,11 @@ from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardErro
 from chorefair.families import FamilyBundle, PriceCheck
 from chorefair.mms import mms_value
 from chorefair.search import (
+    _REFERENCE_EPSILON,
+    ENUMERATION_GUARD,
     VERIFY_MAX_N,
+    VERIFY_PRICES_MAX_N,
+    _grid_bundles,
     cheapest_accepted,
     random_allocation,
     reports_to_csv_rows,
@@ -550,6 +554,19 @@ def test_best_fair_allocation_rejects_inexact_or_small_alpha(alpha):
         best_fair_allocation(inst, Criterion.EF1, alpha)
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((0, 3), "need n >= 1 and m >= 1, got n=0, m=3"),
+        ((2, 3, "x"), "setting must be 'additive' or 'submodular', got 'x'"),
+    ],
+)
+def test_random_instance_refuses_bad_arguments(args, message):
+    with pytest.raises(ArgumentError) as caught:
+        random_instance(*args)
+    assert str(caught.value) == f"argument-error: {message}"
+
+
 def test_queries_keep_no_reference_to_their_instance():
     import gc
     import weakref
@@ -668,6 +685,16 @@ def test_verify_max_n_is_the_largest_n_the_connections_suite_runs_at():
     assert rows and all(row.passed for row in rows)
     with pytest.raises(SizeGuardError):
         verify_connections(n_values=(VERIFY_MAX_N + 1,))
+
+
+def test_verify_prices_max_n_is_the_largest_n_whose_price_grid_fits_the_enumeration_guard():
+    def spaces(n_max):
+        bundles = _grid_bundles("price", tuple(range(2, n_max + 1)), _REFERENCE_EPSILON)
+        return [bundle.instance.n ** bundle.instance.m for bundle in bundles]
+
+    assert max(spaces(VERIFY_PRICES_MAX_N)) <= ENUMERATION_GUARD
+    assert max(spaces(VERIFY_PRICES_MAX_N + 1)) > ENUMERATION_GUARD
+    assert VERIFY_PRICES_MAX_N <= VERIFY_MAX_N
 
 
 def test_import_loads_no_process_pool():
