@@ -69,7 +69,9 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     functions are handled by the guarded exact search of
     ``search.cheapest_accepted``, which prunes subtrees that cannot beat the
     cheapest allocation found so far; of several optima it returns the
-    first in lexicographic order of the assignment vector.
+    first in lexicographic order of the assignment vector. On monotone
+    costs the search starts from its greedy seed's cost, so it prunes from
+    the first leaf on.
     """
     if inst.is_additive():
         scale, unit = unit_costs(inst)

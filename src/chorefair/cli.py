@@ -23,7 +23,7 @@ from .allocate import (
 )
 from .criteria import DEFAULT_CRITERIA, Criterion, fairness_report
 from .errors import ArgumentError, ChoreFairError, InternalError, ParseError, SizeGuardError
-from .families import family_params, family_to_json, make_family
+from .families import family_to_json, make_family
 from .mms import mms_share, mms_value
 from .model import (
     allocation_from_json,
@@ -149,8 +149,6 @@ def _cmd_family(args) -> int:
     for name, raw in (("alpha", args.alpha), ("epsilon", args.epsilon)):
         if raw is not None:
             params[name] = parse_rational(raw)
-    wanted = family_params(args.id)
-    params = {k: v for k, v in params.items() if k in wanted}
     bundle = make_family(args.id, **params)
     print(json.dumps(family_to_json(bundle), **_JSON_KW))
     return 0

@@ -201,6 +201,24 @@ def cheapest_accepted(
     ``cheapest_agents`` entry, unless a cap cuts it. The seed is the first
     optimal leaf in lexicographic order, so the unpruned scan asks about it
     too; if ``accept`` admits it, it is the answer, else the scan skips it.
+
+    Any other search with monotone costs first asks about a greedy seed:
+    chores in index order, each on the agent whose scaled ``int_eval``
+    rises least, ties to the lowest index (on additive costs this is the
+    ``cheapest_agents`` seed). It is asked once, before the scan, and
+    skipped at its leaf if refused. If ``accept`` admits it at cost G, the
+    scan starts from the incumbent bound G + 1 with no witness and takes
+    the seed at its leaf without asking again. Nothing returned changes.
+    The optimum: a pruned leaf costs at least the bound at its cut, G + 1
+    or a reached leaf's cost, and the scan reaches the seed or, if that is
+    cut, a leaf no dearer, so the cheapest reached leaf, at most G < G + 1,
+    is the optimum. The cheapest accepted cost and masks: the first
+    cheapest accepted leaf costs at most G and every accepted leaf before
+    it costs more, so every bound before it exceeds its cost; it is
+    reached and kept, as in the unpruned scan. The leaves asked about:
+    every bound is at most the cost of each accepted leaf before it, so a
+    leaf asked about is cheaper than all of them, and the unpruned scan
+    asks about it too; the seed alone is asked out of order.
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
@@ -214,6 +232,8 @@ def cheapest_accepted(
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)
     seed: list[int] | None = None
+    seed_accepted = False  # read only at a leaf that is the seed
+    best: int | None = None
     if additive:
         seed, held = [0] * n, [0] * n
         for d, a in reversed(list(enumerate(cheapest_agents(unit)))):  # floor sums from the last chore
@@ -230,9 +250,23 @@ def cheapest_accepted(
             return Fraction(floor[0], scale), Fraction(floor[0], scale), tuple(seed)
     else:
         memo: list[dict[int, int]] = [{} for _ in range(n)]
+        if prune:
+            seed, held = [0] * n, [0] * n
+            for d in range(m):
+                bit = 1 << d
+                rises = []
+                for a in range(n):
+                    mask = seed[a] | bit  # new to memo[a]: its highest chore is d
+                    new = memo[a][mask] = inst.costs[a].int_eval(mask) * factor[a]
+                    rises.append(new - held[a])
+                a = rises.index(min(rises))
+                seed[a] |= bit
+                held[a] += rises[a]
+            if accept(seed):
+                seed_accepted = True
+                best = sum(held) + 1  # no witness yet: the scan reaches the seed or a leaf as cheap
     # An additive optimum takes each chore at its cheapest; no leaf is below it.
     opt: int | None = floor[0] if additive else None
-    best: int | None = None
     best_masks: tuple[int, ...] | None = None
     masks = [0] * n
     costs = [0] * n
@@ -244,8 +278,8 @@ def cheapest_accepted(
         if d == m:
             if opt is None or total < opt:
                 opt = total
-            # A seed reaching the scan was refused.
-            if (best is None or total < best) and masks != seed and accept(masks):
+            # The seed was asked about before the scan.
+            if (best is None or total < best) and (accept(masks) if masks != seed else seed_accepted):
                 best = total
                 best_masks = tuple(masks)
             d -= 1
@@ -278,6 +312,7 @@ def cheapest_accepted(
             continue
         d += 1
     assert opt is not None
+    assert best_masks is not None or not seed_accepted, "an accepted seed ended with no witness"
     return (
         Fraction(opt, scale),
         None if best is None else Fraction(best, scale),
@@ -294,7 +329,9 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     those in which an agent's cost passes its cap (``InstanceContext.share_cap``).
     Among the cheapest fair allocations the witness is the first in
     lexicographic order of the assignment vector; on an additive instance
-    whose seed (``cheapest_accepted``) is fair, it is the one checked.
+    whose seed (``cheapest_accepted``) is fair, it is the one checked. On
+    other monotone instances the greedy seed is checked first, and a fair
+    one bounds the search from its first leaf.
     """
     alpha = parse_alpha(alpha)
     ctx = context_for(inst)

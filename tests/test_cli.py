@@ -320,6 +320,16 @@ def test_family_unknown_id_exits_2(capsys):
     assert "argument-error" in capsys.readouterr().err
 
 
+def test_family_refuses_a_parameter_it_does_not_take(capsys):
+    assert main(["family", "--id", "EF_MMS_TIGHT", "--n", "2", "--alpha", "1", "--p", "5"]) == 2
+    assert capsys.readouterr().err == (
+        "argument-error: family EF_MMS_TIGHT takes parameters ('n', 'alpha'), not ['p']\n"
+    )
+    # An unknown id is still refused as such, whatever options come with it.
+    assert main(["family", "--id", "BOGUS", "--p", "5"]) == 2
+    _assert_tagged_input_error(capsys, "argument-error")
+
+
 def test_family_output_is_loadable(tmp_path, capsys):
     assert main(["family", "--id", "SUB_POF_PMMS", "--epsilon", "1/100"]) == 0
     family = json.loads(capsys.readouterr().out)

@@ -533,6 +533,97 @@ def test_general_optimal_allocation_matches_unpruned_reference(kind, inst):
     assert outcome.allocation == witness
 
 
+def _greedy_seed(inst) -> list[int]:
+    """Chores in index order, each on the agent whose cost rises least, ties to the lowest."""
+    masks = [0] * inst.n
+    for d in range(inst.m):
+        rises = [inst.cost(a, _chores(masks[a] | 1 << d)) - inst.cost(a, _chores(masks[a])) for a in range(inst.n)]
+        masks[rises.index(min(rises))] |= 1 << d
+    return masks
+
+
+def _chores(mask: int) -> list[int]:
+    return [d for d in range(mask.bit_length()) if mask >> d & 1]
+
+
+def _greedy_seed_cases():
+    for param in _kernel_cases(_KINDS[1:]):
+        yield param.values[1]
+    yield Instance(n=3, m=5, costs=(RowCoverage(((0, 3), (1,), (2, 4)), (1, 2, 1)),) * 3)  # identical agents
+    yield Instance(n=3, m=5, costs=(CappedAdditive((1, 2, 1, 3, 2), 4),) * 3)
+    yield Instance(n=3, m=4, costs=(CappedCardinality(1),) * 3)  # every optimum puts all chores on one agent
+    # Zero-cost chores, and a row of weight 0.
+    yield Instance(n=2, m=5, costs=(CappedAdditive((0, 2, 0, 1, 0), 2), CappedAdditive((1, 0, 0, 2, 1), 3)))
+    yield Instance(n=3, m=5, costs=(RowCoverage(((0, 1), (2, 3, 4)), (0, 1)), CappedCardinality(2), CappedCardinality(3)))
+    for n in (2, 3):  # no chores: one leaf, which is the seed
+        yield Instance(n=n, m=0, costs=(CappedCardinality(1),) * n)
+
+
+def test_greedy_seed_matches_the_unpruned_reference():
+    seen = {"no seed": 0, "seed is the witness": 0, "an accepted seed, another witness": 0, "seed refused": 0}
+    for inst in _greedy_seed_cases():
+        assert not inst.is_additive()
+        monotone = all(fn.monotone for fn in inst.costs)
+        leaves = _leaves(inst)
+        seed = _greedy_seed(inst)
+        reference = context_for(inst)
+        for crit in Criterion:
+            for alpha in (Fraction(1), Fraction(5, 4), Fraction(3, 2), Fraction(2), INFINITY):
+                ref_asked: list[tuple[int, ...]] = []
+
+                def ref_accept(alloc):
+                    ref_asked.append(alloc.masks())
+                    return reference.min_alpha_masks(alloc.masks(), crit)[0] <= alpha
+
+                ref_opt, ref_best, ref_witness = _reference_search(leaves, ref_accept)
+                ctx = context_for(inst)
+                asked: list[tuple[int, ...]] = []
+
+                def accept(masks):
+                    asked.append(tuple(masks))
+                    return ctx.min_alpha_masks(masks, crit)[0] <= alpha
+
+                opt, best, masks = cheapest_accepted(inst, accept)
+                where = (inst, crit, alpha)
+                assert (opt, best, masks) == (ref_opt, ref_best, None if ref_witness is None else ref_witness.masks()), where
+                if not monotone:  # the full scan, with no seed
+                    assert asked == ref_asked, where
+                    seen["no seed"] += 1
+                    continue
+                # The seed is asked about once, first; every other leaf asked is one the reference asks.
+                assert asked[0] == tuple(seed) and asked.count(tuple(seed)) == 1, where
+                assert set(asked[1:]) <= set(ref_asked), where
+                if reference.min_alpha_masks(seed, crit)[0] <= alpha:
+                    seen["seed is the witness" if masks == tuple(seed) else "an accepted seed, another witness"] += 1
+                else:
+                    seen["seed refused"] += 1
+    assert all(seen.values()), seen
+
+
+def _count_cost_calls(monkeypatch) -> list[int]:
+    """Count ``int_eval`` calls of the cost classes that random instances draw."""
+    calls = [0]
+    for cls in (Additive, CappedAdditive, CappedCardinality, RowCoverage):
+        int_eval = cls.__dict__["int_eval"]
+
+        def counted(fn, mask, int_eval=int_eval):
+            calls[0] += 1
+            return int_eval(fn, mask)
+
+        monkeypatch.setattr(cls, "int_eval", counted)
+    return calls
+
+
+def test_the_greedy_seed_cuts_the_general_optimal_search_to_2517_cost_calls(monkeypatch):
+    # The general search read 3,350 costs on these instances when it started
+    # with no incumbent, from the leaf that puts every chore on agent 0.
+    instances = [random_instance(3, 8, "submodular", seed) for seed in range(20)]
+    calls = _count_cost_calls(monkeypatch)
+    for inst in instances:
+        optimal_allocation(inst)
+    assert calls[0] == 2517
+
+
 def test_witness_is_first_cheapest_fair_allocation_in_lexicographic_order():
     # Identical unit costs: every allocation costs 3, and the envy-free ones
     # give each agent one chore. The witness is the first of those six in
