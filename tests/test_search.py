@@ -36,6 +36,7 @@ from chorefair.criteria import context_for
 from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
 from chorefair.families import FamilyBundle, PriceCheck
 from chorefair.mms import mms_value
+from chorefair.model import set_of
 from chorefair.search import (
     _REFERENCE_EPSILON,
     ENUMERATION_GUARD,
@@ -537,13 +538,9 @@ def _greedy_seed(inst) -> list[int]:
     """Chores in index order, each on the agent whose cost rises least, ties to the lowest."""
     masks = [0] * inst.n
     for d in range(inst.m):
-        rises = [inst.cost(a, _chores(masks[a] | 1 << d)) - inst.cost(a, _chores(masks[a])) for a in range(inst.n)]
+        rises = [inst.cost(a, set_of(masks[a] | 1 << d)) - inst.cost(a, set_of(masks[a])) for a in range(inst.n)]
         masks[rises.index(min(rises))] |= 1 << d
     return masks
-
-
-def _chores(mask: int) -> list[int]:
-    return [d for d in range(mask.bit_length()) if mask >> d & 1]
 
 
 def _greedy_seed_cases():
@@ -554,7 +551,8 @@ def _greedy_seed_cases():
     yield Instance(n=3, m=4, costs=(CappedCardinality(1),) * 3)  # every optimum puts all chores on one agent
     # Zero-cost chores, and a row of weight 0.
     yield Instance(n=2, m=5, costs=(CappedAdditive((0, 2, 0, 1, 0), 2), CappedAdditive((1, 0, 0, 2, 1), 3)))
-    yield Instance(n=3, m=5, costs=(RowCoverage(((0, 1), (2, 3, 4)), (0, 1)), CappedCardinality(2), CappedCardinality(3)))
+    coverage = RowCoverage(((0, 1), (2, 3, 4)), (0, 1))
+    yield Instance(n=3, m=5, costs=(coverage, CappedCardinality(2), CappedCardinality(3)))
     for n in (2, 3):  # no chores: one leaf, which is the seed
         yield Instance(n=n, m=0, costs=(CappedCardinality(1),) * n)
 
@@ -585,7 +583,8 @@ def test_greedy_seed_matches_the_unpruned_reference():
 
                 opt, best, masks = cheapest_accepted(inst, accept)
                 where = (inst, crit, alpha)
-                assert (opt, best, masks) == (ref_opt, ref_best, None if ref_witness is None else ref_witness.masks()), where
+                ref_masks = None if ref_witness is None else ref_witness.masks()
+                assert (opt, best, masks) == (ref_opt, ref_best, ref_masks), where
                 if not monotone:  # the full scan, with no seed
                     assert asked == ref_asked, where
                     seen["no seed"] += 1
