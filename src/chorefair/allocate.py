@@ -70,8 +70,8 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     ``search.cheapest_accepted``, which prunes subtrees that cannot beat the
     cheapest allocation found so far; of several optima it returns the
     first in lexicographic order of the assignment vector. On monotone
-    costs the search starts from its greedy seed's cost, so it prunes from
-    the first leaf on.
+    costs the search starts from its seed's cost (``cheapest_accepted``),
+    so it prunes from the first leaf on.
     """
     if inst.is_additive():
         scale, unit = unit_costs(inst)

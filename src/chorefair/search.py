@@ -197,18 +197,19 @@ def cheapest_accepted(
     cheapest accepted allocation is the same. The optimum is then the sum
     of per-chore minima, not a leaf's cost, as the cut leaves may hold it.
 
-    An additive search first asks about the seed, each chore on its
-    ``cheapest_agents`` entry, unless a cap cuts it. The seed is the first
-    optimal leaf in lexicographic order, so the unpruned scan asks about it
-    too; if ``accept`` admits it, it is the answer, else the scan skips it.
-
-    Any other search with monotone costs first asks about a greedy seed:
-    chores in index order, each on the agent whose scaled ``int_eval``
-    rises least, ties to the lowest index (on additive costs this is the
-    ``cheapest_agents`` seed). It is asked once, before the scan, and
-    skipped at its leaf if refused. If ``accept`` admits it at cost G, the
-    scan starts from the incumbent bound G + 1 with no witness and takes
-    the seed at its leaf without asking again. Nothing returned changes.
+    A search with monotone costs first asks about its seed: chores in index
+    order, each on the agent whose scaled cost rises least, ties to the
+    lowest index. On an additive instance a rise is the chore's ``unit``
+    entry, elsewhere an ``int_eval`` difference read through the memo. The
+    seed is asked once, before the scan, unless a cap cuts it, and skipped
+    at its leaf if refused. Say ``accept`` admits it at cost G. If G is the
+    lower bound on every leaf (the additive optimum, else 0), the seed is
+    returned: no leaf is cheaper, and at its first chore off the seed a
+    leaf at G puts that chore on an agent whose rise is least too (its
+    cheapest, or by monotonicity one still at 0), so of higher index than
+    the seed's, and comes later in lexicographic order. Otherwise the scan
+    starts from the incumbent bound G + 1 with no witness and takes the
+    seed at its leaf without asking again. Nothing returned changes.
     The optimum: a pruned leaf costs at least the bound at its cut, G + 1
     or a reached leaf's cost, and the scan reaches the seed or, if that is
     cut, a leaf no dearer, so the cheapest reached leaf, at most G < G + 1,
@@ -226,45 +227,44 @@ def cheapest_accepted(
     prune = all(fn.monotone for fn in inst.costs)
     additive = inst.is_additive()
     factor = [scale // fn.denominator() for fn in inst.costs]
-    # limit[a]: agent a's largest cost in an accepted allocation; with no
-    # cap, the cost of every chore, which no bundle exceeds.
+    memo: list[dict[int, int]] = [{} for _ in range(n)]  # scaled ``int_eval`` by mask, off additive instances
+    # limit[a]: an additive agent's cap; with none, its cost of every chore, which no additive bundle exceeds.
     limit = [sum(row) for row in unit]
+    if additive and cap is not None:
+        for a in range(n):
+            if limit[a] and (c := cap(a)) is not None:
+                limit[a] = c * factor[a]
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)
+    if additive:
+        columns = list(zip(*unit))  # columns[d]: each agent's cost of chore d
+        for d in reversed(range(m)):
+            floor[d] = floor[d + 1] + min(columns[d])
     seed: list[int] | None = None
     seed_accepted = False  # read only at a leaf that is the seed
     best: int | None = None
-    if additive:
+    if prune:
         seed, held = [0] * n, [0] * n
-        for d, a in reversed(list(enumerate(cheapest_agents(unit)))):  # floor sums from the last chore
-            floor[d] = floor[d + 1] + unit[a][d]
-            seed[a] |= 1 << d
-            held[a] += unit[a][d]
-        if cap is not None:
-            for a in range(n):
-                if limit[a] and (c := cap(a)) is not None:
-                    limit[a] = c * factor[a]
-        if any(held[a] > limit[a] for a in range(n)):
-            seed = None  # a cap cuts it from the scan too
-        elif accept(seed):
-            return Fraction(floor[0], scale), Fraction(floor[0], scale), tuple(seed)
-    else:
-        memo: list[dict[int, int]] = [{} for _ in range(n)]
-        if prune:
-            seed, held = [0] * n, [0] * n
-            for d in range(m):
-                bit = 1 << d
+        for d in range(m):
+            bit = 1 << d
+            if additive:
+                rises = columns[d]
+            else:
                 rises = []
                 for a in range(n):
                     mask = seed[a] | bit  # new to memo[a]: its highest chore is d
                     new = memo[a][mask] = inst.costs[a].int_eval(mask) * factor[a]
                     rises.append(new - held[a])
-                a = rises.index(min(rises))
-                seed[a] |= bit
-                held[a] += rises[a]
-            if accept(seed):
-                seed_accepted = True
-                best = sum(held) + 1  # no witness yet: the scan reaches the seed or a leaf as cheap
+            a = rises.index(min(rises))
+            seed[a] |= bit
+            held[a] += rises[a]
+        if additive and any(held[a] > limit[a] for a in range(n)):
+            seed = None  # a cap cuts it from the scan too
+        elif accept(seed):
+            if sum(held) == floor[0]:
+                return Fraction(floor[0], scale), Fraction(floor[0], scale), tuple(seed)
+            seed_accepted = True
+            best = sum(held) + 1  # no witness yet: the scan reaches the seed or a leaf as cheap
     # An additive optimum takes each chore at its cheapest; no leaf is below it.
     opt: int | None = floor[0] if additive else None
     best_masks: tuple[int, ...] | None = None
@@ -328,10 +328,10 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     cheapest fair allocation found so far (``cheapest_accepted``), and cuts
     those in which an agent's cost passes its cap (``InstanceContext.share_cap``).
     Among the cheapest fair allocations the witness is the first in
-    lexicographic order of the assignment vector; on an additive instance
-    whose seed (``cheapest_accepted``) is fair, it is the one checked. On
-    other monotone instances the greedy seed is checked first, and a fair
-    one bounds the search from its first leaf.
+    lexicographic order of the assignment vector. On monotone instances the
+    seed (``cheapest_accepted``) is checked first: a fair one is the witness
+    when no allocation can cost less, and else bounds the search from its
+    first leaf.
     """
     alpha = parse_alpha(alpha)
     ctx = context_for(inst)

@@ -331,6 +331,23 @@ def test_each_cap_is_asked_once_before_the_first_leaf_and_never_for_a_zero_cost_
     assert set(events[first:]) == {"accept"}
 
 
+def test_a_seed_at_its_cap_is_asked_first_and_returned():
+    # The seed gives agent 0 chores 0 and 2, at cost 4, exactly its cap. The
+    # leaf (0, 0, 1) comes first in lexicographic order and fits both caps,
+    # so a search that cut the seed at its cap would ask about that leaf first.
+    inst = Instance(n=2, m=3, costs=(Additive((1, 2, 3)), Additive((2, 1, 3))))
+    seed = (0b101, 0b010)
+    assert inst.costs[0].int_eval(seed[0]) == 4
+    asked: list[tuple[int, ...]] = []
+
+    def accept(masks):
+        asked.append(tuple(masks))
+        return True
+
+    assert cheapest_accepted(inst, accept, lambda agent: (4, 6)[agent]) == (5, 5, seed)
+    assert asked == [seed]
+
+
 def _count_cap_calls(monkeypatch) -> list[int]:
     from chorefair.criteria import InstanceContext
 
@@ -597,6 +614,47 @@ def test_greedy_seed_matches_the_unpruned_reference():
                 else:
                     seen["seed refused"] += 1
     assert all(seen.values()), seen
+
+
+def test_a_supermodular_seed_is_not_cut_by_its_holders_singleton_costs():
+    # The table charges 0 for each chore alone and 1 for both. The seed gives
+    # it both, so its holder costs more than its singleton costs sum to; on
+    # a supermodular cost that sum is no cap, and the seed is asked first.
+    inst = Instance(n=2, m=2, costs=(Additive((5, 5)), TableCost(2, (0, 0, 0, 1))))
+    asked: list[tuple[int, ...]] = []
+
+    def accept(masks):
+        asked.append(tuple(masks))
+        return True
+
+    assert cheapest_accepted(inst, accept) == (1, 1, (0, 3))
+    assert asked == [(0, 3)]
+
+
+def test_an_accepted_zero_cost_seed_ends_a_non_additive_search(monkeypatch):
+    # The seed (chores 0 and 2 on agent 0, chore 1 on agent 1) costs 0, the
+    # least any leaf can cost, and it is the first zero-cost leaf in
+    # lexicographic order, so nothing after it is read.
+    inst = Instance(n=2, m=3, costs=(CappedAdditive((0, 2, 0), 2), RowCoverage(((0, 1, 2),), (0,))))
+    events: list[str] = []
+    for cls in (CappedAdditive, RowCoverage):
+        int_eval = cls.__dict__["int_eval"]
+
+        def counted(fn, mask, int_eval=int_eval):
+            events.append("cost")
+            return int_eval(fn, mask)
+
+        monkeypatch.setattr(cls, "int_eval", counted)
+
+    def accept(masks):
+        events.append("accept")
+        return True
+
+    opt, best, masks = cheapest_accepted(inst, accept)
+    assert (opt, best, masks) == (0, 0, (0b101, 0b010))
+    assert events.index("accept") == len(events) - 1  # asked once, and no cost is read after
+    expected = _reference_search(_leaves(inst), lambda alloc: True)
+    assert (opt, best, Allocation.from_masks(masks)) == expected
 
 
 def _count_cost_calls(monkeypatch) -> list[int]:
