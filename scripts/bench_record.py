@@ -18,6 +18,11 @@ when tracked files differ from it), its ``src_lines`` (the line count of
 ``src/**/*.py``) and ``src_module_lines`` (that count per module, keyed by
 its path under ``src``), ``nproc`` and the Python version. The output file
 is written from scratch.
+
+Once the file is written, stderr gets one line per workload and metric: each
+label's median, the first label's quartile spread (q3 - q1), and in how many
+pairs the second label's value was lower than the first's (every end-to-end
+metric is better lower).
 """
 
 from __future__ import annotations
@@ -78,6 +83,23 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
+def pair_summary(record: dict) -> list[str]:
+    """The stderr summary of a record: one line per workload and metric, labels in the record's order."""
+    labels = list(record)
+    lines = []
+    for workload in WORKLOADS:
+        first = record[labels[0]]["workloads"][workload]["metrics"]
+        for name, stats in first.items():
+            metrics = [record[label]["workloads"][workload]["metrics"][name] for label in labels]
+            medians = ", ".join(f"{label} {m['median']:.4g}" for label, m in zip(labels, metrics))
+            line = f"{workload} {name}: median {medians}; {labels[0]} q3-q1 {stats['q3'] - stats['q1']:.4g}"
+            if len(labels) > 1:
+                won = sum(b < a for a, b in zip(stats["runs"], metrics[1]["runs"]))
+                line += f"; {labels[1]} lower in {won} of {len(stats['runs'])} pairs"
+            lines.append(line)
+    return lines
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("checkouts", nargs="+", metavar="LABEL=CHECKOUT")
@@ -125,6 +147,8 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")
+    for line in pair_summary(record):
+        print(line, file=sys.stderr)
     return 0
 
 

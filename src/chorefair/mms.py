@@ -17,10 +17,12 @@ The min-max partition builds subset-sum reachability bitsets
 (``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
 (2^24 bits). They solve k=2 exactly with the branch-and-bound's own witness,
 and give its k >= 3 search a room bound that keeps its witness; larger lists
-take the plain branch-and-bound. Every route accepts k up to
-``MAX_BLOCKS`` (10^6), and the enumeration and the branch-and-bound each stop
-with ``SizeGuardError`` past ``MMS_NODE_BUDGET`` nodes, as does a
-branch-and-bound too deep for the interpreter's stack.
+take the plain branch-and-bound. A grouped k=2 share within that limit reads
+its value off one forward bitset and builds its witness only when the witness
+is first read (``MmsResult``), as most callers read the value alone. Every
+route accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
+branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
+nodes, as does a branch-and-bound too deep for the interpreter's stack.
 
 All routes work on integers over the cost's ``denominator()``. A cost
 variant reaches them through ``CostFunction.int_eval`` and ``int_table``
@@ -38,7 +40,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .errors import ArgumentError, SizeGuardError
 from .model import Additive, CostFunction, Instance, set_of
@@ -62,10 +64,36 @@ MMS_NODE_BUDGET = 250_000
 
 @dataclass(frozen=True)
 class MmsResult:
-    """Optimal min-max value together with one witnessing k-partition."""
+    """Optimal min-max value together with one witnessing k-partition.
+
+    A result made by ``_deferred`` holds only its value until the witness is
+    first read; that read builds it once, by the same code an eager result
+    runs, so the two are alike in every way. ``==``, ``hash`` and ``repr``
+    read the witness, and a pickle or copy is an eager result.
+    """
 
     value: Fraction
     witness: tuple[frozenset[int], ...]
+
+    @classmethod
+    def _deferred(cls, value: Fraction, build: Callable[[], tuple[frozenset[int], ...]]) -> MmsResult:
+        result = object.__new__(cls)
+        object.__setattr__(result, "value", value)
+        object.__setattr__(result, "_build", build)
+        return result
+
+    def __getattr__(self, name: str):
+        # Reached only for a missing attribute: the witness of a deferred result.
+        build = self.__dict__.get("_build") if name == "witness" else None
+        if build is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        witness = build()
+        object.__setattr__(self, "witness", witness)
+        del self.__dict__["_build"]
+        return witness
+
+    def __reduce__(self):
+        return MmsResult, (self.value, self.witness)
 
 
 def _query(inst: Instance, agent: int, k: int, chores: Iterable[int] | None) -> tuple[int, ...]:
@@ -234,13 +262,22 @@ def _suffix_reach(items: Sequence[int]) -> list[int]:
     return reach
 
 
+def _two_way_optimum(reach: int, total: int) -> int:
+    """The k=2 min-max value of items summing to ``total`` whose subset sums are the set bits of ``reach``.
+
+    The lighter block of a best split is the largest reachable sum at most
+    total // 2, and the heavier block holds the rest.
+    """
+    return total - ((reach & ((2 << total // 2) - 1)).bit_length() - 1)
+
+
 def _two_way_reach(
     items: Sequence[int], total: int, lpt_val: int, lpt_assign: list[int]
 ) -> tuple[int, tuple[int, ...]]:
     """The branch-and-bound's answer for k=2, read off subset-sum bitsets.
 
     Bit s of ``reach[i]`` is set when some subset of ``items[i:]`` sums to s,
-    so the optimum is total minus the largest reachable sum <= total // 2.
+    so ``_two_way_optimum`` reads the optimum off ``reach[0]``.
     The branch-and-bound replaces its incumbent, LPT, only on a strictly
     smaller max, so it returns LPT when LPT is optimal and otherwise its
     first optimal leaf in depth-first order. One walk finds that leaf: at
@@ -253,7 +290,7 @@ def _two_way_reach(
     """
     t = len(items)
     reach = _suffix_reach(items)
-    best = total - ((reach[0] & ((2 << total // 2) - 1)).bit_length() - 1)
+    best = _two_way_optimum(reach[0], total)
     if lpt_val == best:
         return best, tuple(lpt_assign)
     loads = [0, 0]
@@ -381,6 +418,28 @@ def _grouped_min_max(
     return Fraction(best if cap is None else min(best, cap), den), blocks
 
 
+def _grouped_two_way_value(
+    groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int
+) -> Fraction | None:
+    """``_grouped_min_max``'s k=2 value alone, or None when its t * total passes ``TWO_WAY_REACH_BITS``.
+
+    The weights are divided by their gcd with ``den`` as there, and one
+    forward subset-sum bitset over them gives the optimum: the split's value
+    does not depend on the order of the items, so no sort, LPT or witness
+    walk is needed.
+    """
+    g = math.gcd(den, *(w for _, w in groups))
+    items = [w // g for _, w in groups]
+    total = sum(items)
+    if len(items) * total > TWO_WAY_REACH_BITS:
+        return None
+    reach = 1
+    for w in items:
+        reach |= reach << w
+    best = _two_way_optimum(reach, total) * g
+    return Fraction(best if cap is None else min(best, cap), den)
+
+
 # ---------------------------------------------------------------------------
 # Two-way split scan
 # ---------------------------------------------------------------------------
@@ -419,7 +478,9 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     Capped sums over groups (additive, capped-additive, capped-cardinality and
     coverage costs) use the min-max partition of group weights within
     ``MMS_NODE_BUDGET``, additive ones only up to ``ADDITIVE_MAX_CHORES``
-    chores and ``ADDITIVE_MAX_BLOCKS`` blocks. Costs without that form, such
+    chores and ``ADDITIVE_MAX_BLOCKS`` blocks; for k=2 within
+    ``TWO_WAY_REACH_BITS`` the value comes first and that partition is
+    built as the witness on its first read. Costs without that form, such
     as tables, fall back to the two-way split scan for k=2 up to
     ``PAIRWISE_MAX_CHORES`` chores and to guarded enumeration otherwise.
     """
@@ -434,7 +495,12 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
         )
     grouped = fn.sum_groups(elems)
     if grouped is not None:
-        value, blocks = _grouped_min_max(*grouped, fn.denominator(), k)
+        den = fn.denominator()
+        if k == 2:
+            value = _grouped_two_way_value(*grouped, den)
+            if value is not None:
+                return MmsResult._deferred(value, lambda: _pad(_grouped_min_max(*grouped, den, 2)[1], 2))
+        value, blocks = _grouped_min_max(*grouped, den, k)
         return MmsResult(value=value, witness=_pad(blocks, k))
     if k == 2 and len(elems) <= PAIRWISE_MAX_CHORES:
         value, blocks = _two_partition_scan(fn, elems)

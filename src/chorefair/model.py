@@ -73,6 +73,9 @@ MONOTONE_CHECK_MAX = 20
 SUBMODULAR_CHECK_MAX = 16
 #: Chore count guard: only a capped-cardinality cost leaves m unbounded by its data.
 MAX_CHORES = 100_000
+# Masks and chore sets up to this size convert bit by bit; each step copies the
+# mask, so longer ones go through one bytearray or one binary string instead.
+SHORT_MASK_BITS = 256
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -138,13 +141,40 @@ def _as_chore_set(chores: Iterable[int]) -> frozenset[int]:
 
 
 def mask_of(chores: Iterable[int]) -> int:
-    mask = 0
+    """The mask with bit e set for each chore e, in time linear in the largest chore."""
+    try:
+        count = len(chores)
+    except TypeError:
+        chores = tuple(chores)
+        count = len(chores)
+    if count <= SHORT_MASK_BITS:
+        mask = 0
+        for e in chores:
+            mask |= 1 << e
+        return mask
+    if min(chores) < 0:
+        raise ValueError("negative shift count")
+    bits = bytearray((max(chores) >> 3) + 1)
     for e in chores:
-        mask |= 1 << e
-    return mask
+        bits[e >> 3] |= 1 << (e & 7)
+    return int.from_bytes(bits, "little")
+
+
+def _set_bits(mask: int) -> list[int]:
+    """The set bits of a nonnegative mask in ascending order, read off one binary string."""
+    digits = bin(mask)[:1:-1]
+    out = []
+    i = digits.find("1")
+    while i >= 0:
+        out.append(i)
+        i = digits.find("1", i + 1)
+    return out
 
 
 def set_of(mask: int) -> frozenset[int]:
+    """The chores of a mask, in time linear in its bit length."""
+    if mask.bit_length() > SHORT_MASK_BITS:
+        return frozenset(_set_bits(mask))
     out = []
     while mask:
         low = mask & -mask
@@ -269,6 +299,8 @@ class _Scaled(CostFunction):
 
 
 def _bit_sum(nums: Sequence[int], mask: int) -> int:
+    if mask.bit_length() > SHORT_MASK_BITS:
+        return sum([nums[e] for e in _set_bits(mask)])
     total = 0
     while mask:
         low = mask & -mask

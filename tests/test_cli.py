@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib.util
 import json
 import os
 import random
@@ -520,6 +521,32 @@ def test_bench_record_refuses_a_repeated_label():
     assert proc.returncode == 2 and proc.stdout == ""
     error = "'a=/nonexistent': label 'a' is repeated; each checkout needs its own label"
     assert proc.stderr.splitlines()[-1] == f"bench_record.py: error: {error}"
+
+
+def test_bench_record_summarizes_pairs_on_synthetic_runs():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+
+    def label(walls, rss):
+        runs = [
+            {"metrics": {"wall_s": {"value": w, "unit": "s"}, "peak_rss_mb": {"value": r, "unit": "MB"}},
+             "correct": True, "failed": 0, "attempted": 3}
+            for w, r in zip(walls, rss)
+        ]
+        return {"workloads": {w: bench_record.summarize(runs) for w in bench_record.WORKLOADS}}
+
+    # Pairs are run i of each label: the change is lower in pairs 1, 2 and 4
+    # (a tie, pair 5, is no win), and its peak RSS in none.
+    record = {"parent": label([1.0, 2.0, 3.0, 4.0, 5.0], [20] * 5), "change": label([0.5, 1.5, 3.5, 1.0, 5.0], [21] * 5)}
+    lines = bench_record.pair_summary(record)
+    assert len(lines) == 2 * len(bench_record.WORKLOADS)
+    assert lines[:2] == [
+        "prices wall_s: median parent 3, change 1.5; parent q3-q1 3; change lower in 3 of 5 pairs",
+        "prices peak_rss_mb: median parent 20, change 21; parent q3-q1 0; change lower in 0 of 5 pairs",
+    ]
+    assert bench_record.pair_summary({"only": record["parent"]})[0] == "prices wall_s: median only 3; only q3-q1 3"
 
 
 @pytest.mark.parametrize("command", ["eval", "mms"])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import pickle
 import random
 import re
 import time
@@ -19,12 +20,15 @@ from chorefair import (
     MmsResult,
     RowCoverage,
     TableCost,
+    best_fair_allocation,
     fairness_report,
     mms_share,
     mms_value,
     pairwise_mms,
+    pmms32_two_agent,
     random_instance,
 )
+from chorefair.criteria import InstanceContext
 from chorefair.errors import ArgumentError, BoundsError, SizeGuardError, ValidationError
 from chorefair import mms, model
 from chorefair.mms import _enumerate_partitions, _lpt, _min_max_partition, _waterfill
@@ -588,3 +592,119 @@ def test_a_range_of_chores_answers_as_the_same_chores_in_a_list(ref_instance, ch
     _answer(lambda: mms_value(ref_instance, 0, 2, chores))
     fast = chores.step == 1 and chores.start >= 0 and chores.stop <= ref_instance.m
     assert checked == ([] if fast else [chores])
+
+
+def _eager_two_way(fn, elems):
+    """The grouped route's k=2 answer as built before any value-first route: ``_pad(_grouped_min_max(...))``."""
+    value, blocks = mms._grouped_min_max(*fn.sum_groups(elems), fn.denominator(), 2)
+    return MmsResult(value, mms._pad(blocks, 2))
+
+
+def _deferred(result: MmsResult) -> bool:
+    return "witness" not in vars(result)
+
+
+def _two_way_cases():
+    """(cost, chores) pairs on every grouped variant: random, zeros, one group, caps around the optimum, a gcd."""
+    rng = random.Random("value-first")
+    for kind in ("additive", "capped_additive", "capped_cardinality", "row_coverage"):
+        for _ in range(150):
+            m = rng.randint(1, 12)
+            yield _random_cost(kind, m, rng)[0], tuple(e for e in range(m) if rng.random() < 0.8) or (0,)
+    yield Additive((0, 3, 0, 5, 0)), range(5)
+    yield Additive((0, 0, 0)), range(3)
+    yield model.CappedAdditive((0, 0, 0), 1), range(3)
+    yield RowCoverage(((0, 1, 2),), (Fraction(7, 3),)), range(3)
+    yield RowCoverage(((0, 2), (1, 3)), (0, 0)), range(4)
+    yield Additive((Fraction(9, 2),)), (0,)
+    values = (5, 4, 3, 3, 2, 1)  # uncapped optimum 9
+    for cap in (Fraction(17, 2), 9, 10):
+        yield model.CappedAdditive(values, cap), range(6)
+    for cap in (2, 3, 4):  # uncapped optimum 3
+        yield CappedCardinality(cap), range(5)
+    yield Additive((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3))), (1, 2, 3)
+
+
+def test_value_first_two_way_shares_match_the_eager_route():
+    cases = list(_two_way_cases())
+    deferred = 0
+    caps = {-1: 0, 0: 0, 1: 0}  # caps below, at and above the uncapped optimum
+    for fn, elems in cases:
+        inst = Instance(n=1, m=fn.ground_size() or max(elems) + 1, costs=(fn,))
+        result = mms_value(inst, 0, 2, elems)
+        deferred += _deferred(result)
+        eager = _eager_two_way(fn, tuple(elems))
+        groups, cap = fn.sum_groups(tuple(elems))
+        if cap is not None:
+            uncapped = mms._grouped_min_max(groups, None, fn.denominator(), 2)[0] * fn.denominator()
+            caps[(cap > uncapped) - (cap < uncapped)] += 1
+        assert result.value == eager.value, (fn, elems)
+        assert result.witness == eager.witness and result == eager, (fn, elems)
+        assert not _deferred(result)
+    assert deferred == len(cases)  # every case is within the bit budget
+    assert min(caps.values()) >= 2, caps
+    # The gcd case: weights 2, 2, 4 over 6 divide by 2 before the bitset is built.
+    fn = Additive((Fraction(1, 2), Fraction(1, 3), Fraction(1, 3), Fraction(2, 3)))
+    assert math.gcd(fn.denominator(), *(w for _, w in fn.sum_groups((1, 2, 3))[0])) == 2
+    assert mms_value(Instance(n=1, m=4, costs=(fn,)), 0, 2, (1, 2, 3)).value == Fraction(2, 3)
+
+
+def test_value_first_route_stops_at_the_bit_budget(monkeypatch):
+    # 16 weights summing to 2^20 sit exactly at TWO_WAY_REACH_BITS; one more
+    # unit passes it and the eager route answers with its witness at once.
+    for total, expect_deferred in ((1 << 20, True), ((1 << 20) + 1, False)):
+        items = [total // 16] * 15 + [total - 15 * (total // 16)]
+        inst = Instance(n=1, m=16, costs=(Additive(tuple(items)),))
+        assert 16 * total - mms.TWO_WAY_REACH_BITS == (0 if expect_deferred else 16)
+        result = mms_value(inst, 0, 2)
+        assert _deferred(result) == expect_deferred
+        assert result == _eager_two_way(inst.costs[0], tuple(range(16)))
+    # Past the budget the branch-and-bound's refusal stands: under a lowered
+    # node budget it refuses this list one bit past the bit budget, and
+    # exactly at it both the value and the witness come from the bitsets.
+    rng = random.Random(2)
+    values = tuple(rng.randint(1000, 10_000) for _ in range(24))
+    inst = Instance(n=1, m=24, costs=(Additive(values),))
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 2_000)
+    monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 24 * sum(values) - 1)
+    with pytest.raises(SizeGuardError, match="budget of 2000 nodes"):
+        mms_value(inst, 0, 2)
+    monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 24 * sum(values))
+    result = mms_value(inst, 0, 2)
+    assert _deferred(result) and result.value == -(-sum(values) // 2)  # a perfect split
+    assert result == _eager_two_way(inst.costs[0], tuple(range(24)))
+    assert max(sum(values[e] for e in block) for block in result.witness) == result.value
+
+
+def test_share_readers_build_no_witness(monkeypatch):
+    def no_witness(*args):
+        raise AssertionError("a witness was built for a value reader")
+
+    instances = [random_instance(2, 7, "additive", seed=seed) for seed in range(6)]
+    expected = [_eager_two_way(inst.costs[0], tuple(range(inst.m))).value for inst in instances]
+    monkeypatch.setattr(mms, "_grouped_min_max", no_witness)
+    for inst, share in zip(instances, expected):
+        ctx = InstanceContext(inst)
+        assert ctx.share(0, 2, (1 << inst.m) - 1)[1] == share
+        assert ctx.share(1, 2, 0b1011)[0] >= 0
+        assert pmms32_two_agent(inst).allocation is not None
+        for crit in (Criterion.MMS, Criterion.PMMS):
+            assert best_fair_allocation(inst, crit, Fraction(1)).witness is not None
+    with pytest.raises(AssertionError, match="value reader"):
+        mms_value(random_instance(2, 5, "additive", seed=0), 0, 2).witness
+
+    # Eager results keep their dataclass behaviour, and a deferred one pickles
+    # to an equal eager one.
+    monkeypatch.undo()
+    value, witness = Fraction(3, 2), (frozenset({0}), frozenset({1, 2}))
+    positional, keyword = MmsResult(value, witness), MmsResult(value=value, witness=witness)
+    assert positional == keyword and hash(positional) == hash(keyword) == hash((value, witness))
+    assert repr(keyword) == "MmsResult(value=Fraction(3, 2), witness=(frozenset({0}), frozenset({1, 2})))"
+    inst = Instance(n=1, m=3, costs=(Additive((1, Fraction(1, 2), Fraction(3, 2))),))
+    lazy = mms_value(inst, 0, 2)
+    assert _deferred(lazy)
+    copy = pickle.loads(pickle.dumps(lazy))
+    assert set(vars(lazy)) == set(vars(copy)) == {"value", "witness"}  # the builder is let go once read
+    assert copy == lazy == MmsResult(value, (frozenset({2}), frozenset({0, 1})))
+    with pytest.raises(AttributeError, match="no attribute 'blocks'"):
+        lazy.blocks
