@@ -20,9 +20,9 @@ its path under ``src``), ``nproc`` and the Python version. The output file
 is written from scratch.
 
 Once the file is written, stderr gets one line per workload and metric: each
-label's median, the first label's quartile spread (q3 - q1), and in how many
-pairs the second label's value was lower than the first's (every end-to-end
-metric is better lower).
+label's median, the quartile spread (q3 - q1) of the first label on the
+command line, and in how many pairs the second label's value was lower than
+the first's (every end-to-end metric is better lower).
 """
 
 from __future__ import annotations
@@ -83,9 +83,12 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
-def pair_summary(record: dict) -> list[str]:
-    """The stderr summary of a record: one line per workload and metric, labels in the record's order."""
-    labels = list(record)
+def pair_summary(record: dict, labels: list[str]) -> list[str]:
+    """The stderr summary of a record: one line per workload and metric.
+
+    ``labels`` gives the order, the first being the baseline: a record read
+    back from its file has its labels sorted, not in the command's order.
+    """
     lines = []
     for workload in WORKLOADS:
         first = record[labels[0]]["workloads"][workload]["metrics"]
@@ -147,7 +150,7 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    for line in pair_summary(record):
+    for line in pair_summary(record, list(checkouts)):
         print(line, file=sys.stderr)
     return 0
 

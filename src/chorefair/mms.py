@@ -89,7 +89,8 @@ class MmsResult:
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
         witness = build()
         object.__setattr__(self, "witness", witness)
-        del self.__dict__["_build"]
+        # Two threads may both build; the witnesses are equal and either pop is harmless.
+        self.__dict__.pop("_build", None)
         return witness
 
     def __reduce__(self):
@@ -262,6 +263,11 @@ def _suffix_reach(items: Sequence[int]) -> list[int]:
     return reach
 
 
+def _reach_fits(t: int, total: int) -> bool:
+    """Whether the subset-sum bitsets of t items summing to ``total`` stay within ``TWO_WAY_REACH_BITS``."""
+    return t * total <= TWO_WAY_REACH_BITS
+
+
 def _two_way_optimum(reach: int, total: int) -> int:
     """The k=2 min-max value of items summing to ``total`` whose subset sums are the set bits of ``reach``.
 
@@ -330,9 +336,10 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     global_lb = max(items[0], -(-total // k))
     if best_val == global_lb:
         return best_val, tuple(best_assign)
-    if k == 2 and t * total <= TWO_WAY_REACH_BITS:
+    fits = _reach_fits(t, total)
+    if k == 2 and fits:
         return _two_way_reach(items, total, best_val, best_assign)
-    reach = _suffix_reach(items) if t * total <= TWO_WAY_REACH_BITS else None
+    reach = _suffix_reach(items) if fits else None
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()
@@ -390,6 +397,12 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     return best_val, tuple(best_assign)
 
 
+def _scaled_weights(groups: Sequence[tuple[tuple[int, ...], int]], den: int) -> tuple[list[int], int]:
+    """The group weights divided by g, their gcd with ``den``, in group order; and g."""
+    g = math.gcd(den, *(w for _, w in groups))
+    return [w // g for _, w in groups], g
+
+
 def _grouped_min_max(
     groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int, k: int
 ) -> tuple[Fraction, list[frozenset[int]]]:
@@ -406,9 +419,9 @@ def _grouped_min_max(
     Groups are ordered by descending weight, then by first chore; as they
     are disjoint, no two tie on both, so the chore tuples are never compared.
     """
-    g = math.gcd(den, *(w for _, w in groups))
-    order = sorted([(-w, members[0], members) for members, w in groups])
-    items = [-neg // g for neg, _, _ in order]
+    weights, g = _scaled_weights(groups, den)
+    order = sorted([(-w, members[0], members) for (members, _), w in zip(groups, weights)])
+    items = [-neg for neg, _, _ in order]
     parts: list[list[int]] = [[] for _ in range(min(k, len(items)))]
     best, assign = _min_max_partition(items, len(parts))
     for (_, _, members), b in zip(order, assign):
@@ -421,17 +434,16 @@ def _grouped_min_max(
 def _grouped_two_way_value(
     groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int
 ) -> Fraction | None:
-    """``_grouped_min_max``'s k=2 value alone, or None when its t * total passes ``TWO_WAY_REACH_BITS``.
+    """``_grouped_min_max``'s k=2 value alone, or None when its weights do not ``_reach_fits``.
 
-    The weights are divided by their gcd with ``den`` as there, and one
-    forward subset-sum bitset over them gives the optimum: the split's value
-    does not depend on the order of the items, so no sort, LPT or witness
-    walk is needed.
+    The weights are scaled as there (``_scaled_weights``), and one forward
+    subset-sum bitset over them gives the optimum: the split's value does
+    not depend on the order of the items, so no sort, LPT or witness walk
+    is needed.
     """
-    g = math.gcd(den, *(w for _, w in groups))
-    items = [w // g for _, w in groups]
+    items, g = _scaled_weights(groups, den)
     total = sum(items)
-    if len(items) * total > TWO_WAY_REACH_BITS:
+    if not _reach_fits(len(items), total):
         return None
     reach = 1
     for w in items:

@@ -708,3 +708,22 @@ def test_share_readers_build_no_witness(monkeypatch):
     assert copy == lazy == MmsResult(value, (frozenset({2}), frozenset({0, 1})))
     with pytest.raises(AttributeError, match="no attribute 'blocks'"):
         lazy.blocks
+
+
+def test_a_witness_built_by_two_readers_at_once_is_kept_once():
+    # Two threads can both find the builder before either stores the witness.
+    # Here the builder reads the witness itself, so a second read runs inside
+    # the first and both build.
+    inst = Instance(n=1, m=3, costs=(Additive((1, Fraction(1, 2), Fraction(3, 2))),))
+    lazy = mms_value(inst, 0, 2)
+    build, builds = vars(lazy)["_build"], []
+
+    def nested():
+        builds.append(1)
+        if len(builds) == 1:
+            assert lazy.witness == build()
+        return build()
+
+    object.__setattr__(lazy, "_build", nested)
+    assert lazy.witness == (frozenset({2}), frozenset({0, 1})) and len(builds) == 2
+    assert set(vars(lazy)) == {"value", "witness"}
