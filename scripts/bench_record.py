@@ -16,13 +16,20 @@ median and quartiles, the summed ``failed`` and ``attempted`` op counts, and
 whether every run was correct; with the checkout's git revision (``-dirty``
 when tracked files differ from it), its ``src_lines`` (the line count of
 ``src/**/*.py``) and ``src_module_lines`` (that count per module, keyed by
-its path under ``src``), ``nproc`` and the Python version. The output file
-is written from scratch.
+its path under ``src``), ``src_pyc_files`` (the number of ``.pyc`` files
+under ``src``, read after the runs), ``nproc`` and the Python version. A
+checkout with no compiled bytecode compiles ``src/`` in every pass, which
+shows in ``setup_s`` and ``peak_rss_mb``: with ``PYTHONDONTWRITEBYTECODE``
+set and ``__pycache__/`` ignored by git, a fresh checkout stays at 0. The
+output file is written from scratch.
 
 Once the file is written, stderr gets one line per workload and metric: each
 label's median, the quartile spread (q3 - q1) of the first label on the
 command line, and in how many pairs the second label's value was lower than
-the first's (every end-to-end metric is better lower).
+the first's (every end-to-end metric is better lower), and whether that
+meets the claim rule: the second label lower in at least nine tenths of the
+pairs, ties counting for neither, and its median below the first's by more
+than the first's q3 - q1.
 """
 
 from __future__ import annotations
@@ -83,6 +90,10 @@ def summarize(results: list[dict]) -> dict:
     }
 
 
+def src_pyc_files(checkout: str) -> int:
+    return sum(1 for _ in pathlib.Path(checkout, "src").rglob("*.pyc"))
+
+
 def pair_summary(record: dict, labels: list[str]) -> list[str]:
     """The stderr summary of a record: one line per workload and metric.
 
@@ -97,8 +108,10 @@ def pair_summary(record: dict, labels: list[str]) -> list[str]:
             medians = ", ".join(f"{label} {m['median']:.4g}" for label, m in zip(labels, metrics))
             line = f"{workload} {name}: median {medians}; {labels[0]} q3-q1 {stats['q3'] - stats['q1']:.4g}"
             if len(labels) > 1:
+                pairs = len(stats["runs"])
                 won = sum(b < a for a, b in zip(stats["runs"], metrics[1]["runs"]))
-                line += f"; {labels[1]} lower in {won} of {len(stats['runs'])} pairs"
+                met = 10 * won >= 9 * pairs and stats["median"] - metrics[1]["median"] > stats["q3"] - stats["q1"]
+                line += f"; {labels[1]} lower in {won} of {pairs} pairs; claim {'met' if met else 'not met'}"
             lines.append(line)
     return lines
 
@@ -142,6 +155,7 @@ def main() -> int:
             "rev": git_rev(path),
             "src_lines": sum(modules.values()),
             "src_module_lines": modules,
+            "src_pyc_files": src_pyc_files(path),
             "seed": args.seed,
             "nproc": os.cpu_count(),
             "python": platform.python_version(),

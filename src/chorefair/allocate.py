@@ -19,12 +19,12 @@ import itertools
 import math
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .criteria import Criterion, InstanceContext, context_for
 from .errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
 from .mms import mms_value
-from .model import Allocation, Instance, normalize, rational_str
+from .model import Allocation, Instance, mask_of, normalize, rational_str
 from .search import cheapest_accepted, cheapest_agents, unit_costs
 
 __all__ = [
@@ -61,6 +61,14 @@ def _outcome(scale: int, unit: list[list[int]], alloc: Allocation, trace: list[d
     return AllocatorOutcome(allocation=alloc, social_cost=Fraction(total, scale), trace=tuple(trace))
 
 
+def _assigned(assignment: Sequence[int], n: int) -> Allocation:
+    """The allocation giving chore d to agent ``assignment[d]``, built from its masks."""
+    chores: list[list[int]] = [[] for _ in range(n)]
+    for d, agent in enumerate(assignment):
+        chores[agent].append(d)
+    return Allocation._of_masks([mask_of(c) for c in chores])
+
+
 def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     """Minimum social cost allocation.
 
@@ -80,11 +88,11 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
             {"op": "assign", "chore": d, "agent": a, "cost": rational_str(Fraction(unit[a][d], scale))}
             for d, a in enumerate(assignment)
         ]
-        return _outcome(scale, unit, Allocation.from_assignment(assignment, inst.n), trace)
+        return _outcome(scale, unit, _assigned(assignment, inst.n), trace)
 
     opt, _, masks = cheapest_accepted(inst, lambda masks: True)
     assert masks is not None
-    alloc = Allocation.from_masks(masks)
+    alloc = Allocation._of_masks(masks)
     trace = (
         {"op": "enumerate", "candidates": inst.n**inst.m},
         {"op": "select", "assignment": list(alloc.assignment(inst.m))},
@@ -119,13 +127,13 @@ def round_robin(inst: Instance, order: Sequence[int] | None = None) -> Allocator
     if any(not isinstance(a, int) or isinstance(a, bool) for a in order) or sorted(order) != list(range(inst.n)):
         raise ArgumentError(f"order must be a permutation of 0..{inst.n - 1}, got {order}")
     scale, unit = unit_costs(inst)
-    bundles: list[set[int]] = [set() for _ in range(inst.n)]
+    masks = [0] * inst.n
     trace: list[dict] = [{"op": "order", "order": list(order)}]
     for agent, chore in _picks(order, _ranked(unit)):
-        bundles[agent].add(chore)
+        masks[agent] |= 1 << chore
         cost = rational_str(Fraction(unit[agent][chore], scale))
         trace.append({"op": "pick", "agent": agent, "chore": chore, "cost": cost})
-    return _outcome(scale, unit, Allocation(tuple(frozenset(b) for b in bundles)), trace)
+    return _outcome(scale, unit, Allocation._of_masks(masks), trace)
 
 
 def best_round_robin_order(inst: Instance) -> AllocatorOutcome:
@@ -191,11 +199,10 @@ def _ratio_key(a: int, b: int, scale: int) -> int:
     return a * scale * scale // b
 
 
-def _split(m: int, agent: int, bundle: Iterable[int]) -> Allocation:
-    """``bundle`` to ``agent``, every other chore to the other agent."""
-    own = frozenset(bundle)
-    rest = frozenset(range(m)) - own
-    return Allocation((own, rest) if agent == 0 else (rest, own))
+def _split(m: int, agent: int, own: int) -> Allocation:
+    """The chores of mask ``own`` to ``agent``, every other chore to the other agent."""
+    rest = ((1 << m) - 1) ^ own
+    return Allocation._of_masks((own, rest) if agent == 0 else (rest, own))
 
 
 def _checked(ctx: InstanceContext, out: AllocatorOutcome, guarantee: tuple, scale: int, opt: int) -> AllocatorOutcome:
@@ -252,7 +259,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
         rr = round_robin(inst, (lo, hi))
         alloc, trace = rr.allocation, trace + list(rr.trace)
     else:
-        alloc = _split(inst.m, lo, ordered[:s])
+        alloc = _split(inst.m, lo, mask_of(ordered[:s]))
         if ctx.min_alpha_masks(alloc.masks(), Criterion.EF1)[0] == 1:
             trace.append({"op": "branch", "case": "optimal_split_is_ef1"})
         else:
@@ -269,7 +276,7 @@ def alg1_two_agent_ef1(inst: Instance, normalize_input: bool = False) -> Allocat
                 raise InternalError("shift index is undefined although the optimal split is not EF1")
             trace.append({"op": "index", "name": "f", "value": f})
             trace.append({"op": "branch", "case": "shifted_split"})
-            alloc = _split(inst.m, lo, ordered[: f + 1])
+            alloc = _split(inst.m, lo, mask_of(ordered[: f + 1]))
     return _checked(ctx, _outcome(scale, c, alloc, trace), _EF1_GUARANTEE, scale, opt)
 
 
@@ -287,7 +294,7 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     """
     inst, ctx, scale, c, opt = _two_agent_input(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
     assignment = [1 if c[1][e] < c[0][e] else 0 for e in range(inst.m)]
-    start = Allocation.from_assignment(assignment, 2)
+    start = _assigned(assignment, 2)
     bundles = start.bundles
     totals = [sum(c[i][e] for e in bundles[i]) for i in range(2)]
     shares = [mms_value(inst, i, 2).value for i in range(2)]
@@ -332,16 +339,16 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
 
     if 2 * prefix_cost <= own_total:
         trace.append({"op": "case", "label": "move_prefix"})
-        new_v = bundles[v] - frozenset(ordered[:s])
+        new_v = start.masks()[v] ^ mask_of(ordered[:s])
     elif 8 * (co[e_s] - cv[e_s]) <= scale:
         # In an optimal allocation the violator is weakly cheaper on each of
         # its own chores, so this difference is nonnegative.
         if co[e_s] < cv[e_s]:
             raise InternalError("optimal bundle holds a chore the other agent values less")
         trace.append({"op": "case", "label": "move_boundary_chore"})
-        new_v = bundles[v] - {e_s}
+        new_v = start.masks()[v] ^ (1 << e_s)
     else:
         trace.append({"op": "case", "label": "isolate_boundary_chore"})
-        new_v = {e_s}
+        new_v = 1 << e_s
     outcome = _outcome(scale, c, _split(inst.m, v, new_v), trace)
     return _checked(ctx, outcome, _PMMS32_GUARANTEE, scale, opt)

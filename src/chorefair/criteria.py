@@ -90,6 +90,12 @@ class InstanceContext:
     over every chore) and PMMS (k = 2 over a pairwise union), so with two
     agents both read one entry. It keeps each share's ``Fraction`` beside
     its integer, so a report reuses one ``Fraction`` per share.
+
+    It keeps each additive agent's row, d_i * c_i({e}) per chore e, as its
+    cost stores it (``int_singles``), and reads single-chore costs from it,
+    not from m one-bit memo entries. A non-additive agent has no row: one
+    would take m evaluations, where a removal scan reads only the chores of
+    one bundle, so its single-chore costs go through the memo.
     """
 
     def __init__(self, inst: Instance) -> None:
@@ -97,7 +103,7 @@ class InstanceContext:
         self._every = (1 << inst.m) - 1
         self._eval = [mask_evaluator(fn) for fn in inst.costs]
         self._den = [fn.denominator() for fn in inst.costs]
-        self._additive = [isinstance(fn, Additive) for fn in inst.costs]
+        self._row = [fn.int_singles(inst.m) if isinstance(fn, Additive) else None for fn in inst.costs]
         self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
         self._shares: list[dict[tuple[int, int], tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]
@@ -131,7 +137,8 @@ class InstanceContext:
         that error if, and only if, a leaf needs the share.
 
         Closed-form caps, additive instances only, with alpha = p/q, C = d_i *
-        c_i(all chores) and t = d_i * (largest single-chore cost). Alpha-EF1
+        c_i(all chores) and t = d_i * (largest single-chore cost), the
+        maximum of the agent's row. Alpha-EF1
         asks x - t <= alpha * d_i * c_i(S_j) for each j != i; the other
         bundles cost C - x together, so x * (q(n-1) + p) <= p*C + q(n-1)*t.
         EFX and strong EFX imply EF1 (a positive-cost additive bundle holds a
@@ -143,7 +150,7 @@ class InstanceContext:
         """
         if alpha == INFINITY:
             return None
-        n, m, p, q = self.inst.n, self.inst.m, alpha.numerator, alpha.denominator
+        n, p, q = self.inst.n, alpha.numerator, alpha.denominator
         if crit is Criterion.MMS or (crit is Criterion.PMMS and n == 2):
 
             def cap(agent: int) -> int | None:
@@ -157,11 +164,11 @@ class InstanceContext:
             top_k, div = p * (n - 1), 2 * q * (n - 1) - p * (n - 2)
         else:
             top_k, div = (0 if crit is Criterion.EF else q * (n - 1)), q * (n - 1) + p
-        if div <= 0 or not all(self._additive):
+        if div <= 0 or None in self._row:
             return None
 
         def closed_cap(agent: int) -> int:
-            top = max((self.bundle_cost(agent, 1 << e) for e in range(m)), default=0) if top_k else 0
+            top = max(self._row[agent], default=0) if top_k else 0
             return (p * self.bundle_cost(agent, self._every) + top_k * top) // div
 
         return closed_cap
@@ -172,21 +179,27 @@ class InstanceContext:
         Returns (best, its chore, worst over positive-cost chores, its chore,
         worst, its chore). Chores are scanned in ascending order and replace
         a value only when strictly better, so on ties the first chore stays.
-        An additive agent's cost less chore e is read as own - c({e}), so
-        no bundle less a chore is evaluated.
+        An additive agent reads c({e}) from its row and its cost less chore
+        e as own - c({e}), so no bundle less a chore and no single chore is
+        evaluated; a non-additive agent evaluates both through the memo.
         """
         memo = self._removal[agent]
         hit = memo.get(mask)
         if hit is None:
             best = best_chore = worst_pos = worst_pos_chore = worst = worst_chore = None
-            own = self.bundle_cost(agent, mask) if self._additive[agent] else None
+            row = self._row[agent]
+            own = None if row is None else self.bundle_cost(agent, mask)
             rest = mask
             while rest:
                 low = rest & -rest
                 rest ^= low
                 e = low.bit_length() - 1
-                single = self.bundle_cost(agent, low)
-                left = self.bundle_cost(agent, mask ^ low) if own is None else own - single
+                if row is None:
+                    single = self.bundle_cost(agent, low)
+                    left = self.bundle_cost(agent, mask ^ low)
+                else:
+                    single = row[e]
+                    left = own - single
                 if best is None or left < best:
                     best, best_chore = left, e
                 if worst is None or left > worst:

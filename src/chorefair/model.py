@@ -11,9 +11,11 @@ Each cost variant is one ``CostFunction`` class, the only place that knows
 its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
 (its ``denominator()``), implements ``int_eval``, ``to_json`` and the
 ``from_json`` classmethod, and is added to ``_VARIANTS``; it overrides
-``int_table``, ``scaled``, ``sum_groups`` and ``ground_size`` where the
-defaults do not fit. ``value()``, ``mask_evaluator``, ``scale_cost``, the
-JSON schema and the structure checks derive from those methods.
+``int_table``, ``int_singles``, ``scaled``, ``sum_groups`` and
+``ground_size`` where the defaults do not fit. ``int_singles`` defaults to
+one ``int_eval`` per chore; ``Additive`` returns its stored integers.
+``value()``, ``mask_evaluator``, ``scale_cost``, the JSON schema and the
+structure checks derive from those methods.
 """
 
 from __future__ import annotations
@@ -136,11 +138,13 @@ def price_ratio(fair: Fraction, opt: Fraction) -> ExtendedRational:
 
 
 def _as_chore_set(chores: Iterable[int]) -> frozenset[int]:
-    chores = tuple(chores)  # checked before hashing: a nested list is unhashable
+    """The chores as a frozenset, each checked to be an int; a frozenset is kept, not rebuilt."""
+    if type(chores) is not frozenset:
+        chores = tuple(chores)  # checked before hashing: a nested list is unhashable
     for e in chores:
         if not isinstance(e, int) or isinstance(e, bool):
             raise ValidationError(f"chore index must be an int, got {e!r}")
-    return frozenset(chores)
+    return chores if type(chores) is frozenset else frozenset(chores)
 
 
 def mask_of(chores: Iterable[int]) -> int:
@@ -216,6 +220,10 @@ class CostFunction:
             masks[s] = mask = masks[s ^ low] | 1 << elems[low.bit_length() - 1]
             table[s] = self.int_eval(mask)
         return table
+
+    def int_singles(self, m: int) -> Sequence[int]:
+        """d * c({e}) for each chore e in ``range(m)``: one ``int_eval`` per chore."""
+        return [self.int_eval(1 << e) for e in range(m)]
 
     def value(self, chores: Iterable[int]) -> Fraction:
         return Fraction(self.int_eval(mask_of(chores)), self.denominator())
@@ -351,6 +359,9 @@ class Additive(_Scaled):
 
     def int_table(self, elems: Sequence[int]) -> list[int]:
         return _sum_table([self._nums[e] for e in elems])
+
+    def int_singles(self, m: int) -> tuple[int, ...]:
+        return self._nums[:m]
 
     def scaled(self, factor: Fraction) -> "Additive":
         return self._scaled_ints(self._nums, factor)
@@ -743,9 +754,37 @@ class Instance:
 
 @dataclass(frozen=True)
 class Allocation:
-    """An ordered partition of the chores into one bundle per agent."""
+    """An ordered partition of the chores into one bundle per agent.
+
+    An allocation keeps its bundle masks: one the library built from masks
+    (``_of_masks``) keeps those it was given, and one built from bundles
+    computes them on the first ``masks()`` call. Eq, hash, repr and pickles
+    follow the bundles alone, so the kept masks never show.
+    """
 
     bundles: tuple[frozenset[int], ...]
+
+    @classmethod
+    def _of_masks(cls, masks: Sequence[int]) -> "Allocation":
+        """The allocation of bundle masks the library built itself, which it keeps.
+
+        The masks are checked in one pass, each to be >= 0 and disjoint from
+        the ones before it; their chores are not converted and checked again.
+        """
+        seen = 0
+        for mask in masks:
+            if mask < 0:
+                raise ValidationError(f"bundle mask must be >= 0, got {mask}")
+            if seen & mask:
+                raise ValidationError("bundles overlap")
+            seen |= mask
+        alloc = object.__new__(cls)
+        object.__setattr__(alloc, "bundles", tuple(map(set_of, masks)))
+        object.__setattr__(alloc, "_masks", tuple(masks))
+        return alloc
+
+    def __getstate__(self) -> dict:
+        return {"bundles": self.bundles}
 
     def __post_init__(self) -> None:
         bundles = tuple(_as_chore_set(b) for b in self.bundles)
@@ -770,7 +809,12 @@ class Allocation:
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Allocation":
-        return cls(tuple(set_of(mask) for mask in masks))
+        """The allocation of bundle masks; each must be an int >= 0, disjoint from the others."""
+        masks = tuple(masks)
+        for mask in masks:
+            if not isinstance(mask, int) or isinstance(mask, bool):
+                raise ValidationError(f"bundle mask must be an int, got {mask!r}")
+        return cls._of_masks(masks)
 
     def assignment(self, m: int) -> tuple[int, ...]:
         owner = [-1] * m
@@ -780,7 +824,13 @@ class Allocation:
         return tuple(owner)
 
     def masks(self) -> tuple[int, ...]:
-        return tuple(mask_of(b) for b in self.bundles)
+        """Each bundle's mask, computed on the first call and kept."""
+        try:
+            return self._masks
+        except AttributeError:
+            masks = tuple(map(mask_of, self.bundles))
+            object.__setattr__(self, "_masks", masks)
+            return masks
 
 
 def check_partition(inst: Instance, alloc: Allocation) -> None:

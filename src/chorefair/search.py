@@ -127,7 +127,7 @@ def enumerate_allocations(m: int, n: int) -> Iterator[Allocation]:
     """All n^m assignments, in lexicographic order of the assignment vector."""
     _check_allocation_count(n, m)
     for masks in _scan_masks(n, m):
-        yield Allocation.from_masks(masks)
+        yield Allocation._of_masks(masks)
 
 
 def _scan_masks(n: int, m: int) -> Iterator[tuple[int, ...]]:
@@ -144,18 +144,14 @@ def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
     ``unit[i][d]`` is scale times agent i's cost of chore d alone.
 
     For additive costs a bundle's cost is the sum of its chores' entries over
-    scale, so callers compare and add integers only. An additive cost's
-    groups (``CostFunction.sum_groups``) are its chores in index order, so
-    its row is read from them in one call.
+    scale, so callers compare and add integers only. Each row is the cost's
+    ``int_singles``, which an additive cost reads from its stored integers.
     """
     scale = math.lcm(*(fn.denominator() for fn in inst.costs))
     unit = []
     for fn in inst.costs:
         factor = scale // fn.denominator()
-        if isinstance(fn, Additive):
-            unit.append([w * factor for _, w in fn.sum_groups(range(inst.m))[0]])
-        else:
-            unit.append([fn.int_eval(1 << d) * factor for d in range(inst.m)])
+        unit.append([w * factor for w in fn.int_singles(inst.m)])
     return scale, unit
 
 
@@ -338,7 +334,7 @@ def best_fair_allocation(inst: Instance, criterion: Criterion, alpha) -> SearchR
     opt_cost, best_fair, best_masks = cheapest_accepted(
         inst, lambda masks: ctx.min_alpha_masks(masks, criterion)[0] <= alpha, ctx.share_cap(criterion, alpha)
     )
-    witness = None if best_masks is None else Allocation.from_masks(best_masks)
+    witness = None if best_masks is None else Allocation._of_masks(best_masks)
     return SearchReport(
         instance=inst, criterion=criterion, alpha=alpha, best_fair_cost=best_fair, opt_cost=opt_cost, witness=witness
     )

@@ -543,8 +543,8 @@ def test_bench_record_summarizes_pairs_on_synthetic_runs():
     lines = bench_record.pair_summary(record, ["parent", "change"])
     assert len(lines) == 2 * len(bench_record.WORKLOADS)
     assert lines[:2] == [
-        "prices wall_s: median parent 3, change 1.5; parent q3-q1 3; change lower in 3 of 5 pairs",
-        "prices peak_rss_mb: median parent 20, change 21; parent q3-q1 0; change lower in 0 of 5 pairs",
+        "prices wall_s: median parent 3, change 1.5; parent q3-q1 3; change lower in 3 of 5 pairs; claim not met",
+        "prices peak_rss_mb: median parent 20, change 21; parent q3-q1 0; change lower in 0 of 5 pairs; claim not met",
     ]
     # A record read back from its file has sorted keys (labels and metrics);
     # the labels passed in keep the baseline.
@@ -553,6 +553,18 @@ def test_bench_record_summarizes_pairs_on_synthetic_runs():
     assert sorted(bench_record.pair_summary(reread, ["parent", "change"])) == sorted(lines)
     only = bench_record.pair_summary({"only": record["parent"]}, ["only"])
     assert only[0] == "prices wall_s: median only 3; only q3-q1 3"
+
+    # The claim rule: lower in 9 of 10 pairs, and medians further apart than
+    # the parent's q3 - q1 (here 1.00 - 0.90 > 1.01 - 0.99).
+    parent = [1.00, 0.99, 1.01, 1.00, 0.99, 1.01, 1.00, 0.99, 1.01, 1.00]
+    nine = [0.90, 0.89, 0.91, 0.90, 0.89, 0.91, 0.90, 0.89, 0.91, 1.20]
+    eight = nine[:8] + [1.20, 1.20]
+    for change, verdict in ((nine, "9 of 10 pairs; claim met"), (eight, "8 of 10 pairs; claim not met")):
+        pairs = {"parent": label(parent, [20] * 10), "change": label(change, [20] * 10)}
+        assert bench_record.pair_summary(pairs, ["parent", "change"])[0].endswith(f"change lower in {verdict}")
+    # Nine wins of ten with the medians no further apart than the parent's spread.
+    close = {"parent": label(parent, [20] * 10), "change": label([x - 0.001 for x in parent[:9]] + [2.0], [20] * 10)}
+    assert bench_record.pair_summary(close, ["parent", "change"])[0].endswith("9 of 10 pairs; claim not met")
 
 
 @pytest.mark.parametrize("command", ["eval", "mms"])

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -449,3 +451,24 @@ def test_two_agent_mms_and_pmms_share_one_share_per_agent(monkeypatch):
         monkeypatch.undo()
         assert sorted(calls) == [(agent, 2) for agent in agents]
         assert report.alphas == alone
+
+
+@pytest.mark.parametrize("crit", [Criterion.EF1, Criterion.EFX])
+def test_removal_alphas_on_additive_thirds_of_30000_chores_stay_small(crit):
+    # Single-chore costs come from each additive agent's row, so the context
+    # keeps no one-bit memo entry per chore: about 1.5 MB at peak, where
+    # those entries took about 78 MB.
+    m = 30_000
+    inst = Instance(n=3, m=m, costs=tuple(Additive([1] * m) for _ in range(3)))
+    alloc = Allocation(tuple(frozenset(range(i * m // 3, (i + 1) * m // 3)) for i in range(3)))
+    tracemalloc.start()
+    started = time.perf_counter()
+    try:
+        alpha = min_alpha(inst, alloc, crit)
+        elapsed = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert alpha == 1
+    assert peak < 8_000_000, peak
+    assert elapsed < 15, elapsed

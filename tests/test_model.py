@@ -2,8 +2,14 @@
 
 from __future__ import annotations
 
+import copy
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -289,6 +295,77 @@ def test_allocation_from_masks_reads_one_bundle_per_mask():
     assert alloc.masks() == (0b010, 0b101)
 
 
+def _refusals_in_a_child(constructor: str, cases: list) -> list[str]:
+    """``Allocation.<constructor>`` on each case in a child with a timeout, so that a
+    negative mask that reaches ``set_of``, which never ends on one, fails the test."""
+    script = (
+        "import sys\n"
+        "from chorefair import Allocation\n"
+        f"for masks in {cases!r}:\n"
+        "    try:\n"
+        f"        Allocation.{constructor}(masks)\n"
+        "        print('accepted', masks)\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc)\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=20)
+    assert out.returncode == 0 and out.stderr == "", out.stderr
+    return out.stdout.splitlines()
+
+
+def test_allocation_from_masks_refuses_malformed_masks_without_hanging():
+    assert _refusals_in_a_child("from_masks", [[-1], [1.5], [True, 2]]) == [
+        "ValidationError validation-error: bundle mask must be >= 0, got -1",
+        "ValidationError validation-error: bundle mask must be an int, got 1.5",
+        "ValidationError validation-error: bundle mask must be an int, got True",
+    ]
+
+
+def _random_partitions():
+    rng = random.Random("kept-masks")
+    for _ in range(200):
+        n, m = rng.randint(1, 5), rng.randint(0, 12)
+        assignment = [rng.randrange(n) for _ in range(m)]
+        yield n, m, assignment
+    yield 3, 3000, [e * 7 % 3 for e in range(3000)]  # past SHORT_MASK_BITS
+
+
+def test_allocation_of_masks_behaves_like_the_public_constructor():
+    for n, m, assignment in _random_partitions():
+        masks = [0] * n
+        for e, agent in enumerate(assignment):
+            masks[agent] |= 1 << e
+        kept = Allocation._of_masks(masks)
+        public = Allocation(tuple(frozenset(e for e in range(m) if assignment[e] == a) for a in range(n)))
+        assert kept == public and hash(kept) == hash(public) and repr(kept) == repr(public)
+        before = pickle.dumps(public)  # before its masks are computed and kept
+        assert kept.masks() == public.masks() == tuple(masks)
+        assert kept.assignment(m) == public.assignment(m) == tuple(assignment)
+        assert pickle.dumps(public) == before == pickle.dumps(kept)
+        for twin in (pickle.loads(pickle.dumps(kept)), copy.copy(kept), copy.deepcopy(kept)):
+            assert twin == public and hash(twin) == hash(public) and twin.masks() == tuple(masks)
+
+
+def test_allocation_of_masks_refuses_overlapping_and_negative_masks():
+    cases = [(0b011, 0b110), (0b1, 0b10, 0b1), (0b1, -2), (-1,), (0b1, 0b10)]
+    assert _refusals_in_a_child("_of_masks", cases) == [
+        "ValidationError validation-error: bundles overlap",
+        "ValidationError validation-error: bundles overlap",
+        "ValidationError validation-error: bundle mask must be >= 0, got -2",
+        "ValidationError validation-error: bundle mask must be >= 0, got -1",
+        "accepted (1, 2)",
+    ]
+
+
+def test_masks_of_a_public_allocation_are_mask_of_each_bundle():
+    for n, m, assignment in _random_partitions():
+        alloc = Allocation.from_assignment(assignment, n)
+        assert alloc.masks() == tuple(mask_of(b) for b in alloc.bundles)
+        assert alloc.masks() is alloc.masks()  # computed once and kept
+
+
 def test_instance_json_roundtrip(ref_instance):
     blob = instance_to_json(ref_instance)
     assert blob["agents"][0]["cost"]["values"][0] == "2"
@@ -469,3 +546,37 @@ def test_chore_set_conversions_match_a_binary_string_reference(short_bits, monke
         with pytest.raises(ValueError, match="negative shift count"):
             mask_of(negative)
 
+
+
+def _singles_cases():
+    """(cost, m) on every variant, with m = 0 and zero-cost chores."""
+    rng = random.Random("int-singles")
+    yield Additive(()), 0
+    yield CappedAdditive((), 1), 0
+    yield CappedCardinality(2), 0
+    yield RowCoverage((), ()), 0
+    yield TableCost(0, (0,)), 0
+    for m in (1, 2, 5, 9):
+        values = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(m)]
+        values[0] = 0
+        yield Additive(values), m
+        yield CappedAdditive(values, Fraction(rng.randint(1, 9), 2)), m
+        yield CappedCardinality(rng.randint(1, m)), m
+        chores = list(range(m))
+        rng.shuffle(chores)
+        cut = rng.randint(1, m)
+        rows = [row for row in (chores[:cut], chores[cut:]) if row]
+        yield RowCoverage(rows, [Fraction(rng.randint(0, 3), 2) for _ in rows]), m
+        table = [0] + [rng.randint(0, 5) for _ in range((1 << m) - 1)]
+        table[1] = 0  # chore 0 alone costs nothing
+        yield TableCost(m, table), m
+
+
+def test_int_singles_is_int_eval_of_each_chore_on_every_variant():
+    kinds = set()
+    for fn, m in _singles_cases():
+        kinds.add(fn.kind)
+        assert list(fn.int_singles(m)) == [fn.int_eval(1 << e) for e in range(m)], (fn, m)
+    assert kinds == set(model._VARIANTS)
+    stored = Additive((3, 0, 5))
+    assert stored.int_singles(3) is stored._nums  # the stored integers, not a copy
