@@ -23,7 +23,10 @@ shows in ``setup_s`` and ``peak_rss_mb``: with ``PYTHONDONTWRITEBYTECODE``
 set and ``__pycache__/`` ignored by git, a fresh checkout stays at 0. The
 output file is written from scratch.
 
-Once the file is written, stderr gets one line per workload and metric: each
+Once the file is written, stderr gets one line per label, ``<label> <rev>:
+src_lines <n>``, followed by ``; <module> <first> -> <this>`` for each module
+whose line count differs from the first label's, so a change in size shows
+beside its medians. Then it gets one line per workload and metric: each
 label's median, the quartile spread (q3 - q1) of the first label on the
 command line, and in how many pairs the second label's value was lower than
 the first's (every end-to-end metric is better lower), and whether that
@@ -92,6 +95,22 @@ def summarize(results: list[dict]) -> dict:
 
 def src_pyc_files(checkout: str) -> int:
     return sum(1 for _ in pathlib.Path(checkout, "src").rglob("*.pyc"))
+
+
+def src_summary(record: dict, labels: list[str]) -> list[str]:
+    """One line per label: its rev and ``src_lines``, then each module whose count differs from the first label's."""
+    base = record[labels[0]]["src_module_lines"]
+    lines = []
+    for label in labels:
+        entry = record[label]
+        modules = entry["src_module_lines"]
+        line = f"{label} {entry['rev']}: src_lines {entry['src_lines']}"
+        for module in sorted(base.keys() | modules.keys()):
+            before, after = base.get(module, 0), modules.get(module, 0)
+            if before != after:
+                line += f"; {module} {before} -> {after}"
+        lines.append(line)
+    return lines
 
 
 def pair_summary(record: dict, labels: list[str]) -> list[str]:
@@ -164,7 +183,7 @@ def main() -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(record, handle, indent=1, sort_keys=True)
         handle.write("\n")
-    for line in pair_summary(record, list(checkouts)):
+    for line in src_summary(record, list(checkouts)) + pair_summary(record, list(checkouts)):
         print(line, file=sys.stderr)
     return 0
 

@@ -5,12 +5,15 @@ exact social cost, and an ordered trace of the decisions taken. The two
 two-agent procedures assert their fairness and price postconditions at
 runtime; a violation would be an internal bug, not a user error. Each builds
 one criteria-kernel context per call and checks its output on it, against the
-optimum it already holds. Every allocator reads costs as the integer table of
-``search.unit_costs`` and sorts, sums and compares those integers: the
+optimum it already holds. On additive instances every allocator reads costs
+as the integer table of ``search.unit_costs``, whose rows are each cost's
+``Additive.int_singles``, and sorts, sums and compares those integers: the
 two-agent procedures order chores by an exact integer key for each cost
 ratio, and check their price bound as an integer product. A ``Fraction`` is
 built only for a reported value (a social cost or a trace entry's cost),
-and for the optimum only in the message of a violated price bound.
+and for the optimum only in the message of a violated price bound. An
+allocation given as each chore's agent is built by
+``Allocation.from_assignment``, which keeps its masks.
 """
 
 from __future__ import annotations
@@ -61,14 +64,6 @@ def _outcome(scale: int, unit: list[list[int]], alloc: Allocation, trace: list[d
     return AllocatorOutcome(allocation=alloc, social_cost=Fraction(total, scale), trace=tuple(trace))
 
 
-def _assigned(assignment: Sequence[int], n: int) -> Allocation:
-    """The allocation giving chore d to agent ``assignment[d]``, built from its masks."""
-    chores: list[list[int]] = [[] for _ in range(n)]
-    for d, agent in enumerate(assignment):
-        chores[agent].append(d)
-    return Allocation._of_masks([mask_of(c) for c in chores])
-
-
 def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     """Minimum social cost allocation.
 
@@ -88,7 +83,7 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
             {"op": "assign", "chore": d, "agent": a, "cost": rational_str(Fraction(unit[a][d], scale))}
             for d, a in enumerate(assignment)
         ]
-        return _outcome(scale, unit, _assigned(assignment, inst.n), trace)
+        return _outcome(scale, unit, Allocation.from_assignment(assignment, inst.n), trace)
 
     opt, _, masks = cheapest_accepted(inst, lambda masks: True)
     assert masks is not None
@@ -294,7 +289,7 @@ def pmms32_two_agent(inst: Instance, normalize_input: bool = False) -> Allocator
     """
     inst, ctx, scale, c, opt = _two_agent_input(inst, normalize_input, "the two-agent 3/2-PMMS constructor")
     assignment = [1 if c[1][e] < c[0][e] else 0 for e in range(inst.m)]
-    start = _assigned(assignment, 2)
+    start = Allocation.from_assignment(assignment, 2)
     bundles = start.bundles
     totals = [sum(c[i][e] for e in bundles[i]) for i in range(2)]
     shares = [mms_value(inst, i, 2).value for i in range(2)]

@@ -123,7 +123,7 @@ def _cmd_allocate(args) -> int:
 def _cmd_search(args) -> int:
     inst = _load_instance(args.instance)
     crit = Criterion.parse(args.criterion)
-    report = best_fair_allocation(inst, crit, parse_rational(args.alpha))
+    report = best_fair_allocation(inst, crit, args.alpha)
     payload = {
         "instance_digest": report.instance_digest,
         "criterion": crit.value,

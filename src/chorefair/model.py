@@ -11,11 +11,11 @@ Each cost variant is one ``CostFunction`` class, the only place that knows
 its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
 (its ``denominator()``), implements ``int_eval``, ``to_json`` and the
 ``from_json`` classmethod, and is added to ``_VARIANTS``; it overrides
-``int_table``, ``int_singles``, ``scaled``, ``sum_groups`` and
-``ground_size`` where the defaults do not fit. ``int_singles`` defaults to
-one ``int_eval`` per chore; ``Additive`` returns its stored integers.
-``value()``, ``mask_evaluator``, ``scale_cost``, the JSON schema and the
-structure checks derive from those methods.
+``int_table``, ``scaled``, ``sum_groups`` and ``ground_size`` where the
+defaults do not fit. ``value()``, ``mask_evaluator``, ``scale_cost``, the
+JSON schema and the structure checks derive from those methods. The
+single-chore row ``int_singles`` is ``Additive``'s alone: its stored
+integers, read by ``search.unit_costs`` on additive instances.
 """
 
 from __future__ import annotations
@@ -200,10 +200,6 @@ class CostFunction:
             table[s] = self.int_eval(mask)
         return table
 
-    def int_singles(self, m: int) -> Sequence[int]:
-        """d * c({e}) for each chore e in ``range(m)``: one ``int_eval`` per chore."""
-        return [self.int_eval(1 << e) for e in range(m)]
-
     def value(self, chores: Iterable[int]) -> Fraction:
         return Fraction(self.int_eval(mask_of(chores)), self.denominator())
 
@@ -340,6 +336,7 @@ class Additive(_Scaled):
         return _sum_table([self._nums[e] for e in elems])
 
     def int_singles(self, m: int) -> tuple[int, ...]:
+        """d * c({e}) for each chore e in ``range(m)``: the stored integers."""
         return self._nums[:m]
 
     def scaled(self, factor: Fraction) -> "Additive":
@@ -735,9 +732,10 @@ class Instance:
 class Allocation:
     """An ordered partition of the chores into one bundle per agent.
 
-    An allocation keeps its bundle masks: one the library built from masks
-    (``_of_masks``) keeps those it was given, and one built from bundles
-    computes them on the first ``masks()`` call. Eq, hash, repr and pickles
+    An allocation keeps its bundle masks: one built from masks (``_of_masks``,
+    which ``from_assignment`` and ``from_masks`` call) keeps those it was
+    given, and one built from bundles computes them on the first ``masks()``
+    call. Eq, hash, repr and pickles
     follow the bundles alone, so the kept masks never show.
     """
 
@@ -778,13 +776,14 @@ class Allocation:
 
     @classmethod
     def from_assignment(cls, assignment: Sequence[int], n: int) -> "Allocation":
+        """The allocation giving chore e to agent ``assignment[e]``, built from its masks."""
         _check_agent_count(n)
-        bundles: list[set[int]] = [set() for _ in range(n)]
+        masks = [0] * n
         for chore, agent in enumerate(assignment):
             if not isinstance(agent, int) or isinstance(agent, bool) or not 0 <= agent < n:
                 raise BoundsError(f"agent index {agent!r} of chore {chore} out of range for n={n}")
-            bundles[agent].add(chore)
-        return cls(tuple(frozenset(b) for b in bundles))
+            masks[agent] |= 1 << chore
+        return cls._of_masks(masks)
 
     @classmethod
     def from_masks(cls, masks: Iterable[int]) -> "Allocation":

@@ -145,12 +145,13 @@ def _lcm_scale(inst: Instance) -> int:
 
 
 def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
-    """(scale, unit): scale is the lcm of the agents' ``denominator()``s and
-    ``unit[i][d]`` is scale times agent i's cost of chore d alone.
+    """(scale, unit) of an additive instance: scale is the lcm of the agents'
+    ``denominator()``s and ``unit[i][d]`` is scale times agent i's cost of
+    chore d alone.
 
-    For additive costs a bundle's cost is the sum of its chores' entries over
-    scale, so callers compare and add integers only. Each row is the cost's
-    ``int_singles``, which an additive cost reads from its stored integers.
+    A bundle's cost is the sum of its chores' entries over scale, so callers
+    compare and add integers only. Each row is ``Additive.int_singles``, the
+    cost's stored integers; callers check ``is_additive()`` first.
     """
     scale = _lcm_scale(inst)
     unit = []

