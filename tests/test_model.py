@@ -126,6 +126,92 @@ def test_check_submodular_variants():
         check_submodular(Additive((1,) * 17), 17)
 
 
+@pytest.mark.parametrize("check", [check_monotone, check_submodular])
+@pytest.mark.parametrize("m", [-1, 2.5, None, True, 25.0])
+def test_structure_checks_refuse_a_bad_chore_count_first(check, m):
+    # Refused before the size guard and before validate_for, which would
+    # name the cost's 3 chores.
+    with pytest.raises(ValidationError) as info:
+        check(Additive((1, 2, 3)), m)
+    assert str(info.value) == f"validation-error: chore count must be >= 0, got {m!r}"
+
+
+def _monotone_by_masks(table: list[int], m: int) -> bool:
+    """c(S) <= c(S + e) for every mask S and chore e outside S, one mask at a time."""
+    size = 1 << m
+    for e in range(m):
+        bit = 1 << e
+        if any(table[s] > table[s | bit] for s in range(size) if not s & bit):
+            return False
+    return True
+
+
+def _submodular_by_masks(table: list[int], m: int) -> bool:
+    """c(S+e+f) - c(S+f) <= c(S+e) - c(S) for every mask S and chores e < f outside S, one at a time."""
+    for mask in range(1 << m):
+        for e in range(m):
+            ebit = 1 << e
+            if mask & ebit:
+                continue
+            gain_e = table[mask | ebit] - table[mask]
+            for f in range(e + 1, m):
+                fbit = 1 << f
+                if mask & fbit:
+                    continue
+                if table[mask | ebit | fbit] - table[mask | fbit] > gain_e:
+                    return False
+    return True
+
+
+def _random_table(rng: random.Random, m: int) -> list[int]:
+    """A capped sum (submodular), maybe with one entry bumped or lowered, a flat table, or a random one."""
+    kind = rng.randrange(6)
+    if kind == 4:
+        level = rng.randint(0, 3)
+        return [0] + [level] * ((1 << m) - 1)
+    if kind == 5:
+        return [0] + [rng.randint(0, 6) for _ in range((1 << m) - 1)]
+    weights = [rng.randint(0, 4) for _ in range(m)]
+    cap = rng.randint(1, 12)
+    table = [min(cap, sum(w for e, w in enumerate(weights) if s >> e & 1)) for s in range(1 << m)]
+    if m and kind == 1:
+        table[rng.randrange(1, 1 << m)] += rng.randint(1, 3)
+    elif m and kind == 2:
+        s = rng.randrange(1, 1 << m)
+        table[s] = max(0, table[s] - rng.randint(1, 3))
+    return table
+
+
+def test_structure_checks_match_the_per_mask_loops_on_random_tables():
+    rng = random.Random(37)
+    monotone = submodular = 0
+    for _ in range(2000):
+        m = rng.randint(0, 8)
+        table = _random_table(rng, m)
+        fn = TableCost(m=m, values=table)
+        verdict = _monotone_by_masks(table, m)
+        assert check_monotone(fn, m) == verdict == fn.monotone, table
+        submodular_verdict = _submodular_by_masks(table, m)
+        assert check_submodular(fn, m) == submodular_verdict, table
+        monotone += verdict
+        submodular += submodular_verdict
+    assert 1000 < monotone < 1900
+    assert 700 < submodular < 1700
+
+
+def test_structure_checks_at_the_submodular_guard():
+    m = 16
+    capped = CappedAdditive(tuple(e % 5 + 1 for e in range(m)), 30)
+    assert check_monotone(capped, m)
+    assert check_submodular(capped, m)
+    table = capped.int_table(range(m))
+    last = len(table) - 1  # the full set, capped at 30 like every set around it
+    raised = table[:last] + [table[last] + 1]
+    assert not check_submodular(TableCost(m=m, values=raised), m)
+    lowered = table[:last] + [table[last] - 1]
+    assert not check_monotone(TableCost(m=m, values=lowered), m)
+
+
 def _submodular_by_definition(table: list[int]) -> bool:
     """c(A | B) + c(A & B) <= c(A) + c(B) for every pair of subsets."""
     size = len(table)
@@ -136,7 +222,7 @@ def test_check_submodular_matches_the_union_intersection_definition():
     rng = random.Random(0)
     verdicts = []
     for _ in range(200):
-        m = rng.randint(1, 5)
+        m = rng.randint(1, 7)
         if rng.random() < 0.5:
             # A capped sum is submodular; one bumped entry may break that.
             weights = [rng.randint(0, 4) for _ in range(m)]
