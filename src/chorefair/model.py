@@ -639,7 +639,7 @@ def check_monotone(fn: CostFunction, m: int) -> bool:
 
 
 def _split(table: Sequence[int], e: int) -> tuple[list[int], list[int]]:
-    """(table[S], table[S + e]) over the masks S without bit e, each a list in mask order with bit e dropped.
+    """(table[S], table[S + e]) over the masks S without chore e, in mask order with bit e dropped.
 
     Index q * 2^e + j holds mask q * 2^(e+1) + j for j < 2^e. The lists are
     filled by slices, 2^e strided ones or one block per q, whichever is fewer,

@@ -127,12 +127,13 @@ def test_check_submodular_variants():
 
 
 @pytest.mark.parametrize("check", [check_monotone, check_submodular])
+@pytest.mark.parametrize("fn", [Additive((1, 2, 3)), CappedCardinality(2)], ids=["additive", "cardinality"])
 @pytest.mark.parametrize("m", [-1, 2.5, None, True, 25.0])
-def test_structure_checks_refuse_a_bad_chore_count_first(check, m):
-    # Refused before the size guard and before validate_for, which would
-    # name the cost's 3 chores.
+def test_structure_checks_refuse_a_bad_chore_count_first(check, fn, m):
+    # Refused before the size guard, and before validate_for, which would
+    # name the additive cost's 3 chores.
     with pytest.raises(ValidationError) as info:
-        check(Additive((1, 2, 3)), m)
+        check(fn, m)
     assert str(info.value) == f"validation-error: chore count must be >= 0, got {m!r}"
 
 
@@ -189,11 +190,11 @@ def test_structure_checks_match_the_per_mask_loops_on_random_tables():
         m = rng.randint(0, 8)
         table = _random_table(rng, m)
         fn = TableCost(m=m, values=table)
-        verdict = _monotone_by_masks(table, m)
-        assert check_monotone(fn, m) == verdict == fn.monotone, table
+        monotone_verdict = _monotone_by_masks(table, m)
+        assert check_monotone(fn, m) == monotone_verdict == fn.monotone, table
         submodular_verdict = _submodular_by_masks(table, m)
         assert check_submodular(fn, m) == submodular_verdict, table
-        monotone += verdict
+        monotone += monotone_verdict
         submodular += submodular_verdict
     assert 1000 < monotone < 1900
     assert 700 < submodular < 1700
