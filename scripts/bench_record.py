@@ -62,6 +62,26 @@ def src_module_lines(checkout: str) -> dict[str, int]:
     return {p.relative_to(src).as_posix(): p.read_text(encoding="utf-8").count("\n") for p in src.rglob("*.py")}
 
 
+def parse_checkouts(parser: argparse.ArgumentParser, items: list[str]) -> dict[str, str]:
+    """Each LABEL=CHECKOUT item as label -> absolute path, in the given order.
+
+    A malformed item, a repeated label, and then a checkout with no
+    ``perfbench/run.py`` are refused through ``parser.error``.
+    """
+    checkouts = {}
+    for item in items:
+        label, sep, path = item.partition("=")
+        if not sep or not label or not path:
+            parser.error(f"expected LABEL=CHECKOUT, got {item!r}")
+        if label in checkouts:
+            parser.error(f"{item!r}: label {label!r} is repeated; each checkout needs its own label")
+        checkouts[label] = os.path.abspath(path)
+    for item, path in zip(items, checkouts.values()):
+        if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
+            parser.error(f"{item!r}: no perfbench/run.py in {path}")
+    return checkouts
+
+
 def run_once(checkout: str, workload: str, seed: int) -> dict:
     cmd = [sys.executable, os.path.join("perfbench", "run.py"), "--workload", workload, "--seed", str(seed)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -145,17 +165,7 @@ def main() -> int:
     if args.runs < 2:
         parser.error("--runs must be at least 2 to give quartiles")
 
-    checkouts = {}
-    for item in args.checkouts:
-        label, sep, path = item.partition("=")
-        if not sep or not label or not path:
-            parser.error(f"expected LABEL=CHECKOUT, got {item!r}")
-        if label in checkouts:
-            parser.error(f"{item!r}: label {label!r} is repeated; each checkout needs its own label")
-        checkouts[label] = os.path.abspath(path)
-    for item, path in zip(args.checkouts, checkouts.values()):
-        if not os.path.isfile(os.path.join(path, "perfbench", "run.py")):
-            parser.error(f"{item!r}: no perfbench/run.py in {path}")
+    checkouts = parse_checkouts(parser, args.checkouts)
 
     results: dict[str, dict[str, list[dict]]] = {label: {w: [] for w in WORKLOADS} for label in checkouts}
     for workload in WORKLOADS:

@@ -103,7 +103,7 @@ class InstanceContext:
         self._every = (1 << inst.m) - 1
         self._eval = [mask_evaluator(fn) for fn in inst.costs]
         self._den = [fn.denominator() for fn in inst.costs]
-        self._row = [fn.int_singles(inst.m) if isinstance(fn, Additive) else None for fn in inst.costs]
+        self._row = [fn.int_singles() if isinstance(fn, Additive) else None for fn in inst.costs]
         self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
         self._shares: list[dict[tuple[int, int], tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]

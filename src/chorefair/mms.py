@@ -26,9 +26,9 @@ nodes, as does a branch-and-bound too deep for the interpreter's stack.
 
 All routes work on integers over the cost's ``denominator()``. A cost
 variant reaches them through ``CostFunction.int_eval`` and ``int_table``
-(enumeration and two-way splits) and ``sum_groups`` (the grouped route), so
-a new variant needs nothing in this module: it takes the grouped route if
-its ``sum_groups`` returns groups, and enumeration otherwise.
+(enumeration and two-way splits; built from ``sum_groups`` where it gives
+groups) and ``sum_groups`` (the grouped route), so a new variant needs
+nothing here: the grouped route if ``sum_groups`` gives groups, else enumeration.
 
 The dispatcher is cross-checked against the enumeration route in the test
 suite on every variant.

@@ -11,15 +11,17 @@ Each cost variant is one ``CostFunction`` class, the only place that knows
 its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
 (its ``denominator()``), implements ``int_eval``, ``to_json`` and the
 ``from_json`` classmethod, and is added to ``_VARIANTS``; it overrides
-``int_table``, ``scaled``, ``sum_groups`` and ``ground_size`` where the
-defaults do not fit. ``value()``, ``mask_evaluator``, ``scale_cost``, the
-JSON schema and the structure checks derive from those methods. The
-single-chore row ``int_singles`` is ``Additive``'s alone: its stored
-integers, read by ``search.unit_costs`` on additive instances.
+``scaled``, ``sum_groups`` and ``ground_size`` where the defaults do not
+fit. ``value()``, ``mask_evaluator``, ``scale_cost``, the JSON schema and
+the structure checks derive from those methods. The single-chore row
+``int_singles`` is ``Additive``'s alone: its stored integers, read by
+``search.unit_costs`` on additive instances.
 
 The structure checks (``check_monotone``, ``check_submodular`` and a table's
 ``monotone`` flag) compare exact integers of the 2^m subset table, a chore
-at a time, over slices of it, so no Python step runs per mask.
+at a time, over slices of it, so no Python step runs per mask. No variant
+overrides the one table build, ``CostFunction.int_table``: it sums a
+variant's ``sum_groups`` and reads ``int_eval`` only where there are none.
 """
 
 from __future__ import annotations
@@ -195,16 +197,30 @@ class CostFunction:
         raise NotImplementedError
 
     def int_table(self, elems: Sequence[int]) -> list[int]:
-        """``int_eval`` of every subset of ``elems``, indexed by local submask.
+        """``int_eval`` of every subset of ``elems``; local submask s + 2^i is s with ``elems[i]`` added.
 
-        The masks double once per chore: local submask s + 2^i is s with
-        ``elems[i]`` added.
+        A ``sum_groups`` form doubles its group-weight sums once per group and caps them once; unless
+        group i is ``(elems[i],)`` for each i, a local submask reads the sum at the mask of its groups.
+        A cost without that form reads each subset's mask with ``int_eval``, the empty set's entry 0.
         """
-        masks = [0]
-        for e in elems:
-            bit = 1 << e
-            masks += [s | bit for s in masks]
-        return [0, *map(self.int_eval, masks[1:])]
+        grouped = self.sum_groups(elems)
+        if grouped is None:
+            read, bits = self.int_eval, [1 << e for e in elems]
+        else:
+            groups, cap = grouped
+            table = [0]
+            for _, w in groups:
+                table += [x + w for x in table]
+            if cap is not None and table[-1] > cap:  # the full set's sum is the largest
+                table = [x if x < cap else cap for x in table]
+            if all(members == (e,) for (members, _), e in zip(groups, elems)):
+                return table
+            group_of = {e: g for g, (members, _) in enumerate(groups) for e in members}
+            read, bits = table.__getitem__, [1 << group_of[e] for e in elems]
+        keys = [0]
+        for bit in bits:
+            keys += [k | bit for k in keys]
+        return [0, *map(read, keys[1:])]
 
     def value(self, chores: Iterable[int]) -> Fraction:
         return Fraction(self.int_eval(mask_of(chores)), self.denominator())
@@ -299,18 +315,6 @@ def _bit_sum(nums: Sequence[int], mask: int) -> int:
     return total
 
 
-def _sum_table(nums: Sequence[int]) -> list[int]:
-    """Subset sums of ``nums``, indexed by submask, doubled once per number."""
-    table = [0]
-    for w in nums:
-        table += [x + w for x in table]
-    return table
-
-
-def _singletons(nums: Sequence[int], elems: Sequence[int]) -> list[tuple[tuple[int, ...], int]]:
-    return [((e,), nums[e]) for e in elems]
-
-
 def _json_list(obj: dict, key: str) -> list:
     value = obj[key]
     if not isinstance(value, list):
@@ -337,18 +341,15 @@ class Additive(_Scaled):
     def int_eval(self, mask: int) -> int:
         return _bit_sum(self._nums, mask)
 
-    def int_table(self, elems: Sequence[int]) -> list[int]:
-        return _sum_table([self._nums[e] for e in elems])
-
-    def int_singles(self, m: int) -> tuple[int, ...]:
-        """d * c({e}) for each chore e in ``range(m)``: the stored integers."""
-        return self._nums[:m]
+    def int_singles(self) -> tuple[int, ...]:
+        """d * c({e}) for each chore e: the stored integers."""
+        return self._nums
 
     def scaled(self, factor: Fraction) -> "Additive":
         return self._scaled_ints(self._nums, factor)
 
     def sum_groups(self, elems: Sequence[int]):
-        return _singletons(self._nums, elems), None
+        return [((e,), self._nums[e]) for e in elems], None
 
     def ground_size(self) -> int | None:
         return len(self._nums)
@@ -386,15 +387,11 @@ class CappedAdditive(_Scaled):
     def int_eval(self, mask: int) -> int:
         return min(_bit_sum(self._nums, mask), self._cap)
 
-    def int_table(self, elems: Sequence[int]) -> list[int]:
-        cap = self._cap
-        return [min(x, cap) for x in _sum_table([self._nums[e] for e in elems])]
-
     def scaled(self, factor: Fraction) -> "CappedAdditive":
         return self._scaled_ints((*self._nums, self._cap), factor)
 
     def sum_groups(self, elems: Sequence[int]):
-        return _singletons(self._nums, elems), self._cap
+        return [((e,), self._nums[e]) for e in elems], self._cap
 
     def ground_size(self) -> int | None:
         return len(self._nums)

@@ -157,7 +157,7 @@ def unit_costs(inst: Instance) -> tuple[int, list[list[int]]]:
     unit = []
     for fn in inst.costs:
         factor = scale // fn.denominator()
-        unit.append([w * factor for w in fn.int_singles(inst.m)])
+        unit.append([w * factor for w in fn.int_singles()])
     return scale, unit
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import importlib
 import importlib.util
 import json
 import os
@@ -586,6 +587,49 @@ def test_bench_record_summarizes_pairs_on_synthetic_runs():
     # Nine wins of ten with the medians no further apart than the parent's spread.
     close = {"parent": label(parent, [20] * 10), "change": label([x - 0.001 for x in parent[:9]] + [2.0], [20] * 10)}
     assert bench_record.pair_summary(close, ["parent", "change"])[0].endswith("9 of 10 pairs; claim not met")
+
+
+def test_same_outputs_prints_one_line_per_difference(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
+    same_outputs = importlib.import_module("same_outputs")
+
+    report = tmp_path / "report.csv"
+    report.write_text('proposition_id,alpha,status\n"F[n=2]:min_alpha[MMS]",5/4,pass\nG,1,fail\n', encoding="utf-8")
+    cells = same_outputs.verify_cells(str(report))
+    assert cells == {
+        "line 2 proposition_id": "F[n=2]:min_alpha[MMS]", "line 2 alpha": "5/4", "line 2 status": "pass",
+        "line 3 proposition_id": "G", "line 3 alpha": "1", "line 3 status": "fail",
+    }
+    parent = {
+        "verify seed 7": cells,
+        "audit seed 7 digest": {"eval:0": "0123abcd", "mms:1": "4567ef01"},
+        "audit seed 7 traced": {"model.eval.calls": 8657, "model.check.calls": 24},
+    }
+
+    def changed(output, item, value):
+        change = {name: dict(items) for name, items in parent.items()}
+        change.setdefault(output, {})[item] = value
+        return same_outputs.differences(("parent", parent), ("change", change))
+
+    assert changed("verify seed 7", "line 2 alpha", "5/4") == []
+    assert changed("verify seed 7", "line 3 status", "pass") == [
+        "verify seed 7 line 3 status: parent 'fail', change 'pass'"
+    ]
+    assert changed("audit seed 7 digest", "mms:1", "4567ef02") == [
+        "audit seed 7 digest mms:1: parent '4567ef01', change '4567ef02'"
+    ]
+    assert changed("audit seed 7 traced", "model.check.calls", 25) == [
+        "audit seed 7 traced model.check.calls: parent 24, change 25"
+    ]
+    # An item or an output on one side only is a difference too.
+    assert changed("prices seed 3 digest", "family:0", "89ab") == [
+        "prices seed 3 digest family:0: parent None, change '89ab'"
+    ]
+
+    monkeypatch.setattr(sys, "argv", ["same_outputs.py", "only=."])
+    with pytest.raises(SystemExit) as info:
+        same_outputs.main()
+    assert info.value.code == 2
 
 
 def test_bench_record_summarizes_src_lines_per_label():

@@ -198,6 +198,19 @@ def test_structure_checks_match_the_per_mask_loops_on_random_tables():
         submodular += submodular_verdict
     assert 1000 < monotone < 1900
     assert 700 < submodular < 1700
+    # Coverage costs with multi-chore rows out of chore order: the checks read
+    # int_table, which must re-index, and the loops read int_eval per mask.
+    for rows, weights in [
+        (((2, 5), (0, 3), (1, 4)), (2, 0, 3)),
+        (((3, 1), (0,), (2, 4, 5)), (1, 4, 2)),
+        (((1, 2, 4), (3,), (0,)), (5, 1, 1)),
+    ]:
+        fn = RowCoverage(rows, weights)
+        m = fn.ground_size()
+        table = [fn.int_eval(mask) for mask in range(1 << m)]
+        assert fn.int_table(range(m)) == table, rows
+        assert check_monotone(fn, m) == _monotone_by_masks(table, m), rows
+        assert check_submodular(fn, m) == _submodular_by_masks(table, m), rows
 
 
 def test_structure_checks_at_the_submodular_guard():
@@ -668,6 +681,6 @@ def _singles_cases():
 
 def test_int_singles_is_int_eval_of_each_chore_on_additive_costs():
     for fn, m in _singles_cases():
-        assert list(fn.int_singles(m)) == [fn.int_eval(1 << e) for e in range(m)], (fn, m)
+        assert list(fn.int_singles()) == [fn.int_eval(1 << e) for e in range(m)], (fn, m)
     stored = Additive((3, 0, 5))
-    assert stored.int_singles(3) is stored._nums  # the stored integers, not a copy
+    assert stored.int_singles() is stored._nums  # the stored integers, not a copy

@@ -78,18 +78,41 @@ def test_int_eval_is_denominator_times_reference(kind, m):
             assert fn.value(_chores(mask)) == reference(mask)
 
 
-@pytest.mark.parametrize("kind", VARIANTS)
-def test_int_table_matches_int_eval_on_random_subsets(kind):
+#: (cost, elems) cases of the table build's index rule: groups out of ``elems``
+#: order or holding several chores must be re-indexed, the others must not.
+INT_TABLE_EDGES = {
+    "coverage-singletons-reversed": (RowCoverage(((3,), (2,), (1,), (0,)), (1, 2, 4, 8)), (0, 1, 2, 3)),
+    # Row (0, 2, 5) holds three of elems and leads with elems[0]; (1, 4) is cut to (1,), (3,) to nothing.
+    "coverage-row-several-and-row-cut": (RowCoverage(((0, 2, 5), (1, 4), (3,)), (5, 3, 7)), (0, 1, 2, 5)),
+    "coverage-zero-weight": (RowCoverage(((2, 3), (1,), (0,)), (0, 2, 1)), (0, 1, 2, 3)),
+    "coverage-empty-elems": (RowCoverage(((1,), (0,)), (1, 2)), ()),
+    "additive-zero-weight-out-of-order": (Additive((0, 3, 0, 2)), (3, 0, 2, 1)),
+    "additive-empty-elems": (Additive((1, 2)), ()),
+    "capped-additive-cap-below-a-value": (CappedAdditive((1, 5, 2, 0), 3), (0, 1, 2, 3)),
+    "cardinality-cap-1": (CappedCardinality(1), (0, 1, 2, 3)),
+    "cardinality-cap-m": (CappedCardinality(4), (0, 1, 2, 3)),
+    "cardinality-cap-above-m": (CappedCardinality(9), (2, 0, 3)),
+    "table-empty-elems": (TableCost(m=1, values=(0, 1)), ()),
+}
+
+
+def _random_int_table_cases(kind: str):
     rng = random.Random(kind)
     for _ in range(12):
         m = rng.randint(1, 7)
         fn, _ = _random_cost(kind, m, rng)
-        elems = sorted(rng.sample(range(m), rng.randint(0, m)))
+        yield fn, sorted(rng.sample(range(m), rng.randint(0, m)))
+
+
+@pytest.mark.parametrize("kind", VARIANTS + tuple(INT_TABLE_EDGES))
+def test_int_table_matches_int_eval_on_random_subsets(kind):
+    cases = [INT_TABLE_EDGES[kind]] if kind in INT_TABLE_EDGES else _random_int_table_cases(kind)
+    for fn, elems in cases:
         table = fn.int_table(elems)
         assert len(table) == 1 << len(elems)
         for local, value in enumerate(table):
             mask = sum(1 << e for i, e in enumerate(elems) if local >> i & 1)
-            assert value == fn.int_eval(mask)
+            assert value == fn.int_eval(mask), (fn, elems, local)
 
 
 @pytest.mark.parametrize("kind", VARIANTS)
