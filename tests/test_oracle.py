@@ -78,8 +78,9 @@ def test_int_eval_is_denominator_times_reference(kind, m):
             assert fn.value(_chores(mask)) == reference(mask)
 
 
-#: (cost, elems) cases of the table build's index rule: groups out of ``elems``
-#: order or holding several chores must be re-indexed, the others must not.
+#: (cost, elems) edge cases of the table build: coverage groups out of ``elems``
+#: order or holding several chores, which it must re-index, empty ``elems``,
+#: zero weights and caps at and around the single values and m.
 INT_TABLE_EDGES = {
     "coverage-singletons-reversed": (RowCoverage(((3,), (2,), (1,), (0,)), (1, 2, 4, 8)), (0, 1, 2, 3)),
     # Row (0, 2, 5) holds three of elems and leads with elems[0]; (1, 4) is cut to (1,), (3,) to nothing.
