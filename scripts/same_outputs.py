@@ -13,7 +13,8 @@ there must be two. In each checkout the script runs, one process at a time:
   per-layer value but the ``*.self_s`` times.
 
 It prints one line per difference, ``<output> <item>: <label> <value>,
-<label> <value>``, and exits 1 on any, 0 when every output is equal. The
+<label> <value>``, then on stderr ``compared <n> outputs, <n> items: <n>
+differ``, and exits 1 on any difference, 0 when every output is equal. The
 passes run as ``perfbench/run.py`` runs them (``PYTHONHASHSEED=0``, no
 ``PYTHONPATH``), and their input files under ``perfbench/out/work/`` are
 removed afterwards, as ``run.py`` removes them; nothing else under
@@ -84,13 +85,18 @@ def collect(checkout: str) -> dict[str, dict]:
     return outputs
 
 
+def _union(a: dict, b: dict) -> list:
+    """The keys of ``a``, then those of ``b`` that ``a`` lacks."""
+    return [*a, *(key for key in b if key not in a)]
+
+
 def differences(first: tuple[str, dict], second: tuple[str, dict]) -> list[str]:
     """One line per item whose value differs between two (label, outputs) pairs, in the first's order."""
     (a_label, a), (b_label, b) = first, second
     lines = []
-    for output in [*a, *(name for name in b if name not in a)]:
+    for output in _union(a, b):
         x, y = a.get(output, {}), b.get(output, {})
-        for item in [*x, *(key for key in y if key not in x)]:
+        for item in _union(x, y):
             if x.get(item) != y.get(item):
                 lines.append(f"{output} {item}: {a_label} {x.get(item)!r}, {b_label} {y.get(item)!r}")
     return lines
@@ -103,9 +109,13 @@ def main() -> int:
     if len(args.checkouts) != 2:
         parser.error(f"expected two LABEL=CHECKOUT items, got {len(args.checkouts)}")
     checkouts = parse_checkouts(parser, args.checkouts)
-    lines = differences(*((label, collect(path)) for label, path in checkouts.items()))
+    first, second = ((label, collect(path)) for label, path in checkouts.items())
+    lines = differences(first, second)
     for line in lines:
         print(line)
+    outputs = _union(first[1], second[1])
+    items = sum(len(_union(first[1].get(name, {}), second[1].get(name, {}))) for name in outputs)
+    print(f"compared {len(outputs)} outputs, {items} items: {len(lines)} differ", file=sys.stderr)
     return 1 if lines else 0
 
 

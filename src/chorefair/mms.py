@@ -24,11 +24,11 @@ route accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
 branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
 nodes, as does a branch-and-bound too deep for the interpreter's stack.
 
-All routes work on integers over the cost's ``denominator()``. A cost
-variant reaches them through ``CostFunction.int_eval`` and ``int_table``
-(enumeration and two-way splits; built from ``sum_groups`` where it gives
-groups) and ``sum_groups`` (the grouped route), so a new variant needs
-nothing here: the grouped route if ``sum_groups`` gives groups, else enumeration.
+All routes work on integers over the cost's ``denominator()`` and read a
+cost only through ``CostFunction.sum_groups`` (the grouped route),
+``int_table`` (enumeration and two-way splits, by local mask) and
+``monotone`` (enumeration's pruning), so a new variant needs nothing here:
+the grouped route if ``sum_groups`` gives groups, else enumeration.
 
 The dispatcher is cross-checked against the enumeration route in the test
 suite on every variant.
@@ -43,7 +43,7 @@ from fractions import Fraction
 from typing import Callable, Iterable, Sequence
 
 from .errors import ArgumentError, SizeGuardError
-from .model import Additive, CostFunction, Instance, set_of
+from .model import Additive, CostFunction, Instance
 
 __all__ = ["MmsResult", "mms_share", "pairwise_mms", "mms_value"]
 
@@ -153,26 +153,18 @@ def _enumerate_partitions(
     so that leaf is returned with or without the bound: the tie-break is the
     full scan's. For monotone costs a branch is cut once a block reaches the
     incumbent, since blocks only grow; such a branch holds no strictly
-    cheaper leaf. Every leaf takes the max over its final blocks.
+    cheaper leaf. Every leaf takes the max over its final blocks. Blocks are
+    local masks into ``fn.int_table(elems)``, bit i standing for ``elems[i]``;
+    the witness's masks are mapped back to chores at the end.
     """
-    ev = fn.int_eval
-    memo: dict[int, int] = {0: 0}
-
-    def block_cost(mask: int) -> int:
-        c = memo.get(mask)
-        if c is None:
-            c = ev(mask)
-            memo[mask] = c
-        return c
-
+    table = fn.int_table(elems)
     prune = fn.monotone
     t = len(elems)
     greedy = [0] * min(k, t)
-    for e in elems:
-        bit = 1 << e
-        j = min(range(len(greedy)), key=lambda b: block_cost(greedy[b] | bit))
-        greedy[j] |= bit
-    best_val = max(map(block_cost, greedy), default=0) + 1
+    for i in range(t):
+        j = min(range(len(greedy)), key=lambda b: table[greedy[b] | 1 << i])
+        greedy[j] |= 1 << i
+    best_val = max(map(table.__getitem__, greedy), default=0) + 1
     best_blocks: list[int] = []
     blocks = [0] * k
     nodes = 0
@@ -185,27 +177,28 @@ def _enumerate_partitions(
         if idx == t:
             val = 0
             for b in range(used):
-                c = block_cost(blocks[b])
+                c = table[blocks[b]]
                 if c > val:
                     val = c
             if val < best_val:
                 best_val = val
                 best_blocks = blocks[:used]
             return
-        bit = 1 << elems[idx]
+        bit = 1 << idx
         for b in range(min(used + 1, k)):
             old = blocks[b]
             new = old | bit
             # For monotone costs a block at or above the incumbent can only
             # grow, so the whole branch is dominated.
-            if prune and block_cost(new) >= best_val:
+            if prune and table[new] >= best_val:
                 continue
             blocks[b] = new
             dfs(idx + 1, used + 1 if b == used else used)
             blocks[b] = old
 
     dfs(0, 0)
-    return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
+    witness = [frozenset(elems[i] for i in range(t) if mask >> i & 1) for mask in best_blocks]
+    return Fraction(best_val, fn.denominator()), witness
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from chorefair.model import instance_digest, instance_from_json
 from chorefair.search import (
     VERIFY_MAX_N,
     VERIFY_PRICES_MAX_N,
+    PropositionReport,
     reports_to_csv_rows,
     verify_connections,
     verify_lemmas,
@@ -229,6 +230,10 @@ def test_parse_error_has_location(tmp_path, capsys):
     alloc = _write(tmp_path, "a.json", {"bundles": [[]]})
     assert main(["eval", "--instance", str(path), "--allocation", alloc]) == 2
     assert ":2:" in capsys.readouterr().err
+    # Valid JSON that is not an object is refused without a location.
+    array = _write(tmp_path, "array.json", [1, 2])
+    assert main(["eval", "--instance", array, "--allocation", alloc]) == 2
+    assert capsys.readouterr().err == "parse-error: instance must be a JSON object\n"
 
 
 def test_mms_subcommand(tmp_path, instance_file, capsys):
@@ -245,6 +250,9 @@ def test_mms_subset_flag(tmp_path, instance_file, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["value"] == "5"
     assert sorted(sum(payload["witness"], [])) == [0, 2, 4, 6]
+    # An empty list is the empty chore set, not all chores.
+    assert main(["mms", "--instance", instance_file, "--agent", "0", "--k", "2", "--chores", ""]) == 0
+    assert capsys.readouterr().out == '{"value":"0","witness":[[],[]]}\n'
 
 
 def test_allocate_optimal(tmp_path, instance_file, capsys):
@@ -423,15 +431,15 @@ def test_verify_count_below_one_exits_2(tmp_path, capsys, suite, count):
     assert not out.exists()
 
 
-def _stub_suites(monkeypatch) -> list:
-    """Replace the verify suites with ones that record their arguments and return no rows."""
+def _stub_suites(monkeypatch, rows=()) -> list:
+    """Replace the verify suites with ones that record their arguments and return ``rows``."""
     import chorefair.cli as cli
 
     started = []
 
     def suite(*args, **kwargs):
         started.append(kwargs)
-        return []
+        return list(rows)
 
     for name in ("verify_connections", "verify_prices", "verify_lemmas"):
         monkeypatch.setattr(cli, name, suite)
@@ -589,7 +597,7 @@ def test_bench_record_summarizes_pairs_on_synthetic_runs():
     assert bench_record.pair_summary(close, ["parent", "change"])[0].endswith("9 of 10 pairs; claim not met")
 
 
-def test_same_outputs_prints_one_line_per_difference(tmp_path, monkeypatch):
+def test_same_outputs_prints_one_line_per_difference(tmp_path, monkeypatch, capsys):
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "scripts"))
     same_outputs = importlib.import_module("same_outputs")
 
@@ -630,6 +638,29 @@ def test_same_outputs_prints_one_line_per_difference(tmp_path, monkeypatch):
     with pytest.raises(SystemExit) as info:
         same_outputs.main()
     assert info.value.code == 2
+
+    # A run says on stderr how much it compared, after the difference lines on stdout.
+    change = {name: dict(items) for name, items in parent.items()}
+    change["audit seed 7 traced"]["model.check.calls"] = 25
+    change["prices seed 3 digest"] = {"family:0": "89ab"}
+    collected = {}
+    for label, outputs in (("parent", parent), ("change", change)):
+        (tmp_path / label / "perfbench").mkdir(parents=True)
+        (tmp_path / label / "perfbench" / "run.py").write_text("")
+        collected[str(tmp_path / label)] = outputs
+    monkeypatch.setattr(same_outputs, "collect", collected.__getitem__)
+    capsys.readouterr()
+    for checkouts, code, out, err in [
+        ({"parent": "parent", "copy": "parent"}, 0, "", "compared 3 outputs, 10 items: 0 differ\n"),
+        ({"parent": "parent", "change": "change"}, 1, (
+            "audit seed 7 traced model.check.calls: parent 24, change 25\n"
+            "prices seed 3 digest family:0: parent None, change '89ab'\n"
+        ), "compared 4 outputs, 11 items: 2 differ\n"),
+    ]:
+        argv = [f"{label}={tmp_path / path}" for label, path in checkouts.items()]
+        monkeypatch.setattr(sys, "argv", ["same_outputs.py", *argv])
+        assert same_outputs.main() == code
+        assert capsys.readouterr() == (out, err)
 
 
 def test_bench_record_summarizes_src_lines_per_label():
@@ -822,12 +853,20 @@ def test_verify_all_without_seed_exits_2_before_any_suite(tmp_path, capsys, monk
 
 
 def test_verify_keeps_an_existing_report_until_its_rows_are_ready(tmp_path, capsys, monkeypatch):
-    started = _stub_suites(monkeypatch)
+    failing = PropositionReport("P[n=2]", 2, None, None, "alpha<=1", "alpha=3/2", "fail")
+    started = _stub_suites(monkeypatch, [failing])
     out = tmp_path / "r.csv"
     out.write_text("old report\n")
     assert main(["verify", "--suite", "prices", "--out", str(out)]) == 2  # no --seed
     _assert_tagged_input_error(capsys, "error")
     assert started == [] and out.read_text() == "old report\n"
+    # Once the rows are ready the report is replaced, and a failing row exits 3.
+    assert main(["verify", "--suite", "prices", "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().out == (
+        f"0/1 checks passed; report written to {out}\nFAIL P[n=2]: expected alpha<=1, observed alpha=3/2\n"
+    )
+    with open(out, newline="") as handle:
+        assert list(csv.DictReader(handle)) == reports_to_csv_rows([failing])
 
 
 _LONG_LITERAL = "1" * 5000  # past int()'s 4,300-digit limit, so json.load refuses it; json.dumps cannot write it

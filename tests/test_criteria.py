@@ -57,6 +57,9 @@ def test_satisfies(ref_instance, alloc_b):
     assert satisfies(ref_instance, alloc_b, Criterion.PMMS, 2)
     with pytest.raises(ArgumentError):
         satisfies(ref_instance, alloc_b, Criterion.EF, Fraction(1, 2))
+    # A criterion's name in place of the Criterion is refused, not read as EF.
+    with pytest.raises(ArgumentError, match="unknown criterion 'EF1'"):
+        fairness_report(ref_instance, alloc_b, ["EF1"])
 
 
 def test_all_zero_costs_give_alpha_one():

@@ -482,17 +482,46 @@ def test_monotone_table_at_the_enumeration_guards_is_answered():
     assert result.value >= Fraction(sum(weights), 6)
 
 
+def _first_strict_split(fn, elems):
+    """The k=2 split scan's reference: the splits s = 1, 3, 5, ... of the local
+    table in order, keeping the first strict minimum; and how many splits tie it."""
+    t = len(elems)
+    table = fn.int_table(elems)
+    full = (1 << t) - 1
+    best, best_s, ties = None, None, 0
+    for s in range(1, 1 << t, 2):
+        val = max(table[s], table[full ^ s])
+        if best is None or val < best:
+            best, best_s, ties = val, s, 1
+        elif val == best:
+            ties += 1
+    side = frozenset(e for i, e in enumerate(elems) if best_s >> i & 1)
+    return Fraction(best, fn.denominator()), (side, frozenset(elems) - side), ties
+
+
 @pytest.mark.parametrize("kind", VARIANTS)
 def test_k2_mms_value_matches_enumeration_on_every_variant(kind):
     rng = random.Random(f"k2-{kind}")
-    for _ in range(300):
+    tied = 0
+    for i in range(300):
         m = rng.randint(1, 6 if kind == "table" else 10)
-        inst = Instance(n=1, m=m, costs=(_random_cost(kind, m, rng)[0],))
+        if kind == "table" and i % 3 == 0:
+            # Entries in {0, 1, 2}, so that several splits often tie at the optimum.
+            fn = TableCost(m=m, values=(Fraction(0), *(Fraction(rng.randint(0, 2)) for _ in range((1 << m) - 1))))
+        else:
+            fn = _random_cost(kind, m, rng)[0]
+        inst = Instance(n=1, m=m, costs=(fn,))
         elems = tuple(e for e in range(m) if rng.random() < 0.85)
         result = mms_value(inst, 0, 2, elems)
         assert result.value == _enumerate_partitions(inst.costs[0], elems, 2)[0], (kind, inst, elems)
         assert frozenset().union(*result.witness) == frozenset(elems)
         assert max(inst.cost(0, block) for block in result.witness) == result.value
+        if kind == "table" and elems:
+            value, witness, ties = _first_strict_split(fn, elems)
+            assert (result.value, result.witness) == (value, witness), (inst, elems)
+            tied += ties > 1
+    if kind == "table":
+        assert tied > 20  # 54 of the 289 nonempty draws tie
 
 
 def _frozenset_sum_groups(fn, elems):
