@@ -22,13 +22,14 @@ its value off one forward bitset and builds its witness only when the witness
 is first read (``MmsResult``), as most callers read the value alone. Every
 route accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
 branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
-nodes, as does a branch-and-bound too deep for the interpreter's stack.
+nodes.
 
 All routes work on integers over the cost's ``denominator()`` and read a
 cost only through ``CostFunction.sum_groups`` (the grouped route),
-``int_table`` (enumeration and two-way splits, by local mask) and
-``monotone`` (enumeration's pruning), so a new variant needs nothing here:
-the grouped route if ``sum_groups`` gives groups, else enumeration.
+``int_table`` (enumeration and two-way splits, by local mask),
+``monotone`` (enumeration's pruning) and ``value`` (enumeration at k=1),
+so a new variant needs nothing here: the grouped route if ``sum_groups``
+gives groups, else enumeration.
 
 The dispatcher is cross-checked against the enumeration route in the test
 suite on every variant.
@@ -40,7 +41,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArgumentError, SizeGuardError
 from .model import Additive, CostFunction, Instance
@@ -155,8 +156,11 @@ def _enumerate_partitions(
     incumbent, since blocks only grow; such a branch holds no strictly
     cheaper leaf. Every leaf takes the max over its final blocks. Blocks are
     local masks into ``fn.int_table(elems)``, bit i standing for ``elems[i]``;
-    the witness's masks are mapped back to chores at the end.
+    the witness's masks are mapped back to chores at the end. At k=1 the one
+    leaf is the whole set, read with ``fn.value`` and no table.
     """
+    if k == 1:
+        return fn.value(elems), [frozenset(elems)] if elems else []
     table = fn.int_table(elems)
     prune = fn.monotone
     t = len(elems)
@@ -329,14 +333,15 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     seen: set[tuple[int, tuple[int, ...]]] = set()
     nodes = 0
 
-    def dfs(i: int) -> None:
+    def visit(i: int) -> Iterator[int]:
+        # Yields the index of each child to search; the loop below keeps the stack.
         nonlocal best_val, best_assign, nodes
         nodes += 1
         if nodes > MMS_NODE_BUDGET:
             raise SizeGuardError(f"min-max branch-and-bound exceeded its budget of {MMS_NODE_BUDGET} nodes")
         if items[i] == items[-1]:
             # All remaining items are equal: close the node exactly. This
-            # holds at i = t - 1, so no call reaches i = t.
+            # holds at i = t - 1, so no visit reaches i = t.
             val, counts = _waterfill(loads, items[i], t - i)
             if val < best_val:
                 pos = i
@@ -369,15 +374,16 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
                 continue
             loads[j] = new
             assign[i] = j
-            dfs(i + 1)
+            yield i + 1
             loads[j] = old
 
-    try:
-        dfs(0)
-    except RecursionError:
-        # One stack frame per item: raising the interpreter's limit would
-        # trade this error for a crash of the process.
-        raise SizeGuardError(f"min-max branch-and-bound of {t} items is too deep to search") from None
+    stack = [visit(0)]
+    while stack:
+        for child in stack[-1]:
+            stack.append(visit(child))
+            break
+        else:
+            stack.pop()
     return best_val, tuple(best_assign)
 
 

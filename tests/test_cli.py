@@ -15,6 +15,7 @@ from pathlib import Path
 
 import pytest
 
+from chorefair import mms
 from chorefair.cli import main
 from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
@@ -171,8 +172,8 @@ def test_mms_k3_share_past_the_unbounded_node_budget_exits_0(tmp_path, capsys):
 
 
 def _deep_capped_additive_files(tmp_path, n):
-    # 1,500 large values have no item guard on the capped-additive route; the
-    # branch-and-bound takes one stack frame per item.
+    # 1,500 large values have no item guard on the capped-additive route, and
+    # the branch-and-bound goes one level deeper per item.
     rng = random.Random(3)
     m = 1500
     cost = {"type": "capped_additive", "values": [str(rng.randint(10**6, 10**7)) for _ in range(m)], "cap": str(10**12)}
@@ -182,20 +183,23 @@ def _deep_capped_additive_files(tmp_path, n):
 
 
 @pytest.mark.parametrize("k", [2, 3])
-def test_mms_search_too_deep_for_the_stack_exits_2(tmp_path, capsys, k):
+def test_mms_search_of_1500_items_stops_at_the_node_budget(tmp_path, capsys, monkeypatch, k):
+    # A smaller budget keeps the test short; the refusal is the same at any budget.
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 20_000)
     inst, _ = _deep_capped_additive_files(tmp_path, 1)
     assert main(["mms", "--instance", inst, "--agent", "0", "--k", str(k)]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("size-guard-exceeded: ") and err.count("\n") == 1, err
+    assert err == "size-guard-exceeded: min-max branch-and-bound exceeded its budget of 20000 nodes\n"
 
 
-def test_eval_mms_search_too_deep_for_the_stack_exits_2(tmp_path, capsys):
+def test_eval_mms_search_of_1500_items_stops_at_the_node_budget(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 20_000)
     inst, alloc = _deep_capped_additive_files(tmp_path, 2)
     assert main(["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS"]) == 2
     out, err = capsys.readouterr()
     assert out == ""
-    assert err.startswith("size-guard-exceeded: ") and err.count("\n") == 1, err
+    assert err == "size-guard-exceeded: min-max branch-and-bound exceeded its budget of 20000 nodes\n"
 
 
 @pytest.mark.parametrize("m", [-1, 2**62, "3"])
@@ -412,6 +416,11 @@ def test_byte_stable_output(tmp_path, instance_file, capsys):
     first = capsys.readouterr().out
     main(["eval", "--instance", instance_file, "--allocation", alloc])
     assert capsys.readouterr().out == first
+
+
+def test_mms_k_past_max_blocks_exits_2(instance_file, capsys):
+    assert main(["mms", "--instance", instance_file, "--agent", "0", "--k", "1000001"]) == 2
+    assert capsys.readouterr() == ("", "size-guard-exceeded: partition size k limited to 1000000, got 1000001\n")
 
 
 def test_mms_agent_out_of_range_exits_2(tmp_path, capsys):

@@ -14,6 +14,7 @@ import pytest
 from chorefair import (
     Additive,
     Allocation,
+    CappedAdditive,
     CappedCardinality,
     Criterion,
     Instance,
@@ -55,6 +56,25 @@ def test_k1_is_total_cost(ref_instance):
     assert result.witness == (frozenset(range(7)),)
 
 
+def test_one_block_is_the_whole_set_without_a_subset_table(monkeypatch):
+    rng = random.Random(1)
+    weights = [rng.randint(0, 9) for _ in range(14)]
+    values = [0]
+    for w in weights:
+        values += [v + w for v in values]
+    inst = Instance(n=1, m=14, costs=(TableCost(m=14, values=values),))
+
+    def no_table(self, elems):
+        raise AssertionError("a subset table built for one block")
+
+    monkeypatch.setattr(TableCost, "int_table", no_table)
+    for share in (mms_share, mms_value):
+        result = share(inst, 0, 1)
+        assert (result.value, result.witness) == (sum(weights), (frozenset(range(14)),))
+    empty = mms_share(inst, 0, 1, [])
+    assert (empty.value, empty.witness) == (0, (frozenset(),))
+
+
 def test_k_at_least_set_size_gives_max_single(ref_instance):
     result = mms_value(ref_instance, 2, 8, range(7))
     assert result.value == 10  # costliest single chore
@@ -84,6 +104,11 @@ def test_enumeration_guards(ref_instance):
         mms_share(ref_instance, 0, 7)
     with pytest.raises(ArgumentError):
         mms_share(ref_instance, 0, 0)
+
+
+def test_k_past_max_blocks_is_refused(ref_instance):
+    with pytest.raises(SizeGuardError, match="partition size k limited to 1000000, got 1000001$"):
+        mms_value(ref_instance, 0, mms.MAX_BLOCKS + 1)
 
 
 def test_mms_value_refuses_a_table_past_the_enumeration_guards():
@@ -361,19 +386,75 @@ def test_room_bound_changes_no_answer(monkeypatch):
     assert compared > 250 and searched > 25  # answers from the search, not from LPT
 
 
-def _random_descending(seed, t):
+def _random_descending(seed, t, top=10**4):
     rng = random.Random(seed)
-    return sorted((rng.randint(1, 10**4) for _ in range(t)), reverse=True)
+    return sorted((rng.randint(1, top) for _ in range(t)), reverse=True)
+
+
+def _answer_in_nodes(monkeypatch, items, k, nodes):
+    """The branch-and-bound's answer within a budget of ``nodes`` nodes, after checking that one fewer refuses."""
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", nodes - 1)
+    with pytest.raises(SizeGuardError, match=f"budget of {nodes - 1} nodes"):
+        _min_max_partition(items, k)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", nodes)
+    return _min_max_partition(items, k)
 
 
 def test_room_bound_answers_a_share_past_the_unbounded_node_budget(monkeypatch):
     items = _random_descending(3, 24)
-    value, assign = _min_max_partition(items, 3)
+    value, assign = _answer_in_nodes(monkeypatch, items, 3, 513)
     assert (value, sum(items)) == (48_568, 145_702) and value == -(-sum(items) // 3)
-    # Without the bound this search passes MMS_NODE_BUDGET nodes.
+    # Without the bound this search passes MMS_NODE_BUDGET nodes: it visits 429,128.
     monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
-    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 10**7)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 429_128)
     assert _min_max_partition(items, 3) == (value, assign)
+
+
+@pytest.mark.parametrize(
+    "items,k,reach_bits,nodes",
+    [
+        (_random_descending(0, 20), 2, 0, 2_641),
+        (_random_descending(2, 24), 4, None, 8_120),
+        (_random_descending(0, 14, top=10**7), 3, None, 3_139),
+    ],
+    ids=["k2-no-bitsets", "k4-room-bound", "k3-past-the-bit-budget"],
+)
+def test_branch_and_bound_node_counts_are_pinned(monkeypatch, items, k, reach_bits, nodes):
+    # Every cut (lb, the room bound, seen, the equal-load skip) shows in the
+    # node count; a weakened one answers the same after more nodes. Only the
+    # k=4 search has the room bound.
+    if reach_bits is not None:
+        monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", reach_bits)
+    assert (len(items) * sum(items) <= mms.TWO_WAY_REACH_BITS) == (k == 4)
+    _answer_in_nodes(monkeypatch, items, k, nodes)
+
+
+def _deeper(frames, call):
+    """``call()``, made ``frames`` stack frames below the caller."""
+    return call() if frames == 0 else _deeper(frames - 1, call)
+
+
+def _capped_at_total(values):
+    return Instance(n=1, m=len(values), costs=(CappedAdditive(tuple(values), sum(values)),))
+
+
+def test_a_share_does_not_depend_on_the_callers_stack_depth():
+    # The grouped route searches one weight per chore, here 832 of them.
+    rng = random.Random(0)
+    inst = _capped_at_total([rng.randint(1, 10**4) for _ in range(rng.randint(400, 900))])
+    top = mms_value(inst, 0, 3)
+    deep = _deeper(400, lambda: mms_value(inst, 0, 3))
+    assert inst.m == 832 and top.value == deep.value == 1_352_566
+    assert top.witness == deep.witness
+
+
+def test_a_long_search_stops_at_the_node_budget_at_any_depth(monkeypatch):
+    rng = random.Random(0)
+    inst = _capped_at_total([rng.randint(1, 10**6) for _ in range(1000)])
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 20_000)
+    for frames in (0, 400):
+        with pytest.raises(SizeGuardError, match="budget of 20000 nodes"):
+            _deeper(frames, lambda: mms_value(inst, 0, 3))
 
 
 def test_node_budget_stops_a_bounded_search_it_cannot_finish(monkeypatch):
