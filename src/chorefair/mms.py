@@ -22,7 +22,7 @@ its value off one forward bitset and builds its witness only when the witness
 is first read (``MmsResult``), as most callers read the value alone. Every
 route accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
 branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
-nodes.
+nodes, the branch-and-bound past ``MMS_LOAD_BUDGET`` // k nodes if fewer.
 
 All routes work on integers over the cost's ``denominator()`` and read a
 cost only through ``CostFunction.sum_groups`` (the grouped route),
@@ -61,6 +61,7 @@ TWO_WAY_REACH_BITS = 1 << 24
 # Most nodes one partition enumeration or one branch-and-bound may visit; past
 # it the search raises SizeGuardError rather than run for minutes.
 MMS_NODE_BUDGET = 250_000
+MMS_LOAD_BUDGET = 2_000_000  # most loads a branch-and-bound may sort and keep, k per node
 
 
 @dataclass(frozen=True)
@@ -235,12 +236,11 @@ def _waterfill(loads: Sequence[int], v: int, r: int) -> tuple[int, list[int]]:
 def _lpt(items: Sequence[int], k: int) -> tuple[int, list[int]]:
     """Each item in turn onto the first least loaded of k blocks: (max load, block of each item)."""
     assign = [0] * len(items)
-    loads = [0] * k
+    heap = [(0, j) for j in range(k)]  # (load, block): pops the first least loaded block
     for i, v in enumerate(items):
-        j = loads.index(min(loads))
-        loads[j] += v
-        assign[i] = j
-    return (max(loads) if items else 0), assign
+        load, assign[i] = heap[0]
+        heapq.heapreplace(heap, (load + v, assign[i]))
+    return max(heap)[0], assign
 
 
 def _suffix_reach(items: Sequence[int]) -> list[int]:
@@ -331,14 +331,14 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()
-    nodes = 0
+    nodes, budget = 0, min(MMS_NODE_BUDGET, MMS_LOAD_BUDGET // k)
 
     def visit(i: int) -> Iterator[int]:
         # Yields the index of each child to search; the loop below keeps the stack.
         nonlocal best_val, best_assign, nodes
         nodes += 1
-        if nodes > MMS_NODE_BUDGET:
-            raise SizeGuardError(f"min-max branch-and-bound exceeded its budget of {MMS_NODE_BUDGET} nodes")
+        if nodes > budget:
+            raise SizeGuardError(f"min-max branch-and-bound exceeded its budget of {budget} nodes")
         if items[i] == items[-1]:
             # All remaining items are equal: close the node exactly. This
             # holds at i = t - 1, so no visit reaches i = t.

@@ -457,6 +457,17 @@ def test_a_long_search_stops_at_the_node_budget_at_any_depth(monkeypatch):
             _deeper(frames, lambda: mms_value(inst, 0, 3))
 
 
+def test_a_search_with_many_blocks_stops_at_the_load_budget():
+    # Each node sorts and keeps its k loads, so k = 10,000 allows 200 nodes,
+    # and LPT over 20,000 chores must not cost t * k either.
+    rng = random.Random(0)
+    inst = _capped_at_total([rng.randint(1, 10**9) for _ in range(20_000)])
+    start = time.perf_counter()
+    with pytest.raises(SizeGuardError, match="budget of 200 nodes"):
+        mms_value(inst, 0, 10_000)
+    assert time.perf_counter() - start < 5
+
+
 def test_node_budget_stops_a_bounded_search_it_cannot_finish(monkeypatch):
     items = _random_descending(0, 40)
     assert len(items) * sum(items) <= mms.TWO_WAY_REACH_BITS  # the room bound is on
