@@ -478,8 +478,8 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     """Exact MMS via the cheapest route available for the agent's cost.
 
     Capped sums over groups (additive, capped-additive, capped-cardinality and
-    coverage costs) use the min-max partition of group weights within
-    ``MMS_NODE_BUDGET``, additive ones only up to ``ADDITIVE_MAX_CHORES``
+    coverage costs) use the min-max partition of group weights within its
+    node budget, additive ones only up to ``ADDITIVE_MAX_CHORES``
     chores and ``ADDITIVE_MAX_BLOCKS`` blocks; for k=2 within
     ``TWO_WAY_REACH_BITS`` the value comes first and that partition is
     built as the witness on its first read. Costs without that form, such
