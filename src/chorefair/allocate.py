@@ -71,7 +71,8 @@ def optimal_allocation(inst: Instance) -> AllocatorOutcome:
     minimal cost for it (ties to the lowest agent index). Other cost
     functions are handled by the guarded exact search of
     ``search.cheapest_accepted``, which prunes subtrees that cannot beat the
-    cheapest allocation found so far; of several optima it returns the
+    cheapest allocation found so far by a bound read from each cost's groups
+    (``sum_groups``); of several optima it returns the
     first in lexicographic order of the assignment vector. On monotone
     costs the search starts from its seed's cost (``cheapest_accepted``),
     so it prunes from the first leaf on.

@@ -184,11 +184,21 @@ def cheapest_accepted(
     Costs are each agent's ``int_eval`` scaled to the ``unit_costs`` scale,
     so the search compares integers only. When every cost is monotone, a
     subtree is pruned once its lower bound reaches the accepted incumbent:
-    the partial cost, plus, for additive instances, each remaining chore's
-    cheapest cost. Pruned leaves cost at least the incumbent, which is at
-    least the optimum seen so far, so neither output changes. Non-monotone
-    costs get the full scan. More than ``ENUMERATION_GUARD`` allocations
-    raise ``SizeGuardError`` before any work.
+    the partial cost plus the least of floor[d] and each capped agent's room
+    (its scaled ``sum_groups`` cap less its cost). Agent a's row ω_a puts
+    each ``sum_groups`` group's weight on the group's first chore and 0 on
+    its others (on an additive instance it is the ``unit`` row, read with no
+    ``sum_groups`` call), and floor[d] sums min_a ω_a(e) over chores e >= d;
+    a cost with no groups (a table) leaves every floor at 0. It is a bound:
+    with chores 0..d-1 placed, a group whose first chore is d or later is
+    wholly unplaced, so an agent taking any of its chores pays its weight
+    once; an agent with bundle S taking chores T rises by at least
+    min(cap - c(S), sum of ω(e) over T), the cap infinite when there is
+    none; summed over the agents, min(least room, floor[d]). Pruned leaves
+    cost at least the incumbent, which is at least the optimum seen so far,
+    so neither output changes. Non-monotone costs get the full scan. More
+    than ``ENUMERATION_GUARD`` allocations raise ``SizeGuardError`` before
+    any work.
 
     ``cap(i)``, when given, is the largest ``int_eval`` of agent i's bundle
     that ``accept`` can admit, or None for no cap. On an additive instance
@@ -209,9 +219,12 @@ def cheapest_accepted(
     returned: no leaf is cheaper, and at its first chore off the seed a
     leaf at G puts that chore on an agent whose rise is least too (its
     cheapest, or by monotonicity one still at 0), so of higher index than
-    the seed's, and comes later in lexicographic order. Otherwise the scan
-    starts from the incumbent bound G + 1 with no witness and takes the
-    seed at its leaf without asking again. Nothing returned changes.
+    the seed's, and comes later in lexicographic order. That rests on each
+    chore's least rise, so off an additive instance the bound here stays 0,
+    not floor[0]: a room can be less than floor[0], and a group's weight is
+    no chore's least rise. Otherwise the scan starts from the incumbent
+    bound G + 1 with no witness and takes the seed at its leaf without
+    asking again. Nothing returned changes.
     The optimum: a pruned leaf costs at least the bound at its cut, G + 1
     or a reached leaf's cost, and the scan reaches the seed or, if that is
     cut, a leaf no dearer, so the cheapest reached leaf, at most G < G + 1,
@@ -231,8 +244,6 @@ def cheapest_accepted(
     scale, unit = unit_costs(inst) if additive else (_lcm_scale(inst), None)
     factor = [scale // fn.denominator() for fn in inst.costs]
     memo: list[dict[int, int]] = [{} for _ in range(n)]  # scaled ``int_eval`` by mask, off additive instances
-    # floor[d]: a lower bound on what chores d.. add to any completion.
-    floor = [0] * (m + 1)
     if additive:
         # limit[a]: an additive agent's cap; with none, its cost of every chore, which no additive bundle exceeds.
         limit = [sum(row) for row in unit]
@@ -240,7 +251,23 @@ def cheapest_accepted(
             for a in range(n):
                 if limit[a] and (c := cap(a)) is not None:
                     limit[a] = c * factor[a]
-        columns = list(zip(*unit))  # columns[d]: each agent's cost of chore d
+    rows, rooms = unit, []  # rows[a][d]: agent a's weight on chore d; rooms: (b, b's scaled cap) per capped b
+    if prune and not additive:
+        rows = []
+        for a, fn in enumerate(inst.costs):
+            if (grouped := fn.sum_groups(range(m))) is None:  # no groups: the floor stays 0, so no room is read
+                rows = None
+                break
+            row = [0] * m
+            for members, w in grouped[0]:
+                row[members[0]] = w * factor[a]  # each group's weight on its first chore
+            rows.append(row)
+            if grouped[1] is not None:
+                rooms.append((a, grouped[1] * factor[a]))
+    # floor[d]: a lower bound on what chores d.. add to any completion, unless a capped agent's room is less.
+    floor = [0] * (m + 1)
+    if rows:
+        columns = list(zip(*rows))  # columns[d]: each agent's weight on chore d
         for d in reversed(range(m)):
             floor[d] = floor[d + 1] + min(columns[d])
     seed: list[int] | None = None
@@ -264,8 +291,8 @@ def cheapest_accepted(
         if additive and any(held[a] > limit[a] for a in range(n)):
             seed = None  # a cap cuts it from the scan too
         elif accept(seed):
-            if sum(held) == floor[0]:
-                return Fraction(floor[0], scale), Fraction(floor[0], scale), tuple(seed)
+            if sum(held) == (floor[0] if additive else 0):
+                return Fraction(sum(held), scale), Fraction(sum(held), scale), tuple(seed)
             seed_accepted = True
             best = sum(held) + 1  # no witness yet: the scan reaches the seed or a leaf as cheap
     # An additive optimum takes each chore at its cheapest; no leaf is below it.
@@ -312,7 +339,8 @@ def cheapest_accepted(
         costs[a] = new
         total += new - old
         if prune and best is not None and total + floor[d + 1] >= best:
-            continue
+            if total >= best or all(total + c - costs[b] >= best for b, c in rooms):
+                continue
         d += 1
     assert opt is not None
     assert best_masks is not None or not seed_accepted, "an accepted seed ended with no witness"

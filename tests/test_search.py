@@ -573,6 +573,19 @@ def _greedy_seed_cases():
     yield Instance(n=3, m=5, costs=(coverage, CappedCardinality(2), CappedCardinality(3)))
     for n in (2, 3):  # no chores: one leaf, which is the seed
         yield Instance(n=n, m=0, costs=(CappedCardinality(1),) * n)
+    # The group floor: a capped agent whose room is 0 after its first chores,
+    # so its share of the floor is no bound.
+    yield Instance(n=2, m=5, costs=(CappedAdditive((2, 2, 1, 1, 1), 2), Additive((1, 1, 1, 1, 1))))
+    yield Instance(n=3, m=5, costs=(Additive((1, 2, 1, 2, 1)), CappedCardinality(1), Additive((2, 1, 1, 1, 2))))
+    # A group's weight sits on its first chore, chore 0, and its other chores come last.
+    first = RowCoverage(((0, 3, 4), (1,), (2,)), (1, 2, 2))
+    yield Instance(n=3, m=5, costs=(first, Additive((1, 1, 1, 3, 3)), Additive((2, 1, 2, 3, 4))))
+    # A group of weight 0, and a capped-additive value above its cap.
+    yield Instance(n=2, m=5, costs=(RowCoverage(((0,), (1, 2), (3, 4)), (2, 0, 1)), Additive((1, 1, 0, 2, 1))))
+    yield Instance(n=2, m=5, costs=(CappedAdditive((5, 1, 2, 1, 3), 3), Additive((2, 2, 1, 2, 1))))
+    # A table has no groups, so the floor stays 0: its chore 3 is free next to any of 0-2.
+    table = TableCost(4, [min(bin(s & 7).count("1"), 1) for s in range(16)])
+    yield Instance(n=3, m=4, costs=(CappedAdditive((1, 2, 1, 2), 3), table, RowCoverage(((0, 3), (1, 2)), (1, 1))))
 
 
 def test_greedy_seed_matches_the_unpruned_reference():
@@ -632,6 +645,18 @@ def test_a_supermodular_seed_is_not_cut_by_its_holders_singleton_costs():
     assert asked == [(0, 3)]
 
 
+def test_an_additive_search_reads_its_floor_from_unit_rows_not_groups(monkeypatch):
+    def refuse(fn, elems):
+        raise AssertionError("sum_groups called")
+
+    inst = random_instance(3, 6, "additive", seed=4)
+    expected = cheapest_accepted(inst, lambda masks: True)
+    monkeypatch.setattr(Additive, "sum_groups", refuse)
+    cap = context_for(inst).share_cap(Criterion.EF1, Fraction(1))
+    assert cheapest_accepted(inst, lambda masks: True) == expected
+    assert cheapest_accepted(inst, lambda masks: True, cap)[1] is not None
+
+
 def test_an_accepted_zero_cost_seed_ends_a_non_additive_search(monkeypatch):
     # The seed (chores 0 and 2 on agent 0, chore 1 on agent 1) costs 0, the
     # least any leaf can cost, and it is the first zero-cost leaf in
@@ -658,6 +683,16 @@ def test_an_accepted_zero_cost_seed_ends_a_non_additive_search(monkeypatch):
     assert (opt, best, Allocation.from_masks(masks)) == expected
 
 
+def test_a_general_search_with_a_positive_floor_returns_its_cheapest_leaf_not_its_seed():
+    # Two capped-additive agents. The seed puts each chore on its cheaper
+    # agent and costs the floor's total, 2464/2231, but either agent holding
+    # every chore costs its cap, 1: off an additive instance floor[0] bounds
+    # no leaf, so an early return at it would return the seed.
+    outcome = optimal_allocation(random_instance(2, 5, "submodular", 9))
+    assert outcome.social_cost == 1
+    assert outcome.allocation.masks() == (31, 0)
+
+
 def _count_cost_calls(monkeypatch) -> list[int]:
     """Count ``int_eval`` calls of the cost classes that random instances draw."""
     calls = [0]
@@ -672,15 +707,17 @@ def _count_cost_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_the_greedy_seed_cuts_the_general_optimal_search_to_2133_cost_calls(monkeypatch):
+def test_the_greedy_seed_and_the_group_floor_cut_the_general_optimal_search(monkeypatch):
     # The general search read 3,350 costs on these instances when it started
-    # with no incumbent, from the leaf that puts every chore on agent 0, and
-    # 2,517 when it also read a single-chore row it never used.
+    # with no incumbent, from the leaf that puts every chore on agent 0,
+    # 2,517 when it also read a single-chore row it never used, and 2,133
+    # when it bounded a subtree by its partial cost alone. A weaker bound
+    # reads more: with ``>`` for ``>=`` in the cut it reads 1,225.
     instances = [random_instance(3, 8, "submodular", seed) for seed in range(20)]
     calls = _count_cost_calls(monkeypatch)
     for inst in instances:
         optimal_allocation(inst)
-    assert calls[0] == 2133
+    assert calls[0] == 1196
 
 
 def test_witness_is_first_cheapest_fair_allocation_in_lexicographic_order():
