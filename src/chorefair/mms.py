@@ -19,10 +19,15 @@ The min-max partition builds subset-sum reachability bitsets
 and give its k >= 3 search a room bound that keeps its witness; larger lists
 take the plain branch-and-bound. A grouped k=2 share within that limit reads
 its value off one forward bitset and builds its witness only when the witness
-is first read (``MmsResult``), as most callers read the value alone. Every
-route accepts k up to ``MAX_BLOCKS`` (10^6), and the enumeration and the
-branch-and-bound each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET``
-nodes, the branch-and-bound past ``MMS_LOAD_BUDGET`` // k nodes if fewer.
+is first read (``MmsResult``), as most callers read the value alone. The
+branch-and-bound starts from LPT's assignment improved by at most k rounds of
+moves and swaps off a heaviest block, from the bound h + 1 when that reaches
+a max h below LPT's. Any start bound above the optimum reaches the same first
+optimal leaf, so the witness is unchanged, and no node is added to the search
+from LPT's value. Every route accepts k up to ``MAX_BLOCKS`` (10^6), and the
+enumeration and the branch-and-bound each stop with ``SizeGuardError`` past
+``MMS_NODE_BUDGET`` nodes, the branch-and-bound past ``MMS_LOAD_BUDGET`` // k
+nodes if fewer.
 
 All routes work on integers over the cost's ``denominator()`` and read a
 cost only through ``CostFunction.sum_groups`` (the grouped route),
@@ -37,6 +42,7 @@ suite on every variant.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -302,6 +308,58 @@ def _two_way_reach(
     return best, tuple(assign)
 
 
+def _improved_max(items: Sequence[int], k: int, assign: Sequence[int]) -> int:
+    """The largest block load once an assignment (LPT's) is improved by moves and swaps.
+
+    At most k rounds. Each takes the first heaviest block H and the first
+    lightest block L, with gap = load(H) - load(L), and moves one item of H
+    to L, or swaps one item of H for a lighter one of L, so as to transfer
+    the d with 0 < d < gap closest to gap / 2: both new loads are then below
+    load(H). One two-pointer pass over the items of H and of L, both sorted
+    (a move is a swap for an item 0), finds that d, so a round costs O(t)
+    and all of them O(t * k). The rounds stop once no such d exists or the
+    largest load is the lower bound. Only the value is kept.
+    """
+    blocks: list[list[int]] = [[] for _ in range(k)]
+    for w, b in zip(items, assign):
+        blocks[b].append(w)
+    for block in blocks:
+        block.reverse()  # ascending
+    loads = list(map(sum, blocks))
+    floor = max(items[0], -(-sum(loads) // k))
+    for _ in range(k):
+        high, low = max(loads), min(loads)
+        if high == floor:
+            break
+        gap = high - low
+        h, l = loads.index(high), loads.index(low)
+        xs, ys = blocks[h], blocks[l]
+        ws = [0] + ys
+        # ws[q] is the first y with x - y < gap / 2, so the d closest to
+        # gap / 2 is x - ws[q - 1] or x - ws[q]; q only grows with x.
+        best_err, pick = gap, None
+        q, end = 0, len(ws)
+        for x in xs:
+            while q < end and 2 * (x - ws[q]) >= gap:
+                q += 1
+            if q and x - ws[q - 1] < gap and 2 * (x - ws[q - 1]) - gap < best_err:
+                best_err, pick = 2 * (x - ws[q - 1]) - gap, (x, q - 1)
+            if q < end and x > ws[q] and gap - 2 * (x - ws[q]) < best_err:
+                best_err, pick = gap - 2 * (x - ws[q]), (x, q)
+        if pick is None:
+            break
+        x, c = pick
+        y = ws[c]
+        xs.remove(x)
+        if c:
+            ys.remove(y)
+            bisect.insort(xs, y)
+        bisect.insort(ys, x)
+        loads[h] -= x - y
+        loads[l] += x - y
+    return max(loads)
+
+
 def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ...]]:
     """Exact min-max partition of descending nonnegative ints into k blocks.
 
@@ -317,6 +375,25 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     state cut by the room bound is not added to ``seen``, and an equal one
     met later is cut again, as ``best_val`` only falls: ``seen`` skips the
     same subtrees as before, and the witness is unchanged.
+
+    The search starts below LPT's value where it can (a better incumbent,
+    Korf 1998). When t * k is within ``MMS_LOAD_BUDGET``, ``_improved_max``
+    improves LPT's assignment to a max load h, and if h is below LPT's value
+    the search starts from the bound h + 1 with no witness, as
+    ``search.cheapest_accepted`` starts from its seed's G + 1. The answer is
+    the same. h < LPT means LPT is not optimal, so the answer was already
+    the first optimal leaf. A start bound B with opt < B <= LPT reaches that
+    same leaf, because every cut drops only subtrees with no leaf below the
+    incumbent. At each step the incumbent is at most the one the search from
+    LPT's value holds, so every node visited is one that search visits too,
+    and no share it answers is refused.
+
+    The search is one loop over per-depth state (item i is placed at depth
+    i): the next block to try and the loads already tried there, as the same
+    load on another block gives the same subtree. It keeps its own stack, so
+    its node budget (``MMS_NODE_BUDGET``, or ``MMS_LOAD_BUDGET`` // k if
+    fewer, as each node sorts and keeps k loads) is its only refusal, at any
+    depth of the caller.
     """
     t = len(items)
     total = sum(items)
@@ -327,22 +404,31 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     fits = _reach_fits(t, total)
     if k == 2 and fits:
         return _two_way_reach(items, total, best_val, best_assign)
+    if t * k <= MMS_LOAD_BUDGET:
+        improved = _improved_max(items, k, best_assign)
+        if improved < best_val:
+            best_val, best_assign = improved + 1, None
     reach = _suffix_reach(items) if fits else None
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()
+    no_blocks: Iterator[int] = iter(())
+    blocks = [no_blocks] * t  # at each depth, an iterator over the blocks left to try
+    tried: list[set[int]] = [set()] * t  # each node that opens gets its own set
+    last = items[-1]
     nodes, budget = 0, min(MMS_NODE_BUDGET, MMS_LOAD_BUDGET // k)
-
-    def visit(i: int) -> Iterator[int]:
-        # Yields the index of each child to search; the loop below keeps the stack.
-        nonlocal best_val, best_assign, nodes
+    i = 0
+    while True:
+        # Enter the node at depth i: close it, cut it, or open it.
         nodes += 1
         if nodes > budget:
             raise SizeGuardError(f"min-max branch-and-bound exceeded its budget of {budget} nodes")
-        if items[i] == items[-1]:
+        w = items[i]
+        blocks[i] = no_blocks  # no child to try unless the node opens
+        if w == last:
             # All remaining items are equal: close the node exactly. This
-            # holds at i = t - 1, so no visit reaches i = t.
-            val, counts = _waterfill(loads, items[i], t - i)
+            # holds at i = t - 1, so no node has depth t.
+            val, counts = _waterfill(loads, w, t - i)
             if val < best_val:
                 pos = i
                 for j in range(k):
@@ -351,40 +437,42 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
                         pos += 1
                 best_val = val
                 best_assign = assign.copy()
-            return
-        lb = max(max(loads), global_lb, min(loads) + items[i])
-        if lb >= best_val:
-            return
-        if reach is not None:
-            fits = sum(load + (reach[i] & ((1 << (best_val - load)) - 1)).bit_length() - 1 for load in loads)
-            if fits < total:
-                return
-        state = (i, tuple(sorted(loads)))
-        if state in seen:
-            return
-        seen.add(state)
-        tried: set[int] = set()
-        for j in range(k):
-            old = loads[j]
-            if old in tried:
+        elif max(max(loads), global_lb, min(loads) + w) < best_val:  # lb, a bound on every leaf below
+            state = (i, tuple(sorted(loads)))
+            if state not in seen:
+                # The room bound: the loads plus what each block can still
+                # take below best_val must make up the total.
+                short = 0
+                if reach is not None:
+                    r, short = reach[i], total
+                    for load in loads:
+                        short -= load + (r & ((1 << (best_val - load)) - 1)).bit_length() - 1
+                if short <= 0:
+                    seen.add(state)
+                    blocks[i] = iter(range(k))
+                    tried[i] = set()
+        # Step to the next child of the deepest node that has one, backing up
+        # past every node whose children are all tried.
+        while True:
+            w = items[i]
+            done = tried[i]
+            for j in blocks[i]:
+                old = loads[j]
+                if old in done:
+                    continue
+                done.add(old)
+                if old + w < best_val:
+                    loads[j] = old + w
+                    assign[i] = j
+                    break
+            else:
+                if i == 0:
+                    return best_val, tuple(best_assign)
+                i -= 1
+                loads[assign[i]] -= items[i]
                 continue
-            tried.add(old)
-            new = old + items[i]
-            if new >= best_val:
-                continue
-            loads[j] = new
-            assign[i] = j
-            yield i + 1
-            loads[j] = old
-
-    stack = [visit(0)]
-    while stack:
-        for child in stack[-1]:
-            stack.append(visit(child))
             break
-        else:
-            stack.pop()
-    return best_val, tuple(best_assign)
+        i += 1
 
 
 def _scaled_weights(groups: Sequence[tuple[tuple[int, ...], int]], den: int) -> tuple[list[int], int]:

@@ -400,33 +400,111 @@ def _answer_in_nodes(monkeypatch, items, k, nodes):
     return _min_max_partition(items, k)
 
 
+def _lpt_start(monkeypatch):
+    """Make the search start from LPT's value, as it did before ``_improved_max``."""
+    monkeypatch.setattr(mms, "_improved_max", lambda items, k, assign: _lpt(items, k)[0])
+
+
 def test_room_bound_answers_a_share_past_the_unbounded_node_budget(monkeypatch):
     items = _random_descending(3, 24)
-    value, assign = _answer_in_nodes(monkeypatch, items, 3, 513)
+    # 351 nodes from the improved start; 513 from LPT's bound.
+    value, assign = _answer_in_nodes(monkeypatch, items, 3, 351)
     assert (value, sum(items)) == (48_568, 145_702) and value == -(-sum(items) // 3)
-    # Without the bound this search passes MMS_NODE_BUDGET nodes: it visits 429,128.
+    with monkeypatch.context() as lpt:
+        _lpt_start(lpt)
+        assert _answer_in_nodes(lpt, items, 3, 513) == (value, assign)
+    # Without the bound this search passes MMS_NODE_BUDGET nodes: it visits
+    # 427,691 from the improved start (429,128 from LPT's bound).
     monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
     monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 429_128)
     assert _min_max_partition(items, 3) == (value, assign)
 
 
 @pytest.mark.parametrize(
-    "items,k,reach_bits,nodes",
+    "items,k,reach_bits,lpt_nodes,nodes",
     [
-        (_random_descending(0, 20), 2, 0, 2_641),
-        (_random_descending(2, 24), 4, None, 8_120),
-        (_random_descending(0, 14, top=10**7), 3, None, 3_139),
+        (_random_descending(0, 20), 2, 0, 2_641, 2_630),
+        (_random_descending(2, 24), 4, None, 8_120, 8_107),
+        (_random_descending(0, 14, top=10**7), 3, None, 3_139, 3_092),
     ],
     ids=["k2-no-bitsets", "k4-room-bound", "k3-past-the-bit-budget"],
 )
-def test_branch_and_bound_node_counts_are_pinned(monkeypatch, items, k, reach_bits, nodes):
+def test_branch_and_bound_node_counts_are_pinned(monkeypatch, items, k, reach_bits, lpt_nodes, nodes):
     # Every cut (lb, the room bound, seen, the equal-load skip) shows in the
     # node count; a weakened one answers the same after more nodes. Only the
-    # k=4 search has the room bound.
+    # k=4 search has the room bound. From LPT's bound the search visits the
+    # counts pinned before the improved start (lpt_nodes); from the improved
+    # start it visits fewer (2,641 -> 2,630, 8,120 -> 8,107, 3,139 -> 3,092).
     if reach_bits is not None:
         monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", reach_bits)
     assert (len(items) * sum(items) <= mms.TWO_WAY_REACH_BITS) == (k == 4)
-    _answer_in_nodes(monkeypatch, items, k, nodes)
+    answer = _answer_in_nodes(monkeypatch, items, k, nodes)
+    _lpt_start(monkeypatch)
+    assert _answer_in_nodes(monkeypatch, items, k, lpt_nodes) == answer
+
+
+class _NodeMeter(int):
+    """A node budget that keeps the largest node count checked against it.
+
+    The search tests ``nodes > budget``; as this is a subclass of int, that
+    asks its ``__lt__`` first, so ``most`` ends at the number of nodes
+    visited, or at one past the budget on a refusal.
+    """
+
+    most = 0
+
+    def __lt__(self, other):
+        self.most = max(self.most, other)
+        return int.__lt__(self, other)
+
+
+def _metered(monkeypatch, items, k, budget):
+    """The answer, or None on a refusal, and the nodes visited, under a node budget of ``budget``."""
+    meter = _NodeMeter(budget)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", meter)
+    return _attempt(items, k), meter.most
+
+
+def test_the_improved_start_gives_lpts_answer_in_no_more_nodes(monkeypatch):
+    # Lists with ties, zeros and runs of equal items: k = 3-8 with and
+    # without the bitsets, and k = 2 past the bit budget. Every list the
+    # LPT start answers within the budget gets the same answer from the
+    # improved start, after no more nodes.
+    lists = list(_descending_lists(300, seed=43))
+    ks = random.Random(43).choices(range(3, 9), k=len(lists))
+    cases = [(items, k, bits) for items, k in zip(lists, ks) for bits in (mms.TWO_WAY_REACH_BITS, 0)]
+    cases += [(items, 2, 0) for items in lists]
+
+    def run_all():
+        runs = []
+        for items, k, bits in cases:
+            monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", bits)
+            runs.append(_metered(monkeypatch, items, k, 5_000))
+        return runs
+
+    improved = run_all()
+    _lpt_start(monkeypatch)
+    reference = run_all()
+    compared = fewer = 0
+    for case, (answer, nodes), (ref_answer, ref_nodes) in zip(cases, improved, reference):
+        if ref_answer is not None:
+            assert (answer, nodes <= ref_nodes) == (ref_answer, True), case
+            compared += 1
+            fewer += nodes < ref_nodes
+    assert compared > 850 and fewer > 60, (compared, fewer)
+
+
+def test_the_improved_start_does_bounded_work_on_100000_values():
+    # k rounds of one linear pass each: an unbounded local search took
+    # minutes here, and the search from LPT's bound about 1.2 s.
+    rng = random.Random(0)
+    items = sorted((rng.randint(1, 10**6) for _ in range(100_000)), reverse=True)
+    lpt_value, assign = _lpt(items, 3)
+    assert mms._improved_max(items, 3, assign) < lpt_value
+    start = time.perf_counter()
+    value, _ = _min_max_partition(items, 3)
+    assert time.perf_counter() - start < 5
+    assert value == -(-sum(items) // 3)
 
 
 def _deeper(frames, call):
