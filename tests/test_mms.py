@@ -495,8 +495,8 @@ def test_the_improved_start_gives_lpts_answer_in_no_more_nodes(monkeypatch):
 
 
 def test_the_improved_start_does_bounded_work_on_100000_values():
-    # k rounds of one linear pass each: an unbounded local search took
-    # minutes here, and the search from LPT's bound about 1.2 s.
+    # k rounds of one linear pass each: a round that tries every pair of
+    # items took minutes here, and the search from LPT's bound about 1.2 s.
     rng = random.Random(0)
     items = sorted((rng.randint(1, 10**6) for _ in range(100_000)), reverse=True)
     lpt_value, assign = _lpt(items, 3)
@@ -505,6 +505,14 @@ def test_the_improved_start_does_bounded_work_on_100000_values():
     value, _ = _min_max_partition(items, 3)
     assert time.perf_counter() - start < 5
     assert value == -(-sum(items) // 3)
+    # Two sizes a unit apart leave only swaps that move one unit, so each
+    # round lowers the max by 1: rounds run until no swap is left took
+    # about 30 s here, and k rounds take milliseconds.
+    items = [10**6 + 1] * 30_000 + [10**6] * 70_000
+    lpt_value, assign = _lpt(items, 3)
+    start = time.perf_counter()
+    assert mms._improved_max(items, 3, assign) == lpt_value - 3
+    assert time.perf_counter() - start < 1
 
 
 def _deeper(frames, call):
