@@ -15,19 +15,21 @@ Two routes, both exact:
 
 The min-max partition builds subset-sum reachability bitsets
 (``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
-(2^24 bits). They solve k=2 exactly with the branch-and-bound's own witness,
-and give its k >= 3 search a room bound that keeps its witness; larger lists
-take the plain branch-and-bound. A grouped k=2 share within that limit reads
-its value off one forward bitset and builds its witness only when the witness
-is first read (``MmsResult``), as most callers read the value alone. The
-branch-and-bound starts from LPT's assignment improved by at most k rounds of
-moves and swaps off a heaviest block, from the bound h + 1 when that reaches
-a max h below LPT's. Any start bound above the optimum reaches the same first
-optimal leaf, so the witness is unchanged, and no node is added to the search
-from LPT's value. Every route accepts k up to ``MAX_BLOCKS`` (10^6), and the
-enumeration and the branch-and-bound each stop with ``SizeGuardError`` past
-``MMS_NODE_BUDGET`` nodes, the branch-and-bound past ``MMS_LOAD_BUDGET`` // k
-nodes if fewer.
+(2^24 bits). For k=2 they give the optimum v exactly, and for every k a room
+bound that keeps the witness; larger lists take the plain branch-and-bound.
+One branch-and-bound builds every min-max witness. It starts from LPT's
+assignment and, where it can, from a lower bound h + 1 with no witness: for
+k=2 within the bit limit h = v, where the room bound is exact, so the search
+never dead-ends and visits at most 3t + 1 nodes; otherwise h is LPT's max
+improved by at most k rounds of moves and swaps off a heaviest block. Any
+start bound above the optimum reaches the same first optimal leaf, so the
+witness is unchanged, and no node is added to the search from LPT's value.
+A grouped k=2 share within the bit limit reads its value off one forward
+bitset and builds its witness only when the witness is first read
+(``MmsResult``), as most callers read the value alone. Every route accepts k
+up to ``MAX_BLOCKS`` (10^6), and the enumeration and the branch-and-bound
+each stop with ``SizeGuardError`` past ``MMS_NODE_BUDGET`` nodes, the
+branch-and-bound past ``MMS_LOAD_BUDGET`` // k nodes if fewer.
 
 All routes work on integers over the cost's ``denominator()`` and read a
 cost only through ``CostFunction.sum_groups`` (the grouped route),
@@ -62,7 +64,7 @@ ADDITIVE_MAX_BLOCKS = 8
 # Largest k of any route: a witness holds k blocks, padded with empty ones.
 MAX_BLOCKS = 10**6
 # Largest t * total for which a min-max partition builds subset-sum bitsets (the
-# k=2 answer, the k >= 3 room bound): the t bitsets then hold at most 2 MiB.
+# k=2 optimum, the room bound): the t bitsets then hold at most 2 MiB.
 TWO_WAY_REACH_BITS = 1 << 24
 # Most nodes one partition enumeration or one branch-and-bound may visit; past
 # it the search raises SizeGuardError rather than run for minutes.
@@ -221,16 +223,21 @@ def _waterfill(loads: Sequence[int], v: int, r: int) -> tuple[int, list[int]]:
     """Optimally place r identical items of size v onto fixed loads.
 
     Putting each item on the least loaded block finds the optimal max load,
-    since the items are identical; the counts then fill the blocks in index
-    order up to that level.
+    since the items are identical, and takes the tops load + c * v (c >= 1)
+    in increasing order. That level is read off the loads in O(k log k): it
+    is max(loads) when the blocks take r items up to it; else each span of
+    v above max(loads) holds one top of every block, so the d items left end
+    on the (d - 1) % k-th smallest top of span (d - 1) // k. The counts then
+    fill the blocks in index order up to that level.
     """
     if v == 0:
         return max(loads), [r] + [0] * (len(loads) - 1)
-    heap = list(loads)
-    heapq.heapify(heap)
-    for _ in range(r):
-        heapq.heapreplace(heap, heap[0] + v)
-    best = max(heap)
+    high = max(loads)
+    d = r - sum([(high - load) // v for load in loads])
+    best = high
+    if d > 0:
+        span, nth = divmod(d - 1, len(loads))
+        best += span * v + sorted([v - (high - load) % v for load in loads])[nth]
     counts = []
     left = r
     for load in loads:
@@ -269,43 +276,6 @@ def _two_way_optimum(reach: int, total: int) -> int:
     total // 2, and the heavier block holds the rest.
     """
     return total - ((reach & ((2 << total // 2) - 1)).bit_length() - 1)
-
-
-def _two_way_reach(
-    items: Sequence[int], total: int, lpt_val: int, lpt_assign: list[int]
-) -> tuple[int, tuple[int, ...]]:
-    """The branch-and-bound's answer for k=2, read off subset-sum bitsets.
-
-    Bit s of ``reach[i]`` is set when some subset of ``items[i:]`` sums to s,
-    so ``_two_way_optimum`` reads the optimum off ``reach[0]``.
-    The branch-and-bound replaces its incumbent, LPT, only on a strictly
-    smaller max, so it returns LPT when LPT is optimal and otherwise its
-    first optimal leaf in depth-first order. One walk finds that leaf: at
-    each item take block 0, the child the search tries first, unless
-    ``reach[i + 1]`` shows that the remaining items cannot then finish at or
-    below the optimum, and block 1 otherwise (with equal loads the blocks are
-    alike, so block 0 always can). Where the search closes a run of equal
-    items with ``_waterfill``, which fills block 0 first, the walk places
-    them the same way.
-    """
-    t = len(items)
-    reach = _suffix_reach(items)
-    best = _two_way_optimum(reach[0], total)
-    if lpt_val == best:
-        return best, tuple(lpt_assign)
-    loads = [0, 0]
-    assign = [0] * t
-    rest = total
-    for i, w in enumerate(items):
-        rest -= w
-        # Block 0 then needs a reachable sum X of items[i+1:] with
-        # loads[0] + w + X <= best and loads[1] + rest - X <= best.
-        lo = max(0, loads[1] + rest - best)
-        hi = best - loads[0] - w
-        j = 0 if hi >= lo and reach[i + 1] >> lo & ((2 << (hi - lo)) - 1) else 1
-        loads[j] += w
-        assign[i] = j
-    return best, tuple(assign)
 
 
 def _improved_max(items: Sequence[int], k: int, assign: Sequence[int]) -> int:
@@ -364,29 +334,40 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     """Exact min-max partition of descending nonnegative ints into k blocks.
 
     Returns LPT's assignment when it is optimal, else the first optimal leaf
-    of the branch-and-bound's depth-first order. For k=2 with t * total at
-    most ``TWO_WAY_REACH_BITS``, ``_two_way_reach`` finds the same answer
-    without the search. For k >= 3 within that limit, the same bitsets give
-    a room bound (bin completion, Korf 2009): a block of load L can still
-    take at most the largest sum of the remaining items below best_val - L,
-    and a node whose loads plus these fits sum to less than ``total`` is
-    cut. Each cut (``lb``, the room bound, ``seen``) drops only subtrees with
-    no leaf below the incumbent, so the first optimal leaf is never cut. A
-    state cut by the room bound is not added to ``seen``, and an equal one
-    met later is cut again, as ``best_val`` only falls: ``seen`` skips the
-    same subtrees as before, and the witness is unchanged.
+    of the branch-and-bound's depth-first order. With t * total at most
+    ``TWO_WAY_REACH_BITS``, subset-sum bitsets of the suffixes give a room
+    bound (bin completion, Korf 2009): a block of load L can still take at
+    most the largest sum of the remaining items below best_val - L, and a
+    node whose loads plus these fits sum to less than ``total`` is cut. Each
+    cut (``lb``, the room bound, ``seen``) drops only subtrees with no leaf
+    below the incumbent, so the first optimal leaf is never cut. A state cut
+    by the room bound is not added to ``seen``, and an equal one met later
+    is cut again, as ``best_val`` only falls: ``seen`` skips the same
+    subtrees as before, and the witness is unchanged.
 
     The search starts below LPT's value where it can (a better incumbent,
-    Korf 1998). When t * k is within ``MMS_LOAD_BUDGET``, ``_improved_max``
-    improves LPT's assignment to a max load h, and if h is below LPT's value
-    the search starts from the bound h + 1 with no witness, as
-    ``search.cheapest_accepted`` starts from its seed's G + 1. The answer is
-    the same. h < LPT means LPT is not optimal, so the answer was already
-    the first optimal leaf. A start bound B with opt < B <= LPT reaches that
+    Korf 1998): from a bound h + 1 with no witness, as
+    ``search.cheapest_accepted`` starts from its seed's G + 1. For k=2 with
+    the bitsets, h is the optimum v that ``_two_way_optimum`` reads off
+    them, and v is also the lower bound. Otherwise, when t * k is within
+    ``MMS_LOAD_BUDGET``, h is the max load of LPT's assignment as
+    ``_improved_max`` improves it, if below LPT's value. The answer is the
+    same. h < LPT means LPT is not optimal, so the answer was already the
+    first optimal leaf. A start bound B with opt < B <= LPT reaches that
     same leaf, because every cut drops only subtrees with no leaf below the
     incumbent. At each step the incumbent is at most the one the search from
     LPT's value holds, so every node visited is one that search visits too,
     and no share it answers is refused.
+
+    For k=2 the room bound is exact. A subset of ``items[i:]`` sums to X
+    exactly when its complement sums to rest - X, so the fits of loads L0
+    and L1 below v + 1 make up the rest exactly when some reachable X lies
+    in [rest - (v - L1), v - L0]: every node that opens has a completion at
+    v. Before the first optimal leaf at most two children are entered per
+    depth; after it ``lb`` cuts every node entered, and unwinding enters at
+    most one more per depth: at most 3t + 1 nodes. Positive weights within
+    the bit budget number at most 2^12 (a tail of zeros is one close), so
+    no k=2 search within it is refused.
 
     The search is one loop over per-depth state (item i is placed at depth
     i): the next block to try and the loads already tried there, as the same
@@ -401,14 +382,16 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
     global_lb = max(items[0], -(-total // k))
     if best_val == global_lb:
         return best_val, tuple(best_assign)
-    fits = _reach_fits(t, total)
-    if k == 2 and fits:
-        return _two_way_reach(items, total, best_val, best_assign)
-    if t * k <= MMS_LOAD_BUDGET:
+    reach = _suffix_reach(items) if _reach_fits(t, total) else None
+    if k == 2 and reach is not None:
+        global_lb = _two_way_optimum(reach[0], total)
+        if best_val == global_lb:
+            return best_val, tuple(best_assign)
+        best_val, best_assign = global_lb + 1, None
+    elif t * k <= MMS_LOAD_BUDGET:
         improved = _improved_max(items, k, best_assign)
         if improved < best_val:
             best_val, best_assign = improved + 1, None
-    reach = _suffix_reach(items) if fits else None
     loads = [0] * k
     assign = [0] * t
     seen: set[tuple[int, tuple[int, ...]]] = set()

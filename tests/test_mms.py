@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import heapq
 import math
 import pickle
 import random
@@ -311,6 +312,37 @@ def test_waterfill_is_exact():
         assert value == best
 
 
+def _heap_waterfill(loads, v, r):
+    """The reference fill: each item in turn onto a least loaded block, by heap."""
+    heap = list(loads)
+    heapq.heapify(heap)
+    for _ in range(r):
+        heapq.heapreplace(heap, heap[0] + v)
+    return max(heap)
+
+
+def test_waterfill_level_matches_placing_items_one_at_a_time():
+    rng = random.Random(44)
+    for _ in range(20_000):
+        k = rng.randint(1, 9)
+        loads = [rng.randint(0, rng.choice((3, 20, 1000))) for _ in range(k)]
+        v = rng.randint(1, rng.choice((3, 30, 2000)))
+        r = rng.randint(0, rng.choice((3, 40, 500)))
+        assert _waterfill(loads, v, r)[0] == _heap_waterfill(loads, v, r), (loads, v, r)
+
+
+def test_a_long_run_of_equal_items_closes_without_placing_them_one_by_one():
+    # Each close places the run of 10^6 behind the 50 heavier items: one
+    # heap step per item took about 4.5 s on this list, where reading the
+    # level off the loads takes about 0.1 s.
+    items = [10**6 + 1] * 50 + [10**6] * 99_950
+    start = time.perf_counter()
+    value, assign = _min_max_partition(items, 3)
+    assert time.perf_counter() - start < 2
+    assert value == 33_334 * 10**6  # some block holds 33,334 items
+    assert assign == (0,) * 33_333 + (1,) * 33_334 + (2,) * 33_333
+
+
 def test_min_max_partition_ties_are_deterministic():
     value1, assign1 = _min_max_partition([5, 3, 3, 1], 2)
     value2, assign2 = _min_max_partition([5, 3, 3, 1], 2)
@@ -333,22 +365,39 @@ def _descending_lists(count: int, seed: int):
         yield sorted((rng.randint(0, top) for _ in range(t)), reverse=True)
 
 
-def test_two_way_reach_returns_the_branch_and_bound_answer(monkeypatch):
+def test_the_exact_two_way_start_returns_the_branch_and_bound_answer(monkeypatch):
+    # With the bitsets, a k=2 search starts from the optimum v + 1 and its
+    # room bound is exact, so it never dead-ends: each list is answered
+    # within 2t + 1 nodes (3t + 1 is the proven bound), and gives the answer
+    # of the search without the bitsets. A start from LPT's value is
+    # refused on thousands of these lists.
     lists = list(_descending_lists(20_000, seed=9))
-    reached = [_min_max_partition(items, 2) for items in lists]
+    reached = []
+    for items in lists:
+        monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 2 * len(items) + 1)
+        reached.append(_min_max_partition(items, 2))
+    # Two searches pinned node for node: 32 nodes where the search without
+    # the bitsets visits 2,630 (k2-no-bitsets below), and a list with ties
+    # and zeros, whose zeros close in one _waterfill.
+    assert _answer_in_nodes(monkeypatch, _random_descending(0, 20), 2, 32)[0] == 57_287
+    ties = [6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 3, 3, 3, 2, 2, 0, 0, 0]
+    assert _answer_in_nodes(monkeypatch, ties, 2, 27) == (43, (0,) * 7 + (1,) * 6 + (0,) + (1,) * 5 + (0,) * 3)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 250_000)
     monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
-    walked = 0
+    searched = 0
     for items, result in zip(lists, reached):
         assert _min_max_partition(items, 2) == result, items
-        walked += result[1] != tuple(_lpt(items, 2)[1])
-    assert walked > 2000  # lists whose answer comes from the walk, not from LPT
+        searched += result[1] != tuple(_lpt(items, 2)[1])
+    assert searched > 2000  # lists whose answer comes from the search, not from LPT
 
 
 def test_over_budget_k2_partitions_keep_the_branch_and_bound(monkeypatch):
-    def no_reach(*args):
-        raise AssertionError("subset-sum route taken over its bit budget")
+    # Past the bit budget no bitsets are built: the search runs without
+    # the exact start or the room bound.
+    def no_reach(items):
+        raise AssertionError("subset-sum bitsets built over their bit budget")
 
-    monkeypatch.setattr(mms, "_two_way_reach", no_reach)
+    monkeypatch.setattr(mms, "_suffix_reach", no_reach)
     rng = random.Random(3)
     for _ in range(20):
         items = sorted((rng.randint(10**7, 2 * 10**7) for _ in range(12)), reverse=True)
