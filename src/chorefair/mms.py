@@ -226,9 +226,10 @@ def _waterfill(loads: Sequence[int], v: int, r: int) -> tuple[int, list[int]]:
     since the items are identical, and takes the tops load + c * v (c >= 1)
     in increasing order. That level is read off the loads in O(k log k): it
     is max(loads) when the blocks take r items up to it; else each span of
-    v above max(loads) holds one top of every block, so the d items left end
-    on the (d - 1) % k-th smallest top of span (d - 1) // k. The counts then
-    fill the blocks in index order up to that level.
+    v above max(loads) holds one top of every block, so the d items left
+    end on the ((d - 1) % k)-th smallest top, counted from 0, of span
+    (d - 1) // k. The counts then fill the blocks in index order up to that
+    level.
     """
     if v == 0:
         return max(loads), [r] + [0] * (len(loads) - 1)

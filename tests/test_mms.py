@@ -333,7 +333,7 @@ def test_waterfill_level_matches_placing_items_one_at_a_time():
 
 def test_a_long_run_of_equal_items_closes_without_placing_them_one_by_one():
     # Each close places the run of 10^6 behind the 50 heavier items: one
-    # heap step per item took about 4.5 s on this list, where reading the
+    # heap step per item took 4.4-4.7 s on this list, where reading the
     # level off the loads takes about 0.1 s.
     items = [10**6 + 1] * 50 + [10**6] * 99_950
     start = time.perf_counter()
@@ -373,16 +373,16 @@ def test_the_exact_two_way_start_returns_the_branch_and_bound_answer(monkeypatch
     # refused on thousands of these lists.
     lists = list(_descending_lists(20_000, seed=9))
     reached = []
-    for items in lists:
-        monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 2 * len(items) + 1)
-        reached.append(_min_max_partition(items, 2))
-    # Two searches pinned node for node: 32 nodes where the search without
-    # the bitsets visits 2,630 (k2-no-bitsets below), and a list with ties
-    # and zeros, whose zeros close in one _waterfill.
-    assert _answer_in_nodes(monkeypatch, _random_descending(0, 20), 2, 32)[0] == 57_287
-    ties = [6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 3, 3, 3, 2, 2, 0, 0, 0]
-    assert _answer_in_nodes(monkeypatch, ties, 2, 27) == (43, (0,) * 7 + (1,) * 6 + (0,) + (1,) * 5 + (0,) * 3)
-    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 250_000)
+    with monkeypatch.context() as tight:
+        for items in lists:
+            tight.setattr(mms, "MMS_NODE_BUDGET", 2 * len(items) + 1)
+            reached.append(_min_max_partition(items, 2))
+        # Two searches pinned node for node: 32 nodes where the search
+        # without the bitsets visits 2,630 (k2-no-bitsets below), and a list
+        # with ties and zeros, whose zeros close in one _waterfill.
+        assert _answer_in_nodes(tight, _random_descending(0, 20), 2, 32)[0] == 57_287
+        ties = [6, 6, 6, 6, 5, 5, 5, 5, 5, 5, 5, 5, 5, 4, 3, 3, 3, 2, 2, 0, 0, 0]
+        assert _answer_in_nodes(tight, ties, 2, 27) == (43, (0,) * 7 + (1,) * 6 + (0,) + (1,) * 5 + (0,) * 3)
     monkeypatch.setattr(mms, "TWO_WAY_REACH_BITS", 0)
     searched = 0
     for items, result in zip(lists, reached):
