@@ -1,17 +1,21 @@
 """Exact maximin-share computation.
 
-Two routes, both exact:
+Each public query checks its arguments once (``_query``, or the bundle
+checks of ``pairwise_mms``) and then calls one private core; both routes
+are exact:
 
-* ``mms_share`` -- the reference: enumeration of set partitions as
-                   restricted-growth strings, for any cost oracle, guarded
-                   sizes. Monotone costs (every formula variant, and each
-                   table whose entries are monotone) are pruned against a
-                   greedy bound, with the full scan's witness.
-* ``mms_value`` -- the dispatcher: a min-max partition of the group weights
-                   for a capped sum over groups (additive costs included),
-                   a scan of every two-way split of other costs for k=2,
-                   and enumeration otherwise. ``pairwise_mms`` is
-                   ``mms_value`` with k=2 over two disjoint bundles.
+* ``mms_share`` -- ``_enumerated``, the reference: enumeration of set
+                   partitions as restricted-growth strings, for any cost
+                   oracle, guarded sizes. Monotone costs (every formula
+                   variant, and each table whose entries are monotone) are
+                   pruned against a greedy bound, with the full scan's
+                   witness.
+* ``mms_value`` -- ``_solve``, the only code that picks a route: a min-max
+                   partition of the group weights for a capped sum over
+                   groups (additive costs included), a scan of every
+                   two-way split of other costs for k=2, and enumeration
+                   otherwise. ``pairwise_mms`` is ``_solve`` with k=2 over
+                   two disjoint bundles.
 
 The min-max partition builds subset-sum reachability bitsets
 (``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
@@ -38,7 +42,7 @@ cost only through ``CostFunction.sum_groups`` (the grouped route),
 so a new variant needs nothing here: the grouped route if ``sum_groups``
 gives groups, else enumeration.
 
-The dispatcher is cross-checked against the enumeration route in the test
+``_solve`` is cross-checked against the enumeration route in the test
 suite on every variant.
 """
 
@@ -140,12 +144,17 @@ def mms_share(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     than the set size harmless.
     """
     elems = _query(inst, agent, k, chores)
+    return _enumerated(inst.costs[agent], elems, k)
+
+
+def _enumerated(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
+    """The enumeration route, within its size guard, with the witness padded to k blocks."""
     if len(elems) > ENUM_MAX_CHORES or k > ENUM_MAX_BLOCKS:
         raise SizeGuardError(
             f"partition enumeration limited to {ENUM_MAX_CHORES} chores and "
             f"{ENUM_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
         )
-    value, blocks = _enumerate_partitions(inst.costs[agent], elems, k)
+    value, blocks = _enumerate_partitions(fn, elems, k)
     return MmsResult(value=value, witness=_pad(blocks, k))
 
 
@@ -459,15 +468,7 @@ def _min_max_partition(items: Sequence[int], k: int) -> tuple[int, tuple[int, ..
         i += 1
 
 
-def _scaled_weights(groups: Sequence[tuple[tuple[int, ...], int]], den: int) -> tuple[list[int], int]:
-    """The group weights divided by g, their gcd with ``den``, in group order; and g."""
-    g = math.gcd(den, *(w for _, w in groups))
-    return [w // g for _, w in groups], g
-
-
-def _grouped_min_max(
-    groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int, k: int
-) -> tuple[Fraction, list[frozenset[int]]]:
+def _grouped_min_max(groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int, k: int) -> MmsResult:
     """Exact MMS of a capped sum over groups (``CostFunction.sum_groups``).
 
     Concentrating a group in one block never raises the max, so the optimum
@@ -475,43 +476,44 @@ def _grouped_min_max(
     most k blocks, of which no more than one per group is ever used. Every
     partition's max block sum is >= the uncapped optimum, so the capped
     optimum is exactly min(cap, uncapped optimum) and any uncapped witness
-    attains it. Weights are divided by their gcd with ``den``, which puts
-    them over the lcm of the denominators of the weights in play and keeps
-    the search's lower bound, a ceiling of total / k, as tight as it gets.
+    attains it. Weights are divided once by g, their gcd with ``den``, which
+    puts them over the lcm of the denominators of the weights in play and
+    keeps the search's lower bound, a ceiling of total / k, as tight as it
+    gets. For k=2 within ``_reach_fits`` one forward subset-sum bitset gives
+    the optimum (a split's value does not depend on the item order), and
+    ``_grouped_partition`` builds the witness from the same scaled weights
+    on its first read; every other share builds it at once.
+    """
+    g = math.gcd(den, *(w for _, w in groups))
+    weights = [w // g for _, w in groups]
+    total = sum(weights)
+    if k == 2 and _reach_fits(len(weights), total):
+        reach = 1
+        for w in weights:
+            reach |= reach << w
+        best = _two_way_optimum(reach, total) * g
+        value = Fraction(best if cap is None else min(best, cap), den)
+        return MmsResult._deferred(value, lambda: _grouped_partition(groups, weights, 2)[1])
+    best, witness = _grouped_partition(groups, weights, k)
+    best *= g
+    return MmsResult(value=Fraction(best if cap is None else min(best, cap), den), witness=witness)
+
+
+def _grouped_partition(
+    groups: Sequence[tuple[tuple[int, ...], int]], weights: Sequence[int], k: int
+) -> tuple[int, tuple[frozenset[int], ...]]:
+    """The min-max value of the scaled ``weights`` of ``groups`` and its witness, padded to k blocks.
+
     Groups are ordered by descending weight, then by first chore; as they
     are disjoint, no two tie on both, so the chore tuples are never compared.
     """
-    weights, g = _scaled_weights(groups, den)
     order = sorted([(-w, members[0], members) for (members, _), w in zip(groups, weights)])
     items = [-neg for neg, _, _ in order]
     parts: list[list[int]] = [[] for _ in range(min(k, len(items)))]
     best, assign = _min_max_partition(items, len(parts))
     for (_, _, members), b in zip(order, assign):
         parts[b] += members
-    blocks = [frozenset(part) for part in parts]
-    best *= g
-    return Fraction(best if cap is None else min(best, cap), den), blocks
-
-
-def _grouped_two_way_value(
-    groups: Sequence[tuple[tuple[int, ...], int]], cap: int | None, den: int
-) -> Fraction | None:
-    """``_grouped_min_max``'s k=2 value alone, or None when its weights do not ``_reach_fits``.
-
-    The weights are scaled as there (``_scaled_weights``), and one forward
-    subset-sum bitset over them gives the optimum: the split's value does
-    not depend on the order of the items, so no sort, LPT or witness walk
-    is needed.
-    """
-    items, g = _scaled_weights(groups, den)
-    total = sum(items)
-    if not _reach_fits(len(items), total):
-        return None
-    reach = 1
-    for w in items:
-        reach |= reach << w
-    best = _two_way_optimum(reach, total) * g
-    return Fraction(best if cap is None else min(best, cap), den)
+    return best, _pad([frozenset(part) for part in parts], k)
 
 
 # ---------------------------------------------------------------------------
@@ -519,9 +521,7 @@ def _grouped_two_way_value(
 # ---------------------------------------------------------------------------
 
 
-def _two_partition_scan(
-    fn: CostFunction, elems: tuple[int, ...]
-) -> tuple[Fraction, list[frozenset[int]]]:
+def _two_partition_scan(fn: CostFunction, elems: tuple[int, ...]) -> MmsResult:
     """Exact k=2 MMS of a nonempty chore set, by a scan of every two-way split."""
     t = len(elems)
     table = fn.int_table(elems)
@@ -538,7 +538,7 @@ def _two_partition_scan(
             best_mask = s
     side_a = frozenset(elems[i] for i in range(t) if best_mask >> i & 1)
     side_b = frozenset(elems) - side_a
-    return Fraction(best, fn.denominator()), [side_a, side_b]
+    return MmsResult(value=Fraction(best, fn.denominator()), witness=(side_a, side_b))
 
 
 # ---------------------------------------------------------------------------
@@ -546,20 +546,8 @@ def _two_partition_scan(
 # ---------------------------------------------------------------------------
 
 
-def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None = None) -> MmsResult:
-    """Exact MMS via the cheapest route available for the agent's cost.
-
-    Capped sums over groups (additive, capped-additive, capped-cardinality and
-    coverage costs) use the min-max partition of group weights within its
-    node budget, additive ones only up to ``ADDITIVE_MAX_CHORES``
-    chores and ``ADDITIVE_MAX_BLOCKS`` blocks; for k=2 within
-    ``TWO_WAY_REACH_BITS`` the value comes first and that partition is
-    built as the witness on its first read. Costs without that form, such
-    as tables, fall back to the two-way split scan for k=2 up to
-    ``PAIRWISE_MAX_CHORES`` chores and to guarded enumeration otherwise.
-    """
-    elems = _query(inst, agent, k, chores)
-    fn = inst.costs[agent]
+def _solve(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
+    """Exact MMS of sorted, checked chores: the one place that picks a route."""
     if not elems:
         return MmsResult(value=Fraction(0), witness=_pad([], k))
     if isinstance(fn, Additive) and (len(elems) > ADDITIVE_MAX_CHORES or k > ADDITIVE_MAX_BLOCKS):
@@ -569,23 +557,32 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
         )
     grouped = fn.sum_groups(elems)
     if grouped is not None:
-        den = fn.denominator()
-        if k == 2:
-            value = _grouped_two_way_value(*grouped, den)
-            if value is not None:
-                return MmsResult._deferred(value, lambda: _pad(_grouped_min_max(*grouped, den, 2)[1], 2))
-        value, blocks = _grouped_min_max(*grouped, den, k)
-        return MmsResult(value=value, witness=_pad(blocks, k))
+        return _grouped_min_max(*grouped, fn.denominator(), k)
     if k == 2 and len(elems) <= PAIRWISE_MAX_CHORES:
-        value, blocks = _two_partition_scan(fn, elems)
-        return MmsResult(value=value, witness=tuple(blocks))
-    return mms_share(inst, agent, k, elems)
+        return _two_partition_scan(fn, elems)
+    return _enumerated(fn, elems, k)
+
+
+def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None = None) -> MmsResult:
+    """Exact MMS via the cheapest route available for the agent's cost (``_solve``).
+
+    Capped sums over groups (additive, capped-additive, capped-cardinality and
+    coverage costs) use the min-max partition of group weights within its
+    node budget, additive ones only up to ``ADDITIVE_MAX_CHORES``
+    chores and ``ADDITIVE_MAX_BLOCKS`` blocks; for k=2 within
+    ``TWO_WAY_REACH_BITS`` the value comes first and that partition is
+    built as the witness on its first read. Costs without that form, such
+    as tables, take the two-way split scan for k=2 up to
+    ``PAIRWISE_MAX_CHORES`` chores and guarded enumeration otherwise.
+    """
+    elems = _query(inst, agent, k, chores)
+    return _solve(inst.costs[agent], elems, k)
 
 
 def pairwise_mms(inst: Instance, agent: int, a: Iterable[int], b: Iterable[int]) -> MmsResult:
-    """The pairwise share MMS_i(2, a | b): ``mms_value`` with k=2 over two disjoint bundles."""
+    """The pairwise share MMS_i(2, a | b): ``_solve`` with k=2 over two disjoint bundles."""
     inst.check_agent(agent)
     set_a, set_b = inst.check_chores(a), inst.check_chores(b)
     if set_a & set_b:
         raise ArgumentError(f"bundles overlap on chores {sorted(set_a & set_b)}")
-    return mms_value(inst, agent, 2, set_a | set_b)
+    return _solve(inst.costs[agent], tuple(sorted(set_a | set_b)), 2)

@@ -141,6 +141,21 @@ def test_best_round_robin_order_on_extremal_share_instance():
     assert best_round_robin_order(bundle.instance).social_cost <= 1
 
 
+def test_additive_only_procedures_refuse_a_non_additive_cost():
+    # Two agents, one with a capped-cardinality cost: each procedure refuses
+    # the instance and names itself in the message.
+    inst = Instance(n=2, m=3, costs=(CappedCardinality(2), Additive((1, 1, 1))))
+    refusals = [
+        (best_round_robin_order, "round robin requires additive cost functions"),
+        (alg1_two_agent_ef1, "the two-agent EF1 algorithm requires additive cost functions"),
+        (pmms32_two_agent, "the two-agent 3/2-PMMS constructor requires additive cost functions"),
+    ]
+    for procedure, message in refusals:
+        with pytest.raises(PreconditionError) as refused:
+            procedure(inst)
+        assert str(refused.value) == f"precondition-failed: {message}"
+
+
 # -- two-agent EF1 at price <= 5/4 -------------------------------------------
 
 

@@ -17,6 +17,7 @@ import pytest
 
 from chorefair import mms
 from chorefair.cli import main
+from chorefair.errors import InternalError
 from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
 from chorefair.search import (
@@ -303,6 +304,18 @@ def test_allocate_alg1_mismatch_exits_2(instance_file, capsys):
     assert "precondition-failed" in capsys.readouterr().err
 
 
+def test_allocate_internal_failure_exits_1(instance_file, capsys, monkeypatch):
+    # A broken invariant inside a command is exit 1 with its one tagged line.
+    import chorefair.cli as cli
+
+    def broken(*args, **kwargs):
+        raise InternalError("x")
+
+    monkeypatch.setattr(cli, "pmms32_two_agent", broken)
+    assert main(["allocate", "--instance", instance_file, "--algorithm", "pmms32"]) == 1
+    assert capsys.readouterr() == ("", "internal-invariant: x\n")
+
+
 def test_allocate_alg1_on_price_family(tmp_path, capsys):
     assert main(["family", "--id", "POF_EF1_N2", "--epsilon", "1/100"]) == 0
     family = json.loads(capsys.readouterr().out)
@@ -453,6 +466,21 @@ def _stub_suites(monkeypatch, rows=()) -> list:
     for name in ("verify_connections", "verify_prices", "verify_lemmas"):
         monkeypatch.setattr(cli, name, suite)
     return started
+
+
+def test_verify_report_write_failure_exits_2(tmp_path, capsys, monkeypatch):
+    # The folder exists, so the early checks pass; the write itself then fails.
+    import chorefair.cli as cli
+
+    def unwritable(*args, **kwargs):
+        raise OSError("disk full")
+
+    _stub_suites(monkeypatch)
+    monkeypatch.setattr(cli, "open", unwritable, raising=False)
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", "connections", "--out", str(out)]) == 2
+    assert capsys.readouterr() == ("", f"error: cannot write {out}: disk full\n")
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

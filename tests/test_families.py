@@ -116,6 +116,9 @@ def test_valid_params_probe():
 def test_family_params_listing():
     assert family_params("POF_N3_UNBOUNDED") == ("n", "m", "epsilon")
     assert family_params("PMMS_MMS_N3_TIGHT") == ()
+    with pytest.raises(ArgumentError) as unknown:
+        family_params("NOPE")
+    assert str(unknown.value) == "argument-error: unknown family 'NOPE'"
 
 
 def test_family_json_contains_expectations():

@@ -850,10 +850,17 @@ def test_a_range_of_chores_answers_as_the_same_chores_in_a_list(ref_instance, ch
     assert checked == ([] if fast else [chores])
 
 
+def _eager_grouped(groups, cap, den):
+    """A grouped k=2 answer built eagerly: ``_grouped_partition`` over the weights divided by their gcd with den."""
+    g = math.gcd(den, *(w for _, w in groups))
+    best, witness = mms._grouped_partition(groups, [w // g for _, w in groups], 2)
+    best *= g
+    return MmsResult(Fraction(best if cap is None else min(best, cap), den), witness)
+
+
 def _eager_two_way(fn, elems):
-    """The grouped route's k=2 answer as built before any value-first route: ``_pad(_grouped_min_max(...))``."""
-    value, blocks = mms._grouped_min_max(*fn.sum_groups(elems), fn.denominator(), 2)
-    return MmsResult(value, mms._pad(blocks, 2))
+    """The grouped route's k=2 answer as built before any value-first route."""
+    return _eager_grouped(*fn.sum_groups(elems), fn.denominator())
 
 
 def _deferred(result: MmsResult) -> bool:
@@ -892,7 +899,7 @@ def test_value_first_two_way_shares_match_the_eager_route():
         eager = _eager_two_way(fn, tuple(elems))
         groups, cap = fn.sum_groups(tuple(elems))
         if cap is not None:
-            uncapped = mms._grouped_min_max(groups, None, fn.denominator(), 2)[0] * fn.denominator()
+            uncapped = _eager_grouped(groups, None, fn.denominator()).value * fn.denominator()
             caps[(cap > uncapped) - (cap < uncapped)] += 1
         assert result.value == eager.value, (fn, elems)
         assert result.witness == eager.witness and result == eager, (fn, elems)
@@ -938,7 +945,7 @@ def test_share_readers_build_no_witness(monkeypatch):
 
     instances = [random_instance(2, 7, "additive", seed=seed) for seed in range(6)]
     expected = [_eager_two_way(inst.costs[0], tuple(range(inst.m))).value for inst in instances]
-    monkeypatch.setattr(mms, "_grouped_min_max", no_witness)
+    monkeypatch.setattr(mms, "_grouped_partition", no_witness)
     for inst, share in zip(instances, expected):
         ctx = InstanceContext(inst)
         assert ctx.share(0, 2, (1 << inst.m) - 1)[1] == share
