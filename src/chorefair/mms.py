@@ -56,15 +56,13 @@ from fractions import Fraction
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .errors import ArgumentError, SizeGuardError
-from .model import Additive, CostFunction, Instance
+from .model import CostFunction, Instance
 
 __all__ = ["MmsResult", "mms_share", "pairwise_mms", "mms_value"]
 
 ENUM_MAX_CHORES = 14
 ENUM_MAX_BLOCKS = 6
 PAIRWISE_MAX_CHORES = 20
-ADDITIVE_MAX_CHORES = 64
-ADDITIVE_MAX_BLOCKS = 8
 # Largest k of any route: a witness holds k blocks, padded with empty ones.
 MAX_BLOCKS = 10**6
 # Largest t * total for which a min-max partition builds subset-sum bitsets (the
@@ -550,11 +548,6 @@ def _solve(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
     """Exact MMS of sorted, checked chores: the one place that picks a route."""
     if not elems:
         return MmsResult(value=Fraction(0), witness=_pad([], k))
-    if isinstance(fn, Additive) and (len(elems) > ADDITIVE_MAX_CHORES or k > ADDITIVE_MAX_BLOCKS):
-        raise SizeGuardError(
-            f"additive search limited to {ADDITIVE_MAX_CHORES} chores and "
-            f"{ADDITIVE_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
-        )
     grouped = fn.sum_groups(elems)
     if grouped is not None:
         return _grouped_min_max(*grouped, fn.denominator(), k)
@@ -567,9 +560,8 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     """Exact MMS via the cheapest route available for the agent's cost (``_solve``).
 
     Capped sums over groups (additive, capped-additive, capped-cardinality and
-    coverage costs) use the min-max partition of group weights within its
-    node budget, additive ones only up to ``ADDITIVE_MAX_CHORES``
-    chores and ``ADDITIVE_MAX_BLOCKS`` blocks; for k=2 within
+    coverage costs) use the min-max partition of group weights, whose node
+    and load budgets are its only refusal; for k=2 within
     ``TWO_WAY_REACH_BITS`` the value comes first and that partition is
     built as the witness on its first read. Costs without that form, such
     as tables, take the two-way split scan for k=2 up to

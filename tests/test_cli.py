@@ -172,6 +172,20 @@ def test_mms_k3_share_past_the_unbounded_node_budget_exits_0(tmp_path, capsys):
     assert sorted(sum(payload["witness"], [])) == list(range(24))
 
 
+@pytest.mark.parametrize("k", [2, 9])
+def test_mms_of_65_additive_chores_is_the_capped_at_total_share(tmp_path, capsys, k):
+    values = [str(1 + (7 * e) % 20) for e in range(65)]
+    capped = {"type": "capped_additive", "values": values, "cap": str(sum(map(int, values)))}
+    printed = []
+    for cost in ({"type": "additive", "values": values}, capped):
+        inst = _write(tmp_path, f"{cost['type']}.json", {"n": 1, "m": 65, "agents": [{"cost": cost}]})
+        assert main(["mms", "--instance", inst, "--agent", "0", "--k", str(k)]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        printed.append(json.loads(out)["value"])
+    assert printed[0] == printed[1]
+
+
 def _deep_capped_additive_files(tmp_path, n):
     # 1,500 large values have no item guard on the capped-additive route, and
     # the branch-and-bound goes one level deeper per item.
@@ -512,11 +526,21 @@ def test_verify_n_max_past_the_prices_guard_exits_2_before_any_suite(tmp_path, c
 
 
 @pytest.mark.parametrize("suite", ["connections", "lemmas"])
-def test_verify_n_max_6_runs_the_suites_that_allow_it(tmp_path, capsys, monkeypatch, suite):
+def test_verify_n_max_at_verify_max_n_runs_the_suites_that_allow_it(tmp_path, capsys, monkeypatch, suite):
     started = _stub_suites(monkeypatch)
     out = tmp_path / "r.csv"
     assert main(["verify", "--suite", suite, "--seed", "1", f"--n-max={VERIFY_MAX_N}", "--out", str(out)]) == 0
     assert len(started) == 1 and out.exists()
+
+
+@pytest.mark.parametrize("suite", ["connections", "lemmas"])
+def test_verify_n_max_past_verify_max_n_exits_2_before_any_suite(tmp_path, capsys, monkeypatch, suite):
+    started = _stub_suites(monkeypatch)
+    out = tmp_path / "r.csv"
+    argv = ["verify", "--suite", suite, "--seed", "1", f"--n-max={VERIFY_MAX_N + 1}", "--out", str(out)]
+    assert main(argv) == 2
+    _assert_tagged_input_error(capsys, "size-guard-exceeded")
+    assert started == [] and not out.exists()
 
 
 @pytest.mark.parametrize(

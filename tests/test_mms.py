@@ -149,18 +149,20 @@ def test_non_int_chores_are_rejected(ref_instance, query, chore):
         query(ref_instance, [chore])
 
 
-def test_additive_guard_on_chores():
-    inst = Instance(n=1, m=65, costs=(Additive((1,) * 65),))
-    with pytest.raises(SizeGuardError, match="additive search limited to 64 chores and 8 blocks, got 65 chores, k=2"):
-        mms_value(inst, 0, 2)
+def test_an_additive_share_past_64_chores_is_the_capped_at_total_share():
+    values = [1 + (7 * e) % 20 for e in range(65)]
+    inst = Instance(n=1, m=65, costs=(Additive(values),))
+    for k in (2, 3):
+        assert mms_value(inst, 0, k).value == mms_value(_capped_at_total(values), 0, k).value
 
 
-def test_additive_guard_on_blocks(ref_instance):
-    with pytest.raises(SizeGuardError, match="additive search limited to 64 chores and 8 blocks, got 7 chores, k=9"):
-        mms_value(ref_instance, 0, 9)
+def test_an_additive_share_past_8_blocks_is_the_capped_at_total_share(ref_instance):
+    for agent, fn in enumerate(ref_instance.costs):
+        share = mms_value(ref_instance, agent, 9).value
+        assert share == mms_value(_capped_at_total(fn.values), 0, 9).value == max(fn.values)
 
 
-def test_additive_guard_passes_an_empty_chore_set(ref_instance):
+def test_an_additive_share_of_no_chores_is_zero_at_k_9(ref_instance):
     result = mms_value(ref_instance, 0, 9, ())
     assert result.value == 0
     assert result.witness == (frozenset(),) * 9
@@ -794,7 +796,7 @@ def test_grouped_route_matches_the_frozenset_reference(kind):
         assert all(members and list(members) == sorted(members) for members, _ in groups)
         reference = _frozenset_sum_groups(fn, elems)
         assert ([(frozenset(members), w) for members, w in groups], cap) == reference
-        k = rng.randint(1, min(len(groups) + 2, mms.ADDITIVE_MAX_BLOCKS))
+        k = rng.randint(1, min(len(groups) + 2, 8))
         above += k > len(groups)
         result = mms_value(inst, 0, k, elems)
         if elems:

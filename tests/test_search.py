@@ -9,6 +9,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -285,10 +286,12 @@ def _count_kernel_calls(monkeypatch) -> list[int]:
 
 def test_a_refused_share_leaves_its_agent_uncapped():
     # Every chore on agent 0 costs nothing, so the seed is fair at cost 0 and
-    # the kernel needs no share. The other agents' nine-way shares of six
-    # chores are past the additive solver's guard, so their caps are None:
-    # a cap that passed the refusal on would raise before the first leaf.
-    inst = Instance(n=9, m=6, costs=(Additive((0,) * 6),) + (Additive((Fraction(1, 6),) * 6),) * 8)
+    # the kernel needs no share. The other agents' costs are monotone tables,
+    # whose nine-way shares of six chores are past the enumeration's block
+    # guard, so their caps are None: a cap that passed the refusal on would
+    # raise before the first leaf.
+    counts = TableCost(6, [mask.bit_count() for mask in range(1 << 6)])
+    inst = Instance(n=9, m=6, costs=(Additive((0,) * 6),) + (counts,) * 8)
     with pytest.raises(SizeGuardError):
         mms_value(inst, 1, 9)
     report = best_fair_allocation(inst, Criterion.MMS, 1)
@@ -867,11 +870,13 @@ def test_verify_grids_build_each_entry_once(monkeypatch):
         assert built and len(built) == len(set(built))
 
 
-def test_verify_max_n_is_the_largest_n_the_connections_suite_runs_at():
-    rows = verify_connections(n_values=(VERIFY_MAX_N,))
+def test_every_connection_family_passes_at_every_n_up_to_verify_max_n_within_its_time_budget():
+    started = time.process_time()
+    rows = verify_connections(n_values=range(2, VERIFY_MAX_N + 1))
+    elapsed = time.process_time() - started
     assert rows and all(row.passed for row in rows)
-    with pytest.raises(SizeGuardError):
-        verify_connections(n_values=(VERIFY_MAX_N + 1,))
+    assert {row.n for row in rows} == set(range(2, VERIFY_MAX_N + 1))
+    assert elapsed < 1.0
 
 
 def test_verify_prices_max_n_is_the_largest_n_whose_price_grid_fits_the_enumeration_guard():
