@@ -17,7 +17,6 @@ from .errors import ArgumentError, NotInTableError, SizeGuardError
 from .mms import mms_value
 from .model import (
     INFINITY,
-    Additive,
     Allocation,
     ExtendedRational,
     Instance,
@@ -103,7 +102,7 @@ class InstanceContext:
         self._every = (1 << inst.m) - 1
         self._eval = [mask_evaluator(fn) for fn in inst.costs]
         self._den = [fn.denominator() for fn in inst.costs]
-        self._row = [fn.int_singles() if isinstance(fn, Additive) else None for fn in inst.costs]
+        self._row = [fn.int_singles() for fn in inst.costs]
         self._bundle: list[dict[int, int]] = [dict() for _ in range(inst.n)]
         self._shares: list[dict[tuple[int, int], tuple[int, Fraction]]] = [dict() for _ in range(inst.n)]
         self._removal: list[dict[int, tuple]] = [dict() for _ in range(inst.n)]

@@ -6,7 +6,7 @@ are exact:
 
 * ``mms_share`` -- ``_enumerated``, the reference: enumeration of set
                    partitions as restricted-growth strings, for any cost
-                   oracle, guarded sizes. Monotone costs (every formula
+                   oracle and k, up to 14 chores. Monotone costs (every formula
                    variant, and each table whose entries are monotone) are
                    pruned against a greedy bound, with the full scan's
                    witness.
@@ -61,7 +61,6 @@ from .model import CostFunction, Instance
 __all__ = ["MmsResult", "mms_share", "pairwise_mms", "mms_value"]
 
 ENUM_MAX_CHORES = 14
-ENUM_MAX_BLOCKS = 6
 PAIRWISE_MAX_CHORES = 20
 # Largest k of any route: a witness holds k blocks, padded with empty ones.
 MAX_BLOCKS = 10**6
@@ -138,20 +137,17 @@ def mms_share(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
 
     Enumerates restricted-growth strings, so each set partition is visited
     once; ties break toward the lexicographically smallest string. Empty
-    blocks never change the optimum for monotone costs, which makes k larger
-    than the set size harmless.
+    blocks never change the optimum for monotone costs, and no string opens
+    more blocks than there are chores, which makes any k up to 10^6 harmless.
     """
     elems = _query(inst, agent, k, chores)
     return _enumerated(inst.costs[agent], elems, k)
 
 
 def _enumerated(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
-    """The enumeration route, within its size guard, with the witness padded to k blocks."""
-    if len(elems) > ENUM_MAX_CHORES or k > ENUM_MAX_BLOCKS:
-        raise SizeGuardError(
-            f"partition enumeration limited to {ENUM_MAX_CHORES} chores and "
-            f"{ENUM_MAX_BLOCKS} blocks, got {len(elems)} chores, k={k}"
-        )
+    """The enumeration route, within its chore guard at any k, with the witness padded to k blocks."""
+    if len(elems) > ENUM_MAX_CHORES:
+        raise SizeGuardError(f"partition enumeration limited to {ENUM_MAX_CHORES} chores, got {len(elems)} chores")
     value, blocks = _enumerate_partitions(fn, elems, k)
     return MmsResult(value=value, witness=_pad(blocks, k))
 
@@ -186,7 +182,7 @@ def _enumerate_partitions(
         greedy[j] |= 1 << i
     best_val = max(map(table.__getitem__, greedy), default=0) + 1
     best_blocks: list[int] = []
-    blocks = [0] * k
+    blocks = [0] * len(greedy)  # a restricted-growth string opens at most t blocks
     nodes = 0
 
     def dfs(idx: int, used: int) -> None:

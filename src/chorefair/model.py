@@ -14,8 +14,8 @@ its formula. A new variant sets ``kind`` (its JSON ``type``) and ``_den``
 ``scaled``, ``sum_groups`` and ``ground_size`` where the defaults do not
 fit. ``value()``, ``mask_evaluator``, ``scale_cost``, the JSON schema and
 the structure checks derive from those methods. The single-chore row
-``int_singles`` is ``Additive``'s alone: its stored integers, read by
-``search.unit_costs`` on additive instances.
+``int_singles`` is None but for ``Additive``'s stored integers; it alone
+marks a cost additive, so its readers name no variant.
 
 The structure checks (``check_monotone``, ``check_submodular`` and a table's
 ``monotone`` flag) compare exact integers of the 2^m subset table, a chore
@@ -221,6 +221,10 @@ class CostFunction:
         for bit in bits:
             keys += [k | bit for k in keys]
         return [0, *map(read, keys[1:])]
+
+    def int_singles(self) -> tuple[int, ...] | None:
+        """d * c({e}) for each chore e where the variant stores them as an additive row; else None."""
+        return None
 
     def value(self, chores: Iterable[int]) -> Fraction:
         return Fraction(self.int_eval(mask_of(chores)), self.denominator())
@@ -750,7 +754,7 @@ class Instance:
         return s
 
     def is_additive(self) -> bool:
-        return all(isinstance(fn, Additive) for fn in self.costs)
+        return all(fn.int_singles() is not None for fn in self.costs)
 
 
 @dataclass(frozen=True)

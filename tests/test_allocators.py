@@ -130,6 +130,16 @@ def test_best_round_robin_order_agent_guard():
         best_round_robin_order(inst)
 
 
+def test_best_round_robin_order_pick_guard():
+    # 8 agents are within the agent guard, but 8! orders of 1,000 picks each
+    # are refused before any order is tried.
+    inst = Instance(n=8, m=1_000, costs=(Additive((Fraction(1, 1_000),) * 1_000),) * 8)
+    assert inst.normalized
+    with pytest.raises(SizeGuardError) as caught:
+        best_round_robin_order(inst)
+    assert str(caught.value) == "size-guard-exceeded: order search limited to n! * m <= 10000000, got 40320000"
+
+
 def test_best_round_robin_order_cost_at_most_one():
     for trial in range(60):
         inst = random_instance(3, 9, "additive", seed=trial)

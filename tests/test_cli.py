@@ -264,6 +264,32 @@ def test_mms_subcommand(tmp_path, instance_file, capsys):
     assert json.loads(capsys.readouterr().out)["value"] == "7"
 
 
+def test_eval_mms_of_seven_agents_with_a_table_cost_exits_0(tmp_path, capsys):
+    # A seven-way share of three chores: enumeration has no block guard.
+    popcount = {"type": "table", "m": 3, "values": [str(s.bit_count()) for s in range(8)]}
+    agents = [{"cost": popcount}] + [{"cost": {"type": "additive", "values": ["1", "2", "3"]}}] * 6
+    inst = _write(tmp_path, "inst.json", {"n": 7, "m": 3, "agents": agents})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [[0], [1], [2], [], [], [], []]})
+    assert main(["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS,PMMS"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out == '{"MMS":"1","PMMS":"1"}\n'
+
+
+def test_mms_enumerate_past_the_chore_count_answers_as_the_grouped_route(tmp_path, capsys):
+    cost = {"type": "additive", "values": ["1", "2", "3", "4", "5"]}
+    inst = _write(tmp_path, "inst.json", {"n": 1, "m": 5, "agents": [{"cost": cost}]})
+    printed = []
+    for extra in ([], ["--enumerate"]):
+        assert main(["mms", "--instance", inst, "--agent", "0", "--k", "7", *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err == ""
+        payload = json.loads(out)
+        assert len(payload["witness"]) == 7
+        printed.append(payload["value"])
+    assert printed == ["5", "5"]
+
+
 def test_mms_subset_flag(tmp_path, instance_file, capsys):
     assert main(["mms", "--instance", instance_file, "--agent", "0", "--k", "2", "--chores", "0,2,4,6"]) == 0
     payload = json.loads(capsys.readouterr().out)

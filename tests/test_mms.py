@@ -101,8 +101,12 @@ def test_witness_invariants(ref_instance):
 def test_enumeration_guards(ref_instance):
     with pytest.raises(SizeGuardError):
         mms_share(Instance(n=1, m=15, costs=(Additive((1,) * 15),)), 0, 2)
-    with pytest.raises(SizeGuardError):
-        mms_share(ref_instance, 0, 7)
+    # No block guard: a partition of 7 chores opens at most 7 blocks, so any
+    # k is answered, its witness padded to k blocks.
+    for k in (7, mms.MAX_BLOCKS):
+        share = mms_share(ref_instance, 0, k)
+        assert share.value == mms_value(ref_instance, 0, k).value
+        assert len(share.witness) == k
     with pytest.raises(ArgumentError):
         mms_share(ref_instance, 0, 0)
 
@@ -117,9 +121,7 @@ def test_mms_value_refuses_a_table_past_the_enumeration_guards():
     inst = Instance(n=1, m=15, costs=(TableCost(m=15, values=tuple(s.bit_count() for s in range(1 << 15))),))
     with pytest.raises(SizeGuardError) as caught:
         mms_value(inst, 0, 3)
-    assert str(caught.value) == (
-        "size-guard-exceeded: partition enumeration limited to 14 chores and 6 blocks, got 15 chores, k=3"
-    )
+    assert str(caught.value) == "size-guard-exceeded: partition enumeration limited to 14 chores, got 15 chores"
 
 
 def test_bool_agent_and_k_are_rejected(ref_instance):
@@ -623,6 +625,26 @@ def test_unpruned_enumeration_stops_at_the_node_budget():
     with pytest.raises(SizeGuardError, match=f"budget of {mms.MMS_NODE_BUDGET} nodes"):
         mms_share(inst, 0, 6)
     assert time.perf_counter() - start < 5
+
+
+def test_enumeration_past_the_chore_count_answers_and_refuses_as_at_it(monkeypatch):
+    # A restricted-growth string over t chores opens at most t blocks, so any
+    # k >= t, up to MAX_BLOCKS, gives the share at k = t padded with empty
+    # blocks, and the node budget, not k, refuses a search it cannot finish.
+    rng = random.Random(8)
+    values = [Fraction(0)] + [Fraction(rng.randint(0, 9)) for _ in range((1 << 8) - 1)]
+    inst = Instance(n=1, m=8, costs=(TableCost(m=8, values=tuple(values)),))
+    assert not inst.costs[0].monotone
+    at_t = mms_share(inst, 0, 8)
+    for k in (9, 14, mms.MAX_BLOCKS):
+        share = mms_share(inst, 0, k)
+        assert share.value == at_t.value
+        assert share.witness == at_t.witness + (frozenset(),) * (k - 8)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 1_000)
+    refusal = "^size-guard-exceeded: partition enumeration exceeded its budget of 1000 nodes$"
+    for k in (6, 8, 14, mms.MAX_BLOCKS):
+        with pytest.raises(SizeGuardError, match=refusal):
+            mms_share(inst, 0, k)
 
 
 def _unpruned_partitions(fn, elems, k):

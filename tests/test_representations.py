@@ -83,10 +83,12 @@ def _instances(kind: str, n: int, m: int, seed: int) -> list[Instance]:
 
 
 def _table_past_its_guard(inst: Instance, t: int, k: int) -> bool:
-    """Whether ``inst`` holds tables, and a table share of t chores at k is past the split scan and enumeration."""
+    """Whether ``inst`` holds tables, and a table share of t chores at k is past the split scan and enumeration.
+
+    Enumeration is guarded by its chore count alone, at any k.
+    """
     split_scan = k == 2 and t <= mms.PAIRWISE_MAX_CHORES
-    past = t > mms.ENUM_MAX_CHORES or k > mms.ENUM_MAX_BLOCKS
-    return isinstance(inst.costs[0], TableCost) and past and not split_scan
+    return isinstance(inst.costs[0], TableCost) and t > mms.ENUM_MAX_CHORES and not split_scan
 
 
 def _assert_same(forms: list[Instance], ask, may_refuse=lambda inst: False) -> None:

@@ -34,6 +34,7 @@ from chorefair import (
     price_of_fairness,
     random_instance,
 )
+from chorefair import mms
 from chorefair.criteria import context_for
 from chorefair.errors import ArgumentError, NoFairAllocationError, SizeGuardError
 from chorefair.families import FamilyBundle, PriceCheck
@@ -284,16 +285,19 @@ def _count_kernel_calls(monkeypatch) -> list[int]:
     return calls
 
 
-def test_a_refused_share_leaves_its_agent_uncapped():
+def test_a_refused_share_leaves_its_agent_uncapped(monkeypatch):
     # Every chore on agent 0 costs nothing, so the seed is fair at cost 0 and
-    # the kernel needs no share. The other agents' costs are monotone tables,
-    # whose nine-way shares of six chores are past the enumeration's block
-    # guard, so their caps are None: a cap that passed the refusal on would
-    # raise before the first leaf.
-    counts = TableCost(6, [mask.bit_count() for mask in range(1 << 6)])
-    inst = Instance(n=9, m=6, costs=(Additive((0,) * 6),) + (counts,) * 8)
-    with pytest.raises(SizeGuardError):
-        mms_value(inst, 1, 9)
+    # the kernel needs no share. The instance is additive, so the search reads
+    # caps; the other agents' three-way shares are refused by the min-max
+    # search under a one-node budget, so their caps are None: a cap that
+    # passed the refusal on would raise before the first leaf. (A two-way
+    # share reads its value without searching, so it is never refused.)
+    monkeypatch.setattr(mms, "MMS_NODE_BUDGET", 1)
+    costs = Additive((6, 4, 9, 3, 5, 3, 2))
+    inst = Instance(n=3, m=7, costs=(Additive((0,) * 7), costs, costs))
+    with pytest.raises(SizeGuardError, match="budget of 1 nodes"):
+        mms_value(inst, 1, 3)
+    assert context_for(inst).share_cap(Criterion.MMS, 1)(1) is None
     report = best_fair_allocation(inst, Criterion.MMS, 1)
     assert report.fair_exists and report.best_fair_cost == 0 and report.opt_cost == 0
 
