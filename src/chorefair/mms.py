@@ -1,21 +1,23 @@
 """Exact maximin-share computation.
 
 Each public query checks its arguments once (``_query``, or the bundle
-checks of ``pairwise_mms``) and then calls one private core; both routes
-are exact:
+checks of ``pairwise_mms``) and then calls one route. Each route is one
+exact function that returns an ``MmsResult`` and owns its refusals:
 
-* ``mms_share`` -- ``_enumerated``, the reference: enumeration of set
-                   partitions as restricted-growth strings, for any cost
-                   oracle and k, up to 14 chores. Monotone costs (every formula
-                   variant, and each table whose entries are monotone) are
-                   pruned against a greedy bound, with the full scan's
-                   witness.
-* ``mms_value`` -- ``_solve``, the only code that picks a route: a min-max
-                   partition of the group weights for a capped sum over
-                   groups (additive costs included), a scan of every
-                   two-way split of other costs for k=2, and enumeration
-                   otherwise. ``pairwise_mms`` is ``_solve`` with k=2 over
-                   two disjoint bundles.
+* ``mms_share`` -- ``_enumerate_partitions``, the reference: enumeration of
+                   set partitions as restricted-growth strings, for any cost
+                   oracle and k. At k=1 it reads c(S) with no table, at any
+                   chore count; past k=1 it takes up to 14 chores. Monotone
+                   costs (every formula variant, and each table whose entries
+                   are monotone) are pruned against a greedy bound, with the
+                   full scan's witness.
+* ``mms_value`` -- ``_solve``, the only code that picks a route, from the
+                   cost's form and k alone: a min-max partition of the group
+                   weights for a capped sum over groups (additive costs
+                   included), the two-way split scan of other costs for k=2
+                   (up to 20 chores), and enumeration otherwise.
+                   ``pairwise_mms`` is ``_solve`` with k=2 over two disjoint
+                   bundles.
 
 The min-max partition builds subset-sum reachability bitsets
 (``reach |= reach << w``) while t * total stays within ``TWO_WAY_REACH_BITS``
@@ -40,7 +42,7 @@ cost only through ``CostFunction.sum_groups`` (the grouped route),
 ``int_table`` (enumeration and two-way splits, by local mask),
 ``monotone`` (enumeration's pruning) and ``value`` (enumeration at k=1),
 so a new variant needs nothing here: the grouped route if ``sum_groups``
-gives groups, else enumeration.
+gives groups, else the split scan at k=2 and enumeration at any other k.
 
 ``_solve`` is cross-checked against the enumeration route in the test
 suite on every variant.
@@ -123,8 +125,7 @@ def _query(inst: Instance, agent: int, k: int, chores: Iterable[int] | None) -> 
 
 
 def _pad(blocks: Sequence[frozenset[int]], k: int) -> tuple[frozenset[int], ...]:
-    padded = list(blocks) + [frozenset()] * (k - len(blocks))
-    return tuple(padded)
+    return tuple(blocks) + (frozenset(),) * (k - len(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -139,22 +140,13 @@ def mms_share(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     once; ties break toward the lexicographically smallest string. Empty
     blocks never change the optimum for monotone costs, and no string opens
     more blocks than there are chores, which makes any k up to 10^6 harmless.
+    k=1 is answered at any chore count, any other k up to 14 chores.
     """
     elems = _query(inst, agent, k, chores)
-    return _enumerated(inst.costs[agent], elems, k)
+    return _enumerate_partitions(inst.costs[agent], elems, k)
 
 
-def _enumerated(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
-    """The enumeration route, within its chore guard at any k, with the witness padded to k blocks."""
-    if len(elems) > ENUM_MAX_CHORES:
-        raise SizeGuardError(f"partition enumeration limited to {ENUM_MAX_CHORES} chores, got {len(elems)} chores")
-    value, blocks = _enumerate_partitions(fn, elems, k)
-    return MmsResult(value=value, witness=_pad(blocks, k))
-
-
-def _enumerate_partitions(
-    fn: CostFunction, elems: tuple[int, ...], k: int
-) -> tuple[Fraction, list[frozenset[int]]]:
+def _enumerate_partitions(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
     """First optimal leaf, in depth-first order, of the restricted-growth strings.
 
     A greedy placement first puts each chore, in order, on the block of
@@ -168,14 +160,17 @@ def _enumerate_partitions(
     incumbent, since blocks only grow; such a branch holds no strictly
     cheaper leaf. Every leaf takes the max over its final blocks. Blocks are
     local masks into ``fn.int_table(elems)``, bit i standing for ``elems[i]``;
-    the witness's masks are mapped back to chores at the end. At k=1 the one
-    leaf is the whole set, read with ``fn.value`` and no table.
+    the witness's masks are mapped back to chores and padded to k blocks at
+    the end. At k=1 the one leaf is the whole set, read with ``fn.value`` and
+    no table at any chore count; any other k is refused past ``ENUM_MAX_CHORES``.
     """
     if k == 1:
-        return fn.value(elems), [frozenset(elems)] if elems else []
+        return MmsResult(value=fn.value(elems), witness=(frozenset(elems),))
+    t = len(elems)
+    if t > ENUM_MAX_CHORES:
+        raise SizeGuardError(f"partition enumeration limited to {ENUM_MAX_CHORES} chores, got {t} chores")
     table = fn.int_table(elems)
     prune = fn.monotone
-    t = len(elems)
     greedy = [0] * min(k, t)
     for i in range(t):
         j = min(range(len(greedy)), key=lambda b: table[greedy[b] | 1 << i])
@@ -214,7 +209,7 @@ def _enumerate_partitions(
 
     dfs(0, 0)
     witness = [frozenset(elems[i] for i in range(t) if mask >> i & 1) for mask in best_blocks]
-    return Fraction(best_val, fn.denominator()), witness
+    return MmsResult(value=Fraction(best_val, fn.denominator()), witness=_pad(witness, k))
 
 
 # ---------------------------------------------------------------------------
@@ -516,8 +511,10 @@ def _grouped_partition(
 
 
 def _two_partition_scan(fn: CostFunction, elems: tuple[int, ...]) -> MmsResult:
-    """Exact k=2 MMS of a nonempty chore set, by a scan of every two-way split."""
+    """Exact k=2 MMS of a nonempty chore set, by a scan of every two-way split, up to ``PAIRWISE_MAX_CHORES`` chores."""
     t = len(elems)
+    if t > PAIRWISE_MAX_CHORES:
+        raise SizeGuardError(f"two-way split scan limited to {PAIRWISE_MAX_CHORES} chores, got {t} chores")
     table = fn.int_table(elems)
     full = (1 << t) - 1
     best = None
@@ -541,15 +538,15 @@ def _two_partition_scan(fn: CostFunction, elems: tuple[int, ...]) -> MmsResult:
 
 
 def _solve(fn: CostFunction, elems: tuple[int, ...], k: int) -> MmsResult:
-    """Exact MMS of sorted, checked chores: the one place that picks a route."""
+    """Exact MMS of sorted, checked chores: the one place that picks a route, from the cost's form and k alone."""
     if not elems:
         return MmsResult(value=Fraction(0), witness=_pad([], k))
     grouped = fn.sum_groups(elems)
     if grouped is not None:
         return _grouped_min_max(*grouped, fn.denominator(), k)
-    if k == 2 and len(elems) <= PAIRWISE_MAX_CHORES:
+    if k == 2:
         return _two_partition_scan(fn, elems)
-    return _enumerated(fn, elems, k)
+    return _enumerate_partitions(fn, elems, k)
 
 
 def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None = None) -> MmsResult:
@@ -561,7 +558,8 @@ def mms_value(inst: Instance, agent: int, k: int, chores: Iterable[int] | None =
     ``TWO_WAY_REACH_BITS`` the value comes first and that partition is
     built as the witness on its first read. Costs without that form, such
     as tables, take the two-way split scan for k=2 up to
-    ``PAIRWISE_MAX_CHORES`` chores and guarded enumeration otherwise.
+    ``PAIRWISE_MAX_CHORES`` chores and enumeration otherwise: k=1 at any
+    chore count, any other k up to ``ENUM_MAX_CHORES``.
     """
     elems = _query(inst, agent, k, chores)
     return _solve(inst.costs[agent], elems, k)

@@ -26,7 +26,9 @@ from chorefair import (
 )
 from chorefair import allocate
 from chorefair.allocate import _ratio_key
-from chorefair.errors import ArgumentError, PreconditionError, SizeGuardError
+from chorefair.criteria import context_for
+from chorefair.errors import ArgumentError, InternalError, PreconditionError, SizeGuardError
+from chorefair.search import unit_costs
 from test_allocator_traces import LABELS, cases
 
 
@@ -279,6 +281,22 @@ def test_two_agent_procedures_build_one_context_and_no_second_optimum(monkeypatc
     calls.update(optimal=0, context=0)
     pmms32_two_agent(inst)
     assert calls == {"optimal": 0, "context": 1}
+
+
+def test_two_agent_postconditions_raise_internal_error():
+    # Both two-agent algorithms end in ``_checked``: an output that misses its
+    # fairness level or its price bound is a bug, not an answer.
+    inst = Instance(n=2, m=3, costs=(Additive((1, 1, 1)),) * 2)
+    ctx, (scale, c) = context_for(inst), unit_costs(inst)
+    opt = sum(map(min, c[0], c[1]))
+    lopsided = allocate.AllocatorOutcome(Allocation.from_assignment([0, 0, 0], 2), Fraction(3), ())
+    with pytest.raises(InternalError) as caught:
+        allocate._checked(ctx, lopsided, allocate._EF1_GUARANTEE, scale, opt)
+    assert str(caught.value) == "internal-invariant: output is inf-EF1, not 1-EF1"
+    fair = allocate.AllocatorOutcome(Allocation.from_assignment([0, 1, 0], 2), Fraction(3), ())
+    with pytest.raises(InternalError) as caught:
+        allocate._checked(ctx, fair, (Criterion.EF1, 1, 1, 2), scale, opt)
+    assert str(caught.value) == "internal-invariant: price bound violated: SC=3 vs OPT=3"
 
 
 def test_social_cost_matches_outcomes(ref_instance, alloc_b):

@@ -11,6 +11,7 @@ import os
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -276,6 +277,21 @@ def test_eval_mms_of_seven_agents_with_a_table_cost_exits_0(tmp_path, capsys):
     assert out == '{"MMS":"1","PMMS":"1"}\n'
 
 
+def test_one_block_shares_past_the_enumeration_guard_exit_0(tmp_path, capsys):
+    # k = 1 is c(S), read with no subset table, so no chore count is refused.
+    cost = {"type": "additive", "values": [str(e + 1) for e in range(15)]}
+    inst = _write(tmp_path, "additive.json", {"n": 1, "m": 15, "agents": [{"cost": cost}]})
+    assert main(["mms", "--instance", inst, "--agent", "0", "--k", "1", "--enumerate"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert json.loads(out) == {"value": "120", "witness": [list(range(15))]}
+    popcount = {"type": "table", "m": 15, "values": [str(s.bit_count()) for s in range(1 << 15)]}
+    inst = _write(tmp_path, "table.json", {"n": 1, "m": 15, "agents": [{"cost": popcount}]})
+    alloc = _write(tmp_path, "alloc.json", {"bundles": [list(range(15))]})
+    assert main(["eval", "--instance", inst, "--allocation", alloc, "--criteria", "MMS"]) == 0
+    assert capsys.readouterr() == ('{"MMS":"1"}\n', "")
+
+
 def test_mms_enumerate_past_the_chore_count_answers_as_the_grouped_route(tmp_path, capsys):
     cost = {"type": "additive", "values": ["1", "2", "3", "4", "5"]}
     inst = _write(tmp_path, "inst.json", {"n": 1, "m": 5, "agents": [{"cost": cost}]})
@@ -455,6 +471,22 @@ def test_verify_randomized_defaults_are_the_cli_defaults(tmp_path, suite, run):
     assert main(["verify", "--suite", suite, "--seed", "0", "--out", str(out)]) == 0
     with open(out, newline="") as handle:
         assert list(csv.DictReader(handle)) == reports_to_csv_rows(run())
+
+
+def test_verify_lemmas_reports_a_broken_lemma(tmp_path, capsys, monkeypatch):
+    # A share of 0 breaks c(S) <= k * MMS_k(S) on the first trial with a chore of positive cost.
+    import chorefair.search as search
+
+    monkeypatch.setattr(search, "mms_value", lambda inst, agent, k, chores=None: mms.MmsResult(Fraction(0), ()))
+    rows = {row.proposition_id.split("(")[0]: row for row in verify_lemmas(count=4, seed=7)}
+    broken = rows.pop("lemma:share-lower-bounds")
+    assert broken.status == "fail"
+    assert broken.observed.startswith("violated: trial 0:")
+    assert all(row.passed for row in rows.values())
+    out = tmp_path / "r.csv"
+    assert main(["verify", "--suite", "lemmas", "--seed", "7", "--count", "4", "--out", str(out)]) == 3
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL ")]
+    assert fails == [f"FAIL {broken.proposition_id}: expected holds, observed {broken.observed}"]
 
 
 def test_verify_lemmas_requires_seed(tmp_path, capsys):

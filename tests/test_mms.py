@@ -99,8 +99,11 @@ def test_witness_invariants(ref_instance):
 
 
 def test_enumeration_guards(ref_instance):
+    fifteen = Instance(n=1, m=15, costs=(Additive((1,) * 15),))
     with pytest.raises(SizeGuardError):
-        mms_share(Instance(n=1, m=15, costs=(Additive((1,) * 15),)), 0, 2)
+        mms_share(fifteen, 0, 2)
+    # One block is the whole set, read with no subset table at any chore count.
+    assert mms_share(fifteen, 0, 1).value == 15
     # No block guard: a partition of 7 chores opens at most 7 blocks, so any
     # k is answered, its witness padded to k blocks.
     for k in (7, mms.MAX_BLOCKS):
@@ -116,12 +119,28 @@ def test_k_past_max_blocks_is_refused(ref_instance):
         mms_value(ref_instance, 0, mms.MAX_BLOCKS + 1)
 
 
+def _popcount_table(m):
+    return Instance(n=1, m=m, costs=(TableCost(m=m, values=tuple(s.bit_count() for s in range(1 << m))),))
+
+
 def test_mms_value_refuses_a_table_past_the_enumeration_guards():
-    # 15 chores with k = 3 is past both the two-way scan and enumeration.
-    inst = Instance(n=1, m=15, costs=(TableCost(m=15, values=tuple(s.bit_count() for s in range(1 << 15))),))
+    # A table share of 15 chores at k = 3 goes to enumeration, which refuses it at every k but 1.
     with pytest.raises(SizeGuardError) as caught:
-        mms_value(inst, 0, 3)
+        mms_value(_popcount_table(15), 0, 3)
     assert str(caught.value) == "size-guard-exceeded: partition enumeration limited to 14 chores, got 15 chores"
+
+
+def test_one_block_share_of_a_table_past_the_enumeration_guard_is_its_total():
+    assert mms_value(_popcount_table(15), 0, 1) == MmsResult(value=Fraction(15), witness=(frozenset(range(15)),))
+
+
+def test_split_scan_refuses_past_its_own_guard(monkeypatch):
+    # A table share at k = 2 is the split scan's alone: its guard and its message.
+    monkeypatch.setattr(mms, "PAIRWISE_MAX_CHORES", 4)
+    assert mms_value(_popcount_table(5), 0, 2, range(4)).value == 2
+    with pytest.raises(SizeGuardError) as caught:
+        mms_value(_popcount_table(5), 0, 2)
+    assert str(caught.value) == "size-guard-exceeded: two-way split scan limited to 4 chores, got 5 chores"
 
 
 def test_bool_agent_and_k_are_rejected(ref_instance):
@@ -649,7 +668,7 @@ def test_enumeration_past_the_chore_count_answers_and_refuses_as_at_it(monkeypat
 
 def _unpruned_partitions(fn, elems, k):
     """The plain restricted-growth scan: every leaf's largest block cost, and
-    the first strictly cheapest leaf in depth-first order."""
+    the first strictly cheapest leaf in depth-first order, padded to k blocks."""
     t = len(elems)
     best_val, best_blocks = None, []
     blocks = [0] * k
@@ -668,7 +687,8 @@ def _unpruned_partitions(fn, elems, k):
             blocks[b] = old
 
     dfs(0, 0)
-    return Fraction(best_val, fn.denominator()), [set_of(mask) for mask in best_blocks]
+    witness = tuple(map(set_of, best_blocks)) + (frozenset(),) * (k - len(best_blocks))
+    return MmsResult(value=Fraction(best_val, fn.denominator()), witness=witness)
 
 
 @pytest.mark.parametrize("kind", VARIANTS + ("monotone_table",))
@@ -764,7 +784,7 @@ def test_k2_mms_value_matches_enumeration_on_every_variant(kind):
         inst = Instance(n=1, m=m, costs=(fn,))
         elems = tuple(e for e in range(m) if rng.random() < 0.85)
         result = mms_value(inst, 0, 2, elems)
-        assert result.value == _enumerate_partitions(inst.costs[0], elems, 2)[0], (kind, inst, elems)
+        assert result.value == _enumerate_partitions(inst.costs[0], elems, 2).value, (kind, inst, elems)
         assert frozenset().union(*result.witness) == frozenset(elems)
         assert max(inst.cost(0, block) for block in result.witness) == result.value
         if kind == "table" and elems:

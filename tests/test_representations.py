@@ -83,12 +83,13 @@ def _instances(kind: str, n: int, m: int, seed: int) -> list[Instance]:
 
 
 def _table_past_its_guard(inst: Instance, t: int, k: int) -> bool:
-    """Whether ``inst`` holds tables, and a table share of t chores at k is past the split scan and enumeration.
+    """Whether ``inst`` holds tables, and a table share of t chores at k is past its route's guard.
 
-    Enumeration is guarded by its chore count alone, at any k.
+    k=1 is never refused, k=2 (the split scan) past ``PAIRWISE_MAX_CHORES``
+    chores, and any other k (enumeration) past ``ENUM_MAX_CHORES``.
     """
-    split_scan = k == 2 and t <= mms.PAIRWISE_MAX_CHORES
-    return isinstance(inst.costs[0], TableCost) and t > mms.ENUM_MAX_CHORES and not split_scan
+    limit = t if k == 1 else mms.PAIRWISE_MAX_CHORES if k == 2 else mms.ENUM_MAX_CHORES
+    return isinstance(inst.costs[0], TableCost) and t > limit
 
 
 def _assert_same(forms: list[Instance], ask, may_refuse=lambda inst: False) -> None:

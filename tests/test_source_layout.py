@@ -14,6 +14,15 @@ COST_VARIANTS = {
     for name, obj in vars(model).items()
     if isinstance(obj, type) and issubclass(obj, model.CostFunction) and obj is not model.CostFunction
 }
+# The size guards and work budgets of ``mms.py``: the query check and each route read their own.
+MMS_LIMITS = {
+    "ENUM_MAX_CHORES",
+    "PAIRWISE_MAX_CHORES",
+    "MMS_NODE_BUDGET",
+    "MMS_LOAD_BUDGET",
+    "TWO_WAY_REACH_BITS",
+    "MAX_BLOCKS",
+}
 
 
 def test_every_source_line_fits_in_120_columns():
@@ -63,3 +72,10 @@ def test_only_the_model_tests_a_cost_variant_with_isinstance():
                 named = {getattr(c, "id", None) or getattr(c, "attr", None) for c in classes}
                 found += [f"{path.name}:{node.lineno} tests {name}" for name in sorted(named & COST_VARIANTS)]
     assert found == []
+
+
+def test_mms_solve_picks_a_route_and_leaves_every_refusal_to_it():
+    # ``_solve`` reads the cost's form and k alone; each route owns its guards and budgets.
+    (solve,) = [node for node in _parse("mms.py").body if isinstance(node, ast.FunctionDef) and node.name == "_solve"]
+    named = {getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(solve)}
+    assert named & MMS_LIMITS == set()
