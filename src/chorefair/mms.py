@@ -125,7 +125,8 @@ def _query(inst: Instance, agent: int, k: int, chores: Iterable[int] | None) -> 
 
 
 def _pad(blocks: Sequence[frozenset[int]], k: int) -> tuple[frozenset[int], ...]:
-    return tuple(blocks) + (frozenset(),) * (k - len(blocks))
+    padded = list(blocks) + [frozenset()] * (k - len(blocks))
+    return tuple(padded)
 
 
 # ---------------------------------------------------------------------------
