@@ -35,6 +35,7 @@ from .model import (
 from .search import (
     _REFERENCE_EPSILON,
     CSV_COLUMNS,
+    VERIFY_MAX_COUNT,
     VERIFY_MAX_N,
     VERIFY_PRICES_MAX_N,
     best_fair_allocation,
@@ -157,6 +158,8 @@ def _cmd_family(args) -> int:
 def _cmd_verify(args) -> int:
     if args.count < 1:
         raise ArgumentError(f"--count must be at least 1, got {args.count}")
+    if args.count > VERIFY_MAX_COUNT:
+        raise SizeGuardError(f"--count {args.count} exceeds the guard {VERIFY_MAX_COUNT}")
     if args.n_max < 2:
         raise ArgumentError(f"--n-max must be at least 2, got {args.n_max}")
     limit = VERIFY_PRICES_MAX_N if args.suite in ("prices", "all") else VERIFY_MAX_N
@@ -205,10 +208,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The parser tree, built on first use and shared by every ``main`` call.
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The root parser and its subcommand parsers by name, built on first use
+    and shared by every ``main`` call.
 
-    Parsing only reads it: each call gets a fresh ``Namespace``.
+    Parsing only reads them: each call gets a fresh ``Namespace``.
     """
     parser = _Parser(
         prog="chorefair",
@@ -262,12 +266,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--count", type=int, default=200, help="sweep size for randomized rows")
     p_verify.set_defaults(func=_cmd_verify)
 
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        argv = sys.argv[1:] if argv is None else list(argv)
+        root, commands = _build_parser()
+        # A known command goes straight to its own parser, the one the root
+        # would hand it to; any other argv (help, a bad command, options
+        # first) gets the root parser's handling and messages.
+        command = commands.get(argv[0]) if argv else None
+        args = command.parse_args(argv[1:]) if command else root.parse_args(argv)
         return args.func(args)
     except InternalError as exc:
         print(str(exc), file=sys.stderr)

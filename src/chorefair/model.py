@@ -87,27 +87,19 @@ _BYTE_BITS = tuple(tuple(b for b in range(8) if v >> b & 1) for v in range(256))
 
 
 def parse_rational(value: int | str | Fraction) -> Fraction:
-    """Parse an exact rational from an int, Fraction, or "p/q" / "p" string."""
-    return value if isinstance(value, Fraction) else Fraction(*_ratio(value))
+    """Parse an exact rational from an int, Fraction, or "p/q" / "p" string, as ``_parse_scaled`` reads one."""
+    if isinstance(value, Fraction):
+        return value
+    (p,), q = _parse_scaled((value,))
+    return Fraction(p, q)
 
 
 def _ratio(value) -> tuple[int, int]:
-    """``value`` as a reduced (p, q), q > 0, by the rules of ``parse_rational``.
+    """``value`` as a reduced (p, q), q > 0, by the general rules of ``parse_rational``.
 
-    ASCII ``-?digits`` or ``-?digits/digits`` strings take a fast path; any
-    other string, or one ``int()`` refuses, goes through ``Fraction(str)``, so
-    the accepted inputs and the messages are its own.
+    ``_parse_scaled`` reads the common spellings itself and sends the rest here: a
+    string goes through ``Fraction(str)``, so the accepted inputs and the messages are its own.
     """
-    if type(value) is str and value.isascii():
-        num, slash, den = value.partition("/")
-        if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
-            try:
-                p, q = int(num), (int(den) if slash else 1)
-            except ValueError:  # past int()'s digit limit: left to Fraction(str)
-                q = 0
-            if q:
-                g = math.gcd(p, q)
-                return p // g, q // g
     if isinstance(value, bool):
         raise ParseError(f"not a rational: {value!r}")
     if isinstance(value, (int, Fraction)):
@@ -275,10 +267,32 @@ def _check_nonnegative(nums: Sequence[int], den: int, what: str) -> None:
 
 
 def _parse_scaled(values: Iterable) -> tuple[tuple[int, ...], int]:
-    """(each value times d as an int, d), d the lcm of the values' reduced denominators."""
-    pairs = list(map(_ratio, values))
-    den = math.lcm(*(q for _, q in pairs))
-    return tuple([p * (den // q) for p, q in pairs]), den
+    """(each value times d as an int, d), d the lcm of the values' reduced denominators.
+
+    One pass reduces each value on its own: an ASCII ``-?digits[/digits]`` string
+    by ``int()`` and a gcd, a ``Fraction`` by its terms, anything else by ``_ratio``.
+    """
+    nums, dens = [], []
+    for value in values:
+        q = 0
+        if type(value) is Fraction:
+            p, q = value.numerator, value.denominator
+        elif type(value) is str and value.isascii():
+            num, slash, den = value.partition("/")
+            if num.removeprefix("-").isdigit() and (not slash or den.isdigit()):
+                try:
+                    p, q = int(num), (int(den) if slash else 1)
+                except ValueError:  # past int()'s digit limit: left to _ratio
+                    pass
+                if q > 1:
+                    g = math.gcd(p, q)
+                    p, q = p // g, q // g
+        if not q:
+            p, q = _ratio(value)
+        nums.append(p)
+        dens.append(q)
+    den = math.lcm(*dens)
+    return tuple([p * (den // q) for p, q in zip(nums, dens)]), den
 
 
 def _rational_strs(nums: Sequence[int], den: int) -> list[str]:
