@@ -209,11 +209,8 @@ class _Parser(argparse.ArgumentParser):
 
 @functools.cache
 def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
-    """The root parser and its subcommand parsers by name, built on first use
-    and shared by every ``main`` call.
-
-    Parsing only reads them: each call gets a fresh ``Namespace``.
-    """
+    """The root parser and its command parsers by name, built on first use and
+    shared by every ``main`` call; parsing only reads them, so each call gets a fresh ``Namespace``."""
     parser = _Parser(
         prog="chorefair",
         description="Exact fairness analysis for allocating indivisible chores.",
@@ -273,9 +270,8 @@ def main(argv=None) -> int:
     try:
         argv = sys.argv[1:] if argv is None else list(argv)
         root, commands = _build_parser()
-        # A known command goes straight to its own parser, the one the root
-        # would hand it to; any other argv (help, a bad command, options
-        # first) gets the root parser's handling and messages.
+        # A known command goes straight to the parser the root would hand it to;
+        # any other argv (help, a bad command, options first) keeps the root's handling.
         command = commands.get(argv[0]) if argv else None
         args = command.parse_args(argv[1:]) if command else root.parse_args(argv)
         return args.func(args)

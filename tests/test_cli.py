@@ -18,10 +18,11 @@ import pytest
 
 from chorefair import mms
 from chorefair.cli import main
-from chorefair.errors import InternalError
+from chorefair.errors import ChoreFairError, InternalError
 from chorefair.mms import mms_value
 from chorefair.model import instance_digest, instance_from_json
 from chorefair.search import (
+    VERIFY_MAX_COUNT,
     VERIFY_MAX_N,
     VERIFY_PRICES_MAX_N,
     PropositionReport,
@@ -525,6 +526,17 @@ def test_verify_count_below_one_exits_2(tmp_path, capsys, suite, count):
     assert not out.exists()
 
 
+def test_verify_count_past_its_guard_exits_2_before_any_suite(tmp_path, capsys, monkeypatch):
+    started = _stub_suites(monkeypatch)
+    argv = ["verify", "--suite", "lemmas", "--seed", "1", "--out", str(tmp_path / "r.csv"), "--count"]
+    assert main([*argv, str(VERIFY_MAX_COUNT + 1)]) == 2
+    message = f"--count {VERIFY_MAX_COUNT + 1} exceeds the guard {VERIFY_MAX_COUNT}"
+    assert capsys.readouterr().err == f"size-guard-exceeded: {message}\n"
+    assert started == []
+    assert main([*argv, str(VERIFY_MAX_COUNT)]) == 0
+    assert [kwargs["count"] for kwargs in started] == [VERIFY_MAX_COUNT]
+
+
 def _stub_suites(monkeypatch, rows=()) -> list:
     """Replace the verify suites with ones that record their arguments and return ``rows``."""
     import chorefair.cli as cli
@@ -930,6 +942,102 @@ def test_calls_leave_no_state_in_the_shared_parser(tmp_path, instance_file, monk
     for argv, result in zip(calls, in_sequence):
         cli._build_parser.cache_clear()
         assert run(argv) == result, argv
+
+
+_INSTANCE = ["--instance", "{inst}"]
+_EVAL = ["eval", *_INSTANCE, "--allocation", "{alloc}"]
+_MMS = ["mms", *_INSTANCE, "--agent", "0", "--k", "2"]
+_VERIFY = ["verify", "--suite", "lemmas", "--seed", "1", "--out", "{out}"]
+_VALID_CALLS = [
+    _EVAL,
+    _MMS,
+    ["allocate", *_INSTANCE, "--algorithm", "round_robin", "--trace"],
+    ["search", *_INSTANCE, "--criterion", "EF", "--alpha", "1"],
+    ["family", "--id", "POF_EF1_N2", "--epsilon", "1/100"],
+    _VERIFY,
+]
+_COMMANDS = ["eval", "mms", "allocate", "search", "family", "verify"]
+# Every argv shape the dispatch in ``main`` could read differently from the root parser.
+_DISPATCH_CORPUS = [
+    *_VALID_CALLS,
+    [*_MMS, "--enumerate", "--chores", "0,1,2"],
+    ["-h"],
+    ["--help"],
+    *([command, flag] for command in _COMMANDS for flag in ("-h", "--help")),
+    [*_MMS, "--he"],
+    [],
+    ["ev", *_EVAL[1:]],
+    ["EVAL", *_EVAL[1:]],
+    ["frobnicate"],
+    ["eval", "--inst", "{inst}", "--alloc", "{alloc}"],
+    ["mms", "--instance={inst}", "--agent=0", "--k=2"],
+    ["eval", *_INSTANCE],
+    [*_MMS[:-1], "two"],
+    ["allocate", *_INSTANCE, "--algorithm", "greedy"],
+    ["verify", "--suite", "everything", "--out", "{out}"],
+    [*_EVAL, "extra"],
+    [*_EVAL, "--bogus"],
+    [*_MMS, "--agent", "1"],
+    [*_VERIFY, "--count", "3", "--count", "4"],
+    ["--", *_EVAL],
+    ["eval", "--", *_EVAL[1:]],
+    [*_EVAL, "--"],
+    [*_INSTANCE, "eval", "--allocation", "{alloc}"],
+    ["-h", *_EVAL],
+]
+
+
+def _root_parser_main(argv) -> int:
+    """``main`` with every argv parsed by the root parser, which hands a command to its subparser."""
+    import chorefair.cli as cli
+
+    try:
+        args = cli._build_parser()[0].parse_args(argv)
+        return args.func(args)
+    except InternalError as exc:
+        print(str(exc), file=sys.stderr)
+        return 1
+    except ChoreFairError as exc:
+        print(str(exc), file=sys.stderr)
+        return 2
+    except Exception as exc:  # pragma: no cover - mirrors main
+        print(f"internal-error: {exc}", file=sys.stderr)
+        return 1
+
+
+@pytest.fixture()
+def dispatch_files(tmp_path, instance_file, monkeypatch):
+    started = _stub_suites(monkeypatch)
+    names = {"inst": instance_file, "out": str(tmp_path / "r.csv")}
+    names["alloc"] = _write(tmp_path, "b.json", {"bundles": [[0, 4, 6], [1, 3, 5], [2]]})
+    return lambda argv: [arg.format(**names) for arg in argv], started
+
+
+@pytest.mark.parametrize("argv", _DISPATCH_CORPUS, ids=lambda argv: " ".join(argv) or "<empty>")
+def test_command_dispatch_matches_the_root_parser(dispatch_files, capsys, argv):
+    fill, _ = dispatch_files
+
+    def run(main_fn):
+        try:
+            code = main_fn(fill(argv))
+        except SystemExit as exc:
+            code = ("SystemExit", exc.code)
+        return (code, *capsys.readouterr())
+
+    assert run(main) == run(_root_parser_main)
+
+
+def test_valid_commands_do_not_reach_the_root_parser(dispatch_files, monkeypatch, capsys):
+    import chorefair.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the root parser was asked to parse a known command")
+
+    fill, started = dispatch_files
+    monkeypatch.setattr(cli._build_parser()[0], "parse_args", refuse)
+    for argv in _VALID_CALLS:
+        assert main(fill(argv)) == 0, capsys.readouterr().err
+    assert len(started) == 1
 
 
 @pytest.mark.parametrize(

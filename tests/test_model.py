@@ -3,12 +3,14 @@
 from __future__ import annotations
 
 import copy
+import math
 import os
 import pickle
 import random
 import subprocess
 import sys
 import time
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -44,7 +46,7 @@ from chorefair.errors import (
     UnsupportedVariantError,
     ValidationError,
 )
-from chorefair.model import INFINITY, _bit_sum, mask_of, price_ratio, scale_cost, set_of
+from chorefair.model import INFINITY, _bit_sum, _parse_scaled, mask_of, price_ratio, scale_cost, set_of
 
 
 def test_parse_rational_accepts_ints_and_strings():
@@ -58,6 +60,94 @@ def test_parse_rational_accepts_ints_and_strings():
 def test_parse_rational_rejects_inexact(bad):
     with pytest.raises(ParseError):
         parse_rational(bad)
+
+
+def _reference_scaled(values):
+    """(nums, den) from one ``Fraction`` per value."""
+    fracs = [v if isinstance(v, Fraction) else Fraction(v) for v in values]
+    den = math.lcm(*(f.denominator for f in fracs))
+    return tuple(f.numerator * (den // f.denominator) for f in fracs), den
+
+
+def _random_rational(rng):
+    p = rng.randint(-(10 ** rng.randint(1, 30)), 10 ** rng.randint(1, 30))
+    q = rng.randint(1, 10 ** rng.randint(1, 30))
+    return rng.choice([
+        str(p), f"{p}/{q}", f"{p * 6}/{q * 4}", f"{abs(p):07d}", f"-{abs(p)}/{q}",
+        p, Fraction(p, q), f"{p}/1", f"0/{q}", "-0",
+    ])
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_parse_scaled_matches_per_value_fractions(seed):
+    rng = random.Random(seed)
+    values = [_random_rational(rng) for _ in range(rng.randint(1, 12))]
+    assert _parse_scaled(values) == _reference_scaled(values)
+    for value in values:
+        (p,), q = _parse_scaled([value])
+        assert parse_rational(value) == Fraction(value) == Fraction(p, q)
+
+
+_LONG = "7" * 5000  # past int()'s 4,300-digit limit
+_REFUSED = [
+    ("1.5", "decimal notation is not exact: '1.5'"),
+    ("1e3", "decimal notation is not exact: '1e3'"),
+    ("abc", "not a rational: 'abc'"),
+    ("/3", "not a rational: '/3'"),
+    ("3/", "not a rational: '3/'"),
+    ("--1", "not a rational: '--1'"),
+    ("1/0", "not a rational: '1/0'"),
+    ("1/-2", "not a rational: '1/-2'"),
+    ("²", "not a rational: '²'"),
+    (_LONG, f"not a rational: {_LONG!r}"),
+    ("1/" + _LONG, f"not a rational: {'1/' + _LONG!r}"),
+    (True, "not a rational: True"),
+    (1.5, "not a rational: 1.5 (floats are rejected)"),
+    (None, "not a rational: None"),
+]
+_ACCEPTED = [
+    (" 1", Fraction(1)), ("+1", Fraction(1)), ("007", Fraction(7)), ("-0", Fraction(0)), ("0/5", Fraction(0)),
+    ("٣", Fraction(3)), (5, Fraction(5)), (-(10**40), Fraction(-(10**40))), (Fraction(6, 4), Fraction(3, 2)),
+    (Fraction(-3, 9), Fraction(-1, 3)),
+]
+
+
+@pytest.mark.parametrize("value, message", _REFUSED, ids=lambda v: repr(v)[:12])
+def test_reader_refuses_as_the_general_rules_do(value, message):
+    for read in (parse_rational, lambda v: _parse_scaled(["1/2", v])):
+        with pytest.raises(ParseError) as exc:
+            read(value)
+        assert type(exc.value) is ParseError and str(exc.value) == f"parse-error: {message}"
+
+
+@pytest.mark.parametrize("value, expected", _ACCEPTED, ids=lambda v: repr(v)[:12])
+def test_reader_accepts_as_the_general_rules_do(value, expected):
+    assert parse_rational(value) == expected
+    assert _parse_scaled([value, "1/2"]) == _reference_scaled([expected, Fraction(1, 2)])
+
+
+@pytest.mark.parametrize("values, expected", [([], ((), 1)), ([0], ((0,), 1)), (["0", "-0", "0/7", 0], ((0,) * 4, 1))])
+def test_parse_scaled_of_no_values_or_zeros(values, expected):
+    assert _parse_scaled(values) == expected
+
+
+def test_parse_scaled_reduces_each_value_before_the_common_denominator():
+    # "p/p" over 4,000 distinct primes: reduced one at a time they are all 1/1,
+    # while their unreduced lcm would be a 60,000-bit number times each value.
+    sieve = bytearray([1]) * 60_000
+    for i in range(2, 245):
+        sieve[i * i :: i] = bytes(len(sieve[i * i :: i]))
+    primes = [p for p in range(10_007, len(sieve)) if sieve[p]][:4000]
+    assert len(primes) == 4000
+    values = [f"{p}/{p}" for p in primes]
+    tracemalloc.start()
+    try:
+        nums, den = _parse_scaled(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (nums, den) == ((1,) * 4000, 1)
+    assert peak < 2_000_000, peak
 
 
 def test_rational_str_roundtrip():
